@@ -15,7 +15,6 @@ tests, tasks and the CLI.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -46,6 +45,7 @@ from .graded import (
     Element,
     GeneratorDecl,
     GradedError,
+    _accumulate,
     make_signature,
     transport,
 )
@@ -163,7 +163,7 @@ def brane_cocycle(cat: CatalogAlgebra, p: int) -> Element:
     rep = cat.rep
     sig = cat.algebra.sig
     e_ids, psi_ids = _frame(sig, rep.d, rep.n_spin)
-    out = Element.zero(sig)
+    acc = {}
     weight = 1
     for k in range(2, p + 1):
         weight *= k
@@ -172,8 +172,9 @@ def brane_cocycle(cat: CatalogAlgebra, p: int) -> Element:
         for a in tup:
             eta *= rep.eta[a]
         prefix = tuple((e_ids[a], 1) for a in tup)
-        out = out + _pairing_element(sig, psi_ids, rep.pairing(tup),
-                                     weight * eta, prefix)
+        _accumulate(acc, _pairing_element(sig, psi_ids, rep.pairing(tup),
+                                          weight * eta, prefix).terms.items())
+    out = Element(sig, acc)
     if not out:
         raise ZeroCocycle(
             f"pairing C Gamma^({p}) in d={rep.d} is fully antisymmetric")
@@ -204,24 +205,10 @@ def proportionality_constant(lhs: Element, rhs: Element) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def verify_m5_relation(d: int = 11) -> Report:
+def verify_m5_relation() -> Report:
     """Fully symbolic check that d mu7 is a single rational multiple of
-    mu4 wedge mu4, cross-checked against the dense tensor path."""
-    t0 = time.monotonic()
-    cat = _mink(d)
-    if d == 3:
-        mu3 = _mu(3, 1)
-        res = apply_d(cat.algebra, mu3)
-        fast = quartic_fierz_check(cat.rep, "mu7-relation")
-        verdict = "pass" if (not res and fast.ok) else "fail"
-        return Report("m5.relation", verdict,
-                      details="d mu3 = 0 (target zero, constant degenerate)",
-                      residual=res if res else None,
-                      stats={"d": 3, "mu3_terms": len(mu3)},
-                      pinned={"c": None},
-                      duration_s=time.monotonic() - t0)
-    if d != 11:
-        raise Unsupported("the five-brane relation lives in d=11")
+    mu4 wedge mu4 in d=11, cross-checked against the dense tensor path."""
+    cat = _mink(11)
     alg = cat.algebra
     mu4 = _mu(11, 2)
     mu7 = _mu(11, 5)
@@ -243,12 +230,11 @@ def verify_m5_relation(d: int = 11) -> Report:
             "mu4_sq_terms": len(mu4_sq),
         },
         pinned={"c": f"{c.numerator}/{c.denominator}"},
-        duration_s=time.monotonic() - t0,
     )
 
 
-def measured_c(d: int = 11) -> Fraction:
-    rep = verify_m5_relation(d)
+def measured_c() -> Fraction:
+    rep = verify_m5_relation()
     if not rep.ok:
         raise NotProportional("five-brane relation did not verify")
     return Fraction(rep.pinned["c"])
@@ -269,7 +255,6 @@ def m2brane() -> CatalogAlgebra:
 @lru_cache(maxsize=None)
 def m5_cocycle() -> tuple[Element, Report]:
     """The closed degree-7 element h3 mu4 + (1/c) mu7 of the membrane algebra."""
-    t0 = time.monotonic()
     c = measured_c()
     m2 = m2brane()
     sig = m2.algebra.sig
@@ -286,7 +271,6 @@ def m5_cocycle() -> tuple[Element, Report]:
         stats={"cocycle_terms": len(chi)},
         pinned={"c": f"{c.numerator}/{c.denominator}",
                 "cocycle_terms": len(chi)},
-        duration_s=time.monotonic() - t0,
     )
     return chi, rep
 
@@ -322,26 +306,19 @@ def resolved_minkowski() -> tuple[CatalogAlgebra, DGCAMorphism, DGCAMorphism,
     iota = make_morphism(mink_alg, res_alg,
                          {n: Element.generator(sig, n)
                           for n in mink_alg.sig.names})
-    assert compose(iota, p) == identity_morphism(mink_alg)
+    if compose(iota, p) != identity_morphism(mink_alg):
+        raise CatalogError("p after iota is not the identity")
     s = ChainHomotopy(identity_morphism(res_alg), compose(p, iota),
                       {"g4": Element.generator(sig, "h3")})
     return cat, p, iota, s
 
 
 def resolution_homotopy_report() -> Report:
-    t0 = time.monotonic()
     cat, p, iota, s = resolved_minkowski()
-    mink_alg = _mink(11).algebra
-    round_trip = compose(iota, p)
-    if round_trip != identity_morphism(mink_alg):
-        return Report("resolution.homotopy", "fail",
-                      details="p after iota is not the identity",
-                      duration_s=time.monotonic() - t0)
     rep = check_homotopy(identity_morphism(cat.algebra), compose(p, iota), s,
                          task_id="resolution.homotopy")
     rep.details = ("p after iota = id and id - iota p = d s + s d on all "
                    "generators" if rep.ok else rep.details)
-    rep.duration_s = time.monotonic() - t0
     return rep
 
 
@@ -354,7 +331,6 @@ def equivariant_lift() -> tuple[DGCAMorphism, Report]:
     g4 -> g4, g7 -> h3 (g4 + mu4) + (1/c) mu7, verified as a chain map,
     as a lift over the degree-4 coefficient line, and against the membrane
     restriction."""
-    t0 = time.monotonic()
     c = measured_c()
     cat, p, iota, s = resolved_minkowski()
     res_alg = cat.algebra
@@ -398,7 +374,6 @@ def equivariant_lift() -> tuple[DGCAMorphism, Report]:
                  f"m5_restriction={restricts_to_m5}"),
         stats={"g7_image_terms": len(phi.image_of("g7"))},
         pinned={"c": f"{c.numerator}/{c.denominator}"},
-        duration_s=time.monotonic() - t0,
     )
 
 
@@ -516,11 +491,11 @@ def _matmul(p, q):
     for a in range(d):
         row = []
         for b in range(d):
-            acc = Element.zero(sig)
+            acc = {}
             for cc in range(d):
                 if p[a][cc] and q[cc][b]:
-                    acc = acc + p[a][cc] * q[cc][b]
-            row.append(acc)
+                    _accumulate(acc, (p[a][cc] * q[cc][b]).terms.items())
+            row.append(Element(sig, acc))
         out.append(row)
     return out
 
@@ -539,20 +514,19 @@ def trace_power(cat_tag: str, k: int) -> Element:
     so only half-size matrix powers are ever materialized."""
     mat = _omega_matrix(cat_tag)
     sig = mat[0][0].sig
+    d = len(mat)
+    acc = {}
     if k == 1:
-        acc = Element.zero(sig)
-        for a in range(len(mat)):
-            acc = acc + mat[a][a]
-        return acc
+        for a in range(d):
+            _accumulate(acc, mat[a][a].terms.items())
+        return Element(sig, acc)
     pj = _omega_power(cat_tag, k // 2)
     pk = _omega_power(cat_tag, k - k // 2)
-    d = len(mat)
-    acc = Element.zero(sig)
     for a in range(d):
         for cc in range(d):
             if pj[a][cc] and pk[cc][a]:
-                acc = acc + pj[a][cc] * pk[cc][a]
-    return acc
+                _accumulate(acc, (pj[a][cc] * pk[cc][a]).terms.items())
+    return Element(sig, acc)
 
 
 @lru_cache(maxsize=None)
@@ -561,7 +535,6 @@ def lorentz_trace(k: int) -> tuple[Element, Report]:
     the even traces tr(omega^{2m}) for 2m <= k+1 verified to vanish."""
     if k not in (3, 7):
         raise Unsupported("trace cocycles are k = 3 and k = 7")
-    t0 = time.monotonic()
     iso = super_poincare()
     tr = trace_power("superPoincare", k)
     d_tr = apply_d(iso.algebra, tr)
@@ -582,7 +555,6 @@ def lorentz_trace(k: int) -> tuple[Element, Report]:
         residual=d_tr if d_tr else None,
         stats={"trace_terms": len(tr), "even_trace_terms": even_terms},
         pinned={"trace_terms": len(tr)},
-        duration_s=time.monotonic() - t0,
     )
     return tr, rep
 
@@ -610,7 +582,6 @@ def family_seven_cocycle(alpha, beta) -> tuple[DGCAMorphism, Report]:
 
 @lru_cache(maxsize=None)
 def _family(alpha: Fraction, beta: Fraction) -> tuple[DGCAMorphism, Report]:
-    t0 = time.monotonic()
     c = measured_c()
     rp = resolved_poincare()
     sig = rp.algebra.sig
@@ -649,7 +620,6 @@ def _family(alpha: Fraction, beta: Fraction) -> tuple[DGCAMorphism, Report]:
                "g7_image_terms": len(image)},
         pinned={"alpha": str(alpha), "beta": str(beta),
                 "c": f"{c.numerator}/{c.denominator}"},
-        duration_s=time.monotonic() - t0,
     )
     return phi, rep
 
@@ -665,10 +635,7 @@ def verify_brane_scan_entry(d: int, n_label: int, p: int,
         raise Unsupported(
             f"(d={d}, N={n_label}) not supported; built-in rep has "
             f"N={cat.rep.n_spin}")
-    try:
-        mu = brane_cocycle(cat, p)
-    except ZeroCocycle:
-        raise
+    mu = brane_cocycle(cat, p)
     res = apply_d(cat.algebra, mu)
     if res:
         return BraneScanEntry(d, n_label, p, False, None)

@@ -15,7 +15,6 @@ verdict-for-verdict with the symbolic expansions built on top of them.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -198,7 +197,6 @@ _D11_SYMMETRY = {0: "antisymmetric", 1: "symmetric", 2: "symmetric",
 def check_clifford(rep: CliffordRep, task_id: str = "clifford.check") -> Report:
     """Validate the representation: anticommutators, pairing symmetries for
     p <= 5, and Gamma^{ab} = (1/2)[Gamma^a, Gamma^b]."""
-    t0 = time.monotonic()
     n = rep.n_spin
     ident = np.eye(n, dtype=np.int64)
     for a in range(rep.d):
@@ -208,11 +206,9 @@ def check_clifford(rep: CliffordRep, task_id: str = "clifford.check") -> Report:
             if not np.array_equal(anti, want):
                 return Report(task_id, "fail",
                               details=f"anticommutator fails on pair ({a},{b})",
-                              witness=f"({a},{b})",
-                              duration_s=time.monotonic() - t0)
+                              witness=f"({a},{b})")
     if _symmetry_of(rep.charge_conj) != "antisymmetric":
-        return Report(task_id, "fail", details="C is not antisymmetric",
-                      duration_s=time.monotonic() - t0)
+        return Report(task_id, "fail", details="C is not antisymmetric")
     flags: dict[int, set[str]] = {}
     for p in range(0, 6):
         if p > rep.d:
@@ -223,23 +219,20 @@ def check_clifford(rep: CliffordRep, task_id: str = "clifford.check") -> Report:
         flags[p] = seen
         if len(seen) != 1 or "mixed" in seen:
             return Report(task_id, "fail",
-                          details=f"inconsistent pairing symmetry at p={p}: {seen}",
-                          duration_s=time.monotonic() - t0)
+                          details=f"inconsistent pairing symmetry at p={p}: {seen}")
     if rep.d == 11:
         for p, want in _D11_SYMMETRY.items():
             if flags[p] != {want}:
                 return Report(
                     task_id, "fail",
-                    details=f"pairing symmetry at p={p} is {flags[p]}, expected {want}",
-                    duration_s=time.monotonic() - t0)
+                    details=f"pairing symmetry at p={p} is {flags[p]}, expected {want}")
     for a in range(rep.d):
         for b in range(rep.d):
             comm = rep.gammas[a] @ rep.gammas[b] - rep.gammas[b] @ rep.gammas[a]
             gam_ab = rep.gamma_product((a, b)) if a != b else np.zeros_like(ident)
             if not np.array_equal(comm, 2 * gam_ab):
                 return Report(task_id, "fail",
-                              details=f"Gamma^{{ab}} != [Gamma,Gamma]/2 at ({a},{b})",
-                              duration_s=time.monotonic() - t0)
+                              details=f"Gamma^{{ab}} != [Gamma,Gamma]/2 at ({a},{b})")
     flag_str = {p: next(iter(s)) for p, s in flags.items()}
     return Report(
         task_id, "pass",
@@ -247,7 +240,6 @@ def check_clifford(rep: CliffordRep, task_id: str = "clifford.check") -> Report:
         stats={"d": rep.d, "n_spin": rep.n_spin},
         pinned={"d": rep.d, "n_spin": rep.n_spin,
                 "pairing_symmetry": {str(p): f for p, f in flag_str.items()}},
-        duration_s=time.monotonic() - t0,
     )
 
 
@@ -287,7 +279,6 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
     exactly.  p_substitute swaps in another pairing rank as a negative
     control of the machinery.
     """
-    t0 = time.monotonic()
     if family == "mu4-closure":
         p = p_substitute if p_substitute is not None else default_cocycle_p(rep.d)
         cg1 = [rep.pairing((b,)) for b in range(rep.d)]
@@ -304,12 +295,10 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
                     details=f"quartic identity fails at indices {prefix} (p={p})",
                     witness=str(prefix),
                     stats={"p": p},
-                    duration_s=time.monotonic() - t0,
                 )
         return Report("fierz." + family, "pass",
                       details=f"quartic closure identity holds (p={p})",
-                      stats={"p": p, "d": rep.d},
-                      duration_s=time.monotonic() - t0)
+                      stats={"p": p, "d": rep.d})
 
     if family == "mu7-relation":
         if rep.d == 3:
@@ -345,8 +334,7 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
                 if d_tensor.any():
                     return Report("fierz.mu7-relation", "fail",
                                   details=f"no proportionality at {quad}",
-                                  witness=str(quad),
-                                  duration_s=time.monotonic() - t0)
+                                  witness=str(quad))
                 continue
             i0 = tuple(nz[0])
             n_, d_ = int(d_tensor[i0]), int(q_tensor[i0])
@@ -356,13 +344,11 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
             if not np.array_equal(den * d_tensor, num * q_tensor):
                 return Report("fierz.mu7-relation", "fail",
                               details=f"proportionality breaks at {quad}",
-                              witness=str(quad),
-                              duration_s=time.monotonic() - t0)
+                              witness=str(quad))
         c = Fraction(num, den)
         return Report("fierz.mu7-relation", "pass",
                       details=f"d mu7 = c mu4^2 with c = {c} (tensor path)",
                       stats={"d": rep.d},
-                      pinned={"c": f"{c.numerator}/{c.denominator}"},
-                      duration_s=time.monotonic() - t0)
+                      pinned={"c": f"{c.numerator}/{c.denominator}"})
 
     raise Unsupported(f"unknown fierz family {family!r}")

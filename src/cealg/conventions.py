@@ -69,6 +69,3 @@ LEDGER_HASH = hashlib.sha256(CONVENTIONS.encode()).hexdigest()
 #: d mu7 = MEASURED_C * mu4 wedge mu4, measured symbolically and confirmed
 #: by the dense tensor contraction path.
 MEASURED_C = Fraction(15)
-
-#: the reference normalization the constant is usually quoted in.
-REFERENCE_C = Fraction(15)

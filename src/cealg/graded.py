@@ -281,22 +281,17 @@ class Element:
     @staticmethod
     def from_terms(sig: AlgebraSignature, terms) -> "Element":
         """Build from [(coeff, [(name, exp), ...]), ...] with normalization."""
-        acc: dict[Monomial, Fraction] = {}
-        for coeff, pairs in terms:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            idpairs = [(sig.gen_id(n), e) for n, e in pairs]
-            res = sort_sign(idpairs, sig)
-            if res is None:
-                continue
-            s, mono = res
-            c = acc.get(mono, _ZERO) + (coeff if s > 0 else -coeff)
-            if c:
-                acc[mono] = c
-            elif mono in acc:
-                del acc[mono]
-        return Element(sig, acc)
+        def signed():
+            for coeff, pairs in terms:
+                coeff = Fraction(coeff)
+                if not coeff:
+                    continue
+                res = sort_sign([(sig.gen_id(n), e) for n, e in pairs], sig)
+                if res is not None:
+                    s, mono = res
+                    yield mono, (coeff if s > 0 else -coeff)
+
+        return Element(sig, _accumulate({}, signed()))
 
     # -- queries -----------------------------------------------------------
 
@@ -329,25 +324,13 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, _ZERO) + c
-            if s:
-                acc[m] = s
-            elif m in acc:
-                del acc[m]
-        return Element(self.sig, acc)
+        return Element(self.sig,
+                       _accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Element") -> "Element":
         self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, _ZERO) - c
-            if s:
-                acc[m] = s
-            elif m in acc:
-                del acc[m]
-        return Element(self.sig, acc)
+        return Element(self.sig, _accumulate(
+            dict(self.terms), ((m, -c) for m, c in other.terms.items())))
 
     def __neg__(self) -> "Element":
         return Element(self.sig, {m: -c for m, c in self.terms.items()})
@@ -355,24 +338,8 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            sig = self.sig
-            acc: dict[Monomial, Fraction] = {}
-            mm = monomial_mul
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    res = mm(m1, m2, sig)
-                    if res is None:
-                        continue
-                    s, mono = res
-                    c = c1 * c2
-                    if s < 0:
-                        c = -c
-                    t = acc.get(mono, _ZERO) + c
-                    if t:
-                        acc[mono] = t
-                    elif mono in acc:
-                        del acc[mono]
-            return Element(sig, acc)
+            return Element(self.sig, _accumulate(
+                {}, _products(self.terms, other.terms, self.sig)))
         return self._scaled(Fraction(other))
 
     def __rmul__(self, other):
@@ -435,6 +402,38 @@ class Element:
 _ZERO = Fraction(0)
 
 
+def _accumulate(acc: dict, pairs) -> dict:
+    """Add (monomial, coefficient) pairs into `acc` in place and return it.
+
+    The one accumulation kernel of the package: a sum that cancels to zero
+    is removed, so `acc` stays canonical.  Every coefficient fed in must be
+    nonzero.
+    """
+    get = acc.get
+    for m, c in pairs:
+        t = get(m)
+        if t is None:
+            acc[m] = c
+        else:
+            t += c
+            if t:
+                acc[m] = t
+            else:
+                del acc[m]
+    return acc
+
+
+def _products(terms1: dict, terms2: dict, sig: AlgebraSignature):
+    """The signed (monomial, coefficient) pairs of a product, before summing."""
+    mm = monomial_mul
+    for m1, c1 in terms1.items():
+        for m2, c2 in terms2.items():
+            res = mm(m1, m2, sig)
+            if res is not None:
+                s, mono = res
+                yield mono, (c1 * c2 if s > 0 else -(c1 * c2))
+
+
 def normalize(sig: AlgebraSignature, raw, coeff=1) -> Element:
     """Canonicalize one raw word: a list of (generator name, exponent) pairs
     in arbitrary order, times a rational coefficient."""
@@ -451,14 +450,8 @@ def linear_combine(terms: Sequence[tuple[object, Element]]) -> Element:
         coeff = Fraction(coeff)
         if el.sig != sig:
             raise SignatureMismatch("mixed signatures in linear_combine")
-        if not coeff:
-            continue
-        for m, c in el.terms.items():
-            s = acc.get(m, _ZERO) + coeff * c
-            if s:
-                acc[m] = s
-            elif m in acc:
-                del acc[m]
+        if coeff:
+            _accumulate(acc, ((m, coeff * c) for m, c in el.terms.items()))
     return Element(sig, acc)
 
 
@@ -466,7 +459,8 @@ def transport(el: Element, new_sig: AlgebraSignature) -> Element:
     """Re-express an element in a signature sharing the generators it uses.
 
     Relative generator order is preserved automatically because both
-    signatures are canonically sorted, so no signs arise; generators of the
+    signatures are canonically sorted by (family, indices), which the
+    generator name determines, so no signs arise; generators of the
     old signature that the element does not mention need not exist in the
     new one.
     """
@@ -481,7 +475,5 @@ def transport(el: Element, new_sig: AlgebraSignature) -> Element:
                 ng = new_sig.gen_id(names[g])
                 cache[g] = ng
             new.append((ng, e))
-        for a, b in zip(new, new[1:]):
-            assert a[0] < b[0], "generator order not preserved"
         acc[tuple(new)] = c
     return Element(new_sig, acc)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .dgca import SemifreeDGCA, apply_d
+from .dgca import DgcaError, NotClosed, SemifreeDGCA, apply_d
 from .graded import Element, GradedError, Monomial
 
 DEFAULT_CAP = 2_000_000
@@ -118,7 +118,9 @@ def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP
 
     emit(0, degree)
     out.sort()
-    assert len(out) == count
+    if len(out) != count:
+        raise DgcaError(f"degree-{degree} basis enumerated {len(out)} "
+                        f"monomials, the count predicts {count}")
     return GradedBasis(A, degree, tuple(out))
 
 
@@ -313,8 +315,6 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
         raise GradedError("is_coboundary needs a homogeneous element")
     res = apply_d(A, x)
     if res:
-        from .dgca import NotClosed
-
         raise NotClosed("is_coboundary needs a closed element", residual=res)
     ((deg, _),) = x.bidegrees()
     if deg == 0:
@@ -333,5 +333,6 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
         dom.monomials[i]: c for i, c in enumerate(v) if c
     }
     w = Element(A.sig, terms)
-    assert apply_d(A, w) == x, "solver returned an invalid witness"
+    if apply_d(A, w) != x:
+        raise DgcaError("solver returned an invalid witness")
     return CoboundaryDecision("yes", w)

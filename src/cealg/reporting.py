@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,7 +66,6 @@ def _task_d2(task_id: str, algebra_fn):
 
 def _task_mu_closure(d: int, p: int, task_id: str):
     def run(cfg: TaskConfig) -> Report:
-        t0 = time.monotonic()
         cat = catalog._mink(d)
         mu = catalog._mu(d, p)
         res = apply_d(cat.algebra, mu)
@@ -80,14 +79,12 @@ def _task_mu_closure(d: int, p: int, task_id: str):
             residual=res if res else None,
             stats={"mu_terms": len(mu)},
             pinned={"mu_terms": len(mu)},
-            duration_s=time.monotonic() - t0,
         )
 
     return run
 
 
 def _task_clifford(cfg: TaskConfig) -> Report:
-    t0 = time.monotonic()
     r3 = check_clifford(build_clifford(3))
     r11 = check_clifford(build_clifford(11))
     ok = r3.ok and r11.ok
@@ -97,12 +94,10 @@ def _task_clifford(cfg: TaskConfig) -> Report:
         details="d=3 and d=11 representations validated" if ok else
         f"d=3: {r3.details}; d=11: {r11.details}",
         pinned={"d3": r3.pinned, "d11": r11.pinned},
-        duration_s=time.monotonic() - t0,
     )
 
 
 def _task_s4_cohomology(cfg: TaskConfig) -> Report:
-    t0 = time.monotonic()
     max_degree = int(cfg.param("max_degree", 12))
     dims = cohomology_dims(sphere_model(4).algebra, max_degree)
     expected = [1 if k in (0, 4) else 0 for k in range(max_degree + 1)]
@@ -112,13 +107,11 @@ def _task_s4_cohomology(cfg: TaskConfig) -> Report:
         "pass" if ok else "fail",
         details=f"H-dims up to {max_degree}: {dims}",
         pinned={"dims": dims},
-        duration_s=time.monotonic() - t0,
     )
 
 
 def _task_scan(d: int, n: int, p: int, expect_entry: bool):
     def run(cfg: TaskConfig) -> Report:
-        t0 = time.monotonic()
         cap = cfg.param("cap")
         entry = catalog.verify_brane_scan_entry(
             d, n, p, cap=int(cap) if cap is not None else None)
@@ -133,14 +126,12 @@ def _task_scan(d: int, n: int, p: int, expect_entry: bool):
                      f"nontrivial={entry.nontrivial}"),
             pinned={"closed": entry.closed, "nontrivial": entry.nontrivial,
                     "solve_basis": basis},
-            duration_s=time.monotonic() - t0,
         )
 
     return run
 
 
 def _task_iso_traces(cfg: TaskConfig) -> Report:
-    t0 = time.monotonic()
     tr2 = catalog.trace_power("superPoincare", 2)
     tr4 = catalog.trace_power("superPoincare", 4)
     tr3, rep3 = catalog.lorentz_trace(3)
@@ -151,7 +142,6 @@ def _task_iso_traces(cfg: TaskConfig) -> Report:
         details=("tr w^2 = tr w^4 = 0 and tr w^3 is a nonzero cocycle"
                  if ok else "trace identities failed"),
         pinned={"trace3_terms": len(tr3)},
-        duration_s=time.monotonic() - t0,
     )
 
 
@@ -180,7 +170,6 @@ def _task_family(cfg: TaskConfig) -> Report:
 
 
 def _task_flatforms(cfg: TaskConfig) -> Report:
-    t0 = time.monotonic()
     pdr = poly_de_rham(8)
     sig = pdr.algebra.sig
     s4 = sphere_model(4).algebra
@@ -219,12 +208,10 @@ def _task_flatforms(cfg: TaskConfig) -> Report:
                  f"rejected={rejected} fiber={fiber.verdict} lemma={lemma.verdict}"),
         stats={"fiber_samples": fiber.stats.get("samples")},
         pinned={"fiber_samples": fiber.pinned.get("samples")},
-        duration_s=time.monotonic() - t0,
     )
 
 
 def _task_derham_d2(cfg: TaskConfig) -> Report:
-    t0 = time.monotonic()
     n_max = int(cfg.param("max_dim", 8))
     for n in range(1, n_max + 1):
         rep = check_d_squared(poly_de_rham(n).algebra, task_id="derham.d2")
@@ -232,8 +219,7 @@ def _task_derham_d2(cfg: TaskConfig) -> Report:
             return rep
     return Report("derham.d2", "pass",
                   details=f"d**2 = 0 on polynomial forms up to R^{n_max}",
-                  pinned={"dims": n_max},
-                  duration_s=time.monotonic() - t0)
+                  pinned={"dims": n_max})
 
 
 def _task_m5_relation(cfg: TaskConfig) -> Report:
@@ -276,14 +262,21 @@ TASKS = {
 
 
 def run_task(config: TaskConfig | str, **params) -> Report:
-    """Execute one named verification and return its report."""
+    """Execute one named verification and return its report.
+
+    `duration_s` is stamped here, once, as the wall time of the whole task,
+    on a copy: tasks may hand back a report cached by `lru_cache`, which
+    must not change.
+    """
     if isinstance(config, str):
         config = TaskConfig(config, params)
     fn = TASKS.get(config.task_id)
     if fn is None:
         raise UnknownTask(f"unknown task {config.task_id!r}; known: "
                           + ", ".join(sorted(TASKS)))
-    return fn(config)
+    t0 = time.monotonic()
+    report = fn(config)
+    return replace(report, duration_s=time.monotonic() - t0)
 
 
 # -- persistence and goldens ---------------------------------------------------
@@ -363,10 +356,13 @@ def compare_golden(report: Report, golden: GoldenReport) -> Report:
         got = report.pinned.get(key)
         if got != want:
             diffs.append(f"{key}: {got!r} != {want!r}")
+    for key, got in report.pinned.items():
+        if key not in golden.pinned:
+            diffs.append(f"{key}: {got!r} is not in the golden")
     return Report(
         f"golden.{report.task_id}",
         "pass" if not diffs else "fail",
         details="all pinned scalars match the golden report" if not diffs
         else "; ".join(diffs),
-        stats={"compared": len(golden.pinned)},
+        stats={"compared": len(golden.pinned.keys() | report.pinned.keys())},
     )

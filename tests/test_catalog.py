@@ -89,6 +89,21 @@ def test_m5_relation_pins_c_15():
     assert measured_c() == 15
 
 
+def test_m5_relation_computed_once_per_process():
+    # measured_c() must reuse the verify_m5_relation() cache entry
+    verify_m5_relation()
+    measured_c()
+    assert verify_m5_relation.cache_info().currsize == 1
+
+
+def test_run_task_times_a_copy_of_the_cached_report():
+    from cealg.reporting import run_task
+
+    rep = run_task("m5.relation")
+    assert rep.ok and rep is not verify_m5_relation()
+    assert verify_m5_relation().duration_s == 0.0
+
+
 def test_proportionality_negative_control():
     alg = _mink(11).algebra
     mu4 = _mu(11, 2)

@@ -68,6 +68,11 @@ def test_compare_golden_pass_fail_and_mismatch():
     cmp = compare_golden(rep, tweaked)
     assert not cmp.ok and "dims" in cmp.details
 
+    # a pinned scalar the golden does not carry is a diff too
+    short = GoldenReport(rep.task_id, rep.verdict, {}, golden.ledger_hash)
+    cmp = compare_golden(rep, short)
+    assert not cmp.ok and "dims" in cmp.details
+
     alien = GoldenReport(rep.task_id, rep.verdict, dict(golden.pinned),
                          ledger_hash="f" * 64)
     with pytest.raises(LedgerMismatch):

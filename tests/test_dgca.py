@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cealg import (
     BidegreeMismatch,
@@ -23,6 +25,7 @@ from cealg import (
     make_signature,
     set_generators_to_zero,
 )
+from cealg.catalog import _mink
 from cealg.graded import EVEN
 
 
@@ -87,6 +90,42 @@ def test_apply_d_on_powers():
     x = Element.generator(sig, "x^1")
     dx = Element.generator(sig, "dx^1")
     assert apply_d(alg, x * x * x) == 3 * (x * x) * dx
+
+
+MINK3 = _mink(3).algebra
+
+
+@st.composite
+def mink3_element(draw, degree=None):
+    """Up to four terms over superMink(3), whose generators all have degree
+    1; with `degree` fixed every word has that length, so the element is
+    homogeneous."""
+    n = len(MINK3.sig)
+    length = (st.integers(min_value=0, max_value=4) if degree is None
+              else st.just(degree))
+    word = length.flatmap(lambda k: st.lists(
+        st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    terms = draw(st.lists(st.tuples(coeff, word), max_size=4))
+    return Element.from_terms(
+        MINK3.sig, [(c, [(MINK3.sig.names[g], 1) for g in w])
+                    for c, w in terms])
+
+
+@given(st.integers(min_value=0, max_value=3).flatmap(
+    lambda k: st.tuples(st.just(k), mink3_element(k), mink3_element())))
+@settings(max_examples=150, deadline=None)
+def test_graded_leibniz_rule_on_random_elements(case):
+    deg_a, a, b = case
+    lhs = apply_d(MINK3, a * b)
+    rhs = apply_d(MINK3, a) * b + (-1) ** deg_a * (a * apply_d(MINK3, b))
+    assert lhs == rhs
+
+
+@given(mink3_element())
+@settings(max_examples=150, deadline=None)
+def test_d_squared_zero_on_random_elements(a):
+    assert apply_d(MINK3, apply_d(MINK3, a)).is_zero()
 
 
 def test_check_d_squared_negative_control():

@@ -219,6 +219,35 @@ def test_normalize_sign_canonical_under_shuffle(word):
             assert got == want
 
 
+@st.composite
+def random_element(draw):
+    """A multi-term element: up to four random words with random rational
+    coefficients, so products and sums both merge and cancel terms."""
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    terms = draw(st.lists(st.tuples(coeff, random_word()), max_size=4))
+    return Element.from_terms(
+        SIG, [(c, [(SIG.names[g], 1) for g in w]) for c, w in terms])
+
+
+@given(random_element(), random_element(), random_element())
+@settings(max_examples=150, deadline=None)
+def test_mul_distributes_over_add(a, b, c):
+    assert (a + b) * c == a * c + b * c
+
+
+@given(random_element())
+@settings(max_examples=100, deadline=None)
+def test_sub_self_is_zero(a):
+    assert (a - a).is_zero()
+
+
+@given(st.fractions(max_denominator=10), random_element(),
+       st.fractions(max_denominator=10), random_element())
+@settings(max_examples=150, deadline=None)
+def test_linear_combine_matches_scaled_sum(x, a, y, b):
+    assert linear_combine([(x, a), (y, b)]) == x * a + y * b
+
+
 def test_coefficients_stay_rational():
     el = normalize(SIG, [("g4", 2)], Fraction(22, 7))
     for _, c in el.terms.items():

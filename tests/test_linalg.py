@@ -1,9 +1,15 @@
 """Graded bases, differential matrices, exact rank/solve, cohomology."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import cealg
 
 from cealg import (
     Capped,
@@ -184,6 +190,40 @@ def test_is_coboundary_yes_with_witness():
     assert apply_d(alg, dec.witness) == g4 * g4
     # the class of g4 itself is nontrivial
     assert is_coboundary(alg, g4).status == "no"
+
+
+WRONG_SOLVER_SCRIPT = """
+from fractions import Fraction
+
+import cealg.linalg as la
+from cealg import Element, GeneratorDecl, GradedError, make_dgca, make_signature
+from cealg.graded import EVEN
+
+if __debug__:
+    raise SystemExit("asserts are on: run this under python -O")
+sig = make_signature([GeneratorDecl("g4", (), 4, EVEN),
+                      GeneratorDecl("g7", (), 7, EVEN)])
+g4 = Element.generator(sig, "g4")
+alg = make_dgca(sig, {"g7": g4 * g4})
+la.solve = lambda mat, b: [Fraction(2)] * mat.cols  # d(2 g7) != g4^2
+try:
+    dec = la.is_coboundary(alg, g4 * g4)
+except GradedError:
+    raise SystemExit(0)
+raise SystemExit(f"answered {dec.status!r} with witness {dec.witness!r}")
+"""
+
+
+def test_invalid_witness_raises_under_python_O():
+    """The witness check decides the verdict, so it must not be an assert
+    that `python -O` strips: a solver returning a wrong vector must raise."""
+    src = str(Path(cealg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_SOLVER_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_is_coboundary_requires_closed():
