@@ -7,9 +7,12 @@ matrices of the octonionic construction: left multiplications L_i on the
 octonions (via Cayley-Dickson doubling) packed into off-diagonal blocks,
 plus a diagonal involution.
 
-All checks here are dense integer matrix identities; the quartic (Fierz)
-checks contract four spinor indices with numpy int64 tensors and must agree
-verdict-for-verdict with the symbolic expansions built on top of them.
+The representation checks are integer matrix identities.  The quartic
+(Fierz) checks contract four spinor indices exactly, as sparse (COO) int64
+tensors built from the nonzeros of the pairing matrices and summed over the
+six slot pairings, under an explicit int64 overflow guard.  They share no
+code with the symbolic expansions and must agree with them
+verdict-for-verdict.
 """
 
 from __future__ import annotations
@@ -243,23 +246,90 @@ def check_clifford(rep: CliffordRep, task_id: str = "clifford.check") -> Report:
     )
 
 
-def _pair_sym(t: np.ndarray) -> np.ndarray:
-    """Sum over the six pairings of four spinor slots.
+# The six pairings of four spinor slots, as axis orders p: the entry at
+# (i0, i1, i2, i3) is added at (i_p0, i_p1, i_p2, i_p3), as if the axes of
+# the dense tensor were permuted to the order p.
+_SLOT_PERMS = ((0, 1, 2, 3),   # X_{ab} Y_{cd}
+               (2, 3, 0, 1),   # X_{cd} Y_{ab}
+               (0, 2, 1, 3),   # X_{ac} Y_{bd}
+               (2, 0, 3, 1),   # X_{bd} Y_{ac}
+               (0, 2, 3, 1),   # X_{ad} Y_{bc}
+               (2, 0, 1, 3))   # X_{bc} Y_{ad}
+
+
+def _outer(x: np.ndarray, y: np.ndarray, scale: int = 1) -> np.ndarray:
+    """scale * x (x) y in COO form: int64 rows (i, j, k, l, value), one for
+    each pair of nonzeros x_ij, y_kl.  For the signed-permutation pairings
+    of d=11 that is 32 * 32 rows instead of 32^4 dense entries."""
+    i, j = np.nonzero(x)
+    k, l = np.nonzero(y)
+    out = np.empty((len(i), len(k), 5), dtype=np.int64)
+    out[..., 0] = i[:, None]
+    out[..., 1] = j[:, None]
+    out[..., 2] = k
+    out[..., 3] = l
+    out[..., 4] = np.multiply.outer(scale * x[i, j], y[k, l])
+    return out.reshape(-1, 5)
+
+
+def _pair_sym(t: np.ndarray, n: int) -> np.ndarray:
+    """Sum over the six pairings of four spinor slots, exactly.
+
+    `t` holds COO rows (i, j, k, l, value) with indices below n; repeated
+    positions add up.  Each position is keyed by its C-order offset
+    ((i n + j) n + k) n + l in the dense n^4 tensor.  Returns a (2, m) int64
+    array: the sorted keys of the nonzero entries, then their values.
 
     For factors that are individually symmetric this equals 6x the full
     symmetrization, which is exactly the functional picking out coefficients
     of commuting-generator monomials.
     """
-    return (t
-            + t.transpose(2, 3, 0, 1)   # X_{cd} Y_{ab}
-            + t.transpose(0, 2, 1, 3)   # X_{ac} Y_{bd}
-            + t.transpose(2, 0, 3, 1)   # X_{bd} Y_{ac}
-            + t.transpose(0, 2, 3, 1)   # X_{ad} Y_{bc}
-            + t.transpose(2, 0, 1, 3))  # X_{bc} Y_{ad}
+    idx = t[:, :4]
+    keys = np.concatenate([((idx[:, a] * n + idx[:, b]) * n + idx[:, c]) * n
+                           + idx[:, d] for a, b, c, d in _SLOT_PERMS])
+    keys, slot = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, slot, np.tile(t[:, 4], len(_SLOT_PERMS)))
+    nonzero = sums != 0
+    return np.stack([keys[nonzero], sums[nonzero]])
 
 
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,cd->abcd", x, y)
+def _guard_int64(mats, summands: int, factor: int) -> None:
+    """Raise unless `factor` times a sum of `summands` products of two
+    entries of `mats` stays below 2^62, so that the int64 sums in
+    `_pair_sym` and the cross-multiplied comparison are exact."""
+    top = max(int(np.abs(m).max()) for m in mats)
+    if top * top * summands * factor >= 1 << 62:
+        raise CliffordError(
+            f"quartic tensors could overflow int64: max |entry| {top}, "
+            f"{summands} summands, factor {factor}")
+
+
+def _pairing_table(rep: CliffordRep, ranks) -> dict[tuple[int, ...], np.ndarray]:
+    """C Gamma^A for every strictly increasing A of the given lengths."""
+    return {idx: rep.pairing(idx) for p in ranks
+            for idx in itertools.combinations(range(rep.d), p)}
+
+
+def _mu7_tensors(rep: CliffordRep, table, quad) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of d mu7 = c mu4^2 at the quadruple a1 < a2 < a3 < a4, as
+    `_pair_sym` arrays: D = 120 sym4[sum_b eta_bb (C Gamma^{a1..a4 b}) (x)
+    (C Gamma^b)] and Q = 8 sym4[the three two-index splittings of mu4^2]."""
+    terms = []
+    for b in range(rep.d):
+        if b in quad:
+            continue
+        five = tuple(sorted(quad + (b,)))
+        pos = five.index(b)
+        # move b to the last slot of Gamma^{a1..a4 b}
+        sgn = -1 if (len(five) - 1 - pos) & 1 else 1
+        terms.append(_outer(table[five], table[(b,)], 120 * sgn * rep.eta[b]))
+    a1, a2, a3, a4 = quad
+    q_terms = [_outer(table[a1, a2], table[a3, a4], 8),
+               _outer(table[a1, a3], table[a2, a4], -8),
+               _outer(table[a1, a4], table[a2, a3], 8)]
+    return (_pair_sym(np.concatenate(terms), rep.n_spin),
+            _pair_sym(np.concatenate(q_terms), rep.n_spin))
 
 
 def default_cocycle_p(d: int) -> int:
@@ -269,7 +339,12 @@ def default_cocycle_p(d: int) -> int:
 
 def quartic_fierz_check(rep: CliffordRep, family: str,
                         p_substitute: int | None = None) -> Report:
-    """Dense-tensor evaluation of the quartic spinor identities.
+    """Exact sparse-tensor evaluation of the quartic spinor identities.
+
+    Each identity is a sum of outer products of pairing matrices contracted
+    against four commuting spinors.  It is evaluated as integer COO tensors
+    (`_outer`), symmetrized over the six slot pairings (`_pair_sym`) and
+    compared on every nonzero entry, never as a dense n^4 array.
 
     family "mu4-closure": for every (p-1)-tuple A of frame indices,
     sum_b eta_bb sym4[(C Gamma^{A b}) (x) (C Gamma^b)] must vanish; this is
@@ -277,19 +352,19 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
     the same contraction for the 5-index pairing against the two-index
     splittings of mu4^2 determines the proportionality constant, reported
     exactly.  p_substitute swaps in another pairing rank as a negative
-    control of the machinery.
+    control of the machinery.  Raises CliffordError if the int64 sums could
+    overflow.
     """
+    n = rep.n_spin
     if family == "mu4-closure":
         p = p_substitute if p_substitute is not None else default_cocycle_p(rep.d)
         cg1 = [rep.pairing((b,)) for b in range(rep.d)]
         for prefix in itertools.combinations(range(rep.d), p - 1):
-            acc = np.zeros((rep.n_spin,) * 4, dtype=np.int64)
-            for b in range(rep.d):
-                if b in prefix:
-                    continue
-                big = rep.pairing(prefix + (b,))
-                acc += rep.eta[b] * _outer(big, cg1[b])
-            if _pair_sym(acc).any():
+            rest = [b for b in range(rep.d) if b not in prefix]
+            bigs = [rep.pairing(prefix + (b,)) for b in rest]
+            _guard_int64(bigs + cg1, 6 * len(rest), 1)
+            terms = [_outer(big, cg1[b], rep.eta[b]) for big, b in zip(bigs, rest)]
+            if terms and _pair_sym(np.concatenate(terms), n).size:
                 return Report(
                     "fierz." + family, "fail",
                     details=f"quartic identity fails at indices {prefix} (p={p})",
@@ -310,38 +385,34 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
             return sub
         if rep.d != 11:
             raise Unsupported("mu7-relation needs the d=11 representation")
-        cg1 = [rep.pairing((b,)) for b in range(rep.d)]
+        table = _pairing_table(rep, (1, 2, 5))
+        summands = 6 * (rep.d - 4)  # the larger side, D, at scale 120
+        _guard_int64(table.values(), summands, 120)
         num = None
         den = None
         for quad in itertools.combinations(range(rep.d), 4):
-            dacc = np.zeros((rep.n_spin,) * 4, dtype=np.int64)
-            for b in range(rep.d):
-                if b in quad:
-                    continue
-                five = tuple(sorted(quad + (b,)))
-                pos = five.index(b)
-                # move b to the last slot of Gamma^{a1..a4 b}
-                sgn = -1 if (len(five) - 1 - pos) & 1 else 1
-                dacc += (sgn * rep.eta[b]) * _outer(rep.pairing(five), cg1[b])
-            d_tensor = 120 * _pair_sym(dacc)
-            a1, a2, a3, a4 = quad
-            qacc = (_outer(rep.pairing((a1, a2)), rep.pairing((a3, a4)))
-                    - _outer(rep.pairing((a1, a3)), rep.pairing((a2, a4)))
-                    + _outer(rep.pairing((a1, a4)), rep.pairing((a2, a3))))
-            q_tensor = 8 * _pair_sym(qacc)
-            nz = np.argwhere(q_tensor)
-            if nz.size == 0:
-                if d_tensor.any():
+            d_tensor, q_tensor = _mu7_tensors(rep, table, quad)
+            if not q_tensor.size:
+                if d_tensor.size:
                     return Report("fierz.mu7-relation", "fail",
                                   details=f"no proportionality at {quad}",
                                   witness=str(quad))
                 continue
-            i0 = tuple(nz[0])
-            n_, d_ = int(d_tensor[i0]), int(q_tensor[i0])
             if num is None:
-                c = Fraction(n_, d_)
+                # c from the first nonzero of Q in C order: its smallest key
+                key = q_tensor[0, 0]
+                at = np.searchsorted(d_tensor[0], key)
+                hit = at < d_tensor.shape[1] and d_tensor[0, at] == key
+                c = Fraction(int(d_tensor[1, at]) if hit else 0, int(q_tensor[1, 0]))
                 num, den = c.numerator, c.denominator
-            if not np.array_equal(den * d_tensor, num * q_tensor):
+                _guard_int64(table.values(), summands, 120 * max(abs(num), den))
+            # den * D == num * Q at every entry; for num = 0, D must vanish
+            if num:
+                same = (np.array_equal(d_tensor[0], q_tensor[0])
+                        and np.array_equal(den * d_tensor[1], num * q_tensor[1]))
+            else:
+                same = not d_tensor.size
+            if not same:
                 return Report("fierz.mu7-relation", "fail",
                               details=f"proportionality breaks at {quad}",
                               witness=str(quad))

@@ -67,5 +67,5 @@ measured proportionality constant
 LEDGER_HASH = hashlib.sha256(CONVENTIONS.encode()).hexdigest()
 
 #: d mu7 = MEASURED_C * mu4 wedge mu4, measured symbolically and confirmed
-#: by the dense tensor contraction path.
+#: by the sparse tensor contraction path.
 MEASURED_C = Fraction(15)

@@ -164,16 +164,16 @@ def poincare_lemma_check(pdr: PolyDeRham, forms: list[Element],
         if not w:
             continue
         h = radial_contraction(pdr, w)
-        recomposed = apply_d(alg, h) + radial_contraction(pdr, apply_d(alg, w))
+        dh = apply_d(alg, h)
+        dw = apply_d(alg, w)
+        recomposed = dh + radial_contraction(pdr, dw)
         if recomposed != w:
             return Report(task_id, "fail",
                           details=f"dH + Hd != id on sample {idx}",
                           residual=recomposed - w)
-        if not apply_d(alg, w):
-            witness = h
-            if apply_d(alg, witness) != w:
-                return Report(task_id, "fail",
-                              details=f"closed sample {idx} not exhibited exact")
+        if not dw and dh != w:
+            return Report(task_id, "fail",
+                          details=f"closed sample {idx} not exhibited exact")
     return Report(task_id, "pass",
                   details=f"radial homotopy verified on {len(forms)} samples",
                   stats={"samples": len(forms)})

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cealg import (
     BadIndices,
@@ -11,7 +14,49 @@ from cealg import (
     check_clifford,
     quartic_fierz_check,
 )
-from cealg.clifford import octonion_left_mults, spin9_gammas
+from cealg.clifford import (
+    CliffordError,
+    _mu7_tensors,
+    _outer,
+    _pair_sym,
+    _pairing_table,
+    octonion_left_mults,
+    spin9_gammas,
+)
+
+
+# Dense reference for the sparse quartic tensors: the einsum outer product
+# and the sum of the six slot transposes, as n^4 int64 arrays.
+def _dense_outer(x, y):
+    return np.einsum("ab,cd->abcd", x, y)
+
+
+def _dense_pair_sym(t):
+    return (t + t.transpose(2, 3, 0, 1) + t.transpose(0, 2, 1, 3)
+            + t.transpose(2, 0, 3, 1) + t.transpose(0, 2, 3, 1)
+            + t.transpose(2, 0, 1, 3))
+
+
+def _dense_nonzeros(t):
+    """A dense tensor in `_pair_sym`'s layout: C-order keys, then values."""
+    keys = np.flatnonzero(t)
+    return np.stack([keys, t.ravel()[keys]])
+
+
+def _dense_mu7_tensors(rep, quad):
+    dacc = np.zeros((rep.n_spin,) * 4, dtype=np.int64)
+    for b in range(rep.d):
+        if b in quad:
+            continue
+        five = tuple(sorted(quad + (b,)))
+        sgn = -1 if (4 - five.index(b)) & 1 else 1
+        dacc += (sgn * rep.eta[b]) * _dense_outer(rep.pairing(five),
+                                                  rep.pairing((b,)))
+    a1, a2, a3, a4 = quad
+    qacc = (_dense_outer(rep.pairing((a1, a2)), rep.pairing((a3, a4)))
+            - _dense_outer(rep.pairing((a1, a3)), rep.pairing((a2, a4)))
+            + _dense_outer(rep.pairing((a1, a4)), rep.pairing((a2, a3))))
+    return 120 * _dense_pair_sym(dacc), 8 * _dense_pair_sym(qacc)
 
 
 def test_octonion_left_mults_composition_property():
@@ -120,3 +165,55 @@ def test_gamma_json_export():
     data = rep.to_json()
     assert data["gammas"][0] == [[0, 1], [-1, 0]]
     assert data["n_spin"] == 2
+
+
+small_matrices = arrays(np.int64, (4, 4), elements=st.integers(-3, 3))
+
+
+@given(small_matrices, small_matrices, st.integers(-5, 5))
+@settings(max_examples=200, deadline=None)
+def test_sparse_pair_sym_matches_dense(x, y, scale):
+    # neither symmetric nor a signed permutation: no structure assumed
+    for m in (x, y):
+        assume(not np.array_equal(m, m.T))
+        assume(not np.array_equal(np.abs(m) @ np.abs(m).T, np.eye(4)))
+    sparse = _pair_sym(_outer(x, y, scale), 4)
+    dense = _dense_nonzeros(_dense_pair_sym(scale * _dense_outer(x, y)))
+    assert sparse.dtype == np.int64
+    assert np.array_equal(sparse, dense)
+
+
+@pytest.mark.parametrize("quad", [(0, 1, 2, 3), (6, 7, 8, 9)])
+def test_mu7_tensors_match_dense(quad):
+    rep = build_clifford(11)
+    table = _pairing_table(rep, (1, 2, 5))
+    d_sparse, q_sparse = _mu7_tensors(rep, table, quad)
+    d_dense, q_dense = _dense_mu7_tensors(rep, quad)
+    assert q_sparse.size
+    assert np.array_equal(d_sparse, _dense_nonzeros(d_dense))
+    assert np.array_equal(q_sparse, _dense_nonzeros(q_dense))
+
+
+# (0, 1, 2, 3, 4) spoils the first quadruple, so c itself comes out wrong;
+# (1, 2, 3, 4, 5) first enters after c = 15 is fixed by (0, 1, 2, 3).
+@pytest.mark.parametrize("five, witness", [((0, 1, 2, 3, 4), "(0, 1, 2, 3)"),
+                                           ((1, 2, 3, 4, 5), "(1, 2, 3, 4)")])
+def test_mu7_relation_negative_control(five, witness):
+    rep = build_clifford(11)
+    pairing = rep.pairing
+
+    def flipped(indices):
+        m = pairing(indices)
+        return -m if tuple(indices) == five else m
+
+    rep.pairing = flipped
+    bad = quartic_fierz_check(rep, "mu7-relation")
+    assert not bad.ok
+    assert bad.witness == witness
+
+
+def test_mu7_relation_refuses_int64_overflow():
+    rep = build_clifford(11)
+    rep.charge_conj *= 2 ** 31
+    with pytest.raises(CliffordError):
+        quartic_fierz_check(rep, "mu7-relation")
