@@ -191,20 +191,18 @@ def _mu(d: int, p: int) -> Element:
 
 def proportionality_constant(lhs: Element, rhs: Element) -> Fraction:
     """The unique c with lhs = c * rhs, or NotProportional."""
+    if lhs.is_zero():
+        return Fraction(0)
     if rhs.is_zero():
-        if lhs.is_zero():
-            return Fraction(0)
         raise NotProportional("rhs is zero but lhs is not", residual=lhs)
     m0 = min(rhs.terms)
     c = lhs.coefficient(m0) / rhs.terms[m0]
-    # compare in place; the residual is built only to report a mismatch
-    if (lhs.sig is rhs.sig and lhs.terms.keys() == rhs.terms.keys()
-            and all(lhs.terms[m] == c * v for m, v in rhs.terms.items())):
-        return c
-    residual = lhs - c * rhs
-    if residual:
+    # compared in place: no stored coefficient is zero, so c = 0 fails on the
+    # keys; the residual is built only to report a mismatch
+    if (lhs.sig != rhs.sig or lhs.terms.keys() != rhs.terms.keys()
+            or any(lhs.terms[m] != c * v for m, v in rhs.terms.items())):
         raise NotProportional(f"not proportional (tried c = {c})",
-                              residual=residual)
+                              residual=lhs - c * rhs)
     return c
 
 

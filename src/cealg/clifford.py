@@ -416,6 +416,9 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
                 return Report("fierz.mu7-relation", "fail",
                               details=f"proportionality breaks at {quad}",
                               witness=str(quad))
+        if num is None:
+            return Report("fierz.mu7-relation", "fail",
+                          details="mu4^2 tensor vanishes at every quadruple")
         c = Fraction(num, den)
         return Report("fierz.mu7-relation", "pass",
                       details=f"d mu7 = c mu4^2 with c = {c} (tensor path)",

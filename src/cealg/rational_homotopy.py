@@ -157,23 +157,20 @@ def radial_contraction(pdr: PolyDeRham, el: Element) -> Element:
 
 def poincare_lemma_check(pdr: PolyDeRham, forms: list[Element],
                          task_id: str = "derham.poincare") -> Report:
-    """Each closed positive-degree form must be exhibited as exact by the
-    radial homotopy; each sampled form must satisfy dH + Hd = id."""
+    """Each sampled form must satisfy dH + Hd = id under the radial homotopy.
+
+    This also exhibits every closed positive-degree form w as exact: with
+    dw = 0 the identity reads d(Hw) = w, so no separate check is made."""
     alg = pdr.algebra
     for idx, w in enumerate(forms):
         if not w:
             continue
         h = radial_contraction(pdr, w)
-        dh = apply_d(alg, h)
-        dw = apply_d(alg, w)
-        recomposed = dh + radial_contraction(pdr, dw)
+        recomposed = apply_d(alg, h) + radial_contraction(pdr, apply_d(alg, w))
         if recomposed != w:
             return Report(task_id, "fail",
                           details=f"dH + Hd != id on sample {idx}",
                           residual=recomposed - w)
-        if not dw and dh != w:
-            return Report(task_id, "fail",
-                          details=f"closed sample {idx} not exhibited exact")
     return Report(task_id, "pass",
                   details=f"radial homotopy verified on {len(forms)} samples",
                   stats={"samples": len(forms)})

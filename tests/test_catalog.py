@@ -115,6 +115,25 @@ def test_proportionality_negative_control():
     assert exc.value.residual is not None and not exc.value.residual.is_zero()
 
 
+
+def test_proportionality_zero_sides():
+    mu3 = _mu(3, 1)
+    zero = Element.zero(mu3.sig)
+    assert proportionality_constant(zero, mu3) == 0
+    assert proportionality_constant(zero, zero) == 0
+    assert proportionality_constant(-3 * mu3, mu3) == -3
+    with pytest.raises(NotProportional) as exc:
+        proportionality_constant(mu3, zero)
+    assert exc.value.residual == mu3
+    # lhs misses rhs's first monomial, so the tried c is 0
+    m0 = min(mu3.terms)
+    shifted = mu3 - Element(mu3.sig, {m0: mu3.terms[m0]})
+    assert shifted
+    with pytest.raises(NotProportional) as exc:
+        proportionality_constant(shifted, mu3)
+    assert exc.value.residual == shifted
+
+
 def test_m2brane_extension():
     m2 = m2brane()
     assert "h3" in m2.algebra.sig.names

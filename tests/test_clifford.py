@@ -217,3 +217,17 @@ def test_mu7_relation_refuses_int64_overflow():
     rep.charge_conj *= 2 ** 31
     with pytest.raises(CliffordError):
         quartic_fierz_check(rep, "mu7-relation")
+
+
+def test_mu7_relation_vanishing_mu4_squared_fails():
+    rep = build_clifford(11)
+    pairing = rep.pairing
+
+    def zeroed(indices):
+        m = pairing(indices)
+        return 0 * m if len(indices) in (2, 5) else m
+
+    rep.pairing = zeroed
+    bad = quartic_fierz_check(rep, "mu7-relation")
+    assert not bad.ok
+    assert bad.details == "mu4^2 tensor vanishes at every quadruple"
