@@ -88,8 +88,9 @@ class BraneScanEntry:
     nontrivial: str | None  # "yes" | "no" | "capped"; None when not closed
 
     def __post_init__(self):
-        if not self.closed:
-            assert self.nontrivial is None
+        if not self.closed and self.nontrivial is not None:
+            raise CatalogError("a cocycle that is not closed has no "
+                               "nontriviality verdict")
 
 
 # -- super-Minkowski ---------------------------------------------------------
@@ -101,8 +102,10 @@ def _pairing_element(sig: AlgebraSignature, psi_ids, matrix, scale,
     e-monomial prefix and an overall scale).  Only the symmetric part of M
     survives the commuting odd generators."""
     n = matrix.shape[0]
-    assert all(x[0] < y[0] for x, y in zip(e_prefix, e_prefix[1:]))
-    assert not e_prefix or e_prefix[-1][0] < min(psi_ids)
+    if (any(x[0] >= y[0] for x, y in zip(e_prefix, e_prefix[1:]))
+            or e_prefix and e_prefix[-1][0] >= min(psi_ids)):
+        raise CatalogError("the e-prefix must be strictly increasing and "
+                           "precede every psi generator")
     terms = {}
     scale = Fraction(scale)
     for a in range(n):
@@ -144,9 +147,7 @@ def super_minkowski(d: int, rep: CliffordRep) -> CatalogAlgebra:
     d e^a = psibar Gamma^a psi."""
     if rep.d != d:
         raise RepMismatch(f"representation is for d={rep.d}, not d={d}")
-    cat = _mink(d)
-    assert cat.rep is not None and cat.rep.d == rep.d
-    return cat
+    return _mink(d)
 
 
 def brane_cocycle(cat: CatalogAlgebra, p: int) -> Element:

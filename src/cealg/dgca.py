@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from . import batched
 from .graded import (
     AlgebraSignature,
     Element,
@@ -26,6 +27,10 @@ from .graded import (
     monomial_mul,
     transport,
 )
+
+
+#: Inputs of `apply_d` with at least this many terms go to `batched.leibniz`.
+BATCH_TERMS = 2_000
 
 
 class DgcaError(GradedError):
@@ -182,6 +187,10 @@ def apply_d(A: SemifreeDGCA, x: Element) -> Element:
     sig = A.sig
     if x.sig != sig:
         raise SignatureMismatch("element not in this algebra")
+    if len(x.terms) >= BATCH_TERMS:
+        terms = batched.leibniz(sig, A.d_images, x.terms)
+        if terms is not None:
+            return Element(sig, terms)
     return Element(sig, _accumulate({}, _leibniz_terms(A.d_images, x)))
 
 

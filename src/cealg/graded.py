@@ -6,6 +6,14 @@ sign (-1)^(deg(g)*deg(h) + par(g)*par(h)), and a generator squares to zero
 exactly when deg + par is odd.  Elements are stored canonically: a hash map
 from sorted monomials to nonzero Fraction coefficients, with every sign
 incurred by sorting absorbed into the coefficient.
+
+Products have two exact paths that return the same canonical map.  The
+dict path (`_products` feeding `_accumulate`) multiplies monomial by
+monomial and is the reference.  A product of at least BATCH_PAIRS term
+pairs goes to `batched.product`, which works on int8 exponent matrices and
+int64 numerators over a shared denominator, and falls back to the dict
+path when its int64 or int8 guards trip.  `dgca.apply_d` makes the same
+choice at `dgca.BATCH_TERMS` input terms.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import batched
+
 EVEN = 0
 ODD = 1
 
@@ -22,6 +32,9 @@ ODD = 1
 Monomial = tuple[tuple[int, int], ...]
 
 ONE_MONOMIAL: Monomial = ()
+
+#: Products with at least this many term pairs go to `batched.product`.
+BATCH_PAIRS = 50_000
 
 
 class GradedError(Exception):
@@ -338,6 +351,10 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
+            if len(self.terms) * len(other.terms) >= BATCH_PAIRS:
+                terms = batched.product(self.sig, self.terms, other.terms)
+                if terms is not None:
+                    return Element(self.sig, terms)
             return Element(self.sig, _accumulate(
                 {}, _products(self.terms, other.terms, self.sig)))
         return self._scaled(Fraction(other))

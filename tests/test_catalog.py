@@ -1,9 +1,14 @@
 """Catalog constructions: named algebras, cocycles, extensions, lifts."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cealg
 from cealg import (
     ChainHomotopy,
     Element,
@@ -293,3 +298,42 @@ def test_chain_map_extends_on_catalog_morphism():
             word.append(("g4", 1))
         m = Element.from_terms(sig, [(1, word)])
         assert apply_d(_mink(11).algebra, p(m)) == p(apply_d(cat.algebra, m))
+
+
+CATALOG_PRECONDITIONS_SCRIPT = """
+import numpy as np
+from cealg import BraneScanEntry
+from cealg.catalog import CatalogError, _frame, _mink, _pairing_element
+
+if __debug__:
+    raise SystemExit("asserts are on: run this under python -O")
+sig = _mink(3).algebra.sig
+e_ids, psi_ids = _frame(sig, 3, 2)
+bad = [
+    lambda: _pairing_element(sig, psi_ids, np.eye(2, dtype=int), 1,
+                             ((e_ids[1], 1), (e_ids[0], 1))),
+    lambda: _pairing_element(sig, psi_ids, np.eye(2, dtype=int), 1,
+                             ((psi_ids[1], 1),)),
+    lambda: BraneScanEntry(3, 2, 1, False, "yes"),
+]
+for i, call in enumerate(bad):
+    try:
+        call()
+    except CatalogError:
+        continue
+    raise SystemExit(f"case {i} was accepted")
+"""
+
+
+def test_catalog_preconditions_raise_under_python_O():
+    """A non-canonical e-prefix would build non-canonical monomials and an
+    unclosed scan entry with a verdict is inconsistent; both checks must
+    survive `python -O`."""
+    src = str(Path(cealg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CATALOG_PRECONDITIONS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,6 +1,7 @@
 """Differentials, morphisms, homotopies, extensions and pushouts."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,11 @@ from cealg import (
     make_signature,
     set_generators_to_zero,
 )
+from cealg import batched
 from cealg.catalog import _mink
-from cealg.graded import EVEN
+from cealg.dgca import BATCH_TERMS, _leibniz_terms
+from cealg.graded import EVEN, _accumulate
+from test_graded import random_signature, random_terms
 
 
 def s4_algebra():
@@ -125,7 +129,47 @@ def test_graded_leibniz_rule_on_random_elements(case):
 @given(mink3_element())
 @settings(max_examples=150, deadline=None)
 def test_d_squared_zero_on_random_elements(a):
-    assert apply_d(MINK3, apply_d(MINK3, a)).is_zero()
+    da = apply_d(MINK3, a)
+    assert apply_d(MINK3, da).is_zero()
+    assert batched.leibniz(MINK3.sig, MINK3.d_images, da.terms) == {}
+
+
+def dict_leibniz(d_images, x):
+    return _accumulate({}, _leibniz_terms(d_images, x))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_batched_leibniz_matches_dict_path(data):
+    # random d-images of any bidegree: the Leibniz extension does not need
+    # d**2 = 0 or homogeneity
+    sig = data.draw(random_signature(max_gens=12))
+    images = tuple(Element(sig, data.draw(random_terms(sig, max_terms=4)))
+                   for _ in range(len(sig)))
+    x = Element(sig, data.draw(random_terms(sig)))
+    assert (batched.leibniz(sig, images, x.terms)
+            == dict_leibniz(images, x))
+
+
+def test_batched_leibniz_guards_fall_back_to_dict_path():
+    # d x = c z^30 y with z of degree 0; inputs above the term threshold, so
+    # apply_d asks the batched kernel
+    sig = make_signature([GeneratorDecl("x", (), 2, EVEN),
+                          GeneratorDecl("y", (), 3, EVEN),
+                          GeneratorDecl("z", (), 0, EVEN)])
+    rows = BATCH_TERMS // 40 + 1
+
+    def case(img_coeff, x_coeff, zbase):
+        alg = make_dgca(sig, {"x": Element(sig, {((1, 1), (2, 30)):
+                                                 Fraction(img_coeff)})})
+        x = Element(sig, {((0, 1 + i % 40), (2, zbase + i // 40)):
+                          Fraction(x_coeff) for i in range(40 * rows)})
+        return alg, x
+
+    for alg, x in [case(2 ** 30, 2 ** 40, 0),   # products reach 2**70
+                   case(1, 1, 60)]:            # z exponents past 127
+        assert apply_d(alg, x).terms == dict_leibniz(alg.d_images, x)
+        assert batched.leibniz(sig, alg.d_images, x.terms) is None
 
 
 def test_check_d_squared_negative_control():

@@ -1,7 +1,9 @@
 """Canonical-form arithmetic for the bigraded commutative core."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,15 @@ from cealg import (
     make_signature,
     normalize,
 )
-from cealg.graded import EVEN, ODD, sort_sign
+from cealg import batched
+from cealg.graded import (
+    BATCH_PAIRS,
+    EVEN,
+    ODD,
+    _accumulate,
+    _products,
+    sort_sign,
+)
 
 
 def mink_like_signature():
@@ -259,3 +269,97 @@ def test_homogeneity_query():
     assert not mixed.is_homogeneous()
     assert mixed.bidegrees() == {(4, 0), (3, 0)}
     assert Element.zero(SIG).is_homogeneous()
+
+
+# -- the batched kernel against the dict path ---------------------------------
+
+
+@st.composite
+def random_signature(draw, max_gens=24):
+    """Generators of degree 0-4 and either parity, so both square-zero and
+    polynomial generators occur; with 24 of them packed keys can need more
+    than one 64-bit word."""
+    n = draw(st.integers(min_value=1, max_value=max_gens))
+    return make_signature(
+        GeneratorDecl("x", (i,), draw(st.integers(min_value=0, max_value=4)),
+                      draw(st.sampled_from([EVEN, ODD])))
+        for i in range(n))
+
+
+@st.composite
+def random_terms(draw, sig, max_terms=12):
+    """A canonical terms dict: monomials on up to five generators with
+    exponents up to 3 (1 for square-zero ones), coefficients with mixed
+    denominators; possibly empty."""
+    coeff = st.fractions(min_value=-6, max_value=6,
+                         max_denominator=12).filter(bool)
+    gens = st.lists(st.integers(min_value=0, max_value=len(sig) - 1),
+                    max_size=5, unique=True)
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        mono = tuple(
+            (g, draw(st.integers(min_value=1,
+                                 max_value=1 if sig.sqz[g] else 3)))
+            for g in sorted(draw(gens)))
+        terms[mono] = draw(coeff)
+    return terms
+
+
+def dict_product(sig, t1, t2):
+    return _accumulate({}, _products(t1, t2, sig))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_batched_product_matches_dict_path(data):
+    sig = data.draw(random_signature())
+    t1 = data.draw(random_terms(sig))
+    t2 = data.draw(random_terms(sig))
+    assert batched.product(sig, t1, t2) == dict_product(sig, t1, t2)
+
+
+def test_batched_product_chunks_collisions_and_full_cancellation(
+        monkeypatch):
+    # (e0 + e1)^2 = e0 e1 + e1 e0 = 0 for anticommuting degree-1 generators
+    e = Element.generator(SIG, "e^0") + Element.generator(SIG, "e^1")
+    assert batched.product(SIG, e.terms, e.terms) == {}
+    # tiny chunks: many pair steps, accumulator merges and decode blocks;
+    # one term on all 80 generators, so packed keys take two words, and the
+    # rest on a few generators at both ends, so that many pairs meet
+    monkeypatch.setattr(batched, "CHUNK", 7)
+    monkeypatch.setattr(batched, "ROWS", 3)
+    sig = make_signature(GeneratorDecl("x", (i,), i % 5, i % 2)
+                         for i in range(80))
+    rng = random.Random(7)
+    pool = [0, 1, 2, 3, 76, 77, 78, 79]
+    t1, t2 = ({tuple((g, rng.randint(1, 1 if sig.sqz[g] else 3))
+                     for g in sorted(rng.sample(pool, 3))):
+               Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+               for _ in range(60)} for _ in range(2))
+    t1[tuple((g, 1) for g in range(80))] = Fraction(1)
+    want = dict_product(sig, t1, t2)
+    assert batched.product(sig, t1, t2) == want
+    # a hash of the last word only: keys that differ elsewhere collide, and
+    # the merge must fall back to sorting the full keys
+    monkeypatch.setattr(batched, "_HASH_MUL", np.uint64(0))
+    assert batched.product(sig, t1, t2) == want
+
+
+def test_batched_product_guards_fall_back_to_dict_path():
+    # above the pair threshold, so Element.__mul__ asks the batched kernel
+    sig = make_signature([GeneratorDecl("w", (), 0, EVEN),
+                          GeneratorDecl("z", (), 0, EVEN)])
+    side = int(BATCH_PAIRS ** 0.5) + 1
+
+    def el(coeff, zbase):
+        return Element(sig, {((0, 1 + i % 16), (1, zbase + i // 16)):
+                             Fraction(coeff) for i in range(side)})
+
+    cases = [
+        (el(2 ** 40, 1), el(2 ** 30, 1)),    # products reach 2**70
+        (el(1, 100), el(1, 20)),             # exponent sums past 127
+        (el(1, 120), el(1, 1)),              # input exponents past 127
+    ]
+    for a, b in cases:
+        assert (a * b).terms == dict_product(sig, a.terms, b.terms)
+        assert batched.product(sig, a.terms, b.terms) is None
