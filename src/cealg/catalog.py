@@ -15,9 +15,11 @@ tests, tasks and the CLI.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .clifford import (
     CliffordRep,
@@ -28,6 +30,7 @@ from .clifford import (
 from .dgca import (
     ChainHomotopy,
     DGCAMorphism,
+    NotClosed,
     Report,
     SemifreeDGCA,
     adjoin_generator,
@@ -76,7 +79,6 @@ class CatalogAlgebra:
     tag: str
     algebra: SemifreeDGCA
     rep: CliffordRep | None = None
-    provenance: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -101,23 +103,22 @@ def _pairing_element(sig: AlgebraSignature, psi_ids, matrix, scale,
     """sum_{alpha,beta} M[alpha,beta] psi^alpha psi^beta (times a fixed sorted
     e-monomial prefix and an overall scale).  Only the symmetric part of M
     survives the commuting odd generators."""
-    n = matrix.shape[0]
     if (any(x[0] >= y[0] for x, y in zip(e_prefix, e_prefix[1:]))
             or e_prefix and e_prefix[-1][0] >= min(psi_ids)):
         raise CatalogError("the e-prefix must be strictly increasing and "
                            "precede every psi generator")
+    # upper triangle of M + M^T with M's own diagonal, walked row-major
+    sym = np.triu(matrix + matrix.T)
+    np.fill_diagonal(sym, np.diagonal(matrix))
     terms = {}
     scale = Fraction(scale)
-    for a in range(n):
-        for b in range(a, n):
-            if a == b:
-                c = scale * int(matrix[a, a])
-                if c:
-                    terms[e_prefix + ((psi_ids[a], 2),)] = c
-            else:
-                c = scale * int(matrix[a, b] + matrix[b, a])
-                if c:
-                    terms[e_prefix + ((psi_ids[a], 1), (psi_ids[b], 1))] = c
+    rows, cols = np.nonzero(sym)
+    for a, b, v in zip(rows.tolist(), cols.tolist(), sym[rows, cols].tolist()):
+        c = scale * int(v)
+        if c:
+            pair = (((psi_ids[a], 2),) if a == b
+                    else ((psi_ids[a], 1), (psi_ids[b], 1)))
+            terms[e_prefix + pair] = c
     return Element(sig, terms)
 
 
@@ -138,8 +139,7 @@ def _mink(d: int) -> CatalogAlgebra:
     for a in range(d):
         images[f"e^{a}"] = _pairing_element(sig, psi_ids, rep.pairing((a,)), 1)
     alg = make_dgca(sig, images)
-    return CatalogAlgebra(f"superMink({d},{rep.n_spin})", alg, rep,
-                          {"d": d, "n_spin": rep.n_spin})
+    return CatalogAlgebra(f"superMink({d},{rep.n_spin})", alg, rep)
 
 
 def super_minkowski(d: int, rep: CliffordRep) -> CatalogAlgebra:
@@ -632,17 +632,18 @@ def _family(alpha: Fraction, beta: Fraction) -> tuple[DGCAMorphism, Report]:
 
 def verify_brane_scan_entry(d: int, n_label: int, p: int,
                             cap: int | None = None) -> BraneScanEntry:
-    """Closure decided symbolically; nontriviality by exact coboundary solve."""
+    """Closure and nontriviality both decided by `is_coboundary`: its
+    closure check raises NotClosed, else it solves d v = mu exactly."""
     cat = _mink(d)
     if cat.rep.n_spin != n_label:
         raise Unsupported(
             f"(d={d}, N={n_label}) not supported; built-in rep has "
             f"N={cat.rep.n_spin}")
     mu = brane_cocycle(cat, p)
-    res = apply_d(cat.algebra, mu)
-    if res:
-        return BraneScanEntry(d, n_label, p, False, None)
     kwargs = {} if cap is None else {"cap": cap}
-    decision: CoboundaryDecision = is_coboundary(cat.algebra, mu, **kwargs)
+    try:
+        decision: CoboundaryDecision = is_coboundary(cat.algebra, mu, **kwargs)
+    except NotClosed:
+        return BraneScanEntry(d, n_label, p, False, None)
     nontrivial = {"yes": "no", "no": "yes", "capped": "capped"}[decision.status]
     return BraneScanEntry(d, n_label, p, True, nontrivial)

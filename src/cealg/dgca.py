@@ -115,18 +115,6 @@ class SemifreeDGCA:
     def d_of(self, name: str) -> Element:
         return self.d_images[self.sig.gen_id(name)]
 
-    def gen(self, name: str) -> Element:
-        return Element.generator(self.sig, name)
-
-    def zero(self) -> Element:
-        return Element.zero(self.sig)
-
-    def one(self) -> Element:
-        return Element.one(self.sig)
-
-    def d(self, x: Element) -> Element:
-        return apply_d(self, x)
-
     def to_json(self) -> dict:
         return {
             "generators": self.sig.to_json(),
@@ -375,18 +363,11 @@ def identity_morphism(A: SemifreeDGCA) -> DGCAMorphism:
     )
 
 
-def compose(f: DGCAMorphism, g: DGCAMorphism, validate: bool = False
-            ) -> DGCAMorphism:
+def compose(f: DGCAMorphism, g: DGCAMorphism) -> DGCAMorphism:
     """Composite g-after-f; f.target must be g.source."""
     if f.target.sig != g.source.sig:
         raise SignatureMismatch("compose: f.target != g.source")
-    images = tuple(g(img) for img in f.images)
-    out = DGCAMorphism(f.source, g.target, images)
-    if validate:
-        rep = check_chain_map(out)
-        if not rep.ok:
-            raise ChainMapViolation(rep.details, residual=rep.residual)
-    return out
+    return DGCAMorphism(f.source, g.target, tuple(g(img) for img in f.images))
 
 
 class ChainHomotopy:

@@ -132,16 +132,10 @@ class AlgebraSignature:
     def decl(self, name: str) -> GeneratorDecl:
         return self.decls[self.gen_id(name)]
 
-    def family_ids(self, family: str) -> list[int]:
-        return [i for i, d in enumerate(self.decls) if d.family == family]
-
     def monomial_bidegree(self, mono: Monomial) -> tuple[int, int]:
         deg = sum(self.degrees[g] * e for g, e in mono)
         par = sum(self.parities[g] * e for g, e in mono) & 1
         return (deg, par)
-
-    def monomial_name_pairs(self, mono: Monomial) -> list[tuple[str, int]]:
-        return [(self.names[g], e) for g, e in mono]
 
     def to_json(self) -> list[dict]:
         return [

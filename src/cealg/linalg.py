@@ -1,16 +1,17 @@
 """Sparse exact rational linear algebra over graded monomial bases.
 
-Differential matrices in canonical bases, rank and linear solving by
-integer (division-free) row elimination with gcd normalization, cohomology
-dimensions in bounded degree, and the coboundary decision procedure.
+`differential_matrix` is the one place where a matrix of d and its two
+canonical bases are built; it hands the bases back on the matrix, so
+`cohomology_dims` and `is_coboundary` enumerate no basis of their own.
+Rank and linear solving convert the matrix's entries to integer rows once
+and run integer (division-free) row elimination with gcd normalization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Iterable
+from math import gcd, lcm
 
 from .dgca import DgcaError, NotClosed, SemifreeDGCA, apply_d
 from .graded import Element, GradedError, Monomial
@@ -126,18 +127,18 @@ def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP
 
 @dataclass
 class SparseRationalMatrix:
+    """A sparse matrix over Q; `dom` and `cod` are the bases of its columns
+    and rows when `differential_matrix` built it, else None.  They take no
+    part in comparison or printing."""
+
     rows: int
     cols: int
     entries: dict[tuple[int, int], Fraction]
+    dom: GradedBasis | None = field(default=None, compare=False, repr=False)
+    cod: GradedBasis | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.entries = {k: v for k, v in self.entries.items() if v}
-
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
 
     def transpose(self) -> "SparseRationalMatrix":
         return SparseRationalMatrix(
@@ -158,7 +159,8 @@ class SparseRationalMatrix:
 
 def differential_matrix(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP
                         ) -> SparseRationalMatrix:
-    """Matrix of d from the degree basis to the degree+1 basis."""
+    """Matrix of d from the degree basis (`dom`) to the degree+1 basis
+    (`cod`), carrying both bases."""
     dom = monomial_basis(A, degree, cap)
     cod = monomial_basis(A, degree + 1, cap)
     entries: dict[tuple[int, int], Fraction] = {}
@@ -166,7 +168,7 @@ def differential_matrix(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP
         img = apply_d(A, Element(A.sig, {mono: Fraction(1)}))
         for m2, coeff in img.terms.items():
             entries[(cod.index[m2], c)] = coeff
-    return SparseRationalMatrix(len(cod), len(dom), entries)
+    return SparseRationalMatrix(len(cod), len(dom), entries, dom, cod)
 
 
 # -- integer row elimination -------------------------------------------------
@@ -219,15 +221,22 @@ def _reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> None:
             _normalize_row(row)
 
 
-def _int_rows(rows: Iterable[dict[int, Fraction]]) -> list[dict[int, int]]:
+def _int_rows(M: SparseRationalMatrix, rhs: dict[int, Fraction] | None = None
+              ) -> list[dict[int, int]]:
+    """The nonzero rows of M in row order, with -rhs in column M.cols, each
+    scaled by the lcm of its denominators to integers."""
+    by_row: dict[int, dict[int, Fraction]] = {}
+    for (r, c), v in M.entries.items():
+        by_row.setdefault(r, {})[c] = v
+    for r, v in (rhs or {}).items():
+        if v:
+            by_row.setdefault(r, {})[M.cols] = -v
     out = []
-    for row in rows:
-        if not row:
-            continue
-        denom = 1
-        for v in row.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        out.append({c: int(v * denom) for c, v in row.items()})
+    for r in sorted(by_row):
+        row = by_row[r]
+        denom = lcm(*(v.denominator for v in row.values()))
+        out.append({c: v.numerator * (denom // v.denominator)
+                    for c, v in row.items()})
     return out
 
 
@@ -240,30 +249,18 @@ def _echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def rank(M: SparseRationalMatrix, strategy: str = "forward") -> int:
-    """Exact rank over Q by integer elimination; `strategy` picks the row
-    processing order so two runs can cross-check each other."""
-    rows = _int_rows(M.row_dicts())
-    if strategy == "reverse":
-        rows.reverse()
-    elif strategy == "sparsest-first":
-        rows.sort(key=len)
-    elif strategy != "forward":
-        raise GradedError(f"unknown elimination strategy {strategy!r}")
-    return len(_echelon(rows))
+def rank(M: SparseRationalMatrix) -> int:
+    """Exact rank over Q by integer elimination."""
+    return len(_echelon(_int_rows(M)))
 
 
 def solve(M: SparseRationalMatrix, b: dict[int, Fraction] | list[Fraction]
           ) -> list[Fraction] | None:
     """One exact solution v of M v = b, or None when none exists."""
     if isinstance(b, list):
-        b = {i: v for i, v in enumerate(b) if v}
+        b = dict(enumerate(b))
     rhs_col = M.cols
-    raw = M.row_dicts()
-    for r, v in b.items():
-        if v:
-            raw[r][rhs_col] = -v
-    rows = _int_rows(raw)
+    rows = _int_rows(M, b)
     rows.sort(key=len)
     pivots = _echelon(rows)
     if rhs_col in pivots:
@@ -285,12 +282,12 @@ def solve(M: SparseRationalMatrix, b: dict[int, Fraction] | list[Fraction]
 def cohomology_dims(A: SemifreeDGCA, max_degree: int, cap: int = DEFAULT_CAP
                     ) -> list[int]:
     """dim H^k for k = 0..max_degree: dim(ker d_k) - rank d_(k-1), exactly."""
-    dims_c = [len(monomial_basis(A, k, cap)) for k in range(max_degree + 2)]
-    ranks = [rank(differential_matrix(A, k, cap)) for k in range(max_degree + 1)]
+    mats = [differential_matrix(A, k, cap) for k in range(max_degree + 1)]
+    ranks = [rank(m) for m in mats]
     out = []
-    for k in range(max_degree + 1):
+    for k, m in enumerate(mats):
         prev = ranks[k - 1] if k > 0 else 0
-        out.append(dims_c[k] - ranks[k] - prev)
+        out.append(m.cols - ranks[k] - prev)
     return out
 
 
@@ -320,18 +317,14 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
     if deg == 0:
         return CoboundaryDecision("no")
     try:
-        dom = monomial_basis(A, deg - 1, cap)
-        cod = monomial_basis(A, deg, cap)
         mat = differential_matrix(A, deg - 1, cap)
     except Capped:
         return CoboundaryDecision("capped")
-    b = {cod.index[m]: c for m, c in x.terms.items()}
+    b = {mat.cod.index[m]: c for m, c in x.terms.items()}
     v = solve(mat, b)
     if v is None:
         return CoboundaryDecision("no")
-    terms = {
-        dom.monomials[i]: c for i, c in enumerate(v) if c
-    }
+    terms = {mat.dom.monomials[i]: c for i, c in enumerate(v) if c}
     w = Element(A.sig, terms)
     if apply_d(A, w) != x:
         raise DgcaError("solver returned an invalid witness")

@@ -277,6 +277,9 @@ def test_brane_scan_entries():
     assert e2.closed and e2.nontrivial == "no"
     e3 = verify_brane_scan_entry(11, 32, 2)
     assert e3.closed and e3.nontrivial == "yes"
+    # mu3 in d=11 is not closed: no nontriviality verdict
+    e4 = verify_brane_scan_entry(11, 32, 1)
+    assert not e4.closed and e4.nontrivial is None
     from cealg import Unsupported
 
     with pytest.raises(Unsupported):
@@ -337,3 +340,47 @@ def test_catalog_preconditions_raise_under_python_O():
         [sys.executable, "-O", "-c", CATALOG_PRECONDITIONS_SCRIPT],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _pairing_element_by_double_loop(sig, psi_ids, matrix, scale, e_prefix):
+    """Reference: walk all of the upper triangle of the n x n matrix."""
+    n = matrix.shape[0]
+    terms = {}
+    scale = Fraction(scale)
+    for a in range(n):
+        for b in range(a, n):
+            if a == b:
+                c = scale * int(matrix[a, a])
+                if c:
+                    terms[e_prefix + ((psi_ids[a], 2),)] = c
+            else:
+                c = scale * int(matrix[a, b] + matrix[b, a])
+                if c:
+                    terms[e_prefix + ((psi_ids[a], 1), (psi_ids[b], 1))] = c
+    return Element(sig, terms)
+
+
+def test_pairing_element_matches_double_loop():
+    import random
+
+    import numpy as np
+    from cealg.catalog import _frame, _pairing_element
+
+    rng = random.Random(17)
+    sig = _mink(11).algebra.sig
+    e_ids, psi_ids = _frame(sig, 11, 32)
+    for trial in range(12):
+        m = np.array([[rng.choice([0, 0, 0, rng.randint(-5, 5)])
+                       for _ in range(32)] for _ in range(32)], dtype=np.int64)
+        for a in range(32):
+            m[a, a] = rng.choice([-3, -1, 1, 2])
+        # some off-diagonal pairs cancel in M + M^T
+        for _ in range(20):
+            a, b = rng.sample(range(32), 2)
+            m[b, a] = -m[a, b]
+        prefix = tuple((e, 1) for e in sorted(rng.sample(e_ids, trial % 4)))
+        scale = Fraction(-rng.randint(1, 6), rng.randint(1, 4))
+        got = _pairing_element(sig, psi_ids, m, scale, prefix)
+        want = _pairing_element_by_double_loop(sig, psi_ids, m, scale, prefix)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert np.any(m != m.T)

@@ -85,6 +85,11 @@ def test_differential_matrix_s4_degree7():
     m = differential_matrix(alg, 7)
     assert (m.rows, m.cols) == (1, 1)
     assert m.entries == {(0, 0): Fraction(1)}
+    assert m.dom.monomials == monomial_basis(alg, 7).monomials
+    assert m.cod.monomials == monomial_basis(alg, 8).monomials
+    # the bases take no part in comparison or printing
+    bare = SparseRationalMatrix(m.rows, m.cols, dict(m.entries))
+    assert bare.dom is None and bare == m and repr(bare) == repr(m)
     zero = differential_matrix(free_line(4), 8)
     assert zero.entries == {}
 
@@ -126,9 +131,33 @@ def test_rank_basics_and_cross_check():
                 entries[(r, c)] = Fraction(rng.randint(-9, 9),
                                            rng.randint(1, 9))
     m = SparseRationalMatrix(50, 50, entries)
-    r_fwd = rank(m, "forward")
-    assert r_fwd == rank(m, "reverse") == rank(m, "sparsest-first")
-    assert r_fwd == rank(m.transpose())
+    reversed_rows = SparseRationalMatrix(
+        50, 50, {(49 - r, c): v for (r, c), v in entries.items()})
+    assert rank(m) == rank(reversed_rows) == rank(m.transpose())
+
+
+def test_each_basis_enumerated_once_per_matrix(monkeypatch):
+    """`differential_matrix` is the only caller of `monomial_basis` on the
+    decision paths: one matrix, two bases."""
+    import cealg.linalg as la
+
+    calls = []
+    real = la.monomial_basis
+
+    def counting(A, degree, cap=la.DEFAULT_CAP):
+        calls.append(degree)
+        return real(A, degree, cap)
+
+    monkeypatch.setattr(la, "monomial_basis", counting)
+    alg = s4()
+    g4 = Element.generator(alg.sig, "g4")
+    dec = la.is_coboundary(alg, g4 * g4)
+    assert dec.status == "yes" and sorted(calls) == [7, 8]
+    for n in (0, 5, 12):
+        calls.clear()
+        dims = la.cohomology_dims(alg, n)
+        assert dims == [1 if k in (0, 4) else 0 for k in range(n + 1)]
+        assert len(calls) <= 2 * (n + 1)
 
 
 def test_solve_exact_and_unsolvable():
