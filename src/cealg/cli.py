@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable the long-running expansions "
                         "(tr omega^7 and the beta family members)")
     p.add_argument("--cap", type=int, default=None,
-                   help="monomial cap per graded basis")
+                   help="monomial cap per basis built; a coboundary "
+                        "decision builds only its element's weight component")
     p.add_argument("--out", default="reports",
                    help="directory for timestamped JSON reports")
     p.add_argument("--json", action="store_true", dest="json_out",

@@ -5,6 +5,19 @@ canonical bases are built; it hands the bases back on the matrix, so
 `cohomology_dims` and `is_coboundary` enumerate no basis of their own.
 Rank and linear solving convert the matrix's entries to integer rows once
 and run integer (division-free) row elimination with gcd normalization.
+
+Weight grading.  `generator_weights` derives from the d-images a
+nonnegative integer weight per generator that d preserves: a closed
+generator weighs 1, any other weighs what its d-image weighs (on
+super-Minkowski psi weighs 1 and e weighs 2, the spinor count).  So d v = x
+is solvable exactly when it is solvable inside x's weight component, and
+`is_coboundary` builds only that component.  When the propagation does not
+reach every generator (an image reaches back to its own generator, as in
+d omega = omega omega), when some d-image is not homogeneous for the
+propagated weights, or when x itself is not weight-homogeneous, the
+grading is the trivial one (every weight 0), whose one component is the
+full basis.  Bases are counted and enumerated by one partition DP over
+(degree, weight); the full basis is the trivial-grading case of it.
 """
 
 from __future__ import annotations
@@ -40,85 +53,144 @@ class GradedBasis:
         return len(self.monomials)
 
 
-def count_monomials(A: SemifreeDGCA, degree: int) -> int | None:
-    """Exact count of degree-d monomials, or None when infinite.
+def _weight(mono: Monomial, weights: tuple[int, ...]) -> int:
+    return sum(weights[g] * e for g, e in mono)
 
-    Partition-function DP: a square-zero generator of degree k contributes
-    (1 + x^k), any other contributes 1/(1 - x^k); an even generator of
-    degree 0 makes every graded piece infinite.
+
+def _derive_weights(A: SemifreeDGCA) -> tuple[int, ...]:
+    """Propagate weights from the closed generators (weight 1) through the
+    d-images, then check that every d-image is homogeneous for them; the
+    trivial grading when either step fails."""
+    images = A.d_images
+    trivial = (0,) * len(images)
+    w: list[int] = [-1] * len(images)
+    pending = list(range(len(images)))
+    while pending:
+        waiting = []
+        for g in pending:
+            terms = images[g].terms
+            if any(w[h] < 0 for m in terms for h, _ in m):
+                waiting.append(g)
+            else:
+                w[g] = max((_weight(m, w) for m in terms), default=1)
+        if len(waiting) == len(pending):
+            return trivial  # these images reach back to their own generators
+        pending = waiting
+    weights = tuple(w)
+    for g, img in enumerate(images):
+        if any(_weight(m, weights) != weights[g] for m in img.terms):
+            return trivial  # d does not preserve the propagated weights
+    return weights
+
+
+def generator_weights(A: SemifreeDGCA) -> tuple[int, ...]:
+    """One nonnegative weight per generator, preserved by d; all 0 when the
+    d-images admit no such grading by propagation.  Cached on the algebra."""
+    weights = getattr(A, "_generator_weights", None)
+    if weights is None:
+        weights = A._generator_weights = _derive_weights(A)
+    return weights
+
+
+def _grading(A: SemifreeDGCA, weight: int | None):
+    """(weights, weight): `None` selects the trivial grading, whose weight-0
+    component is the full degree basis; an integer selects that component
+    of `generator_weights(A)`."""
+    if weight is None:
+        return (0,) * len(A.sig), 0
+    return generator_weights(A), weight
+
+
+def _suffix_counts(A: SemifreeDGCA, weights: tuple[int, ...], degree: int,
+                   weight: int) -> list[list[list[int]]] | None:
+    """tables[i][d][w] counts the monomials in generators i.. of degree d
+    and weight w, for d <= `degree` and w <= `weight`; None when some count
+    is infinite.
+
+    Partition-function DP: a square-zero generator of degree k and weight u
+    contributes (1 + x^k y^u), any other 1/(1 - x^k y^u), which is infinite
+    for k = u = 0.
     """
-    if degree < 0:
-        return 0
     sig = A.sig
-    ways = [0] * (degree + 1)
-    ways[0] = 1
-    for gid in range(len(sig)):
-        k = sig.degrees[gid]
-        if k == 0:
-            if sig.sqz[gid]:
-                # exponent <= 1, degree 0: doubles every count
-                ways = [2 * w for w in ways]
-                continue
+    table = [[0] * (weight + 1) for _ in range(degree + 1)]
+    table[0][0] = 1
+    tables = [table]
+    for gid in range(len(sig) - 1, -1, -1):
+        k, u, sqz = sig.degrees[gid], weights[gid], sig.sqz[gid]
+        if k == 0 and u == 0 and not sqz:
             return None
-        if sig.sqz[gid]:
-            for d in range(degree, k - 1, -1):
-                ways[d] += ways[d - k]
-        else:
-            for d in range(k, degree + 1):
-                ways[d] += ways[d - k]
-    return ways[degree]
+        new = [row[:] for row in table]
+        src = table if sqz else new
+        for d in range(k, degree + 1):
+            row, src_row = new[d], src[d - k]
+            for w in range(u, weight + 1):
+                row[w] += src_row[w - u]
+        table = new
+        tables.append(table)
+    tables.reverse()
+    return tables
 
 
-def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP
-                   ) -> GradedBasis:
-    """All monomials of the given total degree, canonically ordered."""
+def count_monomials(A: SemifreeDGCA, degree: int, weight: int | None = None
+                    ) -> int | None:
+    """Exact count of degree-d monomials, or None when infinite; with
+    `weight`, of those of that weight under `generator_weights(A)`."""
+    weights, weight = _grading(A, weight)
+    if degree < 0 or weight < 0:
+        return 0
+    tables = _suffix_counts(A, weights, degree, weight)
+    return None if tables is None else tables[0][degree][weight]
+
+
+def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
+                   weight: int | None = None) -> GradedBasis:
+    """All monomials of the given total degree, canonically ordered; with
+    `weight`, only those of that weight under `generator_weights(A)`."""
     if cap <= 0:
         raise GradedError("cap must be positive")
-    count = count_monomials(A, degree)
-    if count is None:
+    weights, weight = _grading(A, weight)
+    if degree < 0 or weight < 0:
+        return GradedBasis(A, degree, ())
+    tables = _suffix_counts(A, weights, degree, weight)
+    if tables is None:
         raise Capped(
             f"degree-{degree} basis is infinite (degree-0 generator present)",
             estimate=None,
         )
+    count = tables[0][degree][weight]
     if count > cap:
         raise Capped(
             f"degree-{degree} basis has {count} monomials, above cap {cap}",
             estimate=count,
         )
-    sig = A.sig
-    n = len(sig)
+    degs, sqz, n = A.sig.degrees, A.sig.sqz, len(A.sig)
     out: list[Monomial] = []
     stack: list[tuple[int, int]] = []
 
-    def emit(gid: int, remaining: int):
-        if remaining == 0:
+    def emit(start: int, d: int, w: int):
+        # Extend `stack` by the monomials of degree d and weight w in
+        # generators start.. (tables[start][d][w] of them, at least one), in
+        # canonical order: the empty one first, then by first generator and
+        # its exponent.  A branch is entered only if the table says it ends.
+        if d == 0 and w == 0:
             out.append(tuple(stack))
-            return
-        if gid >= n:
-            return
-        k = sig.degrees[gid]
-        # skip this generator
-        emit(gid + 1, remaining)
-        if k == 0 or k > remaining:
-            if k == 0 and sig.sqz[gid]:
-                stack.append((gid, 1))
-                emit(gid + 1, remaining)
-                stack.pop()
-            return
-        if sig.sqz[gid]:
-            stack.append((gid, 1))
-            emit(gid + 1, remaining - k)
-            stack.pop()
-        else:
+            if tables[start][0][0] == 1:
+                return
+        for gid in range(start, n):
+            nxt = tables[gid + 1]
+            k, u = degs[gid], weights[gid]
             e = 1
-            while e * k <= remaining:
-                stack.append((gid, e))
-                emit(gid + 1, remaining - e * k)
-                stack.pop()
+            while e * k <= d and e * u <= w and (e == 1 or not sqz[gid]):
+                if nxt[d - e * k][w - e * u]:
+                    stack.append((gid, e))
+                    emit(gid + 1, d - e * k, w - e * u)
+                    stack.pop()
                 e += 1
+            if not nxt[d][w]:
+                break
 
-    emit(0, degree)
-    out.sort()
+    if count:
+        emit(0, degree, weight)
     if len(out) != count:
         raise DgcaError(f"degree-{degree} basis enumerated {len(out)} "
                         f"monomials, the count predicts {count}")
@@ -157,12 +229,13 @@ class SparseRationalMatrix:
         return "\n".join(lines) + "\n"
 
 
-def differential_matrix(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP
-                        ) -> SparseRationalMatrix:
+def differential_matrix(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
+                        weight: int | None = None) -> SparseRationalMatrix:
     """Matrix of d from the degree basis (`dom`) to the degree+1 basis
-    (`cod`), carrying both bases."""
-    dom = monomial_basis(A, degree, cap)
-    cod = monomial_basis(A, degree + 1, cap)
+    (`cod`), carrying both bases; with `weight`, between those bases' weight
+    components, which d maps into each other."""
+    dom = monomial_basis(A, degree, cap, weight)
+    cod = monomial_basis(A, degree + 1, cap, weight)
     entries: dict[tuple[int, int], Fraction] = {}
     for c, mono in enumerate(dom.monomials):
         img = apply_d(A, Element(A.sig, {mono: Fraction(1)}))
@@ -301,8 +374,10 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
                   ) -> CoboundaryDecision:
     """Decide whether a closed homogeneous element is d of something.
 
-    Solves d v = x over the complete basis one degree down; a yes comes with
-    a witness w satisfying d(w) = x exactly.
+    Solves d v = x over x's weight component one degree down (the complete
+    basis when x is not weight-homogeneous or the grading is trivial); `cap`
+    bounds the two bases built.  A yes comes with a witness w satisfying
+    d(w) = x exactly.
     """
     if x.sig != A.sig:
         raise GradedError("element not in this algebra")
@@ -316,8 +391,11 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
     ((deg, _),) = x.bidegrees()
     if deg == 0:
         return CoboundaryDecision("no")
+    weights = generator_weights(A)
+    x_weights = {_weight(m, weights) for m in x.terms}
+    weight = x_weights.pop() if len(x_weights) == 1 else None
     try:
-        mat = differential_matrix(A, deg - 1, cap)
+        mat = differential_matrix(A, deg - 1, cap, weight)
     except Capped:
         return CoboundaryDecision("capped")
     b = {mat.cod.index[m]: c for m, c in x.terms.items()}

@@ -8,8 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cealg
+import cealg.linalg as la
 
 from cealg import (
     Capped,
@@ -28,6 +31,8 @@ from cealg import (
     rank,
     solve,
 )
+from cealg import reporting
+from cealg.catalog import _mink, brane_cocycle
 from cealg.graded import EVEN, ODD
 
 
@@ -139,14 +144,12 @@ def test_rank_basics_and_cross_check():
 def test_each_basis_enumerated_once_per_matrix(monkeypatch):
     """`differential_matrix` is the only caller of `monomial_basis` on the
     decision paths: one matrix, two bases."""
-    import cealg.linalg as la
-
     calls = []
     real = la.monomial_basis
 
-    def counting(A, degree, cap=la.DEFAULT_CAP):
+    def counting(A, degree, *args, **kwargs):
         calls.append(degree)
-        return real(A, degree, cap)
+        return real(A, degree, *args, **kwargs)
 
     monkeypatch.setattr(la, "monomial_basis", counting)
     alg = s4()
@@ -219,6 +222,229 @@ def test_is_coboundary_yes_with_witness():
     assert apply_d(alg, dec.witness) == g4 * g4
     # the class of g4 itself is nontrivial
     assert is_coboundary(alg, g4).status == "no"
+
+
+# -- the weight-restricted decision against a full-basis solve -----------------
+
+
+def full_basis_status(alg, x):
+    """The decision the way it was made before the weight grading: solve
+    d v = x over the complete basis one degree down."""
+    ((deg, _),) = x.bidegrees()
+    mat = differential_matrix(alg, deg - 1)
+    b = {mat.cod.index[m]: c for m, c in x.terms.items()}
+    return "no" if solve(mat, b) is None else "yes"
+
+
+def weight_components(alg, x):
+    weights = la.generator_weights(alg)
+    parts = {}
+    for m, c in x.terms.items():
+        parts.setdefault(sum(weights[g] * e for g, e in m), {})[m] = c
+    return [Element(alg.sig, t) for t in parts.values()]
+
+
+def check_against_full_basis(alg, x):
+    dec = is_coboundary(alg, x)
+    assert dec.status == full_basis_status(alg, x)
+    if dec.status == "yes":
+        assert apply_d(alg, dec.witness) == x
+    return dec.status
+
+
+def random_poly(draw, basis, coeff):
+    return {m: draw(coeff) for m in draw(st.lists(
+        st.sampled_from(basis), min_size=1, max_size=4, unique=True))
+    } if basis else {}
+
+
+@st.composite
+def closed_elements(draw):
+    """A random semifree algebra and a random closed element of it.
+
+    Closed generators a^i of degree 1-2 and either parity; each b^j has as
+    image a random combination of monomials in the a's of one bidegree, of
+    equal or of mixed length, so both weight-homogeneous images and the
+    trivial-grading fallback occur.  The element is a random polynomial in
+    the a's (closed) plus d of a random element one degree down (exact)."""
+    coeff = st.fractions(min_value=-4, max_value=4,
+                         max_denominator=3).filter(bool)
+    n_a = draw(st.integers(min_value=1, max_value=4))
+    a_decls = [GeneratorDecl("a", (i,), draw(st.integers(1, 2)),
+                             draw(st.sampled_from([EVEN, ODD])))
+               for i in range(n_a)]
+    a_alg = make_dgca(make_signature(a_decls), {})
+    a_sig = a_alg.sig
+    a_monos = [m for deg in (2, 3) for m in monomial_basis(a_alg, deg).monomials]
+    b_decls, b_images = [], []
+    for j in range(draw(st.integers(min_value=0, max_value=3))
+                   if a_monos else 0):
+        head = draw(st.sampled_from(a_monos))
+        deg, par = a_sig.monomial_bidegree(head)
+        same = [m for m in a_monos
+                if a_sig.monomial_bidegree(m) == (deg, par)]
+        b_decls.append(GeneratorDecl("b", (j,), deg - 1, par))
+        b_images.append({head: draw(coeff), **random_poly(draw, same, coeff)})
+    sig = make_signature(a_decls + b_decls)
+
+    def to_sig(terms):
+        return Element.from_terms(sig, [
+            (c, [(a_sig.names[g], e) for g, e in m]) for m, c in terms.items()])
+
+    alg = make_dgca(sig, {decl.name: to_sig(t)
+                          for decl, t in zip(b_decls, b_images)})
+    degree = draw(st.integers(min_value=1, max_value=4))
+    parity = draw(st.sampled_from([EVEN, ODD]))
+    closed = [m for m in monomial_basis(a_alg, degree).monomials
+              if a_sig.monomial_bidegree(m)[1] == parity]
+    below = [m for m in monomial_basis(alg, degree - 1).monomials
+             if sig.monomial_bidegree(m)[1] == parity]
+    x = (to_sig(random_poly(draw, closed, coeff))
+         + apply_d(alg, Element(sig, random_poly(draw, below, coeff))))
+    return alg, x
+
+
+@given(closed_elements())
+@settings(max_examples=120, deadline=None)
+def test_weight_restricted_decision_matches_full_basis(case):
+    alg, x = case
+    weights = la.generator_weights(alg)
+    assert all(weights[g] == sum(weights[h] * e for h, e in m)
+               for g, img in enumerate(alg.d_images) for m in img.terms)
+    for degree in range(5):
+        full = monomial_basis(alg, degree).monomials
+        assert list(full) == sorted(full)
+        by_weight = {}
+        for m in full:
+            by_weight.setdefault(
+                sum(weights[g] * e for g, e in m), []).append(m)
+        for w, monos in by_weight.items():
+            assert monomial_basis(alg, degree, weight=w).monomials \
+                == tuple(monos)
+            assert count_monomials(alg, degree, w) == len(monos)
+    if not x:
+        return
+    check_against_full_basis(alg, x)
+    for part in weight_components(alg, x):
+        check_against_full_basis(alg, part)
+
+
+def test_brane_cocycles_of_mink3_match_full_basis():
+    cat = _mink(3)
+    alg = cat.algebra
+    assert la.generator_weights(alg) == (2, 2, 2, 1, 1)
+    statuses = [check_against_full_basis(alg, brane_cocycle(cat, p))
+                for p in (1, 2)]
+    assert statuses == ["no", "yes"]
+
+
+@given(st.integers(min_value=1, max_value=2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_mink3_cocycle_plus_coboundary_matches_full_basis(p, data):
+    cat = _mink(3)
+    alg = cat.algebra
+    mu = brane_cocycle(cat, p)
+    ((_, parity),) = mu.bidegrees()
+    below = [m for m in monomial_basis(alg, p + 1).monomials
+             if alg.sig.monomial_bidegree(m)[1] == parity]
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    v = Element(alg.sig, {m: data.draw(coeff.filter(bool)) for m in data.draw(
+        st.lists(st.sampled_from(below), max_size=5, unique=True))})
+    scale = data.draw(coeff)
+    x = scale * mu + apply_d(alg, v)
+    if x:
+        want = "no" if p == 1 and scale else "yes"
+        assert check_against_full_basis(alg, x) == want
+
+
+def so3():
+    """d omega^i = omega^j omega^k (cyclic): no generator is closed, and
+    the only weights d preserves are 0."""
+    sig = make_signature([GeneratorDecl("omega", (i,), 1, EVEN)
+                          for i in range(3)])
+    w = [Element.generator(sig, f"omega^{i}") for i in range(3)]
+    return make_dgca(sig, {f"omega^{i}": w[(i + 1) % 3] * w[(i + 2) % 3]
+                           for i in range(3)})
+
+
+def inhomogeneous():
+    """a, b, c closed, d z = a b + c and d y = c: the propagated weights of
+    z's image are 2 and 1."""
+    sig = make_signature([GeneratorDecl("a", (), 1, EVEN),
+                          GeneratorDecl("b", (), 1, EVEN),
+                          GeneratorDecl("c", (), 2, EVEN),
+                          GeneratorDecl("y", (), 1, EVEN),
+                          GeneratorDecl("z", (), 1, EVEN)])
+    a, b, c = (Element.generator(sig, n) for n in "abc")
+    return make_dgca(sig, {"z": a * b + c, "y": c})
+
+
+def test_weight_zero_only_falls_back_to_full_basis():
+    alg = so3()
+    assert la.generator_weights(alg) == (0, 0, 0)
+    w = [Element.generator(alg.sig, f"omega^{i}") for i in range(3)]
+    assert check_against_full_basis(alg, w[0] * w[1] * w[2]) == "no"
+    assert check_against_full_basis(alg, w[0] * w[1]) == "yes"
+    for degree in range(4):
+        assert monomial_basis(alg, degree, weight=0).monomials \
+            == monomial_basis(alg, degree).monomials
+
+
+def test_inhomogeneous_weights_fall_back_to_full_basis():
+    alg = inhomogeneous()
+    assert la.generator_weights(alg) == (0,) * 5
+    a, b, c = (Element.generator(alg.sig, n) for n in "abc")
+    # a b = d(z - y), though a b and z - y have no common propagated weight
+    assert check_against_full_basis(alg, a * b) == "yes"
+    assert check_against_full_basis(alg, c) == "yes"
+    # a b c = d(a b y)
+    assert check_against_full_basis(alg, a * b * c) == "yes"
+
+
+FALLBACK_SCRIPT = """
+import cealg.linalg as la
+from cealg import (Element, GeneratorDecl, apply_d, is_coboundary, make_dgca,
+                   make_signature)
+from cealg.graded import EVEN
+
+if __debug__:
+    raise SystemExit("asserts are on: run this under python -O")
+sig = make_signature([GeneratorDecl(n, (), 2 if n == "c" else 1, EVEN)
+                      for n in "abcyz"])
+a, b, c = (Element.generator(sig, n) for n in "abc")
+alg = make_dgca(sig, {"z": a * b + c, "y": c})
+if la.generator_weights(alg) != (0,) * 5:
+    raise SystemExit(f"weights {la.generator_weights(alg)} are not trivial")
+dec = is_coboundary(alg, a * b)
+if dec.status != "yes" or apply_d(alg, dec.witness) != a * b:
+    raise SystemExit(f"answered {dec.status!r} with witness {dec.witness!r}")
+"""
+
+
+def test_inhomogeneous_fallback_under_python_O():
+    """The homogeneity check decides which basis is solved over, so it must
+    survive `python -O`."""
+    src = str(Path(cealg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", FALLBACK_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cap_bounds_the_bases_built():
+    """`scan.11.32.2` solves over mu4's weight-6 component: 165 columns and
+    29,040 rows, where the full bases have 13,717 and 152,834."""
+    alg = _mink(11).algebra
+    assert (count_monomials(alg, 3, 6), count_monomials(alg, 4, 6)) \
+        == (165, 29040)
+    assert count_monomials(alg, 4) > 50_000
+    rep = reporting.run_task("scan.11.32.2", cap=50_000)
+    assert rep.verdict == "pass"
+    assert rep.pinned == {"closed": True, "nontrivial": "yes",
+                          "solve_basis": 13717}
+    assert reporting.run_task("scan.11.32.2", cap=20_000).verdict == "capped"
 
 
 WRONG_SOLVER_SCRIPT = """
