@@ -169,9 +169,9 @@ def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
 
     def emit(start: int, d: int, w: int):
         # Extend `stack` by the monomials of degree d and weight w in
-        # generators start.. (tables[start][d][w] of them, at least one), in
-        # canonical order: the empty one first, then by first generator and
-        # its exponent.  A branch is entered only if the table says it ends.
+        # generators start.. (tables[start][d][w] of them), in canonical
+        # order: the empty one first, then by first generator and its
+        # exponent.  A branch is entered only if the table says it ends.
         if d == 0 and w == 0:
             out.append(tuple(stack))
             if tables[start][0][0] == 1:
@@ -189,8 +189,7 @@ def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
             if not nxt[d][w]:
                 break
 
-    if count:
-        emit(0, degree, weight)
+    emit(0, degree, weight)
     if len(out) != count:
         raise DgcaError(f"degree-{degree} basis enumerated {len(out)} "
                         f"monomials, the count predicts {count}")
