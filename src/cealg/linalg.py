@@ -57,10 +57,12 @@ def _weight(mono: Monomial, weights: tuple[int, ...]) -> int:
     return sum(weights[g] * e for g, e in mono)
 
 
-def _derive_weights(A: SemifreeDGCA) -> tuple[int, ...]:
-    """Propagate weights from the closed generators (weight 1) through the
-    d-images, then check that every d-image is homogeneous for them; the
-    trivial grading when either step fails."""
+def generator_weights(A: SemifreeDGCA) -> tuple[int, ...]:
+    """One nonnegative weight per generator, preserved by d; all 0 (the
+    trivial grading) when the d-images admit no such grading by propagation.
+
+    Weights propagate from the closed generators (weight 1) through the
+    d-images; then every d-image must be homogeneous for them."""
     images = A.d_images
     trivial = (0,) * len(images)
     w: list[int] = [-1] * len(images)
@@ -81,24 +83,6 @@ def _derive_weights(A: SemifreeDGCA) -> tuple[int, ...]:
         if any(_weight(m, weights) != weights[g] for m in img.terms):
             return trivial  # d does not preserve the propagated weights
     return weights
-
-
-def generator_weights(A: SemifreeDGCA) -> tuple[int, ...]:
-    """One nonnegative weight per generator, preserved by d; all 0 when the
-    d-images admit no such grading by propagation.  Cached on the algebra."""
-    weights = getattr(A, "_generator_weights", None)
-    if weights is None:
-        weights = A._generator_weights = _derive_weights(A)
-    return weights
-
-
-def _grading(A: SemifreeDGCA, weight: int | None):
-    """(weights, weight): `None` selects the trivial grading, whose weight-0
-    component is the full degree basis; an integer selects that component
-    of `generator_weights(A)`."""
-    if weight is None:
-        return (0,) * len(A.sig), 0
-    return generator_weights(A), weight
 
 
 def _suffix_counts(A: SemifreeDGCA, weights: tuple[int, ...], degree: int,
@@ -131,24 +115,24 @@ def _suffix_counts(A: SemifreeDGCA, weights: tuple[int, ...], degree: int,
     return tables
 
 
-def count_monomials(A: SemifreeDGCA, degree: int, weight: int | None = None
-                    ) -> int | None:
-    """Exact count of degree-d monomials, or None when infinite; with
-    `weight`, of those of that weight under `generator_weights(A)`."""
-    weights, weight = _grading(A, weight)
-    if degree < 0 or weight < 0:
+def count_monomials(A: SemifreeDGCA, degree: int) -> int | None:
+    """Exact count of degree-d monomials, or None when infinite."""
+    if degree < 0:
         return 0
-    tables = _suffix_counts(A, weights, degree, weight)
-    return None if tables is None else tables[0][degree][weight]
+    tables = _suffix_counts(A, (0,) * len(A.sig), degree, 0)
+    return None if tables is None else tables[0][degree][0]
 
 
 def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
-                   weight: int | None = None) -> GradedBasis:
+                   weights: tuple[int, ...] | None = None, weight: int = 0
+                   ) -> GradedBasis:
     """All monomials of the given total degree, canonically ordered; with
-    `weight`, only those of that weight under `generator_weights(A)`."""
+    `weights` (one per generator), only those of weight `weight`.  No
+    `weights` is the trivial grading, whose weight-0 part is everything."""
     if cap <= 0:
         raise GradedError("cap must be positive")
-    weights, weight = _grading(A, weight)
+    if weights is None:
+        weights = (0,) * len(A.sig)
     if degree < 0 or weight < 0:
         return GradedBasis(A, degree, ())
     tables = _suffix_counts(A, weights, degree, weight)
@@ -229,12 +213,13 @@ class SparseRationalMatrix:
 
 
 def differential_matrix(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
-                        weight: int | None = None) -> SparseRationalMatrix:
+                        weights: tuple[int, ...] | None = None, weight: int = 0
+                        ) -> SparseRationalMatrix:
     """Matrix of d from the degree basis (`dom`) to the degree+1 basis
-    (`cod`), carrying both bases; with `weight`, between those bases' weight
-    components, which d maps into each other."""
-    dom = monomial_basis(A, degree, cap, weight)
-    cod = monomial_basis(A, degree + 1, cap, weight)
+    (`cod`), carrying both bases; with `weights`, which d must preserve,
+    between those bases' weight-`weight` components."""
+    dom = monomial_basis(A, degree, cap, weights, weight)
+    cod = monomial_basis(A, degree + 1, cap, weights, weight)
     entries: dict[tuple[int, int], Fraction] = {}
     for c, mono in enumerate(dom.monomials):
         img = apply_d(A, Element(A.sig, {mono: Fraction(1)}))
@@ -392,9 +377,12 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
         return CoboundaryDecision("no")
     weights = generator_weights(A)
     x_weights = {_weight(m, weights) for m in x.terms}
-    weight = x_weights.pop() if len(x_weights) == 1 else None
+    if len(x_weights) == 1:
+        weight = x_weights.pop()
+    else:
+        weights, weight = None, 0
     try:
-        mat = differential_matrix(A, deg - 1, cap, weight)
+        mat = differential_matrix(A, deg - 1, cap, weights, weight)
     except Capped:
         return CoboundaryDecision("capped")
     b = {mat.cod.index[m]: c for m, c in x.terms.items()}

@@ -1,5 +1,6 @@
 """Graded bases, differential matrices, exact rank/solve, cohomology."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -224,6 +225,57 @@ def test_is_coboundary_yes_with_witness():
     assert is_coboundary(alg, g4).status == "no"
 
 
+@st.composite
+def graded_signatures(draw):
+    """Up to four generators of degree 0-3 and either parity (so square-zero
+    and degree-0 ones occur), each with a weight 0-2."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    decls = [GeneratorDecl("g", (i,), draw(st.integers(0, 3)),
+                           draw(st.sampled_from([EVEN, ODD])))
+             for i in range(n)]
+    weights = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    return make_dgca(make_signature(decls), {}), weights
+
+
+def brute_force_basis(alg, degree, weights, weight):
+    """Every exponent vector of the given degree and weight, as sorted
+    monomials; None when there are infinitely many candidates."""
+    sig = alg.sig
+    ranges = []
+    for k, u, sqz in zip(sig.degrees, weights, sig.sqz):
+        if sqz:
+            ranges.append(range(2))
+        elif k == 0 and u == 0:
+            return None
+        else:
+            ranges.append(range(min(degree // k if k else weight,
+                                    weight // u if u else degree) + 1))
+    out = []
+    for exps in itertools.product(*ranges):
+        if (sum(e * k for e, k in zip(exps, sig.degrees)) == degree
+                and sum(e * u for e, u in zip(exps, weights)) == weight):
+            out.append(tuple((g, e) for g, e in enumerate(exps) if e))
+    return sorted(out)
+
+
+@given(graded_signatures(), st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_basis_components_match_brute_force(case, degree, weight):
+    """The pruned enumerator and its count share one DP table, so they are
+    checked here against exponent vectors enumerated without it."""
+    alg, weights = case
+    for ws, w in ((weights, weight), (None, 0)):
+        want = brute_force_basis(alg, degree, ws or (0,) * len(weights), w)
+        if want is None:
+            with pytest.raises(Capped):
+                monomial_basis(alg, degree, weights=ws, weight=w)
+            continue
+        assert monomial_basis(alg, degree, weights=ws,
+                              weight=w).monomials == tuple(want)
+        if ws is None:
+            assert count_monomials(alg, degree) == len(want)
+
+
 # -- the weight-restricted decision against a full-basis solve -----------------
 
 
@@ -319,9 +371,8 @@ def test_weight_restricted_decision_matches_full_basis(case):
             by_weight.setdefault(
                 sum(weights[g] * e for g, e in m), []).append(m)
         for w, monos in by_weight.items():
-            assert monomial_basis(alg, degree, weight=w).monomials \
-                == tuple(monos)
-            assert count_monomials(alg, degree, w) == len(monos)
+            assert monomial_basis(alg, degree, weights=weights,
+                                  weight=w).monomials == tuple(monos)
     if not x:
         return
     check_against_full_basis(alg, x)
@@ -386,7 +437,8 @@ def test_weight_zero_only_falls_back_to_full_basis():
     assert check_against_full_basis(alg, w[0] * w[1] * w[2]) == "no"
     assert check_against_full_basis(alg, w[0] * w[1]) == "yes"
     for degree in range(4):
-        assert monomial_basis(alg, degree, weight=0).monomials \
+        assert monomial_basis(alg, degree,
+                              weights=la.generator_weights(alg)).monomials \
             == monomial_basis(alg, degree).monomials
 
 
@@ -437,8 +489,9 @@ def test_cap_bounds_the_bases_built():
     """`scan.11.32.2` solves over mu4's weight-6 component: 165 columns and
     29,040 rows, where the full bases have 13,717 and 152,834."""
     alg = _mink(11).algebra
-    assert (count_monomials(alg, 3, 6), count_monomials(alg, 4, 6)) \
-        == (165, 29040)
+    weights = la.generator_weights(alg)
+    assert [len(monomial_basis(alg, d, weights=weights, weight=6))
+            for d in (3, 4)] == [165, 29040]
     assert count_monomials(alg, 4) > 50_000
     rep = reporting.run_task("scan.11.32.2", cap=50_000)
     assert rep.verdict == "pass"
