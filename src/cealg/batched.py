@@ -16,11 +16,26 @@ denominators.  For a pair of terms (a, b):
   is wide enough for the sum, the packed key of the product is the word-wise
   sum of the packed keys of a and b.
 
-Pairs are formed in bounded chunks, equal keys are merged by sort and
+Pairs are formed in steps, equal keys are merged by sort and
 `np.add.reduceat` into a running accumulator, zero sums are dropped, and the
 result is decoded back to canonical `(monomial, Fraction)` dict entries in
 row blocks, with one shared tuple per (generator, exponent) and one
-`Fraction` per distinct coefficient.
+`Fraction` per distinct coefficient.  One step pairs each left row i with
+its own run of right rows (all of them in a product, the d-image of the
+hole's slot in a Leibniz block), so it costs the same few dozen numpy calls
+however many slots or rows it spans.
+
+The step is sized to the call: a call of P pairs takes steps of P / 32
+pairs, at least 2**11 (below that the fixed cost of a step dominates) and
+at most 2**17 (`_step`), and its accumulator
+lets two steps of pairs, or as many as it holds merged entries, wait
+before a merge.  A step's temporaries, the waiting pairs and the merge all
+grow with the step, so a small call stays small: the 149,856-pair
+d(g4 - mu4) on super-Poincare takes 4,683-pair steps and peaks at 3.0 MiB
+of traced memory (numpy reports its buffers), where 2**17-pair steps take
+14.2 MiB at about the same speed.  A large call keeps large steps: the
+0.7-1.6M-pair d mu7, mu4**2 and d of the five-brane cocycle take
+23k-50k-pair steps.
 
 Every entry point returns None instead of an answer when one of its guards
 trips, and the caller then takes the exact dict path:
@@ -42,8 +57,11 @@ from math import lcm
 
 import numpy as np
 
-#: Pairs per vectorised step; bounds the temporary arrays of one step.
-CHUNK = 1 << 17
+#: Pairs per vectorised step: P // STEPS for a call of P pairs, clamped to
+#: [STEP_MIN, STEP_MAX] (see `_step` and the module docstring).
+STEPS = 32
+STEP_MIN = 1 << 11
+STEP_MAX = 1 << 17
 #: Rows per decoding block.
 ROWS = 1 << 13
 _LIMIT = 1 << 62
@@ -59,7 +77,7 @@ def product(sig, terms1: dict, terms2: dict) -> dict | None:
     b = _flat(terms2)
     if a is None or b is None:
         return None
-    cols = np.union1d(a.gens, b.gens)
+    cols = _unique(np.concatenate([a.gens, b.gens]))
     colmax = _colmax(a, cols) + _colmax(b, cols)
     bound = a.maxnum * b.maxnum * min(len(terms1), len(terms2))
     if colmax.max(initial=0) > _EMAX or bound >= _LIMIT:
@@ -67,8 +85,11 @@ def product(sig, terms1: dict, terms2: dict) -> dict | None:
     ctx = _Context(sig, cols, colmax)
     left = ctx.operand(_dense(a, ctx), a.nums, left=True)
     right = ctx.operand(_dense(b, ctx), b.nums, left=False)
-    acc = _Accumulator(ctx.words)
-    for keys, vals in _pairs(left, right):
+    step = _step(len(terms1) * len(terms2))
+    acc = _Accumulator(ctx.words, step)
+    na = len(terms1)
+    for keys, vals in _pairs(left, right, np.zeros(na, np.int64),
+                             np.full(na, len(terms2)), step):
         acc.add(keys, vals)
     return ctx.decode(*acc.result(), a.den * b.den)
 
@@ -80,15 +101,16 @@ def leibniz(sig, d_images, terms: dict) -> dict | None:
     Per input term and slot, the hole row (exponent - 1 at the slot, its
     multiplicity e and the sign `_leibniz_terms` gives it) is multiplied by
     the slot's d-image through the pair kernel.  Input rows are processed in
-    blocks, all slots of a block at once, so that terms which cancel meet
-    early and the accumulator stays near the size of the result.
+    blocks of about one step of pairs, all slots of a block at once, so
+    that terms which cancel meet early and the accumulator stays near the
+    size of the result.
     """
     if not terms:
         return {}
     x = _flat(terms)
     if x is None:
         return None
-    slots = [g for g in np.unique(x.gens).tolist() if d_images[g]]
+    slots = [g for g in _unique(x.gens).tolist() if d_images[g]]
     if not slots:
         return {}
     images = [_flat(d_images[g].terms) for g in slots]
@@ -96,7 +118,7 @@ def leibniz(sig, d_images, terms: dict) -> dict | None:
         return None
     img_den = lcm(*(im.den for im in images))
     img_max = max(im.maxnum * (img_den // im.den) for im in images)
-    cols = np.union1d(x.gens, np.concatenate([im.gens for im in images]))
+    cols = _unique(np.concatenate([x.gens] + [im.gens for im in images]))
     colmax = _colmax(x, cols) + np.max([_colmax(im, cols) for im in images],
                                        axis=0)
     emax = int(x.exps.max())
@@ -104,44 +126,65 @@ def leibniz(sig, d_images, terms: dict) -> dict | None:
     bound = x.maxnum * emax * img_max * meet
     if colmax.max(initial=0) > _EMAX or bound >= _LIMIT:
         return None
-    for im in images:
-        im.nums *= img_den // im.den
     ctx = _Context(sig, cols, colmax)
     ex = _dense(x, ctx)
     kx = ctx.pack(ex)
     xnums, den = x.nums, x.den
     del x
     colidx = np.searchsorted(cols, slots)
-    rights = [ctx.operand(_dense(im, ctx), im.nums, left=False)
-              for im in images]
+    # all d-images as one right operand: slot s owns rows off[s] + range(n[s])
+    n = np.array([len(im.nums) for im in images], dtype=np.int64)
+    off = np.cumsum(n) - n
+    for im in images:
+        im.nums *= img_den // im.den
+    right = ctx.operand(np.concatenate([_dense(im, ctx) for im in images]),
+                        np.concatenate([im.nums for im in images]), left=False)
+    del images
+    unit = np.stack([ctx.unit_key(c) for c in colidx.tolist()])
+    holes_at = ex[:, colidx] != 0
+    ends = np.cumsum(holes_at @ n)
+    step = _step(int(ends[-1]))
+    acc = _Accumulator(ctx.words, step)
     odd = ctx.odd
     par = ctx.par
-    acc = _Accumulator(ctx.words)
-    step = max(1, CHUNK // max(len(im.nums) for im in images))
-    for r0 in range(0, len(ex), step):
-        eb = ex[r0:r0 + step]
+    r0 = 0
+    while r0 < len(ex):
+        done = ends[r0 - 1] if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(ends, done + step, "right")))
+        eb = ex[r0:r1]
+        rows, s = np.nonzero(holes_at[r0:r1])
+        c = colidx[s]
         bits_d = eb & odd
         bits_p = eb & par
-        prefix = np.cumsum(bits_d, axis=1) - bits_d
-        suf_d = _strict_suffix(bits_d)
-        suf_p = _strict_suffix(bits_p)
-        for c, right in zip(colidx.tolist(), rights):
-            rows = np.flatnonzero(eb[:, c])
-            if not rows.size:
-                continue
-            e = eb[rows, c].astype(np.int64)
-            rest_d = suf_d[rows, c] + (e - 1) * odd[c]
-            rest_p = suf_p[rows, c] + (e - 1) * par[c]
-            cross = ((1 - odd[c]) * rest_d) ^ (par[c] * rest_p)
-            flip = (prefix[rows, c] ^ cross) & 1
-            nums = xnums[r0 + rows] * e * (1 - 2 * flip)
-            holes = eb[rows]
-            holes[:, c] -= 1
-            left = ctx.operand(holes, nums, left=True,
-                               keys=kx[r0 + rows] - ctx.unit_key(c))
-            for keys, vals in _pairs(left, right):
-                acc.add(keys, vals)
+        prefix = (np.cumsum(bits_d, axis=1) - bits_d)[rows, c]
+        e = eb[rows, c].astype(np.int64)
+        rest_d = _strict_suffix(bits_d)[rows, c] + (e - 1) * odd[c]
+        rest_p = _strict_suffix(bits_p)[rows, c] + (e - 1) * par[c]
+        cross = ((1 - odd[c]) * rest_d) ^ (par[c] * rest_p)
+        flip = (prefix ^ cross) & 1
+        nums = xnums[r0 + rows] * e * (1 - 2 * flip)
+        holes = eb[rows]
+        holes[np.arange(len(rows)), c] -= 1
+        left = ctx.operand(holes, nums, left=True,
+                           keys=kx[r0 + rows] - unit[s])
+        for keys, vals in _pairs(left, right, off[s], n[s], step):
+            acc.add(keys, vals)
+        r0 = r1
     return ctx.decode(*acc.result(), den * img_den)
+
+
+def _step(pairs: int) -> int:
+    """Pairs per vectorised step for a call of `pairs` pairs."""
+    return min(STEP_MAX, max(STEP_MIN, pairs // STEPS))
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array.  (`np.unique` imports
+    `numpy.ma` on its first call, ~2 MiB of RSS and ~0.1 s.)"""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 class _Flat:
@@ -183,11 +226,12 @@ def _dense(f: _Flat, ctx: "_Context") -> np.ndarray:
 
 
 def _bitmask(bits: np.ndarray) -> np.ndarray:
-    """Rows of nonzero / zero entries as little-endian uint64 bit masks."""
+    """Rows of nonzero / zero entries as little-endian uint64 bit masks,
+    word-major: entry [w, i] is word w of row i."""
     packed = np.packbits(bits.astype(bool), axis=1, bitorder="little")
     out = np.zeros((len(bits), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     out[:, :packed.shape[1]] = packed
-    return out.view(np.uint64)
+    return np.ascontiguousarray(out.view(np.uint64).T)
 
 
 def _strict_suffix(bits: np.ndarray) -> np.ndarray:
@@ -240,7 +284,7 @@ class _Context:
     def operand(self, e: np.ndarray, nums: np.ndarray, left: bool,
                 keys=None) -> _Operand:
         """One side of the pair kernel, with its bit masks: sign bits and
-        square-zero occupancy, one row of uint64 words per term.
+        square-zero occupancy, as uint64 words (`_bitmask`).
 
         Sign bits are a row's odd-degree bits followed by its odd-parity
         bits; on the left side each is replaced by the parity of the bits
@@ -266,7 +310,7 @@ class _Context:
         out: dict = {}
         if not len(nums):
             return out
-        uniq = np.unique(nums)
+        uniq = _unique(nums)
         fracs = [Fraction(v, den) for v in uniq.tolist()]
         # one shared (generator, exponent) tuple per column and exponent
         table = []
@@ -290,35 +334,41 @@ class _Context:
         return out
 
 
-def _pairs(a: _Operand, b: _Operand):
-    """Yield (keys, values) of the non-vanishing signed products of every
-    row of a with every row of b, at most CHUNK pairs at a time, in
-    row-major (a, b) order."""
-    nb = len(b.nums)
-    bstep = min(nb, CHUNK)
-    astep = max(1, CHUNK // bstep)
-    for i in range(0, len(a.nums), astep):
-        ia = slice(i, i + astep)
-        for j in range(0, nb, bstep):
-            ib = slice(j, j + bstep)
-            # the parity of a popcount is that of the XOR of its words
-            flip = np.bitwise_xor.reduce(
-                a.sign[ia, None, :] & b.sign[None, ib, :], axis=2)
-            flip = np.bitwise_count(flip) & 1
-            live = ~(a.occ[ia, None, :] & b.occ[None, ib, :]).any(axis=2)
-            vals = a.nums[ia, None] * b.nums[None, ib]
-            vals = np.where(flip, -vals, vals)[live]
-            keys = (a.keys[ia, None, :] + b.keys[None, ib, :])[live]
-            yield keys, vals
+def _pairs(a: _Operand, b: _Operand, starts: np.ndarray,
+           counts: np.ndarray, step: int):
+    """Yield (keys, values) of the non-vanishing signed products of each
+    row i of a with the rows starts[i] .. starts[i] + counts[i] - 1 of b,
+    at most `step` pairs at a time, in row-major order."""
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    total = int(counts.sum())
+    for p0 in range(0, total, step):
+        p = np.arange(p0, min(p0 + step, total))
+        ia = np.searchsorted(ends, p, "right")
+        ib = starts[ia] + (p - begins[ia])
+        dead = np.zeros(len(ia), dtype=np.uint64)
+        for wa, wb in zip(a.occ, b.occ):
+            dead |= wa[ia] & wb[ib]
+        live = np.flatnonzero(dead == 0)
+        ia = ia[live]
+        ib = ib[live]
+        # the parity of a popcount is that of the XOR of its words
+        flip = np.zeros(len(ia), dtype=np.uint64)
+        for wa, wb in zip(a.sign, b.sign):
+            flip ^= wa[ia] & wb[ib]
+        vals = a.nums[ia] * b.nums[ib]
+        np.negative(vals, out=vals, where=(np.bitwise_count(flip) & 1) == 1)
+        yield a.keys[ia] + b.keys[ib], vals
 
 
 class _Accumulator:
     """Merges (packed keys, int64 values) batches, dropping zero sums.
 
     Batches wait until they outnumber the merged entries (and at least
-    4 x CHUNK), so each entry is re-merged a bounded number of times."""
+    2 x step), so each entry is re-merged a bounded number of times."""
 
-    def __init__(self, words: int):
+    def __init__(self, words: int, step: int):
+        self.floor = 2 * step
         self.keys = np.zeros((0, words), dtype=np.uint64)
         self.vals = np.zeros(0, dtype=np.int64)
         self.pending: list = []
@@ -327,7 +377,7 @@ class _Accumulator:
     def add(self, keys: np.ndarray, vals: np.ndarray):
         self.pending.append((keys, vals))
         self.size += len(vals)
-        if self.size >= max(4 * CHUNK, len(self.vals)):
+        if self.size >= max(self.floor, len(self.vals)):
             self._merge()
 
     def _merge(self):

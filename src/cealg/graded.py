@@ -12,8 +12,9 @@ dict path (`_products` feeding `_accumulate`) multiplies monomial by
 monomial and is the reference.  A product of at least BATCH_PAIRS term
 pairs goes to `batched.product`, which works on int8 exponent matrices and
 int64 numerators over a shared denominator, and falls back to the dict
-path when its int64 or int8 guards trip.  `dgca.apply_d` makes the same
-choice at `dgca.BATCH_TERMS` input terms.
+path when its int64 or int8 guards trip.  `dgca.apply_d` sends d(x) to
+`batched.leibniz` at the same BATCH_PAIRS, counting its Leibniz pairs: over
+the terms of x and their factors g, the terms of d g.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ Monomial = tuple[tuple[int, int], ...]
 
 ONE_MONOMIAL: Monomial = ()
 
-#: Products with at least this many term pairs go to `batched.product`.
+#: Products and Leibniz differentials with at least this many term pairs go
+#: to the batched kernel.
 BATCH_PAIRS = 50_000
 
 
@@ -416,15 +418,16 @@ _ZERO = Fraction(0)
 def _accumulate(acc: dict, pairs) -> dict:
     """Add (monomial, coefficient) pairs into `acc` in place and return it.
 
-    The one accumulation kernel of the package: a sum that cancels to zero
-    is removed, so `acc` stays canonical.  Every coefficient fed in must be
-    nonzero.
+    The one accumulation kernel of the package: a zero fed in for a new
+    monomial is not stored and a sum that cancels to zero is removed, so
+    `acc` stays canonical.
     """
     get = acc.get
     for m, c in pairs:
         t = get(m)
         if t is None:
-            acc[m] = c
+            if c:
+                acc[m] = c
         else:
             t += c
             if t:

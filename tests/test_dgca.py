@@ -1,7 +1,12 @@
 """Differentials, morphisms, homotopies, extensions and pushouts."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +31,13 @@ from cealg import (
     make_signature,
     set_generators_to_zero,
 )
+import cealg
 from cealg import batched
 from cealg.catalog import _mink
-from cealg.dgca import BATCH_TERMS, _leibniz_terms
-from cealg.graded import EVEN, _accumulate
-from test_graded import random_signature, random_terms
+from cealg.dgca import _leibniz_terms
+from cealg.graded import BATCH_PAIRS, EVEN, _accumulate
+from cealg.linalg import is_coboundary
+from test_graded import dict_product, random_signature, random_terms
 
 
 def s4_algebra():
@@ -152,24 +159,170 @@ def test_batched_leibniz_matches_dict_path(data):
 
 
 def test_batched_leibniz_guards_fall_back_to_dict_path():
-    # d x = c z^30 y with z of degree 0; inputs above the term threshold, so
-    # apply_d asks the batched kernel
+    # d x = c z^30 y (1 + w + ... + w^49) with z, w of degree 0; inputs
+    # above the pair gate, so apply_d asks the batched kernel
     sig = make_signature([GeneratorDecl("x", (), 2, EVEN),
                           GeneratorDecl("y", (), 3, EVEN),
-                          GeneratorDecl("z", (), 0, EVEN)])
-    rows = BATCH_TERMS // 40 + 1
+                          GeneratorDecl("z", (), 0, EVEN),
+                          GeneratorDecl("w", (), 0, EVEN)])
+    w, x, y, z = (sig.gen_id(n) for n in "wxyz")
+    width = 50
+    rows = BATCH_PAIRS // width + 1
 
     def case(img_coeff, x_coeff, zbase):
-        alg = make_dgca(sig, {"x": Element(sig, {((1, 1), (2, 30)):
-                                                 Fraction(img_coeff)})})
-        x = Element(sig, {((0, 1 + i % 40), (2, zbase + i // 40)):
-                          Fraction(x_coeff) for i in range(40 * rows)})
-        return alg, x
+        image = {(((w, k),) if k else ()) + ((y, 1), (z, 30)):
+                 Fraction(img_coeff) for k in range(width)}
+        alg = make_dgca(sig, {"x": Element(sig, image)})
+        el = Element(sig, {((x, 1 + i % 40), (z, zbase + i // 40)):
+                           Fraction(x_coeff) for i in range(rows)})
+        return alg, el
 
-    for alg, x in [case(2 ** 30, 2 ** 40, 0),   # products reach 2**70
-                   case(1, 1, 60)]:            # z exponents past 127
-        assert apply_d(alg, x).terms == dict_leibniz(alg.d_images, x)
-        assert batched.leibniz(sig, alg.d_images, x.terms) is None
+    for alg, el in [case(2 ** 30, 2 ** 40, 0),   # products reach 2**70
+                    case(1, 1, 100)]:           # z exponents past 127
+        assert apply_d(alg, el).terms == dict_leibniz(alg.d_images, el)
+        assert batched.leibniz(sig, alg.d_images, el.terms) is None
+
+
+def test_apply_d_routes_by_leibniz_pairs(monkeypatch):
+    calls = []
+    real = batched.leibniz
+
+    def spy(sig, d_images, terms):
+        calls.append(len(terms))
+        return real(sig, d_images, terms)
+
+    monkeypatch.setattr(batched, "leibniz", spy)
+    sig = make_signature([GeneratorDecl(n, (), 1 if n == "y" else 0, EVEN)
+                          for n in "auwyz"])
+    a, u, w, y, z = (sig.gen_id(n) for n in "auwyz")
+    # one input term whose d-image has 37**3 > BATCH_PAIRS terms
+    image = Element(sig, {tuple((g, k) for g, k in ((u, i), (w, j), (y, 1),
+                                                    (z, k)) if k):
+                          Fraction(1 + i) for i in range(37)
+                          for j in range(37) for k in range(37)})
+    assert len(image) > BATCH_PAIRS
+    big = make_dgca(sig, {"a": image})
+    assert apply_d(big, Element.generator(sig, "a")) == image
+    assert calls == [1]
+    # 3,000 input terms with one pair each: far below the gate
+    small = make_dgca(sig, {"a": Element.generator(sig, "y")})
+    el = Element(sig, {((a, 1), (z, i)) if i else ((a, 1),): Fraction(1)
+                       for i in range(3000)})
+    assert apply_d(small, el).terms == dict_leibniz(small.d_images, el)
+    assert calls == [1]
+
+
+#: A scaled step rule, breakpoints at 6 and 24 pairs (STEPS * STEP_MIN and
+#: STEPS * STEP_MAX), that random inputs land on both sides of.
+SCALED_STEPS = {"STEPS": 2, "STEP_MIN": 3, "STEP_MAX": 12}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_batched_kernels_match_dict_path_across_step_rule(data):
+    sig = data.draw(random_signature(max_gens=12))
+    t1 = data.draw(random_terms(sig))
+    t2 = data.draw(random_terms(sig))
+    images = tuple(Element(sig, data.draw(random_terms(sig, max_terms=4)))
+                   for _ in range(len(sig)))
+    x = Element(sig, data.draw(random_terms(sig)))
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in SCALED_STEPS.items():
+            mp.setattr(batched, name, value)
+        assert batched.product(sig, t1, t2) == dict_product(sig, t1, t2)
+        assert (batched.leibniz(sig, images, x.terms)
+                == dict_leibniz(images, x))
+
+
+@pytest.mark.parametrize("pairs", [5, 6, 7, 23, 24, 25])
+def test_batched_kernels_at_step_rule_breakpoints(monkeypatch, pairs):
+    """Pair counts one below, at and one above each breakpoint of the
+    scaled rule, for both kernels."""
+    for name, value in SCALED_STEPS.items():
+        monkeypatch.setattr(batched, name, value)
+    sig = make_signature(GeneratorDecl("x", (i,), i % 3, i % 2)
+                         for i in range(10))
+    rng = random.Random(pairs)
+    rest = rng.sample(list(combinations(range(1, 10), 2)), pairs)
+    t1 = {((0, 1), (g, 1), (h, 1)): Fraction(rng.randint(-5, 5) or 1,
+                                             rng.randint(1, 3))
+          for g, h in rest}
+    t2 = {((9, 1),): Fraction(-2, 3)}
+    assert batched.product(sig, t1, t2) == dict_product(sig, t1, t2)
+    # only x^0 has a d-image, of one term: one pair per input term
+    images = tuple(Element(sig, {((1, 1), (2, 1)): Fraction(5)} if i == 0
+                           else {}) for i in range(10))
+    x = Element(sig, t1)
+    assert batched.leibniz(sig, images, x.terms) == dict_leibniz(images, x)
+
+
+def test_step_rule_extremes():
+    lo = batched.STEPS * batched.STEP_MIN
+    hi = batched.STEPS * batched.STEP_MAX
+    assert batched._step(1) == batched._step(lo) == batched.STEP_MIN
+    assert batched._step(lo + batched.STEPS) == batched.STEP_MIN + 1
+    assert batched._step(hi - batched.STEPS) == batched.STEP_MAX - 1
+    assert batched._step(hi) == batched._step(10 * hi) == batched.STEP_MAX
+    # the d(g4 - mu4) on super-Poincare and fivebrane's d mu7
+    assert batched._step(149_856) == 4_683
+    assert batched._step(741_888) == 23_184
+
+
+def test_apply_d_drops_zero_coefficients():
+    """A zero coefficient in a raw Element must not leak into d of it: on
+    superMink(3), d(0 e^0 e^1) once kept four explicit zero terms, which
+    made is_coboundary reject its own witness."""
+    alg = MINK3
+    sig = alg.sig
+    m = ((sig.gen_id("e^0"), 1), (sig.gen_id("e^1"), 1))
+    dx = apply_d(alg, Element(sig, {m: Fraction(0)}))
+    assert dx.terms == {}
+    assert dx == Element.zero(sig)
+    assert is_coboundary(alg, dx).status == "yes"
+    # a zero next to a nonzero term: only the nonzero term's d is kept
+    e2 = Element.generator(sig, "e^2")
+    mixed = Element(sig, {m: Fraction(0), **e2.terms})
+    assert apply_d(alg, mixed) == apply_d(alg, e2)
+
+
+D_MU4_MEMORY_SCRIPT = """
+import tracemalloc
+
+from cealg import batched, catalog
+from cealg.dgca import adjoin_generator, apply_d
+from cealg.graded import EVEN, Element, GeneratorDecl, transport
+
+iso = catalog.super_poincare().algebra
+alg = adjoin_generator(iso, GeneratorDecl("g4", (), 4, EVEN),
+                       Element.zero(iso.sig))
+x = Element.generator(alg.sig, "g4") - transport(catalog._mu(11, 2), alg.sig)
+calls = []
+real = batched.leibniz
+batched.leibniz = lambda *a: calls.append(1) or real(*a)
+tracemalloc.start()
+dx = apply_d(alg, x)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(len(x), len(calls), len(dx), peak)
+"""
+
+
+def test_resolved_poincare_d_mu4_memory_on_the_kernel():
+    """The closure check d(g4 - mu4) of the resolved Poincare algebra
+    (913 terms, 149,856 Leibniz pairs) runs on the batched kernel, gives 0
+    and keeps its tracemalloc peak (numpy reports its buffers) at most
+    6.95 MiB, half of what a fixed 2**17-pair step costs there.  Run in a
+    fresh interpreter, so that the figure repeats exactly."""
+    src = str(Path(cealg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", D_MU4_MEMORY_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    terms, calls, result, peak = map(int, proc.stdout.split())
+    assert (terms, calls, result) == (913, 1, 0)
+    assert peak <= 6.95 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_check_d_squared_negative_control():

@@ -323,10 +323,12 @@ def test_batched_product_chunks_collisions_and_full_cancellation(
     # (e0 + e1)^2 = e0 e1 + e1 e0 = 0 for anticommuting degree-1 generators
     e = Element.generator(SIG, "e^0") + Element.generator(SIG, "e^1")
     assert batched.product(SIG, e.terms, e.terms) == {}
-    # tiny chunks: many pair steps, accumulator merges and decode blocks;
-    # one term on all 80 generators, so packed keys take two words, and the
-    # rest on a few generators at both ends, so that many pairs meet
-    monkeypatch.setattr(batched, "CHUNK", 7)
+    # 7-pair steps whatever the call's size: many pair steps, accumulator
+    # merges and decode blocks; one term on all 80 generators, so packed
+    # keys take two words, and the rest on a few generators at both ends,
+    # so that many pairs meet
+    monkeypatch.setattr(batched, "STEP_MIN", 7)
+    monkeypatch.setattr(batched, "STEP_MAX", 7)
     monkeypatch.setattr(batched, "ROWS", 3)
     sig = make_signature(GeneratorDecl("x", (i,), i % 5, i % 2)
                          for i in range(80))
