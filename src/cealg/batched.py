@@ -1,10 +1,21 @@
-"""Exact batched products and Leibniz differentials for large elements.
+"""Exact batched sums of products for large elements.
 
 The vectorised twin of the dict kernel in `graded` (`_products`) and
-`dgca` (`_leibniz_terms`).  An element becomes an int8 exponent matrix
-(terms x generators, restricted to the generators in use) and int64
-numerators over one shared denominator, the lcm of its coefficients'
-denominators.  For a pair of terms (a, b):
+`dgca` (`_leibniz_terms`).  One core, `_sum_of_products`, computes
+sum_k A_k * B_k, where each left row is tagged with the right block B_k it
+meets.  It has two front-ends, and each returns None below `BATCH_PAIRS`
+term pairs, so that its caller takes the dict path:
+
+* `product(sig, terms1, terms2)`: one block, terms2, met by every term of
+  terms1;
+* `leibniz(sig, d_images, terms)`: one block per slot generator g, d g,
+  met by the holes at g: each term with a factor g^e, with g's exponent
+  lowered by one, times e and the sign `_leibniz_terms` gives it.  Its pair
+  count is the sum over the terms and their factors g of the terms of d g.
+
+An element becomes an int8 exponent matrix (terms x generators in use)
+and int64 numerators over one shared denominator.  For a pair of terms
+(a, b):
 
 * the Koszul sign is the parity of (strict suffix sums of a's odd-degree
   bits) . (b's odd-degree bits), plus the same for odd-parity bits, which
@@ -12,51 +23,47 @@ denominators.  For a pair of terms (a, b):
   so it is the parity of popcount(mask_a & mask_b);
 * the pair vanishes when a and b share a square-zero generator, that is
   when their square-zero occupancy masks meet;
-* the exponent row of the product is a + b, and since every packed field
-  is wide enough for the sum, the packed key of the product is the word-wise
-  sum of the packed keys of a and b.
+* the packed key of the product is the word-wise sum of the packed keys of
+  a and b, since every packed field is wide enough for the sum.
 
-Pairs are formed in steps, equal keys are merged by sort and
-`np.add.reduceat` into a running accumulator, zero sums are dropped, and the
-result is decoded back to canonical `(monomial, Fraction)` dict entries in
-row blocks, with one shared tuple per (generator, exponent) and one
-`Fraction` per distinct coefficient.  One step pairs each left row i with
-its own run of right rows (all of them in a product, the d-image of the
-hole's slot in a Leibniz block), so it costs the same few dozen numpy calls
-however many slots or rows it spans.
+Pairs are formed in steps, in left-row order (term-major and slot-minor
+for Leibniz), merged by sort and `np.add.reduceat` into a running
+accumulator that drops zero sums, and decoded to canonical
+`(monomial, Fraction)` entries with one shared tuple per (generator,
+exponent) and one `Fraction` per distinct coefficient.  A call of P pairs
+takes steps of P / 32 pairs clamped to [2**11, 2**17] (`_step`), and its
+accumulator lets two steps wait before a merge, so a small call stays
+small: the 149,856-pair d(g4 - mu4) on super-Poincare peaks at about
+3 MiB of traced memory, where 2**17-pair steps take 14.2 MiB at about the
+same speed.
 
-The step is sized to the call: a call of P pairs takes steps of P / 32
-pairs, at least 2**11 (below that the fixed cost of a step dominates) and
-at most 2**17 (`_step`), and its accumulator
-lets two steps of pairs, or as many as it holds merged entries, wait
-before a merge.  A step's temporaries, the waiting pairs and the merge all
-grow with the step, so a small call stays small: the 149,856-pair
-d(g4 - mu4) on super-Poincare takes 4,683-pair steps and peaks at 3.0 MiB
-of traced memory (numpy reports its buffers), where 2**17-pair steps take
-14.2 MiB at about the same speed.  A large call keeps large steps: the
-0.7-1.6M-pair d mu7, mu4**2 and d of the five-brane cocycle take
-23k-50k-pair steps.
-
-Every entry point returns None instead of an answer when one of its guards
-trips, and the caller then takes the exact dict path:
+The core returns None when a guard trips, and the caller then takes the
+exact dict path:
 
 * an output exponent sum (and so an input exponent) exceeds int8 (127);
-* a numerator over the shared denominator, or max|numerator| *
-  max|numerator| * (pairs that can meet in one output monomial), could
-  reach 2**62, so an int64 product or sum could wrap.
+* a numerator, or max|left| * max|right| * min(left rows, right rows),
+  could reach 2**62, so that an int64 product or sum could wrap.  The left
+  numerators include the Leibniz multiplicity e.  In one output monomial a
+  left row meets at most one row of its block, and a right row at most one
+  left row tagged with its block, hence the min.
 
-The module uses only the signature's bit tables, not `Element` or
-`apply_d`, so the dict path stays an independent reference for it.
+The module uses only the signature's bit tables and the d-images' terms,
+not `Element` or `apply_d`, so the dict path stays an independent
+reference for it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import chain, islice
 from math import lcm
 
 import numpy as np
 
+#: Products and Leibniz differentials of fewer term pairs are left to the
+#: dict path.
+BATCH_PAIRS = 50_000
 #: Pairs per vectorised step: P // STEPS for a call of P pairs, clamped to
 #: [STEP_MIN, STEP_MAX] (see `_step` and the module docstring).
 STEPS = 32
@@ -70,107 +77,107 @@ _EMAX = 127
 
 
 def product(sig, terms1: dict, terms2: dict) -> dict | None:
-    """The canonical terms of terms1 * terms2, or None if a guard trips."""
-    if not terms1 or not terms2:
-        return {}
-    a = _flat(terms1)
-    b = _flat(terms2)
-    if a is None or b is None:
+    """The canonical terms of terms1 * terms2, or None below the gate or if
+    a guard trips."""
+    if len(terms1) * len(terms2) < BATCH_PAIRS:
         return None
-    cols = _unique(np.concatenate([a.gens, b.gens]))
-    colmax = _colmax(a, cols) + _colmax(b, cols)
-    bound = a.maxnum * b.maxnum * min(len(terms1), len(terms2))
-    if colmax.max(initial=0) > _EMAX or bound >= _LIMIT:
-        return None
-    ctx = _Context(sig, cols, colmax)
-    left = ctx.operand(_dense(a, ctx), a.nums, left=True)
-    right = ctx.operand(_dense(b, ctx), b.nums, left=False)
-    step = _step(len(terms1) * len(terms2))
-    acc = _Accumulator(ctx.words, step)
-    na = len(terms1)
-    for keys, vals in _pairs(left, right, np.zeros(na, np.int64),
-                             np.full(na, len(terms2)), step):
-        acc.add(keys, vals)
-    return ctx.decode(*acc.result(), a.den * b.den)
+    return _sum_of_products(sig, _flat(terms1), [_flat(terms2)], _term_rows)
 
 
 def leibniz(sig, d_images, terms: dict) -> dict | None:
     """The canonical terms of d(terms) under the generator differentials
-    `d_images` (Elements), or None if a guard trips.
-
-    Per input term and slot, the hole row (exponent - 1 at the slot, its
-    multiplicity e and the sign `_leibniz_terms` gives it) is multiplied by
-    the slot's d-image through the pair kernel.  Input rows are processed in
-    blocks of about one step of pairs, all slots of a block at once, so
-    that terms which cancel meet early and the accumulator stays near the
-    size of the result.
-    """
-    if not terms:
-        return {}
+    `d_images` (Elements), or None below the gate or if a guard trips."""
+    if not _reaches_batch_pairs(d_images, terms):
+        return None
     x = _flat(terms)
     if x is None:
         return None
     slots = [g for g in _unique(x.gens).tolist() if d_images[g]]
-    if not slots:
-        return {}
-    images = [_flat(d_images[g].terms) for g in slots]
-    if any(im is None for im in images):
+    return _sum_of_products(sig, x, [_flat(d_images[g].terms) for g in slots],
+                            partial(_hole_rows, slots))
+
+
+def _reaches_batch_pairs(d_images, terms: dict) -> bool:
+    """Whether d(terms) has at least BATCH_PAIRS Leibniz pairs: the sum,
+    over the terms and their factors g, of the terms of d g.  The count
+    stops at the gate."""
+    pairs = 0
+    for mono in terms:
+        if pairs >= BATCH_PAIRS:
+            return True
+        for g, _ in mono:
+            pairs += len(d_images[g].terms)
+    return pairs >= BATCH_PAIRS
+
+
+def _term_rows(ctx, e: np.ndarray, x: "_Flat"):
+    """The left rows of a product: every term of x, all meeting block 0."""
+    return e, x.nums, x.maxnum, np.zeros(len(e), dtype=np.int64)
+
+
+def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
+    """The left rows of a Leibniz differential: per term of x (term-major)
+    and slot (slot-minor) where the term has a factor g^e, its exponent row
+    with e - 1 at g and its numerator times e and the sign `_leibniz_terms`
+    gives it, tagged with the slot's block.  Only the parities of prefix
+    and suffix sums are used, so they are summed in int8."""
+    cs = np.searchsorted(ctx.cols, slots)
+    rows, tags = np.nonzero(e[:, cs])
+    c = cs[tags]
+    k = e[rows, c].astype(np.int64)
+    odd = ctx.odd[c]
+    par = ctx.par[c]
+    bits_d = e & ctx.odd
+    bits_p = e & ctx.par
+    prefix = (np.cumsum(bits_d, axis=1, dtype=np.int8) - bits_d)[rows, c]
+    rest_d = _strict_suffix(bits_d)[rows, c] + (k - 1) * odd
+    rest_p = _strict_suffix(bits_p)[rows, c] + (k - 1) * par
+    flip = (prefix ^ ((1 - odd) * rest_d) ^ (par * rest_p)) & 1
+    holes = e[rows]
+    holes[np.arange(len(rows)), c] -= 1
+    return (holes, x.nums[rows] * k * (1 - 2 * flip),
+            x.maxnum * int(e.max(initial=0)), tags)
+
+
+def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
+                     ) -> dict | None:
+    """The canonical terms of sum_k A_k * B_k, or None if a guard trips.
+
+    The blocks B_k are the flat terms `blocks`.  `left_rows(ctx, e, x)`
+    turns the exponent rows e and the numerators of x into the left rows:
+    (int8 exponent rows, int64 numerators over x's denominator, a bound on
+    their absolute values, the block index each row meets)."""
+    if x is None or any(b is None for b in blocks):
         return None
-    img_den = lcm(*(im.den for im in images))
-    img_max = max(im.maxnum * (img_den // im.den) for im in images)
-    cols = _unique(np.concatenate([x.gens] + [im.gens for im in images]))
-    colmax = _colmax(x, cols) + np.max([_colmax(im, cols) for im in images],
+    if not blocks:
+        return {}
+    cols = _unique(np.concatenate([x.gens] + [b.gens for b in blocks]))
+    colmax = _colmax(x, cols) + np.max([_colmax(b, cols) for b in blocks],
                                        axis=0)
-    emax = int(x.exps.max())
-    meet = min(sum(len(im.nums) for im in images), len(terms) * len(slots))
-    bound = x.maxnum * emax * img_max * meet
-    if colmax.max(initial=0) > _EMAX or bound >= _LIMIT:
+    if colmax.max(initial=0) > _EMAX:
         return None
     ctx = _Context(sig, cols, colmax)
-    ex = _dense(x, ctx)
-    kx = ctx.pack(ex)
-    xnums, den = x.nums, x.den
-    del x
-    colidx = np.searchsorted(cols, slots)
-    # all d-images as one right operand: slot s owns rows off[s] + range(n[s])
-    n = np.array([len(im.nums) for im in images], dtype=np.int64)
-    off = np.cumsum(n) - n
-    for im in images:
-        im.nums *= img_den // im.den
-    right = ctx.operand(np.concatenate([_dense(im, ctx) for im in images]),
-                        np.concatenate([im.nums for im in images]), left=False)
-    del images
-    unit = np.stack([ctx.unit_key(c) for c in colidx.tolist()])
-    holes_at = ex[:, colidx] != 0
-    ends = np.cumsum(holes_at @ n)
-    step = _step(int(ends[-1]))
+    e, nums, maxnum, tags = left_rows(ctx, _dense(x, ctx), x)
+    den = lcm(*(b.den for b in blocks))
+    bmax = max(b.maxnum * (den // b.den) for b in blocks)
+    sizes = np.array([len(b.nums) for b in blocks], dtype=np.int64)
+    if maxnum * bmax * min(int(sizes.sum()), len(e)) >= _LIMIT:
+        return None
+    a = ctx.operand(e, nums, left=True)
+    del e, nums
+    for blk in blocks:
+        blk.nums *= den // blk.den
+    b = ctx.operand(np.concatenate([_dense(blk, ctx) for blk in blocks]),
+                    np.concatenate([blk.nums for blk in blocks]), left=False)
+    # the pairs p of left row i end at ends[i]; p meets right row p + shift[i]
+    ends = np.cumsum(sizes[tags])
+    shift = np.cumsum(sizes)[tags] - ends
+    step = _step(int(ends.max(initial=0)))
     acc = _Accumulator(ctx.words, step)
-    odd = ctx.odd
-    par = ctx.par
-    r0 = 0
-    while r0 < len(ex):
-        done = ends[r0 - 1] if r0 else 0
-        r1 = max(r0 + 1, int(np.searchsorted(ends, done + step, "right")))
-        eb = ex[r0:r1]
-        rows, s = np.nonzero(holes_at[r0:r1])
-        c = colidx[s]
-        bits_d = eb & odd
-        bits_p = eb & par
-        prefix = (np.cumsum(bits_d, axis=1) - bits_d)[rows, c]
-        e = eb[rows, c].astype(np.int64)
-        rest_d = _strict_suffix(bits_d)[rows, c] + (e - 1) * odd[c]
-        rest_p = _strict_suffix(bits_p)[rows, c] + (e - 1) * par[c]
-        cross = ((1 - odd[c]) * rest_d) ^ (par[c] * rest_p)
-        flip = (prefix ^ cross) & 1
-        nums = xnums[r0 + rows] * e * (1 - 2 * flip)
-        holes = eb[rows]
-        holes[np.arange(len(rows)), c] -= 1
-        left = ctx.operand(holes, nums, left=True,
-                           keys=kx[r0 + rows] - unit[s])
-        for keys, vals in _pairs(left, right, off[s], n[s], step):
-            acc.add(keys, vals)
-        r0 = r1
-    return ctx.decode(*acc.result(), den * img_den)
+    for keys, vals in _pairs(a, b, ends, shift, step):
+        acc.add(keys, vals)
+    del a, b, tags, ends, shift
+    return ctx.decode(*acc.result(), x.den * den)
 
 
 def _step(pairs: int) -> int:
@@ -200,7 +207,7 @@ def _flat(terms: dict) -> _Flat | None:
     coeffs = list(terms.values())
     f.den = den = lcm(*{c.denominator for c in coeffs})
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    f.maxnum = max(map(abs, nums))
+    f.maxnum = max(map(abs, nums), default=0)
     if f.maxnum >= _LIMIT:
         return None
     f.nums = np.array(nums, dtype=np.int64)
@@ -235,8 +242,9 @@ def _bitmask(bits: np.ndarray) -> np.ndarray:
 
 
 def _strict_suffix(bits: np.ndarray) -> np.ndarray:
-    """Row-wise sums over the columns strictly to the right."""
-    return np.cumsum(bits[:, ::-1], axis=1)[:, ::-1] - bits
+    """Row-wise sums over the columns strictly to the right, in int8: only
+    their parities are used."""
+    return np.cumsum(bits[:, ::-1], axis=1, dtype=np.int8)[:, ::-1] - bits
 
 
 class _Operand:
@@ -276,13 +284,8 @@ class _Context:
             keys[:, w] |= e[:, c].astype(np.uint64) << np.uint64(s)
         return keys
 
-    def unit_key(self, c: int) -> np.ndarray:
-        key = np.zeros(self.words, dtype=np.uint64)
-        key[self.word[c]] = np.uint64(1 << self.shift[c])
-        return key
-
-    def operand(self, e: np.ndarray, nums: np.ndarray, left: bool,
-                keys=None) -> _Operand:
+    def operand(self, e: np.ndarray, nums: np.ndarray, left: bool
+                ) -> _Operand:
         """One side of the pair kernel, with its bit masks: sign bits and
         square-zero occupancy, as uint64 words (`_bitmask`).
 
@@ -299,7 +302,7 @@ class _Context:
                                    _strict_suffix(bits[:, n:])], axis=1) & 1
         op = _Operand()
         op.nums = nums
-        op.keys = self.pack(e) if keys is None else keys
+        op.keys = self.pack(e)
         op.sign = _bitmask(bits)
         op.occ = _bitmask(e[:, self.sqz])
         return op
@@ -334,18 +337,16 @@ class _Context:
         return out
 
 
-def _pairs(a: _Operand, b: _Operand, starts: np.ndarray,
-           counts: np.ndarray, step: int):
-    """Yield (keys, values) of the non-vanishing signed products of each
-    row i of a with the rows starts[i] .. starts[i] + counts[i] - 1 of b,
-    at most `step` pairs at a time, in row-major order."""
-    ends = np.cumsum(counts)
-    begins = ends - counts
-    total = int(counts.sum())
+def _pairs(a: _Operand, b: _Operand, ends: np.ndarray, shift: np.ndarray,
+           step: int):
+    """Yield (keys, values) of the non-vanishing signed products of the
+    pairs p of a and b, `step` at a time and in order: pair p belongs to
+    the first row i of a with p < ends[i], and to row p + shift[i] of b."""
+    total = int(ends.max(initial=0))
     for p0 in range(0, total, step):
         p = np.arange(p0, min(p0 + step, total))
         ia = np.searchsorted(ends, p, "right")
-        ib = starts[ia] + (p - begins[ia])
+        ib = p + shift[ia]
         dead = np.zeros(len(ia), dtype=np.uint64)
         for wa, wb in zip(a.occ, b.occ):
             dead |= wa[ia] & wb[ib]

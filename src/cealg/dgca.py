@@ -17,7 +17,6 @@ from typing import Iterable, Mapping
 from . import batched
 from .graded import (
     AlgebraSignature,
-    BATCH_PAIRS,
     Element,
     GeneratorDecl,
     GradedError,
@@ -172,23 +171,10 @@ def apply_d(A: SemifreeDGCA, x: Element) -> Element:
     sig = A.sig
     if x.sig != sig:
         raise SignatureMismatch("element not in this algebra")
-    if _reaches_batch_pairs(A.d_images, x):
-        terms = batched.leibniz(sig, A.d_images, x.terms)
-        if terms is not None:
-            return Element(sig, terms)
-    return Element(sig, _accumulate({}, _leibniz_terms(A.d_images, x)))
-
-
-def _reaches_batch_pairs(d_images: tuple[Element, ...], x: Element) -> bool:
-    """Whether d(x) has at least BATCH_PAIRS Leibniz pairs: the sum, over
-    the terms of x and their factors g, of the terms of d g."""
-    pairs = 0
-    for mono in x.terms:
-        for g, _ in mono:
-            pairs += len(d_images[g].terms)
-        if pairs >= BATCH_PAIRS:
-            return True
-    return False
+    terms = batched.leibniz(sig, A.d_images, x.terms)
+    if terms is None:
+        terms = _accumulate({}, _leibniz_terms(A.d_images, x))
+    return Element(sig, terms)
 
 
 def _leibniz_terms(d_images: tuple[Element, ...], x: Element):

@@ -9,12 +9,9 @@ incurred by sorting absorbed into the coefficient.
 
 Products have two exact paths that return the same canonical map.  The
 dict path (`_products` feeding `_accumulate`) multiplies monomial by
-monomial and is the reference.  A product of at least BATCH_PAIRS term
-pairs goes to `batched.product`, which works on int8 exponent matrices and
-int64 numerators over a shared denominator, and falls back to the dict
-path when its int64 or int8 guards trip.  `dgca.apply_d` sends d(x) to
-`batched.leibniz` at the same BATCH_PAIRS, counting its Leibniz pairs: over
-the terms of x and their factors g, the terms of d g.
+monomial and is the reference.  `batched.product` is asked first; it works
+on int8 exponent matrices and int64 numerators over a shared denominator,
+and returns None for the products it leaves to the dict path.
 """
 
 from __future__ import annotations
@@ -33,10 +30,6 @@ ODD = 1
 Monomial = tuple[tuple[int, int], ...]
 
 ONE_MONOMIAL: Monomial = ()
-
-#: Products and Leibniz differentials with at least this many term pairs go
-#: to the batched kernel.
-BATCH_PAIRS = 50_000
 
 
 class GradedError(Exception):
@@ -334,25 +327,29 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
         return Element(self.sig,
-                       _accumulate(dict(self.terms), other.terms.items()))
+                       _accumulate(self._nonzero(), other.terms.items()))
 
     def __sub__(self, other: "Element") -> "Element":
         self._check(other)
         return Element(self.sig, _accumulate(
-            dict(self.terms), ((m, -c) for m, c in other.terms.items())))
+            self._nonzero(), ((m, -c) for m, c in other.terms.items())))
 
     def __neg__(self) -> "Element":
-        return Element(self.sig, {m: -c for m, c in self.terms.items()})
+        return Element(self.sig, {m: -c for m, c in self.terms.items() if c})
+
+    def _nonzero(self) -> dict:
+        """A copy of the terms without zero coefficients, which a raw
+        `Element(sig, terms)` may carry."""
+        return {m: c for m, c in self.terms.items() if c}
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            if len(self.terms) * len(other.terms) >= BATCH_PAIRS:
-                terms = batched.product(self.sig, self.terms, other.terms)
-                if terms is not None:
-                    return Element(self.sig, terms)
-            return Element(self.sig, _accumulate(
-                {}, _products(self.terms, other.terms, self.sig)))
+            terms = batched.product(self.sig, self.terms, other.terms)
+            if terms is None:
+                terms = _accumulate(
+                    {}, _products(self.terms, other.terms, self.sig))
+            return Element(self.sig, terms)
         return self._scaled(Fraction(other))
 
     def __rmul__(self, other):
@@ -361,7 +358,8 @@ class Element:
     def _scaled(self, c: Fraction) -> "Element":
         if not c:
             return Element.zero(self.sig)
-        return Element(self.sig, {m: c * v for m, v in self.terms.items()})
+        return Element(self.sig,
+                       {m: c * v for m, v in self.terms.items() if v})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):

@@ -35,9 +35,10 @@ import cealg
 from cealg import batched
 from cealg.catalog import _mink
 from cealg.dgca import _leibniz_terms
-from cealg.graded import BATCH_PAIRS, EVEN, _accumulate
+from cealg.graded import EVEN, _accumulate
 from cealg.linalg import is_coboundary
-from test_graded import dict_product, random_signature, random_terms
+from test_graded import (dict_product, distinct_terms, kernel_gate_at_zero,
+                         random_signature, random_terms)
 
 
 def s4_algebra():
@@ -138,7 +139,8 @@ def test_graded_leibniz_rule_on_random_elements(case):
 def test_d_squared_zero_on_random_elements(a):
     da = apply_d(MINK3, a)
     assert apply_d(MINK3, da).is_zero()
-    assert batched.leibniz(MINK3.sig, MINK3.d_images, da.terms) == {}
+    with kernel_gate_at_zero():
+        assert batched.leibniz(MINK3.sig, MINK3.d_images, da.terms) == {}
 
 
 def dict_leibniz(d_images, x):
@@ -154,8 +156,9 @@ def test_batched_leibniz_matches_dict_path(data):
     images = tuple(Element(sig, data.draw(random_terms(sig, max_terms=4)))
                    for _ in range(len(sig)))
     x = Element(sig, data.draw(random_terms(sig)))
-    assert (batched.leibniz(sig, images, x.terms)
-            == dict_leibniz(images, x))
+    with kernel_gate_at_zero():
+        assert (batched.leibniz(sig, images, x.terms)
+                == dict_leibniz(images, x))
 
 
 def test_batched_leibniz_guards_fall_back_to_dict_path():
@@ -167,7 +170,7 @@ def test_batched_leibniz_guards_fall_back_to_dict_path():
                           GeneratorDecl("w", (), 0, EVEN)])
     w, x, y, z = (sig.gen_id(n) for n in "wxyz")
     width = 50
-    rows = BATCH_PAIRS // width + 1
+    rows = batched.BATCH_PAIRS // width + 1
 
     def case(img_coeff, x_coeff, zbase):
         image = {(((w, k),) if k else ()) + ((y, 1), (z, 30)):
@@ -181,29 +184,37 @@ def test_batched_leibniz_guards_fall_back_to_dict_path():
                     case(1, 1, 100)]:           # z exponents past 127
         assert apply_d(alg, el).terms == dict_leibniz(alg.d_images, el)
         assert batched.leibniz(sig, alg.d_images, el.terms) is None
+    # the bound counts the multiplicity e: 100 * 2**30 * 2**31 wraps int64,
+    # 2**30 * 2**31 does not (one term, so the gate is lowered)
+    alg = make_dgca(sig, {"x": Element(sig, {((y, 1),): Fraction(2 ** 31)})})
+    el = Element(sig, {((x, 100),): Fraction(2 ** 30)})
+    with kernel_gate_at_zero():
+        assert apply_d(alg, el).terms == dict_leibniz(alg.d_images, el)
+        assert batched.leibniz(sig, alg.d_images, el.terms) is None
 
 
 def test_apply_d_routes_by_leibniz_pairs(monkeypatch):
+    """apply_d reaches the kernel core when d(x) has BATCH_PAIRS Leibniz
+    pairs and not one pair below, whatever the number of input terms."""
     calls = []
-    real = batched.leibniz
+    real = batched._sum_of_products
 
-    def spy(sig, d_images, terms):
-        calls.append(len(terms))
-        return real(sig, d_images, terms)
+    def spy(sig, x, blocks, left_rows):
+        calls.append(len(x.nums))
+        return real(sig, x, blocks, left_rows)
 
-    monkeypatch.setattr(batched, "leibniz", spy)
+    monkeypatch.setattr(batched, "_sum_of_products", spy)
     sig = make_signature([GeneratorDecl(n, (), 1 if n == "y" else 0, EVEN)
                           for n in "auwyz"])
-    a, u, w, y, z = (sig.gen_id(n) for n in "auwyz")
-    # one input term whose d-image has 37**3 > BATCH_PAIRS terms
-    image = Element(sig, {tuple((g, k) for g, k in ((u, i), (w, j), (y, 1),
-                                                    (z, k)) if k):
-                          Fraction(1 + i) for i in range(37)
-                          for j in range(37) for k in range(37)})
-    assert len(image) > BATCH_PAIRS
-    big = make_dgca(sig, {"a": image})
-    assert apply_d(big, Element.generator(sig, "a")) == image
-    assert calls == [1]
+    a, y, z = (sig.gen_id(n) for n in "ayz")
+    gen_a = Element.generator(sig, "a")
+    # one input term whose d-image has BATCH_PAIRS - 1, then BATCH_PAIRS terms
+    for pairs, want in ((batched.BATCH_PAIRS - 1, []),
+                        (batched.BATCH_PAIRS, [1])):
+        image = Element(sig, {tuple(sorted(mono + ((y, 1),))): c for mono, c
+                              in distinct_terms(sig, pairs).items()})
+        assert apply_d(make_dgca(sig, {"a": image}), gen_a) == image
+        assert calls == want
     # 3,000 input terms with one pair each: far below the gate
     small = make_dgca(sig, {"a": Element.generator(sig, "y")})
     el = Element(sig, {((a, 1), (z, i)) if i else ((a, 1),): Fraction(1)
@@ -226,7 +237,7 @@ def test_batched_kernels_match_dict_path_across_step_rule(data):
     images = tuple(Element(sig, data.draw(random_terms(sig, max_terms=4)))
                    for _ in range(len(sig)))
     x = Element(sig, data.draw(random_terms(sig)))
-    with pytest.MonkeyPatch.context() as mp:
+    with kernel_gate_at_zero() as mp:
         for name, value in SCALED_STEPS.items():
             mp.setattr(batched, name, value)
         assert batched.product(sig, t1, t2) == dict_product(sig, t1, t2)
@@ -238,6 +249,7 @@ def test_batched_kernels_match_dict_path_across_step_rule(data):
 def test_batched_kernels_at_step_rule_breakpoints(monkeypatch, pairs):
     """Pair counts one below, at and one above each breakpoint of the
     scaled rule, for both kernels."""
+    monkeypatch.setattr(batched, "BATCH_PAIRS", 0)
     for name, value in SCALED_STEPS.items():
         monkeypatch.setattr(batched, name, value)
     sig = make_signature(GeneratorDecl("x", (i,), i % 3, i % 2)
@@ -285,6 +297,15 @@ def test_apply_d_drops_zero_coefficients():
     assert apply_d(alg, mixed) == apply_d(alg, e2)
 
 
+def _package_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(cealg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 D_MU4_MEMORY_SCRIPT = """
 import tracemalloc
 
@@ -297,8 +318,8 @@ alg = adjoin_generator(iso, GeneratorDecl("g4", (), 4, EVEN),
                        Element.zero(iso.sig))
 x = Element.generator(alg.sig, "g4") - transport(catalog._mu(11, 2), alg.sig)
 calls = []
-real = batched.leibniz
-batched.leibniz = lambda *a: calls.append(1) or real(*a)
+real = batched._sum_of_products
+batched._sum_of_products = lambda *a: calls.append(1) or real(*a)
 tracemalloc.start()
 dx = apply_d(alg, x)
 peak = tracemalloc.get_traced_memory()[1]
@@ -313,16 +334,47 @@ def test_resolved_poincare_d_mu4_memory_on_the_kernel():
     and keeps its tracemalloc peak (numpy reports its buffers) at most
     6.95 MiB, half of what a fixed 2**17-pair step costs there.  Run in a
     fresh interpreter, so that the figure repeats exactly."""
-    src = str(Path(cealg.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", D_MU4_MEMORY_SCRIPT],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     terms, calls, result, peak = map(int, proc.stdout.split())
     assert (terms, calls, result) == (913, 1, 0)
     assert peak <= 6.95 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+D_MU7_MEMORY_SCRIPT = """
+import tracemalloc
+
+from cealg import batched, catalog
+from cealg.dgca import apply_d
+
+mink = catalog._mink(11).algebra
+mu7 = catalog._mu(11, 5)
+calls = []
+real = batched._sum_of_products
+batched._sum_of_products = lambda *a: calls.append(1) or real(*a)
+tracemalloc.start()
+dx = apply_d(mink, mu7)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(len(mu7), len(calls), len(dx), peak)
+"""
+
+
+def test_d_mu7_memory_on_the_kernel():
+    """d mu7 on superMink(11) (7,840 terms, 741,888 Leibniz pairs, a
+    194,992-term result) runs on the kernel core and keeps its tracemalloc
+    peak, result included, at most 43.7 MiB: 39.7 MiB plus 10 %, where the
+    per-block Leibniz loop the core replaced peaked.  Run in a fresh
+    interpreter, so that the figure repeats exactly."""
+    proc = subprocess.run([sys.executable, "-c", D_MU7_MEMORY_SCRIPT],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    terms, calls, result, peak = map(int, proc.stdout.split())
+    assert (terms, calls, result) == (7840, 1, 194_992)
+    assert peak <= 43.7 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_check_d_squared_negative_control():
