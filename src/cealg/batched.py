@@ -2,16 +2,20 @@
 
 The vectorised twin of the dict kernel in `graded` (`_products`) and
 `dgca` (`_leibniz_terms`).  One core, `_sum_of_products`, computes
-sum_k A_k * B_k, where each left row is tagged with the right block B_k it
-meets.  It has two front-ends, and each returns None below `BATCH_PAIRS`
-term pairs, so that its caller takes the dict path:
+sum_k A_k * B_k for one or more inputs at once: each left row comes from
+one input and is tagged with the right block B_k it meets.  It has two
+front-ends, and each leaves to the dict path what has fewer than
+`BATCH_PAIRS` term pairs:
 
-* `product(sig, terms1, terms2)`: one block, terms2, met by every term of
-  terms1;
-* `leibniz(sig, d_images, terms)`: one block per slot generator g, d g,
-  met by the holes at g: each term with a factor g^e, with g's exponent
-  lowered by one, times e and the sign `_leibniz_terms` gives it.  Its pair
-  count is the sum over the terms and their factors g of the terms of d g.
+* `product(sig, terms1, terms2)`: one input, terms1, and one block, terms2,
+  met by every term of terms1;
+* `leibniz(sig, d_images, inputs)`: d of each terms dict in `inputs`, with
+  one block per slot generator g, d g, met by the holes at g: each term
+  with a factor g^e, with g's exponent lowered by one, times e and the sign
+  `_leibniz_terms` gives it.  An input's pair count is the sum over its
+  terms and their factors g of the terms of d g.  An input that reaches
+  the gate by itself runs alone; the others share one call if together
+  they reach it, and those below the summed gate stay on the dict path.
 
 An element becomes an int8 exponent matrix (terms x generators in use)
 and int64 numerators over one shared denominator.  For a pair of terms
@@ -20,22 +24,32 @@ and int64 numerators over one shared denominator.  For a pair of terms
 * the Koszul sign is the parity of (strict suffix sums of a's odd-degree
   bits) . (b's odd-degree bits), plus the same for odd-parity bits, which
   is exactly what `monomial_mul` counts; both sides are uint64 bit masks,
-  so it is the parity of popcount(mask_a & mask_b);
+  and a's suffix parities are taken on the words themselves
+  (`_suffix_parity`), so it is the parity of popcount(mask_a & mask_b);
 * the pair vanishes when a and b share a square-zero generator, that is
   when their square-zero occupancy masks meet;
 * the packed key of the product is the word-wise sum of the packed keys of
   a and b, since every packed field is wide enough for the sum.
 
-Pairs are formed in steps, in left-row order (term-major and slot-minor
-for Leibniz), merged by sort and `np.add.reduceat` into a running
-accumulator that drops zero sums, and decoded to canonical
-`(monomial, Fraction)` entries with one shared tuple per (generator,
-exponent) and one `Fraction` per distinct coefficient.  A call of P pairs
-takes steps of P / 32 pairs clamped to [2**11, 2**17] (`_step`), and its
-accumulator lets two steps wait before a merge, so a small call stays
-small: the 149,856-pair d(g4 - mu4) on super-Poincare peaks at about
-3 MiB of traced memory, where 2**17-pair steps take 14.2 MiB at about the
-same speed.
+A call of several inputs adds a tag field to the packed key, after the
+generators' fields: a left row carries its input's index there and a right
+row 0.  The field has no sign and no square-zero bits, so it only keeps
+the inputs' keys apart; a call of one input has no tag field, and its keys
+are exactly those of that input alone.
+
+Pairs are formed in steps, in left-row order (input-major, then
+term-major and slot-minor for Leibniz), merged by sort and
+`np.add.reduceat` into a running accumulator that drops zero sums, and
+decoded to canonical `(monomial, Fraction)` entries, split per tag, with
+one shared tuple per (generator, exponent) and one `Fraction` per
+distinct coefficient.  After a merge, every input whose last pair is in
+is closed: its entries leave the accumulator and are decoded, so the
+accumulator holds the keys of at most the inputs still open.  A call of
+P pairs takes steps of P / 32 pairs clamped to [2**11, 2**17] (`_step`),
+and its accumulator lets two steps wait before a merge, so a small call
+stays small: the 149,856-pair d(g4 - mu4) on super-Poincare peaks at
+about 3 MiB of traced memory, where 2**17-pair steps take 14.2 MiB at
+about the same speed.
 
 The core returns None when a guard trips, and the caller then takes the
 exact dict path:
@@ -81,49 +95,64 @@ def product(sig, terms1: dict, terms2: dict) -> dict | None:
     a guard trips."""
     if len(terms1) * len(terms2) < BATCH_PAIRS:
         return None
-    return _sum_of_products(sig, _flat(terms1), [_flat(terms2)], _term_rows)
+    out = _sum_of_products(sig, _flat([terms1]), [_flat([terms2])],
+                           _term_rows)
+    return None if out is None else out[0]
 
 
-def leibniz(sig, d_images, terms: dict) -> dict | None:
-    """The canonical terms of d(terms) under the generator differentials
-    `d_images` (Elements), or None below the gate or if a guard trips."""
-    if not _reaches_batch_pairs(d_images, terms):
-        return None
-    x = _flat(terms)
-    if x is None:
-        return None
-    slots = [g for g in _unique(x.gens).tolist() if d_images[g]]
-    return _sum_of_products(sig, x, [_flat(d_images[g].terms) for g in slots],
-                            partial(_hole_rows, slots))
+def leibniz(sig, d_images, inputs: list) -> list:
+    """Per terms dict in `inputs`, the canonical terms of its d under the
+    generator differentials `d_images` (Elements), or None where the dict
+    path is left to compute it: below the gate, or if a guard trips.
+
+    An input of at least BATCH_PAIRS Leibniz pairs runs alone; the others
+    share one call if together they have at least BATCH_PAIRS."""
+    pairs = [_leibniz_pairs(d_images, terms) for terms in inputs]
+    calls = [[i] for i, p in enumerate(pairs) if p >= BATCH_PAIRS]
+    shared = [i for i, p in enumerate(pairs) if p < BATCH_PAIRS]
+    if shared and sum(pairs[i] for i in shared) >= BATCH_PAIRS:
+        calls.append(shared)
+    out = [None] * len(inputs)
+    for call in calls:
+        x = _flat([inputs[i] for i in call])
+        if x is None:
+            continue
+        slots = [g for g in _unique(x.gens).tolist() if d_images[g]]
+        res = _sum_of_products(sig, x,
+                               [_flat([d_images[g].terms]) for g in slots],
+                               partial(_hole_rows, slots))
+        if res is not None:
+            for i, terms in zip(call, res):
+                out[i] = terms
+    return out
 
 
-def _reaches_batch_pairs(d_images, terms: dict) -> bool:
-    """Whether d(terms) has at least BATCH_PAIRS Leibniz pairs: the sum,
-    over the terms and their factors g, of the terms of d g.  The count
-    stops at the gate."""
+def _leibniz_pairs(d_images, terms: dict) -> int:
+    """The Leibniz pairs of d(terms): the sum, over the terms and their
+    factors g, of the terms of d g.  The count stops at the gate."""
     pairs = 0
     for mono in terms:
         if pairs >= BATCH_PAIRS:
-            return True
+            break
         for g, _ in mono:
             pairs += len(d_images[g].terms)
-    return pairs >= BATCH_PAIRS
+    return pairs
 
 
 def _term_rows(ctx, e: np.ndarray, x: "_Flat"):
     """The left rows of a product: every term of x, all meeting block 0."""
-    return e, x.nums, x.maxnum, np.zeros(len(e), dtype=np.int64)
+    return e, x.nums, x.maxnum, np.zeros(len(e), dtype=np.int64), x.src
 
 
 def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
     """The left rows of a Leibniz differential: per term of x (term-major)
     and slot (slot-minor) where the term has a factor g^e, its exponent row
     with e - 1 at g and its numerator times e and the sign `_leibniz_terms`
-    gives it, tagged with the slot's block.  Only the parities of prefix
-    and suffix sums are used, so they are summed in int8."""
+    gives it, meeting the slot's block.  Only the parities of prefix and
+    suffix sums are used, so they are summed in int8."""
     cs = np.searchsorted(ctx.cols, slots)
-    rows, tags = np.nonzero(e[:, cs])
-    c = cs[tags]
+    rows, block = np.nonzero(e[:, cs])
+    c = cs[block]
     k = e[rows, c].astype(np.int64)
     odd = ctx.odd[c]
     par = ctx.par[c]
@@ -136,48 +165,61 @@ def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
     holes = e[rows]
     holes[np.arange(len(rows)), c] -= 1
     return (holes, x.nums[rows] * k * (1 - 2 * flip),
-            x.maxnum * int(e.max(initial=0)), tags)
+            x.maxnum * int(e.max(initial=0)), block, x.src[rows])
 
 
 def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
-                     ) -> dict | None:
-    """The canonical terms of sum_k A_k * B_k, or None if a guard trips.
+                     ) -> list | None:
+    """Per input of x, the canonical terms of sum_k A_k * B_k over that
+    input's left rows, or None if a guard trips.
 
     The blocks B_k are the flat terms `blocks`.  `left_rows(ctx, e, x)`
     turns the exponent rows e and the numerators of x into the left rows:
     (int8 exponent rows, int64 numerators over x's denominator, a bound on
-    their absolute values, the block index each row meets)."""
+    their absolute values, the block each row meets, the input each row
+    comes from, in nondecreasing order)."""
     if x is None or any(b is None for b in blocks):
         return None
     if not blocks:
-        return {}
+        return [{} for _ in range(x.inputs)]
     cols = _unique(np.concatenate([x.gens] + [b.gens for b in blocks]))
     colmax = _colmax(x, cols) + np.max([_colmax(b, cols) for b in blocks],
                                        axis=0)
     if colmax.max(initial=0) > _EMAX:
         return None
-    ctx = _Context(sig, cols, colmax)
-    e, nums, maxnum, tags = left_rows(ctx, _dense(x, ctx), x)
+    ctx = _Context(sig, cols, colmax, x.inputs)
+    e, nums, maxnum, block, tag = left_rows(ctx, _dense(x, ctx), x)
     den = lcm(*(b.den for b in blocks))
     bmax = max(b.maxnum * (den // b.den) for b in blocks)
     sizes = np.array([len(b.nums) for b in blocks], dtype=np.int64)
     if maxnum * bmax * min(int(sizes.sum()), len(e)) >= _LIMIT:
         return None
-    a = ctx.operand(e, nums, left=True)
+    a = ctx.operand(e, nums, left=True, tag=tag)
     del e, nums
     for blk in blocks:
         blk.nums *= den // blk.den
     b = ctx.operand(np.concatenate([_dense(blk, ctx) for blk in blocks]),
                     np.concatenate([blk.nums for blk in blocks]), left=False)
     # the pairs p of left row i end at ends[i]; p meets right row p + shift[i]
-    ends = np.cumsum(sizes[tags])
-    shift = np.cumsum(sizes)[tags] - ends
+    ends = np.cumsum(sizes[block])
+    shift = np.cumsum(sizes)[block] - ends
+    # the pairs of input t end at done[t]
+    done = np.concatenate([[0], ends])[
+        np.searchsorted(tag, np.arange(x.inputs), "right")]
+    del block, tag
     step = _step(int(ends.max(initial=0)))
-    acc = _Accumulator(ctx.words, step)
-    for keys, vals in _pairs(a, b, ends, shift, step):
-        acc.add(keys, vals)
-    del a, b, tags, ends, shift
-    return ctx.decode(*acc.result(), x.den * den)
+    acc = _Accumulator(ctx, step)
+    out = [{} for _ in range(x.inputs)]
+    den *= x.den
+    for p, keys, vals in _pairs(a, b, ends, shift, step):
+        if acc.add(keys, vals):
+            # the last input is closed by `result`, once the operands are
+            # freed
+            closed = min(int(np.searchsorted(done, p, "right")), x.inputs - 1)
+            ctx.decode(*acc.close(closed), den, out)
+    del a, b, ends, shift
+    ctx.decode(*acc.result(), den, out)
+    return out
 
 
 def _step(pairs: int) -> int:
@@ -195,22 +237,26 @@ def _unique(a: np.ndarray) -> np.ndarray:
 
 
 class _Flat:
-    """The terms of a dict as flat arrays: per-term lengths, the (generator,
-    exponent) pairs in order, and numerators over one denominator."""
+    """The terms of one or more dicts as flat arrays: per-term lengths and
+    inputs, the (generator, exponent) pairs in order, and numerators over
+    one denominator."""
 
-    __slots__ = ("monos", "lens", "gens", "exps", "nums", "den", "maxnum")
+    __slots__ = ("inputs", "src", "lens", "gens", "exps", "nums", "den",
+                 "maxnum")
 
 
-def _flat(terms: dict) -> _Flat | None:
+def _flat(inputs: list) -> _Flat | None:
     f = _Flat()
-    f.monos = monos = list(terms)
-    coeffs = list(terms.values())
+    f.inputs = len(inputs)
+    monos = list(chain.from_iterable(inputs))
+    coeffs = list(chain.from_iterable(t.values() for t in inputs))
     f.den = den = lcm(*{c.denominator for c in coeffs})
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
     f.maxnum = max(map(abs, nums), default=0)
     if f.maxnum >= _LIMIT:
         return None
     f.nums = np.array(nums, dtype=np.int64)
+    f.src = np.repeat(np.arange(len(inputs)), [len(t) for t in inputs])
     f.lens = np.fromiter(map(len, monos), np.int64, len(monos))
     pairs = np.fromiter(chain.from_iterable(chain.from_iterable(monos)),
                         np.int64, 2 * int(f.lens.sum()))
@@ -226,8 +272,8 @@ def _colmax(f: _Flat, cols: np.ndarray) -> np.ndarray:
 
 
 def _dense(f: _Flat, ctx: "_Context") -> np.ndarray:
-    e = np.zeros((len(f.monos), len(ctx.cols)), dtype=np.int8)
-    rows = np.repeat(np.arange(len(f.monos)), f.lens)
+    e = np.zeros((len(f.lens), len(ctx.cols)), dtype=np.int8)
+    rows = np.repeat(np.arange(len(f.lens)), f.lens)
     e[rows, np.searchsorted(ctx.cols, f.gens)] = f.exps
     return e
 
@@ -247,6 +293,21 @@ def _strict_suffix(bits: np.ndarray) -> np.ndarray:
     return np.cumsum(bits[:, ::-1], axis=1, dtype=np.int8)[:, ::-1] - bits
 
 
+def _suffix_parity(words: np.ndarray) -> np.ndarray:
+    """The bit masks of `_bitmask` with each bit replaced by the parity of
+    the set bits strictly to its right in its row (`_strict_suffix` & 1):
+    an XOR scan within each word, plus the parity of the later words."""
+    out = words.copy()
+    for s in (1, 2, 4, 8, 16, 32):
+        out ^= out >> np.uint64(s)
+    # bit j is now the parity of bits j..63 of its word, so bit 0 is the
+    # word's parity; later[w] is that of words w, w + 1, ...
+    later = np.bitwise_xor.accumulate((out & np.uint64(1))[::-1])[::-1]
+    out >>= np.uint64(1)
+    out[:-1] ^= later[1:] * ~np.uint64(0)
+    return out
+
+
 class _Operand:
     """One side of a product: numerators, packed keys, and the sign and
     square-zero bit masks that `_Context.operand` describes."""
@@ -255,16 +316,21 @@ class _Operand:
 
 
 class _Context:
-    """Column layout, key packing and decoding for one operation."""
+    """Column layout, key packing and decoding for one operation of
+    `inputs` inputs; several inputs add a tag field after the columns."""
 
-    def __init__(self, sig, cols: np.ndarray, colmax: np.ndarray):
+    def __init__(self, sig, cols: np.ndarray, colmax: np.ndarray,
+                 inputs: int):
         self.cols = cols
         self.gen_ids = cols.tolist()
+        self.inputs = inputs
         self.odd = np.array([sig.odd_bits[g] for g in self.gen_ids], np.int8)
         self.par = np.array([sig.parities[g] for g in self.gen_ids], np.int8)
         self.sqz = np.array([sig.sqz[g] for g in self.gen_ids], bool)
         # greedy packing: a field never straddles two 64-bit words
         widths = [max(1, int(m).bit_length()) for m in colmax]
+        if inputs > 1:
+            widths.append((inputs - 1).bit_length())
         self.word = []
         self.shift = []
         w, used = 0, 0
@@ -278,41 +344,55 @@ class _Context:
         self.mask = [(1 << b) - 1 for b in widths]
         self.colmax = colmax.tolist()
 
-    def pack(self, e: np.ndarray) -> np.ndarray:
+    def field(self, keys: np.ndarray, c: int) -> np.ndarray:
+        """Field c of packed keys: column c, or the tag when c is the
+        number of columns."""
+        return ((keys[:, self.word[c]] >> np.uint64(self.shift[c]))
+                & np.uint64(self.mask[c]))
+
+    def pack(self, e: np.ndarray, tag: np.ndarray | None) -> np.ndarray:
         keys = np.zeros((len(e), self.words), dtype=np.uint64)
-        for c, (w, s) in enumerate(zip(self.word, self.shift)):
-            keys[:, w] |= e[:, c].astype(np.uint64) << np.uint64(s)
+        for c in range(e.shape[1]):
+            keys[:, self.word[c]] |= (e[:, c].astype(np.uint64)
+                                      << np.uint64(self.shift[c]))
+        if tag is not None and self.inputs > 1:
+            n = len(self.gen_ids)
+            keys[:, self.word[n]] |= (tag.astype(np.uint64)
+                                      << np.uint64(self.shift[n]))
         return keys
 
-    def operand(self, e: np.ndarray, nums: np.ndarray, left: bool
-                ) -> _Operand:
+    def operand(self, e: np.ndarray, nums: np.ndarray, left: bool,
+                tag: np.ndarray | None = None) -> _Operand:
         """One side of the pair kernel, with its bit masks: sign bits and
-        square-zero occupancy, as uint64 words (`_bitmask`).
+        square-zero occupancy, as uint64 words (`_bitmask`).  Left rows
+        carry their input's tag in the key.
 
-        Sign bits are a row's odd-degree bits followed by its odd-parity
-        bits; on the left side each is replaced by the parity of the bits
-        strictly to its right.  The Koszul sign of a pair is the parity of
+        Sign bits are a row's odd-degree bits, then its odd-parity bits,
+        each kind in whole words; on the left side each is replaced by the
+        parity of the bits of its kind strictly to its right
+        (`_suffix_parity`).  The Koszul sign of a pair is the parity of
         popcount(left & right), and the pair vanishes when the occupancies
         meet.
         """
-        bits = np.concatenate([e & self.odd, e & self.par], axis=1)
+        sign = [_bitmask(e & self.odd), _bitmask(e & self.par)]
         if left:
-            n = len(self.gen_ids)
-            bits = np.concatenate([_strict_suffix(bits[:, :n]),
-                                   _strict_suffix(bits[:, n:])], axis=1) & 1
+            sign = [_suffix_parity(s) for s in sign]
         op = _Operand()
         op.nums = nums
-        op.keys = self.pack(e)
-        op.sign = _bitmask(bits)
+        op.keys = self.pack(e, tag)
+        op.sign = np.concatenate(sign)
         op.occ = _bitmask(e[:, self.sqz])
         return op
 
-    def decode(self, keys: np.ndarray, nums: np.ndarray, den: int) -> dict:
-        """Canonical dict entries of merged packed keys and numerators over
-        `den`."""
-        out: dict = {}
+    def decode(self, keys: np.ndarray, nums: np.ndarray, den: int,
+               out: list):
+        """Add the canonical entries of merged packed keys and numerators
+        over `den` to out[t], t the input each key is tagged with.  Within
+        an input the keys keep their order."""
         if not len(nums):
-            return out
+            return
+        tags = (self.field(keys, len(self.gen_ids)).tolist()
+                if self.inputs > 1 else None)
         uniq = _unique(nums)
         fracs = [Fraction(v, den) for v in uniq.tolist()]
         # one shared (generator, exponent) tuple per column and exponent
@@ -325,23 +405,27 @@ class _Context:
         for r0 in range(0, len(nums), ROWS):
             block = keys[r0:r0 + ROWS]
             e = np.empty((len(block), len(self.gen_ids)), dtype=np.int8)
-            for c, (w, s) in enumerate(zip(self.word, self.shift)):
-                e[:, c] = ((block[:, w] >> np.uint64(s))
-                           & np.uint64(self.mask[c]))
+            for c in range(len(self.gen_ids)):
+                e[:, c] = self.field(block, c)
             rows, cs = np.nonzero(e)
             it = map(table.__getitem__, (offset[cs] + e[rows, cs]).tolist())
             counts = np.bincount(rows, minlength=len(block)).tolist()
             monos = [tuple(islice(it, k)) for k in counts]
             inv = np.searchsorted(uniq, nums[r0:r0 + ROWS])
-            out.update(zip(monos, map(fracs.__getitem__, inv.tolist())))
-        return out
+            coeffs = map(fracs.__getitem__, inv.tolist())
+            if tags is None:
+                out[0].update(zip(monos, coeffs))
+            else:
+                for t, mono, coeff in zip(tags[r0:r0 + ROWS], monos, coeffs):
+                    out[t][mono] = coeff
 
 
 def _pairs(a: _Operand, b: _Operand, ends: np.ndarray, shift: np.ndarray,
            step: int):
-    """Yield (keys, values) of the non-vanishing signed products of the
-    pairs p of a and b, `step` at a time and in order: pair p belongs to
-    the first row i of a with p < ends[i], and to row p + shift[i] of b."""
+    """Yield (pairs done, keys, values) of the non-vanishing signed
+    products of the pairs p of a and b, `step` at a time and in order: pair
+    p belongs to the first row i of a with p < ends[i], and to row
+    p + shift[i] of b."""
     total = int(ends.max(initial=0))
     for p0 in range(0, total, step):
         p = np.arange(p0, min(p0 + step, total))
@@ -359,27 +443,33 @@ def _pairs(a: _Operand, b: _Operand, ends: np.ndarray, shift: np.ndarray,
             flip ^= wa[ia] & wb[ib]
         vals = a.nums[ia] * b.nums[ib]
         np.negative(vals, out=vals, where=(np.bitwise_count(flip) & 1) == 1)
-        yield a.keys[ia] + b.keys[ib], vals
+        yield p0 + len(p), a.keys[ia] + b.keys[ib], vals
 
 
 class _Accumulator:
-    """Merges (packed keys, int64 values) batches, dropping zero sums.
+    """Merges (packed keys, int64 values) batches, dropping zero sums, and
+    hands out the entries of each input once it is closed.
 
     Batches wait until they outnumber the merged entries (and at least
     2 x step), so each entry is re-merged a bounded number of times."""
 
-    def __init__(self, words: int, step: int):
+    def __init__(self, ctx: _Context, step: int):
+        self.ctx = ctx
         self.floor = 2 * step
-        self.keys = np.zeros((0, words), dtype=np.uint64)
+        self.keys = np.zeros((0, ctx.words), dtype=np.uint64)
         self.vals = np.zeros(0, dtype=np.int64)
         self.pending: list = []
         self.size = 0
+        self.closed = 0
 
-    def add(self, keys: np.ndarray, vals: np.ndarray):
+    def add(self, keys: np.ndarray, vals: np.ndarray) -> bool:
+        """Add a batch; whether the pending batches were merged."""
         self.pending.append((keys, vals))
         self.size += len(vals)
-        if self.size >= max(self.floor, len(self.vals)):
-            self._merge()
+        if self.size < max(self.floor, len(self.vals)):
+            return False
+        self._merge()
+        return True
 
     def _merge(self):
         keys = np.concatenate([self.keys] + [k for k, _ in self.pending])
@@ -413,15 +503,30 @@ class _Accumulator:
         self.keys = keys[starts[keep]]
         self.vals = sums[keep]
 
+    def close(self, inputs: int):
+        """Take out the merged entries of the inputs below `inputs`, none of
+        which has pairs left to add, sorted by key (see `result`)."""
+        keys, vals = self.keys, self.vals
+        if inputs <= self.closed:
+            return keys[:0], vals[:0]
+        self.closed = inputs
+        if inputs < self.ctx.inputs:
+            done = self.ctx.field(keys, len(self.ctx.gen_ids)) < inputs
+            self.keys, self.vals = keys[~done], vals[~done]
+            keys, vals = keys[done], vals[done]
+        else:
+            # copies, not views, which would keep every entry referenced
+            self.keys, self.vals = keys[:0].copy(), vals[:0].copy()
+        order = np.lexsort(keys.T[::-1])
+        return keys[order], vals[order]
+
     def result(self):
-        """The merged (keys, values), sorted by key.
+        """The merged (keys, values) of the inputs still open, sorted by
+        key.
 
         The order of one operation's output is the order the next one
         processes its input in; in key order, terms that share most of their
         factors are neighbours, and their contributions cancel early."""
         if self.pending:
             self._merge()
-        order = np.lexsort(self.keys.T[::-1])
-        self.keys = self.keys[order]
-        self.vals = self.vals[order]
-        return self.keys, self.vals
+        return self.close(self.ctx.inputs)

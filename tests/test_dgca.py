@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,10 +34,11 @@ from cealg import (
 )
 import cealg
 from cealg import batched
-from cealg.catalog import _mink
+from cealg.catalog import _mink, resolved_poincare, super_poincare
 from cealg.dgca import _leibniz_terms
 from cealg.graded import EVEN, _accumulate
 from cealg.linalg import is_coboundary
+from cealg.reporting import run_task
 from test_graded import (dict_product, distinct_terms, kernel_gate_at_zero,
                          random_signature, random_terms)
 
@@ -140,7 +142,7 @@ def test_d_squared_zero_on_random_elements(a):
     da = apply_d(MINK3, a)
     assert apply_d(MINK3, da).is_zero()
     with kernel_gate_at_zero():
-        assert batched.leibniz(MINK3.sig, MINK3.d_images, da.terms) == {}
+        assert batched.leibniz(MINK3.sig, MINK3.d_images, [da.terms]) == [{}]
 
 
 def dict_leibniz(d_images, x):
@@ -157,8 +159,133 @@ def test_batched_leibniz_matches_dict_path(data):
                    for _ in range(len(sig)))
     x = Element(sig, data.draw(random_terms(sig)))
     with kernel_gate_at_zero():
-        assert (batched.leibniz(sig, images, x.terms)
-                == dict_leibniz(images, x))
+        assert (batched.leibniz(sig, images, [x.terms])
+                == [dict_leibniz(images, x)])
+
+
+#: A scaled step rule, breakpoints at 6 and 24 pairs (STEPS * STEP_MIN and
+#: STEPS * STEP_MAX), that random inputs land on both sides of.
+SCALED_STEPS = {"STEPS": 2, "STEP_MIN": 3, "STEP_MAX": 12}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_batched_leibniz_many_inputs_match_dict_path(data):
+    """Many inputs in one `leibniz` call, each against the dict path: x
+    next to -x and next to x again (without the tag field their keys would
+    merge), empty inputs and mixed denominators, under a pair gate drawn so
+    that some inputs reach it alone and the rest share a call, or not.
+    Steps of a few pairs make the accumulator merge, and close inputs,
+    many times in one call."""
+    sig = data.draw(random_signature(max_gens=12))
+    images = tuple(Element(sig, data.draw(random_terms(sig, max_terms=4)))
+                   for _ in range(len(sig)))
+    xs = data.draw(st.lists(random_terms(sig), min_size=1, max_size=5))
+    inputs = data.draw(st.permutations(
+        xs + [{m: -c for m, c in xs[0].items()}, xs[0], {}]))
+    pairs = [batched._leibniz_pairs(images, terms) for terms in inputs]
+    gate = data.draw(st.integers(min_value=0, max_value=max(pairs) + 1))
+    with kernel_gate_at_zero() as mp:
+        mp.setattr(batched, "BATCH_PAIRS", gate)
+        for name, value in SCALED_STEPS.items():
+            mp.setattr(batched, name, value)
+        got = batched.leibniz(sig, images, inputs)
+    shared = sum(p for p in pairs if p < gate)
+    for terms, p, out in zip(inputs, pairs, got):
+        if p < gate and shared < gate:
+            assert out is None
+        else:
+            assert out == dict_leibniz(images, Element(sig, terms))
+
+
+@given(st.lists(mink3_element(), min_size=2, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_batched_leibniz_closes_inputs_after_their_last_pair(xs):
+    """d(d a) = 0 on superMink(3) for several a, next to the d a
+    themselves, in one shared call of few-pair steps: an input closed
+    before its last pair is merged would keep a partial sum."""
+    das = [apply_d(MINK3, a) for a in xs]
+    inputs = [t for a, da in zip(xs, das) for t in (da.terms, a.terms)]
+    pairs = [batched._leibniz_pairs(MINK3.d_images, t) for t in inputs]
+    with kernel_gate_at_zero() as mp:
+        mp.setattr(batched, "BATCH_PAIRS", max(pairs) + 1)
+        for name, value in SCALED_STEPS.items():
+            mp.setattr(batched, name, value)
+        got = batched.leibniz(MINK3.sig, MINK3.d_images, inputs)
+    if sum(pairs) <= max(pairs):
+        assert got == [None] * len(inputs)
+    else:
+        assert got == [t for da in das for t in ({}, da.terms)]
+
+
+def spy_core(monkeypatch) -> list:
+    """Record the number of inputs of each call of the kernel core."""
+    calls = []
+    real = batched._sum_of_products
+
+    def spy(sig, x, blocks, left_rows):
+        calls.append(x.inputs)
+        return real(sig, x, blocks, left_rows)
+
+    monkeypatch.setattr(batched, "_sum_of_products", spy)
+    return calls
+
+
+def test_check_d_squared_routes_d_images(monkeypatch):
+    """super-Poincare's 98 d-images (about 145k Leibniz pairs, none near
+    the gate alone) share one tagged core call; resolved Poincare's d h3 =
+    g4 - mu4 reaches the gate by itself and runs alone next to it; the
+    small algebras stay on the dict path."""
+    iso = super_poincare().algebra
+    resolved = resolved_poincare().algebra
+    calls = spy_core(monkeypatch)
+    assert check_d_squared(iso).ok
+    assert calls == [98]
+    calls.clear()
+    assert check_d_squared(resolved).ok
+    assert sorted(calls) == [1, 98]
+    calls.clear()
+    for task in ("derham.d2", "mink3.d2"):
+        assert run_task(task).ok
+    assert calls == []
+
+
+def test_check_d_squared_failure_report_above_the_gate(monkeypatch):
+    """Two corrupted d e^a on super-Poincare, checked in one tagged call:
+    the report names the first failing generator in generator order (one
+    whose d-image meets a corrupted one), with the residual of the
+    generator-by-generator loop."""
+    iso = super_poincare().algebra
+    images = {decl.name: img for decl, img in zip(iso.sig.decls,
+                                                  iso.d_images)}
+    for name in ("e^7", "e^3"):
+        mono, coeff = next(iter(images[name].terms.items()))
+        images[name] = images[name] + Element(iso.sig, {mono: coeff})
+    broken = make_dgca(iso.sig, images)
+    want = None
+    for decl, img in zip(broken.sig.decls, broken.d_images):
+        res = Element(broken.sig, dict_leibniz(broken.d_images, img))
+        if res:
+            want = decl.name, res
+            break
+    calls = spy_core(monkeypatch)
+    rep = check_d_squared(broken)
+    assert calls == [98]
+    assert not rep.ok
+    assert (rep.witness, rep.residual) == want
+    assert rep.stats == {"residual_terms": len(want[1])}
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_suffix_parity_on_words_matches_int8_reference(width):
+    """The strict-suffix parities taken on packed words, across word
+    boundaries, against `_strict_suffix` on int8 columns."""
+    rng = np.random.default_rng(width)
+    bits = rng.integers(0, 2, size=(40, width), dtype=np.int8)
+    bits[0] = 0
+    bits[1] = 1
+    assert np.array_equal(batched._suffix_parity(batched._bitmask(bits)),
+                          batched._bitmask(batched._strict_suffix(bits) & 1))
 
 
 def test_batched_leibniz_guards_fall_back_to_dict_path():
@@ -183,14 +310,14 @@ def test_batched_leibniz_guards_fall_back_to_dict_path():
     for alg, el in [case(2 ** 30, 2 ** 40, 0),   # products reach 2**70
                     case(1, 1, 100)]:           # z exponents past 127
         assert apply_d(alg, el).terms == dict_leibniz(alg.d_images, el)
-        assert batched.leibniz(sig, alg.d_images, el.terms) is None
+        assert batched.leibniz(sig, alg.d_images, [el.terms]) == [None]
     # the bound counts the multiplicity e: 100 * 2**30 * 2**31 wraps int64,
     # 2**30 * 2**31 does not (one term, so the gate is lowered)
     alg = make_dgca(sig, {"x": Element(sig, {((y, 1),): Fraction(2 ** 31)})})
     el = Element(sig, {((x, 100),): Fraction(2 ** 30)})
     with kernel_gate_at_zero():
         assert apply_d(alg, el).terms == dict_leibniz(alg.d_images, el)
-        assert batched.leibniz(sig, alg.d_images, el.terms) is None
+        assert batched.leibniz(sig, alg.d_images, [el.terms]) == [None]
 
 
 def test_apply_d_routes_by_leibniz_pairs(monkeypatch):
@@ -223,11 +350,6 @@ def test_apply_d_routes_by_leibniz_pairs(monkeypatch):
     assert calls == [1]
 
 
-#: A scaled step rule, breakpoints at 6 and 24 pairs (STEPS * STEP_MIN and
-#: STEPS * STEP_MAX), that random inputs land on both sides of.
-SCALED_STEPS = {"STEPS": 2, "STEP_MIN": 3, "STEP_MAX": 12}
-
-
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_batched_kernels_match_dict_path_across_step_rule(data):
@@ -241,8 +363,8 @@ def test_batched_kernels_match_dict_path_across_step_rule(data):
         for name, value in SCALED_STEPS.items():
             mp.setattr(batched, name, value)
         assert batched.product(sig, t1, t2) == dict_product(sig, t1, t2)
-        assert (batched.leibniz(sig, images, x.terms)
-                == dict_leibniz(images, x))
+        assert (batched.leibniz(sig, images, [x.terms])
+                == [dict_leibniz(images, x)])
 
 
 @pytest.mark.parametrize("pairs", [5, 6, 7, 23, 24, 25])
@@ -265,7 +387,8 @@ def test_batched_kernels_at_step_rule_breakpoints(monkeypatch, pairs):
     images = tuple(Element(sig, {((1, 1), (2, 1)): Fraction(5)} if i == 0
                            else {}) for i in range(10))
     x = Element(sig, t1)
-    assert batched.leibniz(sig, images, x.terms) == dict_leibniz(images, x)
+    assert (batched.leibniz(sig, images, [x.terms])
+            == [dict_leibniz(images, x)])
 
 
 def test_step_rule_extremes():
@@ -375,6 +498,40 @@ def test_d_mu7_memory_on_the_kernel():
     terms, calls, result, peak = map(int, proc.stdout.split())
     assert (terms, calls, result) == (7840, 1, 194_992)
     assert peak <= 43.7 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+CHECK_D_SQUARED_MEMORY_SCRIPT = """
+import tracemalloc
+
+from cealg import batched, catalog
+from cealg.dgca import check_d_squared
+
+alg = catalog.resolved_poincare().algebra
+calls = []
+real = batched._sum_of_products
+batched._sum_of_products = lambda *a: calls.append(1) or real(*a)
+tracemalloc.start()
+rep = check_d_squared(alg)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(rep.pinned["generators"], len(calls), peak)
+"""
+
+
+def test_check_d_squared_memory_on_the_kernel():
+    """d**2 = 0 on resolved Poincare: 98 d-images in one tagged core call,
+    and d(g4 - mu4) alone, within the tracemalloc bound of d(g4 - mu4) by
+    itself (6.95 MiB); one core call over all 99 d-images, where every row
+    is as wide as d(g4 - mu4)'s, peaks at about 6.2 MiB.  Run in a fresh
+    interpreter, so that the figure repeats exactly."""
+    proc = subprocess.run([sys.executable, "-c",
+                           CHECK_D_SQUARED_MEMORY_SCRIPT],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    generators, calls, peak = map(int, proc.stdout.split())
+    assert (generators, calls) == (100, 2)
+    assert peak <= 6.95 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_check_d_squared_negative_control():
