@@ -35,21 +35,21 @@ A call of several inputs adds a tag field to the packed key, after the
 generators' fields: a left row carries its input's index there and a right
 row 0.  The field has no sign and no square-zero bits, so it only keeps
 the inputs' keys apart; a call of one input has no tag field, and its keys
-are exactly those of that input alone.
+are exactly those of that input alone.  In a shared call every row is as
+wide as the union of the inputs' columns, which is why an input that
+reaches the gate by itself runs alone: sharing one call with resolved
+Poincare's d(g4 - mu4) would widen its 149,856 pairs from 3 key words to 5.
 
 Pairs are formed in steps, in left-row order (input-major, then
 term-major and slot-minor for Leibniz), merged by sort and
 `np.add.reduceat` into a running accumulator that drops zero sums, and
-decoded to canonical `(monomial, Fraction)` entries, split per tag, with
-one shared tuple per (generator, exponent) and one `Fraction` per
-distinct coefficient.  After a merge, every input whose last pair is in
-is closed: its entries leave the accumulator and are decoded, so the
-accumulator holds the keys of at most the inputs still open.  A call of
-P pairs takes steps of P / 32 pairs clamped to [2**11, 2**17] (`_step`),
-and its accumulator lets two steps wait before a merge, so a small call
-stays small: the 149,856-pair d(g4 - mu4) on super-Poincare peaks at
-about 3 MiB of traced memory, where 2**17-pair steps take 14.2 MiB at
-about the same speed.
+decoded once, at the end, to canonical `(monomial, Fraction)` entries,
+split per tag, with one shared tuple per (generator, exponent) and one
+`Fraction` per distinct coefficient.  A call of P pairs takes steps of
+P / 32 pairs clamped to [2**11, 2**17] (`_step`), and its accumulator lets
+two steps wait before a merge, so a small call stays small: the
+149,856-pair d(g4 - mu4) on super-Poincare peaks at about 3 MiB of traced
+memory, where 2**17-pair steps take 14.2 MiB at about the same speed.
 
 The core returns None when a guard trips, and the caller then takes the
 exact dict path:
@@ -115,11 +115,10 @@ def leibniz(sig, d_images, inputs: list) -> list:
     out = [None] * len(inputs)
     for call in calls:
         x = _flat([inputs[i] for i in call])
-        if x is None:
-            continue
-        slots = [g for g in _unique(x.gens).tolist() if d_images[g]]
-        res = _sum_of_products(sig, x,
-                               [_flat([d_images[g].terms]) for g in slots],
+        slots = [] if x is None else [g for g in _unique(x.gens).tolist()
+                                      if d_images[g]]
+        res = _sum_of_products(sig, x, [_flat([d_images[g].terms])
+                                        for g in slots],
                                partial(_hole_rows, slots))
         if res is not None:
             for i, terms in zip(call, res):
@@ -165,7 +164,8 @@ def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
     holes = e[rows]
     holes[np.arange(len(rows)), c] -= 1
     return (holes, x.nums[rows] * k * (1 - 2 * flip),
-            x.maxnum * int(e.max(initial=0)), block, x.src[rows])
+            x.maxnum * int(e.max(initial=0)), block,
+            None if x.src is None else x.src[rows])
 
 
 def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
@@ -177,7 +177,7 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     turns the exponent rows e and the numerators of x into the left rows:
     (int8 exponent rows, int64 numerators over x's denominator, a bound on
     their absolute values, the block each row meets, the input each row
-    comes from, in nondecreasing order)."""
+    comes from)."""
     if x is None or any(b is None for b in blocks):
         return None
     if not blocks:
@@ -203,23 +203,13 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     # the pairs p of left row i end at ends[i]; p meets right row p + shift[i]
     ends = np.cumsum(sizes[block])
     shift = np.cumsum(sizes)[block] - ends
-    # the pairs of input t end at done[t]
-    done = np.concatenate([[0], ends])[
-        np.searchsorted(tag, np.arange(x.inputs), "right")]
     del block, tag
     step = _step(int(ends.max(initial=0)))
-    acc = _Accumulator(ctx, step)
-    out = [{} for _ in range(x.inputs)]
-    den *= x.den
-    for p, keys, vals in _pairs(a, b, ends, shift, step):
-        if acc.add(keys, vals):
-            # the last input is closed by `result`, once the operands are
-            # freed
-            closed = min(int(np.searchsorted(done, p, "right")), x.inputs - 1)
-            ctx.decode(*acc.close(closed), den, out)
+    acc = _Accumulator(ctx.words, step)
+    for keys, vals in _pairs(a, b, ends, shift, step):
+        acc.add(keys, vals)
     del a, b, ends, shift
-    ctx.decode(*acc.result(), den, out)
-    return out
+    return ctx.decode(*acc.result(), x.den * den)
 
 
 def _step(pairs: int) -> int:
@@ -237,9 +227,11 @@ def _unique(a: np.ndarray) -> np.ndarray:
 
 
 class _Flat:
-    """The terms of one or more dicts as flat arrays: per-term lengths and
-    inputs, the (generator, exponent) pairs in order, and numerators over
-    one denominator."""
+    """The terms of one or more dicts as flat arrays: per-term lengths, the
+    (generator, exponent) pairs in order, numerators over one denominator,
+    and each term's input (`src`).  `src` is None for one input, so that a
+    one-input call allocates no tags: with them, the fivebrane benchmark's
+    peak RSS rose by 1-8 %, depending on where glibc placed later blocks."""
 
     __slots__ = ("inputs", "src", "lens", "gens", "exps", "nums", "den",
                  "maxnum")
@@ -256,7 +248,8 @@ def _flat(inputs: list) -> _Flat | None:
     if f.maxnum >= _LIMIT:
         return None
     f.nums = np.array(nums, dtype=np.int64)
-    f.src = np.repeat(np.arange(len(inputs)), [len(t) for t in inputs])
+    f.src = (np.repeat(np.arange(len(inputs)), [len(t) for t in inputs])
+             if len(inputs) > 1 else None)
     f.lens = np.fromiter(map(len, monos), np.int64, len(monos))
     pairs = np.fromiter(chain.from_iterable(chain.from_iterable(monos)),
                         np.int64, 2 * int(f.lens.sum()))
@@ -355,7 +348,7 @@ class _Context:
         for c in range(e.shape[1]):
             keys[:, self.word[c]] |= (e[:, c].astype(np.uint64)
                                       << np.uint64(self.shift[c]))
-        if tag is not None and self.inputs > 1:
+        if tag is not None:
             n = len(self.gen_ids)
             keys[:, self.word[n]] |= (tag.astype(np.uint64)
                                       << np.uint64(self.shift[n]))
@@ -384,13 +377,13 @@ class _Context:
         op.occ = _bitmask(e[:, self.sqz])
         return op
 
-    def decode(self, keys: np.ndarray, nums: np.ndarray, den: int,
-               out: list):
-        """Add the canonical entries of merged packed keys and numerators
-        over `den` to out[t], t the input each key is tagged with.  Within
-        an input the keys keep their order."""
+    def decode(self, keys: np.ndarray, nums: np.ndarray, den: int) -> list:
+        """Per input, the canonical dict entries of merged packed keys and
+        numerators over `den` that are tagged with it.  Within an input the
+        keys keep their order."""
+        out = [{} for _ in range(self.inputs)]
         if not len(nums):
-            return
+            return out
         tags = (self.field(keys, len(self.gen_ids)).tolist()
                 if self.inputs > 1 else None)
         uniq = _unique(nums)
@@ -418,14 +411,14 @@ class _Context:
             else:
                 for t, mono, coeff in zip(tags[r0:r0 + ROWS], monos, coeffs):
                     out[t][mono] = coeff
+        return out
 
 
 def _pairs(a: _Operand, b: _Operand, ends: np.ndarray, shift: np.ndarray,
            step: int):
-    """Yield (pairs done, keys, values) of the non-vanishing signed
-    products of the pairs p of a and b, `step` at a time and in order: pair
-    p belongs to the first row i of a with p < ends[i], and to row
-    p + shift[i] of b."""
+    """Yield (keys, values) of the non-vanishing signed products of the
+    pairs p of a and b, `step` at a time and in order: pair p belongs to
+    the first row i of a with p < ends[i], and to row p + shift[i] of b."""
     total = int(ends.max(initial=0))
     for p0 in range(0, total, step):
         p = np.arange(p0, min(p0 + step, total))
@@ -443,33 +436,27 @@ def _pairs(a: _Operand, b: _Operand, ends: np.ndarray, shift: np.ndarray,
             flip ^= wa[ia] & wb[ib]
         vals = a.nums[ia] * b.nums[ib]
         np.negative(vals, out=vals, where=(np.bitwise_count(flip) & 1) == 1)
-        yield p0 + len(p), a.keys[ia] + b.keys[ib], vals
+        yield a.keys[ia] + b.keys[ib], vals
 
 
 class _Accumulator:
-    """Merges (packed keys, int64 values) batches, dropping zero sums, and
-    hands out the entries of each input once it is closed.
+    """Merges (packed keys, int64 values) batches, dropping zero sums.
 
     Batches wait until they outnumber the merged entries (and at least
     2 x step), so each entry is re-merged a bounded number of times."""
 
-    def __init__(self, ctx: _Context, step: int):
-        self.ctx = ctx
+    def __init__(self, words: int, step: int):
         self.floor = 2 * step
-        self.keys = np.zeros((0, ctx.words), dtype=np.uint64)
+        self.keys = np.zeros((0, words), dtype=np.uint64)
         self.vals = np.zeros(0, dtype=np.int64)
         self.pending: list = []
         self.size = 0
-        self.closed = 0
 
-    def add(self, keys: np.ndarray, vals: np.ndarray) -> bool:
-        """Add a batch; whether the pending batches were merged."""
+    def add(self, keys: np.ndarray, vals: np.ndarray):
         self.pending.append((keys, vals))
         self.size += len(vals)
-        if self.size < max(self.floor, len(self.vals)):
-            return False
-        self._merge()
-        return True
+        if self.size >= max(self.floor, len(self.vals)):
+            self._merge()
 
     def _merge(self):
         keys = np.concatenate([self.keys] + [k for k, _ in self.pending])
@@ -503,30 +490,15 @@ class _Accumulator:
         self.keys = keys[starts[keep]]
         self.vals = sums[keep]
 
-    def close(self, inputs: int):
-        """Take out the merged entries of the inputs below `inputs`, none of
-        which has pairs left to add, sorted by key (see `result`)."""
-        keys, vals = self.keys, self.vals
-        if inputs <= self.closed:
-            return keys[:0], vals[:0]
-        self.closed = inputs
-        if inputs < self.ctx.inputs:
-            done = self.ctx.field(keys, len(self.ctx.gen_ids)) < inputs
-            self.keys, self.vals = keys[~done], vals[~done]
-            keys, vals = keys[done], vals[done]
-        else:
-            # copies, not views, which would keep every entry referenced
-            self.keys, self.vals = keys[:0].copy(), vals[:0].copy()
-        order = np.lexsort(keys.T[::-1])
-        return keys[order], vals[order]
-
     def result(self):
-        """The merged (keys, values) of the inputs still open, sorted by
-        key.
+        """The merged (keys, values), sorted by key.
 
         The order of one operation's output is the order the next one
         processes its input in; in key order, terms that share most of their
         factors are neighbours, and their contributions cancel early."""
         if self.pending:
             self._merge()
-        return self.close(self.ctx.inputs)
+        order = np.lexsort(self.keys.T[::-1])
+        self.keys = self.keys[order]
+        self.vals = self.vals[order]
+        return self.keys, self.vals

@@ -221,7 +221,10 @@ def check_d_squared(A: SemifreeDGCA, task_id: str = "d_squared") -> Report:
 
     All d-images go to `batched.leibniz` in one call, which runs those that
     reach its pair gate, alone or together in one tagged call; `apply_d`
-    takes the rest one by one, up to the first residual."""
+    takes the rest one by one, up to the first residual.  (An input whose
+    kernel call tripped a guard also comes back None, and `apply_d` asks
+    the kernel again before it takes the dict path; guards trip rarely,
+    and on none of super-Poincare's or resolved Poincare's d-images.)"""
     gids = [gid for gid, img in enumerate(A.d_images) if img]
     batch = batched.leibniz(A.sig, A.d_images,
                             [A.d_images[gid].terms for gid in gids])
