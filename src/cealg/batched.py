@@ -8,14 +8,21 @@ front-ends, and each leaves to the dict path what has fewer than
 `BATCH_PAIRS` term pairs:
 
 * `product(sig, terms1, terms2)`: one input, terms1, and one block, terms2,
-  met by every term of terms1;
+  met by every term of terms1 (`Element.__mul__`);
 * `leibniz(sig, d_images, inputs)`: d of each terms dict in `inputs`, with
   one block per slot generator g, d g, met by the holes at g: each term
   with a factor g^e, with g's exponent lowered by one, times e and the sign
   `_leibniz_terms` gives it.  An input's pair count is the sum over its
   terms and their factors g of the terms of d g.  An input that reaches
   the gate by itself runs alone; the others share one call if together
-  they reach it, and those below the summed gate stay on the dict path.
+  they reach it, and those below the summed gate stay on the dict path
+  (`apply_d`, `check_d_squared`).
+
+The gate is 20,000 pairs.  Besides d mu7, mu4^2, the five-brane cocycle's
+d and the d**2 = 0 checks on super-Poincare and resolved Poincare, it
+takes the 34,816-pair d mu4 on superMink(11): `is_coboundary`'s closure
+check, `m2brane`'s, and resolved Minkowski's `adjoin_generator` and
+`check_chain_map`.
 
 An element becomes an int8 exponent matrix (terms x generators in use)
 and int64 numerators over one shared denominator.  For a pair of terms
@@ -41,15 +48,21 @@ reaches the gate by itself runs alone: sharing one call with resolved
 Poincare's d(g4 - mu4) would widen its 149,856 pairs from 3 key words to 5.
 
 Pairs are formed in steps, in left-row order (input-major, then
-term-major and slot-minor for Leibniz), merged by sort and
-`np.add.reduceat` into a running accumulator that drops zero sums, and
-decoded once, at the end, to canonical `(monomial, Fraction)` entries,
-split per tag, with one shared tuple per (generator, exponent) and one
-`Fraction` per distinct coefficient.  A call of P pairs takes steps of
-P / 32 pairs clamped to [2**11, 2**17] (`_step`), and its accumulator lets
-two steps wait before a merge, so a small call stays small: the
-149,856-pair d(g4 - mu4) on super-Poincare peaks at about 3 MiB of traced
-memory, where 2**17-pair steps take 14.2 MiB at about the same speed.
+term-major and slot-minor for Leibniz), and merged by sort and
+`np.add.reduceat` into a running accumulator that drops zero sums.  The
+result stays packed (`Packed`: sorted keys, numerators, denominator and
+layout), split per tag, and the front-ends return it.  It is decoded to
+canonical `(monomial, Fraction)` entries, with one shared tuple per
+(generator, exponent) and one `Fraction` per distinct coefficient, only
+when an `Element`'s terms are first read; a zero test reads the row count,
+and `proportional` decides lhs = c * rhs on the arrays of two results, so
+that d mu7 = 15 mu4^2 decodes neither 194,992-term side.
+
+A call of P pairs takes steps of P / 32 pairs clamped to [2**11, 2**17]
+(`_step`), and its accumulator lets two steps wait before a merge, so a
+small call stays small: the 149,856-pair d(g4 - mu4) on super-Poincare
+peaks at about 3 MiB of traced memory, where 2**17-pair steps take
+14.2 MiB at about the same speed.
 
 The core returns None when a guard trips, and the caller then takes the
 exact dict path:
@@ -60,6 +73,9 @@ exact dict path:
   numerators include the Leibniz multiplicity e.  In one output monomial a
   left row meets at most one row of its block, and a right row at most one
   left row tagged with its block, hence the min.
+
+`proportional` likewise answers None, and its caller compares the terms,
+when max|nums_l| * max|nums_r| could reach 2**63.
 
 The module uses only the signature's bit tables and the d-images' terms,
 not `Element` or `apply_d`, so the dict path stays an independent
@@ -77,7 +93,7 @@ import numpy as np
 
 #: Products and Leibniz differentials of fewer term pairs are left to the
 #: dict path.
-BATCH_PAIRS = 50_000
+BATCH_PAIRS = 20_000
 #: Pairs per vectorised step: P // STEPS for a call of P pairs, clamped to
 #: [STEP_MIN, STEP_MAX] (see `_step` and the module docstring).
 STEPS = 32
@@ -90,20 +106,19 @@ _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
 _EMAX = 127
 
 
-def product(sig, terms1: dict, terms2: dict) -> dict | None:
-    """The canonical terms of terms1 * terms2, or None below the gate or if
-    a guard trips."""
+def product(sig, terms1: dict, terms2: dict) -> Packed | None:
+    """terms1 * terms2, packed, or None below the gate or if a guard
+    trips."""
     if len(terms1) * len(terms2) < BATCH_PAIRS:
         return None
-    out = _sum_of_products(sig, _flat([terms1]), [_flat([terms2])],
-                           _term_rows)
-    return None if out is None else out[0]
+    return _sum_of_products(sig, _flat([terms1]), [_flat([terms2])],
+                            _term_rows)
 
 
 def leibniz(sig, d_images, inputs: list) -> list:
-    """Per terms dict in `inputs`, the canonical terms of its d under the
-    generator differentials `d_images` (Elements), or None where the dict
-    path is left to compute it: below the gate, or if a guard trips.
+    """Per terms dict in `inputs`, its d under the generator differentials
+    `d_images` (Elements), packed, or None where the dict path is left to
+    compute it: below the gate, or if a guard trips.
 
     An input of at least BATCH_PAIRS Leibniz pairs runs alone; the others
     share one call if together they have at least BATCH_PAIRS."""
@@ -121,8 +136,8 @@ def leibniz(sig, d_images, inputs: list) -> list:
                                         for g in slots],
                                partial(_hole_rows, slots))
         if res is not None:
-            for i, terms in zip(call, res):
-                out[i] = terms
+            for i, packed in zip(call, res.split()):
+                out[i] = packed
     return out
 
 
@@ -169,9 +184,9 @@ def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
 
 
 def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
-                     ) -> list | None:
-    """Per input of x, the canonical terms of sum_k A_k * B_k over that
-    input's left rows, or None if a guard trips.
+                     ) -> Packed | None:
+    """sum_k A_k * B_k, packed and tagged per input of x, or None if a
+    guard trips.
 
     The blocks B_k are the flat terms `blocks`.  `left_rows(ctx, e, x)`
     turns the exponent rows e and the numerators of x into the left rows:
@@ -181,7 +196,8 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     if x is None or any(b is None for b in blocks):
         return None
     if not blocks:
-        return [{} for _ in range(x.inputs)]
+        ctx = _Context(sig, x.gens[:0], x.gens[:0], x.inputs)
+        return Packed(np.zeros((0, ctx.words), np.uint64), x.nums[:0], 1, ctx)
     cols = _unique(np.concatenate([x.gens] + [b.gens for b in blocks]))
     colmax = _colmax(x, cols) + np.max([_colmax(b, cols) for b in blocks],
                                        axis=0)
@@ -209,7 +225,7 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     for keys, vals in _pairs(a, b, ends, shift, step):
         acc.add(keys, vals)
     del a, b, ends, shift
-    return ctx.decode(*acc.result(), x.den * den)
+    return Packed(*acc.result(), x.den * den, ctx)
 
 
 def _step(pairs: int) -> int:
@@ -314,6 +330,7 @@ class _Context:
 
     def __init__(self, sig, cols: np.ndarray, colmax: np.ndarray,
                  inputs: int):
+        self.sig = sig
         self.cols = cols
         self.gen_ids = cols.tolist()
         self.inputs = inputs
@@ -377,15 +394,12 @@ class _Context:
         op.occ = _bitmask(e[:, self.sqz])
         return op
 
-    def decode(self, keys: np.ndarray, nums: np.ndarray, den: int) -> list:
-        """Per input, the canonical dict entries of merged packed keys and
-        numerators over `den` that are tagged with it.  Within an input the
-        keys keep their order."""
-        out = [{} for _ in range(self.inputs)]
+    def decode(self, keys: np.ndarray, nums: np.ndarray, den: int) -> dict:
+        """The canonical dict entries of packed keys and numerators over
+        `den`, in the keys' order; a tag field is not read."""
+        out = {}
         if not len(nums):
             return out
-        tags = (self.field(keys, len(self.gen_ids)).tolist()
-                if self.inputs > 1 else None)
         uniq = _unique(nums)
         fracs = [Fraction(v, den) for v in uniq.tolist()]
         # one shared (generator, exponent) tuple per column and exponent
@@ -405,13 +419,87 @@ class _Context:
             counts = np.bincount(rows, minlength=len(block)).tolist()
             monos = [tuple(islice(it, k)) for k in counts]
             inv = np.searchsorted(uniq, nums[r0:r0 + ROWS])
-            coeffs = map(fracs.__getitem__, inv.tolist())
-            if tags is None:
-                out[0].update(zip(monos, coeffs))
-            else:
-                for t, mono, coeff in zip(tags[r0:r0 + ROWS], monos, coeffs):
-                    out[t][mono] = coeff
+            out.update(zip(monos, map(fracs.__getitem__, inv.tolist())))
         return out
+
+    def repack(self, keys: np.ndarray, into: "_Context") -> np.ndarray:
+        """Packed keys of this layout in the layout `into`, whose columns
+        include these and whose fields are at least as wide; a tag field is
+        dropped."""
+        out = np.zeros((len(keys), into.words), dtype=np.uint64)
+        at = np.searchsorted(into.cols, self.cols).tolist()
+        for c, col in enumerate(at):
+            out[:, into.word[col]] |= (self.field(keys, c)
+                                       << np.uint64(into.shift[col]))
+        return out
+
+
+class Packed:
+    """A kernel result kept as arrays: packed keys, sorted and distinct,
+    their nonzero int64 numerators over the denominator `den`, and the
+    layout `ctx` the keys are packed in.  `decode` turns it into canonical
+    dict entries, in key order; `graded.Element.from_packed` defers that to
+    the first read of the element's terms."""
+
+    __slots__ = ("keys", "nums", "den", "ctx")
+
+    def __init__(self, keys: np.ndarray, nums: np.ndarray, den: int,
+                 ctx: _Context):
+        self.keys = keys
+        self.nums = nums
+        self.den = den
+        self.ctx = ctx
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def decode(self) -> dict:
+        return self.ctx.decode(self.keys, self.nums, self.den)
+
+    def split(self) -> list:
+        """Per input of a call, the rows tagged with it, in key order."""
+        ctx = self.ctx
+        if ctx.inputs == 1:
+            return [self]
+        tags = ctx.field(self.keys, len(ctx.gen_ids))
+        order = np.argsort(tags, kind="stable")
+        cuts = np.searchsorted(tags[order], np.arange(1, ctx.inputs))
+        return [Packed(self.keys[rows], self.nums[rows], self.den, ctx)
+                for rows in np.split(order, cuts)]
+
+
+def proportional(lhs: Packed, rhs: Packed) -> Fraction | None:
+    """The c with lhs = c * rhs, decided on the arrays, or None when they
+    do not show it: a side is empty, the keys differ, the numerators are
+    not proportional, or a cross product of numerators could reach 2**63.
+
+    Both sides must come from one signature.  Their layouts may differ, so
+    both are re-packed into one layout over the union of their columns
+    and sorted there; lhs = c * rhs then holds exactly when the keys agree
+    row by row and nums_l[i] * nums_r[0] == nums_r[i] * nums_l[0] for
+    every i, with c = nums_l[0] * den_r / (nums_r[0] * den_l)."""
+    if not len(lhs) or len(lhs) != len(rhs):
+        return None
+    big = [int(np.abs(p.nums).max()) for p in (lhs, rhs)]
+    if big[0] * big[1] >= 1 << 63:
+        return None
+    cols = _unique(np.concatenate([lhs.ctx.cols, rhs.ctx.cols]))
+    colmax = np.zeros(len(cols), dtype=np.int64)
+    for p in (lhs, rhs):
+        at = np.searchsorted(cols, p.ctx.cols)
+        colmax[at] = np.maximum(colmax[at], p.ctx.colmax)
+    ctx = _Context(lhs.ctx.sig, cols, colmax, 1)
+    sides = []
+    for p in (lhs, rhs):
+        keys = p.ctx.repack(p.keys, ctx)
+        order = np.lexsort(keys.T[::-1])
+        sides.append((keys[order], p.nums[order]))
+    (kl, nl), (kr, nr) = sides
+    if not np.array_equal(kl, kr):
+        return None
+    if not np.array_equal(nl * nr[0], nr * nl[0]):
+        return None
+    return Fraction(int(nl[0]) * rhs.den, int(nr[0]) * lhs.den)
 
 
 def _pairs(a: _Operand, b: _Operand, ends: np.ndarray, shift: np.ndarray,

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import batched
 from .clifford import (
     CliffordRep,
     Unsupported,
@@ -191,11 +192,20 @@ def _mu(d: int, p: int) -> Element:
 
 
 def proportionality_constant(lhs: Element, rhs: Element) -> Fraction:
-    """The unique c with lhs = c * rhs, or NotProportional."""
+    """The unique c with lhs = c * rhs, or NotProportional.
+
+    When both sides are still packed kernel results, `batched.proportional`
+    decides it on their arrays; whatever it does not confirm is decided
+    here on the terms, which also builds the residual of a mismatch."""
     if lhs.is_zero():
         return Fraction(0)
     if rhs.is_zero():
         raise NotProportional("rhs is zero but lhs is not", residual=lhs)
+    if (lhs.packed is not None and rhs.packed is not None
+            and lhs.sig == rhs.sig):
+        c = batched.proportional(lhs.packed, rhs.packed)
+        if c is not None:
+            return c
     m0 = min(rhs.terms)
     c = lhs.coefficient(m0) / rhs.terms[m0]
     # compared in place: no stored coefficient is zero, so c = 0 fails on the

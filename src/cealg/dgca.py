@@ -171,10 +171,10 @@ def apply_d(A: SemifreeDGCA, x: Element) -> Element:
     sig = A.sig
     if x.sig != sig:
         raise SignatureMismatch("element not in this algebra")
-    (terms,) = batched.leibniz(sig, A.d_images, [x.terms])
-    if terms is None:
-        terms = _accumulate({}, _leibniz_terms(A.d_images, x))
-    return Element(sig, terms)
+    (packed,) = batched.leibniz(sig, A.d_images, [x.terms])
+    if packed is not None:
+        return Element.from_packed(sig, packed)
+    return Element(sig, _accumulate({}, _leibniz_terms(A.d_images, x)))
 
 
 def _leibniz_terms(d_images: tuple[Element, ...], x: Element):
@@ -228,9 +228,9 @@ def check_d_squared(A: SemifreeDGCA, task_id: str = "d_squared") -> Report:
     gids = [gid for gid, img in enumerate(A.d_images) if img]
     batch = batched.leibniz(A.sig, A.d_images,
                             [A.d_images[gid].terms for gid in gids])
-    for gid, terms in zip(gids, batch):
-        img = A.d_images[gid]
-        res = apply_d(A, img) if terms is None else Element(A.sig, terms)
+    for gid, packed in zip(gids, batch):
+        res = (apply_d(A, A.d_images[gid]) if packed is None
+               else Element.from_packed(A.sig, packed))
         if res:
             name = A.sig.decls[gid].name
             return Report(

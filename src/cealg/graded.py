@@ -11,7 +11,9 @@ Products have two exact paths that return the same canonical map.  The
 dict path (`_products` feeding `_accumulate`) multiplies monomial by
 monomial and is the reference.  `batched.product` is asked first; it works
 on int8 exponent matrices and int64 numerators over a shared denominator,
-and returns None for the products it leaves to the dict path.
+and returns None for the products it leaves to the dict path.  What it
+returns stays packed (`Element.from_packed`): the terms are decoded on
+their first read, and len, bool and is_zero read the row count.
 """
 
 from __future__ import annotations
@@ -256,6 +258,8 @@ class Element:
     """
 
     __slots__ = ("sig", "terms")
+    #: The undecoded kernel result, on elements built by `from_packed`.
+    packed = None
 
     def __init__(self, sig: AlgebraSignature, terms: dict[Monomial, Fraction]):
         self.sig = sig
@@ -279,6 +283,11 @@ class Element:
     @staticmethod
     def generator(sig: AlgebraSignature, name: str) -> "Element":
         return Element(sig, {((sig.gen_id(name), 1),): Fraction(1)})
+
+    @staticmethod
+    def from_packed(sig: AlgebraSignature, packed) -> "Element":
+        """An element holding a `batched.Packed` kernel result."""
+        return _PackedElement(sig, packed)
 
     @staticmethod
     def from_terms(sig: AlgebraSignature, terms) -> "Element":
@@ -345,11 +354,11 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            terms = batched.product(self.sig, self.terms, other.terms)
-            if terms is None:
-                terms = _accumulate(
-                    {}, _products(self.terms, other.terms, self.sig))
-            return Element(self.sig, terms)
+            packed = batched.product(self.sig, self.terms, other.terms)
+            if packed is not None:
+                return _PackedElement(self.sig, packed)
+            return Element(self.sig, _accumulate(
+                {}, _products(self.terms, other.terms, self.sig)))
         return self._scaled(Fraction(other))
 
     def __rmul__(self, other):
@@ -408,6 +417,38 @@ class Element:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))
+
+
+class _PackedElement(Element):
+    """An Element whose terms are still a `batched.Packed` kernel result.
+
+    The first read of `terms` decodes them (`__getattr__` runs only while
+    the slot is unset) and drops the arrays; until then len, bool and
+    is_zero read the row count.  Elements built from a dict are plain
+    `Element`s and pay nothing for this."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self, sig: AlgebraSignature, packed):
+        self.sig = sig
+        self.packed = packed
+
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(name)
+        self.terms = terms = self.packed.decode()
+        self.packed = None
+        return terms
+
+    def __len__(self) -> int:
+        packed = self.packed
+        return len(self.terms) if packed is None else len(packed)
+
+    def __bool__(self) -> bool:
+        return len(self) != 0
+
+    def is_zero(self) -> bool:
+        return len(self) == 0
 
 
 _ZERO = Fraction(0)

@@ -6,9 +6,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cealg
+from cealg import batched
 from cealg import (
     ChainHomotopy,
     Element,
@@ -28,6 +32,7 @@ from cealg import (
     m2brane,
     m5_cocycle,
     make_morphism,
+    make_signature,
     measured_c,
     resolved_minkowski,
     set_generators_to_zero,
@@ -47,7 +52,9 @@ from cealg.catalog import (
     proportionality_constant,
     resolution_homotopy_report,
 )
-from cealg.graded import EVEN
+from cealg.graded import EVEN, GradedError, SignatureMismatch
+from test_dgca import _package_env
+from test_graded import kernel_gate_at_zero, random_signature, random_terms
 
 
 def test_super_minkowski_shapes_and_rep_mismatch():
@@ -137,6 +144,167 @@ def test_proportionality_zero_sides():
     with pytest.raises(NotProportional) as exc:
         proportionality_constant(shifted, mu3)
     assert exc.value.residual == shifted
+
+
+def outcome(lhs, rhs):
+    """proportionality_constant(lhs, rhs): c, or the error's type, message
+    and residual."""
+    try:
+        return proportionality_constant(lhs, rhs)
+    except GradedError as exc:
+        return type(exc), str(exc), getattr(exc, "residual", None)
+
+
+def packed_against_dict_path(sig_l, lhs, sig_r, rhs):
+    """The outcome on packed sides (`batched.Packed`), which must equal the
+    outcome on the same terms held in dicts; returns it."""
+    got = outcome(Element.from_packed(sig_l, lhs),
+                  Element.from_packed(sig_r, rhs))
+    want = outcome(Element(sig_l, lhs.decode()), Element(sig_r, rhs.decode()))
+    assert got == want
+    return got
+
+
+def rows(p, keep):
+    """The packed rows `keep` of p (a slice or index array)."""
+    return batched.Packed(p.keys[keep], p.nums[keep], p.den, p.ctx)
+
+
+def perturbed(p, i):
+    nums = p.nums.copy()
+    nums[i] += 1 if nums[i] != -1 else 2
+    return batched.Packed(p.keys, nums, p.den, p.ctx)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_proportionality_matches_dict_path(data):
+    """The decision on the arrays against the dict path: x (y z) against
+    ((c x) y) z, kernel products whose layouts (columns in use and their
+    maxima) differ, swapped, with one coefficient perturbed, a key missing
+    on either side or on both, zero sides and a second signature.  A pass
+    on two nonzero packed sides decodes neither."""
+    sig = data.draw(random_signature(max_gens=12))
+    x, y, z = (data.draw(random_terms(sig, max_terms=6)) for _ in range(3))
+    c = data.draw(st.fractions(min_value=-5, max_value=5,
+                               max_denominator=7).filter(bool))
+    with kernel_gate_at_zero():
+        lhs = batched.product(sig, x, batched.product(sig, y, z).decode())
+        cxy = batched.product(sig, {m: c * v for m, v in x.items()}, y)
+        rhs = batched.product(sig, cxy.decode(), z)
+    n = len(lhs)
+    assert len(rhs) == n
+    if n:
+        left = Element.from_packed(sig, lhs)
+        right = Element.from_packed(sig, rhs)
+        assert proportionality_constant(left, right) == 1 / c
+        assert left.packed is lhs and right.packed is rhs
+        assert packed_against_dict_path(sig, rhs, sig, lhs) == c
+        i, j = (data.draw(st.integers(min_value=0, max_value=n - 1))
+                for _ in range(2))
+        others = np.arange(n) != i
+        cases = [(lhs, perturbed(rhs, i)), (rows(lhs, others), rhs),
+                 (lhs, rows(rhs, others))]
+        if i != j:
+            cases.append((rows(lhs, others), rows(rhs, np.arange(n) != j)))
+        for a, b in cases:
+            got = packed_against_dict_path(sig, a, sig, b)
+            # with one term, a perturbed side is still proportional and a
+            # dropped key leaves a zero side
+            assert n == 1 or got[0] is NotProportional
+        wider = make_signature(list(sig.decls)
+                               + [GeneratorDecl("y", (), 0, EVEN)])
+        got = packed_against_dict_path(sig, lhs, wider, rhs)
+        assert got[0] is SignatureMismatch
+    zero = rows(rhs, slice(0, 0))
+    for a, b in [(zero, rhs), (lhs, zero), (zero, zero)]:
+        packed_against_dict_path(sig, a, sig, b)
+
+
+def test_packed_proportionality_int64_guard():
+    """When max|nums_l| * max|nums_r| could reach 2**63 the arrays decide
+    nothing and the dict path answers.  Without the guard, (2**32 z +
+    z**2) y against (2**32 z + (1 + 2**32) z**2) y would pass with c = 1:
+    1 * 2**32 and (1 + 2**32) * 2**32 agree modulo 2**64."""
+    sig = make_signature([GeneratorDecl(n, (), 0, EVEN) for n in "yz"])
+    y, z = sig.gen_id("y"), sig.gen_id("z")
+
+    def packed(c1, c2):
+        with kernel_gate_at_zero():
+            return batched.product(sig, {((z, 1),): Fraction(c1),
+                                         ((z, 2),): Fraction(c2)},
+                                   {((y, 1),): Fraction(1)})
+
+    for lhs, rhs, want in [
+            (packed(2 ** 32, 1), packed(2 ** 32, 1 + 2 ** 32), None),
+            (packed(2 ** 40, 2 ** 41), packed(2 ** 30, 2 ** 31), 2 ** 10)]:
+        assert batched.proportional(lhs, rhs) is None
+        got = packed_against_dict_path(sig, lhs, sig, rhs)
+        if want is None:
+            assert got[0] is NotProportional
+        else:
+            assert got == want
+    # below the guard, the arrays decide
+    assert batched.proportional(packed(2 ** 20, 2 ** 21),
+                                packed(2 ** 10, 2 ** 11)) == 2 ** 10
+
+
+M5_DECODE_SCRIPT = """
+from cealg import batched, catalog
+
+calls = []
+real = batched._Context.decode
+batched._Context.decode = lambda *a: calls.append(1) or real(*a)
+rep = catalog.verify_m5_relation()
+chi, cocycle = catalog.m5_cocycle()
+print(rep.verdict, rep.pinned["c"], cocycle.verdict, len(calls))
+"""
+
+
+def test_passing_m5_run_decodes_no_kernel_result():
+    """verify_m5_relation() and m5_cocycle() pass without decoding a kernel
+    result: d mu7 = 15 mu4**2 is decided on the arrays, and every other
+    kernel result is only tested for zero.  Run in a fresh interpreter, so
+    that no cached construction hides a call."""
+    proc = subprocess.run([sys.executable, "-c", M5_DECODE_SCRIPT],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["pass", "15/1", "pass", "0"]
+
+
+M5_MEMORY_SCRIPT = """
+import tracemalloc
+
+from cealg import catalog
+from cealg.dgca import apply_d
+
+mink = catalog._mink(11).algebra
+mu4 = catalog._mu(11, 2)
+mu7 = catalog._mu(11, 5)
+tracemalloc.start()
+d_mu7 = apply_d(mink, mu7)
+mu4_sq = mu4 * mu4
+c = catalog.proportionality_constant(d_mu7, mu4_sq)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(c, len(d_mu7), len(mu4_sq), peak)
+"""
+
+
+def test_m5_relation_memory_on_the_arrays():
+    """d mu7, mu4**2 and their comparison, as verify_m5_relation() runs
+    them, keep a tracemalloc peak of at most 34.4 MiB: 31.26 MiB measured,
+    inside the d mu7 kernel call, plus 10 %.  Decoding both 194,992-term
+    results into dicts peaked at 68.4 MiB.  Run in a fresh interpreter, so
+    that the figure repeats exactly."""
+    proc = subprocess.run([sys.executable, "-c", M5_MEMORY_SCRIPT],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    c, d_mu7, mu4_sq, peak = proc.stdout.split()
+    assert (c, d_mu7, mu4_sq) == ("15", "194992", "194992")
+    assert int(peak) <= 34.4 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
 
 
 def test_m2brane_extension():

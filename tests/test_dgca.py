@@ -34,13 +34,14 @@ from cealg import (
 )
 import cealg
 from cealg import batched
-from cealg.catalog import _mink, resolved_poincare, super_poincare
+from cealg.catalog import _mink, _mu, resolved_poincare, super_poincare
 from cealg.dgca import _leibniz_terms
 from cealg.graded import EVEN, _accumulate
 from cealg.linalg import is_coboundary
 from cealg.reporting import run_task
 from test_graded import (dict_product, distinct_terms, kernel_gate_at_zero,
-                         random_signature, random_terms)
+                         kernel_leibniz, kernel_product, random_signature,
+                         random_terms)
 
 
 def s4_algebra():
@@ -142,7 +143,7 @@ def test_d_squared_zero_on_random_elements(a):
     da = apply_d(MINK3, a)
     assert apply_d(MINK3, da).is_zero()
     with kernel_gate_at_zero():
-        assert batched.leibniz(MINK3.sig, MINK3.d_images, [da.terms]) == [{}]
+        assert kernel_leibniz(MINK3.sig, MINK3.d_images, [da.terms]) == [{}]
 
 
 def dict_leibniz(d_images, x):
@@ -159,7 +160,7 @@ def test_batched_leibniz_matches_dict_path(data):
                    for _ in range(len(sig)))
     x = Element(sig, data.draw(random_terms(sig)))
     with kernel_gate_at_zero():
-        assert (batched.leibniz(sig, images, [x.terms])
+        assert (kernel_leibniz(sig, images, [x.terms])
                 == [dict_leibniz(images, x)])
 
 
@@ -189,7 +190,7 @@ def test_batched_leibniz_many_inputs_match_dict_path(data):
         mp.setattr(batched, "BATCH_PAIRS", gate)
         for name, value in SCALED_STEPS.items():
             mp.setattr(batched, name, value)
-        got = batched.leibniz(sig, images, inputs)
+        got = kernel_leibniz(sig, images, inputs)
     shared = sum(p for p in pairs if p < gate)
     for terms, p, out in zip(inputs, pairs, got):
         if p < gate and shared < gate:
@@ -211,7 +212,7 @@ def test_batched_leibniz_shared_call_on_mink3(xs):
         mp.setattr(batched, "BATCH_PAIRS", max(pairs) + 1)
         for name, value in SCALED_STEPS.items():
             mp.setattr(batched, name, value)
-        got = batched.leibniz(MINK3.sig, MINK3.d_images, inputs)
+        got = kernel_leibniz(MINK3.sig, MINK3.d_images, inputs)
     if sum(pairs) <= max(pairs):
         assert got == [None] * len(inputs)
     else:
@@ -310,14 +311,14 @@ def test_batched_leibniz_guards_fall_back_to_dict_path():
     for alg, el in [case(2 ** 30, 2 ** 40, 0),   # products reach 2**70
                     case(1, 1, 100)]:           # z exponents past 127
         assert apply_d(alg, el).terms == dict_leibniz(alg.d_images, el)
-        assert batched.leibniz(sig, alg.d_images, [el.terms]) == [None]
+        assert kernel_leibniz(sig, alg.d_images, [el.terms]) == [None]
     # the bound counts the multiplicity e: 100 * 2**30 * 2**31 wraps int64,
     # 2**30 * 2**31 does not (one term, so the gate is lowered)
     alg = make_dgca(sig, {"x": Element(sig, {((y, 1),): Fraction(2 ** 31)})})
     el = Element(sig, {((x, 100),): Fraction(2 ** 30)})
     with kernel_gate_at_zero():
         assert apply_d(alg, el).terms == dict_leibniz(alg.d_images, el)
-        assert batched.leibniz(sig, alg.d_images, [el.terms]) == [None]
+        assert kernel_leibniz(sig, alg.d_images, [el.terms]) == [None]
 
 
 def test_apply_d_routes_by_leibniz_pairs(monkeypatch):
@@ -348,6 +349,16 @@ def test_apply_d_routes_by_leibniz_pairs(monkeypatch):
                        for i in range(3000)})
     assert apply_d(small, el).terms == dict_leibniz(small.d_images, el)
     assert calls == [1]
+    # d mu4 on superMink(11), the membrane's closure check, has 34,816
+    # pairs: between the gate of 20,000 and the 50,000 it replaced
+    mink = _mink(11).algebra
+    mu4 = _mu(11, 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(batched, "BATCH_PAIRS", 10 ** 6)
+        assert batched._leibniz_pairs(mink.d_images, mu4.terms) == 34_816
+    assert batched.BATCH_PAIRS == 20_000
+    assert apply_d(mink, mu4).is_zero()
+    assert calls == [1, len(mu4)]
 
 
 @given(st.data())
@@ -362,8 +373,8 @@ def test_batched_kernels_match_dict_path_across_step_rule(data):
     with kernel_gate_at_zero() as mp:
         for name, value in SCALED_STEPS.items():
             mp.setattr(batched, name, value)
-        assert batched.product(sig, t1, t2) == dict_product(sig, t1, t2)
-        assert (batched.leibniz(sig, images, [x.terms])
+        assert kernel_product(sig, t1, t2) == dict_product(sig, t1, t2)
+        assert (kernel_leibniz(sig, images, [x.terms])
                 == [dict_leibniz(images, x)])
 
 
@@ -382,12 +393,12 @@ def test_batched_kernels_at_step_rule_breakpoints(monkeypatch, pairs):
                                              rng.randint(1, 3))
           for g, h in rest}
     t2 = {((9, 1),): Fraction(-2, 3)}
-    assert batched.product(sig, t1, t2) == dict_product(sig, t1, t2)
+    assert kernel_product(sig, t1, t2) == dict_product(sig, t1, t2)
     # only x^0 has a d-image, of one term: one pair per input term
     images = tuple(Element(sig, {((1, 1), (2, 1)): Fraction(5)} if i == 0
                            else {}) for i in range(10))
     x = Element(sig, t1)
-    assert (batched.leibniz(sig, images, [x.terms])
+    assert (kernel_leibniz(sig, images, [x.terms])
             == [dict_leibniz(images, x)])
 
 

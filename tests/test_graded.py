@@ -312,6 +312,19 @@ def dict_product(sig, t1, t2):
     return _accumulate({}, _products(t1, t2, sig))
 
 
+def decoded(packed):
+    """The terms of a kernel result (`batched.Packed`), or None."""
+    return None if packed is None else packed.decode()
+
+
+def kernel_product(sig, t1, t2):
+    return decoded(batched.product(sig, t1, t2))
+
+
+def kernel_leibniz(sig, images, inputs):
+    return [decoded(p) for p in batched.leibniz(sig, images, inputs)]
+
+
 @contextmanager
 def kernel_gate_at_zero():
     """Let every call of `batched.product`/`leibniz` reach the kernel core,
@@ -328,7 +341,32 @@ def test_batched_product_matches_dict_path(data):
     t1 = data.draw(random_terms(sig))
     t2 = data.draw(random_terms(sig))
     with kernel_gate_at_zero():
-        assert batched.product(sig, t1, t2) == dict_product(sig, t1, t2)
+        assert kernel_product(sig, t1, t2) == dict_product(sig, t1, t2)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_element_decodes_on_first_read(data):
+    """A kernel product stays packed through len, bool and is_zero; its
+    first read of `terms` decodes the arrays in key order, the order an
+    eager decode gives, to the dict path's terms, and drops them."""
+    sig = data.draw(random_signature())
+    t1 = data.draw(random_terms(sig))
+    t2 = data.draw(random_terms(sig))
+    with kernel_gate_at_zero():
+        packed = batched.product(sig, t1, t2)
+        el = Element(sig, t1) * Element(sig, t2)
+    want = dict_product(sig, t1, t2)
+    assert el.packed is not None
+    assert (len(el), bool(el), el.is_zero()) == (len(want), bool(want),
+                                                not want)
+    assert el.packed is not None
+    assert list(el.terms.items()) == list(packed.decode().items())
+    assert el.terms == want
+    assert el.packed is None
+    assert (len(el), bool(el), el.is_zero()) == (len(want), bool(want),
+                                                not want)
+    assert type(Element(sig, want)) is Element
 
 
 def test_batched_product_chunks_collisions_and_full_cancellation(
@@ -336,7 +374,7 @@ def test_batched_product_chunks_collisions_and_full_cancellation(
     monkeypatch.setattr(batched, "BATCH_PAIRS", 0)
     # (e0 + e1)^2 = e0 e1 + e1 e0 = 0 for anticommuting degree-1 generators
     e = Element.generator(SIG, "e^0") + Element.generator(SIG, "e^1")
-    assert batched.product(SIG, e.terms, e.terms) == {}
+    assert kernel_product(SIG, e.terms, e.terms) == {}
     # 7-pair steps whatever the call's size: many pair steps, accumulator
     # merges and decode blocks; one term on all 80 generators, so packed
     # keys take two words, and the rest on a few generators at both ends,
@@ -354,11 +392,11 @@ def test_batched_product_chunks_collisions_and_full_cancellation(
                for _ in range(60)} for _ in range(2))
     t1[tuple((g, 1) for g in range(80))] = Fraction(1)
     want = dict_product(sig, t1, t2)
-    assert batched.product(sig, t1, t2) == want
+    assert kernel_product(sig, t1, t2) == want
     # a hash of the last word only: keys that differ elsewhere collide, and
     # the merge must fall back to sorting the full keys
     monkeypatch.setattr(batched, "_HASH_MUL", np.uint64(0))
-    assert batched.product(sig, t1, t2) == want
+    assert kernel_product(sig, t1, t2) == want
 
 
 def test_batched_product_guards_fall_back_to_dict_path():
@@ -378,7 +416,7 @@ def test_batched_product_guards_fall_back_to_dict_path():
     ]
     for a, b in cases:
         assert (a * b).terms == dict_product(sig, a.terms, b.terms)
-        assert batched.product(sig, a.terms, b.terms) is None
+        assert kernel_product(sig, a.terms, b.terms) is None
 
 
 def distinct_terms(sig, n):
