@@ -241,6 +241,8 @@ def verify_m5_relation() -> Report:
             "mu7_terms": len(mu7),
             "d_mu7_terms": len(d_mu7),
             "mu4_sq_terms": len(mu4_sq),
+            "tensor_quadruples": fast.stats["quadruples"],
+            "tensor_sym_keys": fast.stats["sym_keys"],
         },
         pinned={"c": f"{c.numerator}/{c.denominator}"},
     )

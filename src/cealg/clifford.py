@@ -10,9 +10,11 @@ plus a diagonal involution.
 The representation checks are integer matrix identities.  The quartic
 (Fierz) checks contract four spinor indices exactly, as sparse (COO) int64
 tensors built from the nonzeros of the pairing matrices and summed over the
-six slot pairings, under an explicit int64 overflow guard.  They share no
-code with the symbolic expansions and must agree with them
-verdict-for-verdict.
+six slot pairings by one sort of (key, value) words, under an explicit
+int64 overflow guard.  d mu7 = c mu4^2 fixes c at the first quadruple of
+frame indices and decides every later one by a single residual tensor,
+which must vanish.  The checks share no code with the symbolic expansions
+and must agree with them verdict-for-verdict.
 """
 
 from __future__ import annotations
@@ -257,18 +259,24 @@ _SLOT_PERMS = ((0, 1, 2, 3),   # X_{ab} Y_{cd}
                (2, 0, 1, 3))   # X_{bc} Y_{ad}
 
 
-def _outer(x: np.ndarray, y: np.ndarray, scale: int = 1) -> np.ndarray:
-    """scale * x (x) y in COO form: int64 rows (i, j, k, l, value), one for
-    each pair of nonzeros x_ij, y_kl.  For the signed-permutation pairings
-    of d=11 that is 32 * 32 rows instead of 32^4 dense entries."""
-    i, j = np.nonzero(x)
-    k, l = np.nonzero(y)
+def _coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of a matrix as (rows, columns, values)."""
+    i, j = np.nonzero(m)
+    return i, j, m[i, j]
+
+
+def _outer(x, y, scale: int = 1) -> np.ndarray:
+    """scale * x (x) y in COO form, for x and y given as `_coo` triples:
+    int64 rows (i, j, k, l, value), one for each pair of nonzeros x_ij,
+    y_kl.  For the signed-permutation pairings of d=11 that is 32 * 32 rows
+    instead of 32^4 dense entries."""
+    (i, j, xv), (k, l, yv) = x, y
     out = np.empty((len(i), len(k), 5), dtype=np.int64)
     out[..., 0] = i[:, None]
     out[..., 1] = j[:, None]
     out[..., 2] = k
     out[..., 3] = l
-    out[..., 4] = np.multiply.outer(scale * x[i, j], y[k, l])
+    out[..., 4] = np.multiply.outer(scale * xv, yv)
     return out.reshape(-1, 5)
 
 
@@ -280,42 +288,73 @@ def _pair_sym(t: np.ndarray, n: int) -> np.ndarray:
     ((i n + j) n + k) n + l in the dense n^4 tensor.  Returns a (2, m) int64
     array: the sorted keys of the nonzero entries, then their values.
 
+    Each row value, shifted to be nonnegative, is packed into the low bits
+    of one word under its key: int32 when key and value fit in 31 bits,
+    else int64.  One sort of those words brings equal keys together and
+    `np.add.reduceat` sums each run in int64.  The caller bounds the values
+    with `_guard_int64`, so that the words and the sums cannot overflow.
+
     For factors that are individually symmetric this equals 6x the full
     symmetrization, which is exactly the functional picking out coefficients
     of commuting-generator monomials.
     """
-    idx = t[:, :4]
-    keys = np.concatenate([((idx[:, a] * n + idx[:, b]) * n + idx[:, c]) * n
-                           + idx[:, d] for a, b, c, d in _SLOT_PERMS])
-    keys, slot = np.unique(keys, return_inverse=True)
-    sums = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(sums, slot, np.tile(t[:, 4], len(_SLOT_PERMS)))
+    val = t[:, 4]
+    lo = int(val.min(initial=0))
+    bits = (int(val.max(initial=0)) - lo).bit_length()
+    dtype = np.int32 if (n ** 4 - 1).bit_length() + bits < 32 else np.int64
+    idx = t[:, :4].T.astype(dtype)
+    words = np.empty((len(_SLOT_PERMS), len(t)), dtype=dtype)
+    for row, perm in zip(words, _SLOT_PERMS):
+        row[...] = idx[perm[0]]
+        for slot in perm[1:]:
+            row *= n
+            row += idx[slot]
+    words <<= bits
+    words += (val - lo).astype(dtype)
+    words = words.ravel()
+    words.sort()
+    vals = words & ((1 << bits) - 1)
+    vals += lo
+    words >>= bits  # the keys
+    starts = np.empty(len(words), dtype=bool)
+    starts[:1] = True
+    np.not_equal(words[1:], words[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    sums = np.add.reduceat(vals, first, dtype=np.int64)
     nonzero = sums != 0
-    return np.stack([keys[nonzero], sums[nonzero]])
+    return np.stack([words[first[nonzero]], sums[nonzero]])
 
 
-def _guard_int64(mats, summands: int, factor: int) -> None:
-    """Raise unless `factor` times a sum of `summands` products of two
-    entries of `mats` stays below 2^62, so that the int64 sums in
-    `_pair_sym` and the cross-multiplied comparison are exact."""
-    top = max(int(np.abs(m).max()) for m in mats)
-    if top * top * summands * factor >= 1 << 62:
+def _guard_int64(values, summands: int, factor: int, n: int) -> None:
+    """Raise unless `_pair_sym` is exact on rows whose values are `factor`
+    times a product of two of `values` (arrays of entries), with at most
+    `summands` rows on one key: each sum stays below 2^62, and each value,
+    shifted to be nonnegative, fits under the key of an n^4 tensor in one
+    int64 word."""
+    top = max((int(np.abs(v).max(initial=0)) for v in values), default=0)
+    bound = top * top * factor
+    if (bound * summands >= 1 << 62
+            or (n ** 4 - 1).bit_length() + (2 * bound).bit_length() > 63):
         raise CliffordError(
             f"quartic tensors could overflow int64: max |entry| {top}, "
             f"{summands} summands, factor {factor}")
 
 
-def _pairing_table(rep: CliffordRep, ranks) -> dict[tuple[int, ...], np.ndarray]:
-    """C Gamma^A for every strictly increasing A of the given lengths."""
-    return {idx: rep.pairing(idx) for p in ranks
+def _pairing_table(rep: CliffordRep, ranks) -> dict[tuple[int, ...], tuple]:
+    """C Gamma^A as a `_coo` triple for every strictly increasing A of the
+    given lengths."""
+    return {idx: _coo(rep.pairing(idx)) for p in ranks
             for idx in itertools.combinations(range(rep.d), p)}
 
 
-def _mu7_tensors(rep: CliffordRep, table, quad) -> tuple[np.ndarray, np.ndarray]:
+def _mu7_terms(rep: CliffordRep, table, quad, d_scale: int = 1,
+               q_scale: int = 1) -> tuple[list, list]:
     """Both sides of d mu7 = c mu4^2 at the quadruple a1 < a2 < a3 < a4, as
-    `_pair_sym` arrays: D = 120 sym4[sum_b eta_bb (C Gamma^{a1..a4 b}) (x)
-    (C Gamma^b)] and Q = 8 sym4[the three two-index splittings of mu4^2]."""
-    terms = []
+    (x, y, scale) terms whose `_outer` rows `_pair_sym` sums to
+    D = 120 sym4[sum_b eta_bb (C Gamma^{a1..a4 b}) (x) (C Gamma^b)] and
+    Q = 8 sym4[the three two-index splittings of mu4^2], times d_scale and
+    q_scale."""
+    d_terms = []
     for b in range(rep.d):
         if b in quad:
             continue
@@ -323,13 +362,18 @@ def _mu7_tensors(rep: CliffordRep, table, quad) -> tuple[np.ndarray, np.ndarray]
         pos = five.index(b)
         # move b to the last slot of Gamma^{a1..a4 b}
         sgn = -1 if (len(five) - 1 - pos) & 1 else 1
-        terms.append(_outer(table[five], table[(b,)], 120 * sgn * rep.eta[b]))
+        d_terms.append((table[five], table[(b,)],
+                        120 * d_scale * sgn * rep.eta[b]))
     a1, a2, a3, a4 = quad
-    q_terms = [_outer(table[a1, a2], table[a3, a4], 8),
-               _outer(table[a1, a3], table[a2, a4], -8),
-               _outer(table[a1, a4], table[a2, a3], 8)]
-    return (_pair_sym(np.concatenate(terms), rep.n_spin),
-            _pair_sym(np.concatenate(q_terms), rep.n_spin))
+    q_terms = [(table[a1, a2], table[a3, a4], 8 * q_scale),
+               (table[a1, a3], table[a2, a4], -8 * q_scale),
+               (table[a1, a4], table[a2, a3], 8 * q_scale)]
+    return d_terms, q_terms
+
+
+def _rows(terms) -> np.ndarray:
+    """The COO rows of a sum of (x, y, scale) outer-product terms."""
+    return np.concatenate([_outer(x, y, s) for x, y, s in terms])
 
 
 def default_cocycle_p(d: int) -> int:
@@ -343,37 +387,51 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
 
     Each identity is a sum of outer products of pairing matrices contracted
     against four commuting spinors.  It is evaluated as integer COO tensors
-    (`_outer`), symmetrized over the six slot pairings (`_pair_sym`) and
-    compared on every nonzero entry, never as a dense n^4 array.
+    (`_outer`), symmetrized over the six slot pairings by one packed sort
+    (`_pair_sym`) and decided on every nonzero entry, never as a dense n^4
+    array.  Stats: `sym_keys`, the keys `_pair_sym` sorted.
 
     family "mu4-closure": for every (p-1)-tuple A of frame indices,
     sum_b eta_bb sym4[(C Gamma^{A b}) (x) (C Gamma^b)] must vanish; this is
-    the closure of the degree-(p+2) cocycle.  family "mu7-relation" (d=11):
-    the same contraction for the 5-index pairing against the two-index
-    splittings of mu4^2 determines the proportionality constant, reported
-    exactly.  p_substitute swaps in another pairing rank as a negative
-    control of the machinery.  Raises CliffordError if the int64 sums could
-    overflow.
+    the closure of the degree-(p+2) cocycle, with the count of `prefixes` A
+    decided.  family "mu7-relation" (d=11): at each quadruple
+    a1 < a2 < a3 < a4, the same contraction D for the 5-index pairing must
+    be c times the contraction Q of the two-index splittings of mu4^2.
+    c = num/den is read off the first quadruple where Q is nonzero, by
+    comparing D and Q there; every later quadruple is decided by one
+    residual den D - num Q, which must vanish.  c is reported exactly, with
+    the count of `quadruples` decided.  p_substitute swaps in another
+    pairing rank as a negative control of the machinery.  Raises
+    CliffordError if the int64 arithmetic could overflow.
     """
     n = rep.n_spin
+    stats = {"d": rep.d, "sym_keys": 0}
+
+    def sym(terms) -> np.ndarray:
+        rows = _rows(terms)
+        stats["sym_keys"] += len(_SLOT_PERMS) * len(rows)
+        return _pair_sym(rows, n)
+
     if family == "mu4-closure":
         p = p_substitute if p_substitute is not None else default_cocycle_p(rep.d)
-        cg1 = [rep.pairing((b,)) for b in range(rep.d)]
+        stats.update(p=p, prefixes=0)
+        cg1 = [_coo(rep.pairing((b,))) for b in range(rep.d)]
         for prefix in itertools.combinations(range(rep.d), p - 1):
+            stats["prefixes"] += 1
             rest = [b for b in range(rep.d) if b not in prefix]
-            bigs = [rep.pairing(prefix + (b,)) for b in rest]
-            _guard_int64(bigs + cg1, 6 * len(rest), 1)
-            terms = [_outer(big, cg1[b], rep.eta[b]) for big, b in zip(bigs, rest)]
-            if terms and _pair_sym(np.concatenate(terms), n).size:
+            bigs = [_coo(rep.pairing(prefix + (b,))) for b in rest]
+            _guard_int64([v for _, _, v in bigs + cg1], 6 * len(rest), 1, n)
+            terms = [(big, cg1[b], rep.eta[b]) for big, b in zip(bigs, rest)]
+            if terms and sym(terms).size:
                 return Report(
                     "fierz." + family, "fail",
                     details=f"quartic identity fails at indices {prefix} (p={p})",
                     witness=str(prefix),
-                    stats={"p": p},
+                    stats=stats,
                 )
         return Report("fierz." + family, "pass",
                       details=f"quartic closure identity holds (p={p})",
-                      stats={"p": p, "d": rep.d})
+                      stats=stats)
 
     if family == "mu7-relation":
         if rep.d == 3:
@@ -386,26 +444,38 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
         if rep.d != 11:
             raise Unsupported("mu7-relation needs the d=11 representation")
         table = _pairing_table(rep, (1, 2, 5))
-        summands = 6 * (rep.d - 4)  # the larger side, D, at scale 120
-        _guard_int64(table.values(), summands, 120)
-        num = None
-        den = None
+        values = [v for _, _, v in table.values()]
+        # at most one row per slot pairing of each term, and the residual
+        # has the d - 4 terms of D and the 3 of Q
+        summands = 6 * (rep.d - 1)
+        _guard_int64(values, summands, 120, n)
+        stats["quadruples"] = 0
+        c = None
         for quad in itertools.combinations(range(rep.d), 4):
-            d_tensor, q_tensor = _mu7_tensors(rep, table, quad)
+            stats["quadruples"] += 1
+            if c is not None:
+                d_terms, q_terms = _mu7_terms(rep, table, quad, c.denominator,
+                                              -c.numerator)
+                if sym(d_terms + q_terms).size:
+                    return Report("fierz.mu7-relation", "fail",
+                                  details=f"proportionality breaks at {quad}",
+                                  witness=str(quad), stats=stats)
+                continue
+            d_terms, q_terms = _mu7_terms(rep, table, quad)
+            d_tensor, q_tensor = sym(d_terms), sym(q_terms)
             if not q_tensor.size:
                 if d_tensor.size:
                     return Report("fierz.mu7-relation", "fail",
                                   details=f"no proportionality at {quad}",
-                                  witness=str(quad))
+                                  witness=str(quad), stats=stats)
                 continue
-            if num is None:
-                # c from the first nonzero of Q in C order: its smallest key
-                key = q_tensor[0, 0]
-                at = np.searchsorted(d_tensor[0], key)
-                hit = at < d_tensor.shape[1] and d_tensor[0, at] == key
-                c = Fraction(int(d_tensor[1, at]) if hit else 0, int(q_tensor[1, 0]))
-                num, den = c.numerator, c.denominator
-                _guard_int64(table.values(), summands, 120 * max(abs(num), den))
+            # c from the first nonzero of Q in C order: its smallest key
+            key = q_tensor[0, 0]
+            at = np.searchsorted(d_tensor[0], key)
+            hit = at < d_tensor.shape[1] and d_tensor[0, at] == key
+            c = Fraction(int(d_tensor[1, at]) if hit else 0, int(q_tensor[1, 0]))
+            num, den = c.numerator, c.denominator
+            _guard_int64(values, summands, 120 * max(abs(num), den), n)
             # den * D == num * Q at every entry; for num = 0, D must vanish
             if num:
                 same = (np.array_equal(d_tensor[0], q_tensor[0])
@@ -415,14 +485,14 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
             if not same:
                 return Report("fierz.mu7-relation", "fail",
                               details=f"proportionality breaks at {quad}",
-                              witness=str(quad))
-        if num is None:
+                              witness=str(quad), stats=stats)
+        if c is None:
             return Report("fierz.mu7-relation", "fail",
-                          details="mu4^2 tensor vanishes at every quadruple")
-        c = Fraction(num, den)
+                          details="mu4^2 tensor vanishes at every quadruple",
+                          stats=stats)
         return Report("fierz.mu7-relation", "pass",
                       details=f"d mu7 = c mu4^2 with c = {c} (tensor path)",
-                      stats={"d": rep.d},
+                      stats=stats,
                       pinned={"c": f"{c.numerator}/{c.denominator}"})
 
     raise Unsupported(f"unknown fierz family {family!r}")

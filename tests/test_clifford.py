@@ -1,5 +1,10 @@
 """Gamma matrix construction, pairing symmetries, quartic identities."""
 
+import itertools
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,15 +19,19 @@ from cealg import (
     check_clifford,
     quartic_fierz_check,
 )
+from cealg import clifford
 from cealg.clifford import (
     CliffordError,
-    _mu7_tensors,
+    _coo,
+    _mu7_terms,
     _outer,
     _pair_sym,
     _pairing_table,
+    _rows,
     octonion_left_mults,
     spin9_gammas,
 )
+from test_dgca import _package_env
 
 
 # Dense reference for the sparse quartic tensors: the einsum outer product
@@ -57,6 +66,44 @@ def _dense_mu7_tensors(rep, quad):
             - _dense_outer(rep.pairing((a1, a3)), rep.pairing((a2, a4)))
             + _dense_outer(rep.pairing((a1, a4)), rep.pairing((a2, a3))))
     return 120 * _dense_pair_sym(dacc), 8 * _dense_pair_sym(qacc)
+
+
+def _mu7_tensors(rep, table, quad):
+    """D and Q at the quadruple as two `_pair_sym` arrays."""
+    d_terms, q_terms = _mu7_terms(rep, table, quad)
+    return (_pair_sym(_rows(d_terms), rep.n_spin),
+            _pair_sym(_rows(q_terms), rep.n_spin))
+
+
+def _residual(rep, table, quad, c):
+    """den D - num Q at the quadruple, as the check builds it for c = num/den."""
+    d_terms, q_terms = _mu7_terms(rep, table, quad, c.denominator, -c.numerator)
+    return _pair_sym(_rows(d_terms + q_terms), rep.n_spin)
+
+
+def _two_tensor_mu7(rep):
+    """The reference decision of d mu7 = c mu4^2: both tensors at every
+    quadruple, c from the first nonzero of the first nonzero Q, and each
+    quadruple compared entry by entry.  Returns (ok, witness, c)."""
+    table = _pairing_table(rep, (1, 2, 5))
+    c = None
+    for quad in itertools.combinations(range(rep.d), 4):
+        d, q = _mu7_tensors(rep, table, quad)
+        if not q.size:
+            if d.size:
+                return False, str(quad), None
+            continue
+        if c is None:
+            at = np.flatnonzero(d[0] == q[0, 0])
+            c = Fraction(int(d[1, at[0]]) if at.size else 0, int(q[1, 0]))
+        if c:
+            same = (np.array_equal(d[0], q[0])
+                    and np.array_equal(c.denominator * d[1], c.numerator * q[1]))
+        else:
+            same = not d.size
+        if not same:
+            return False, str(quad), None
+    return c is not None, None, c
 
 
 def test_octonion_left_mults_composition_property():
@@ -177,10 +224,62 @@ def test_sparse_pair_sym_matches_dense(x, y, scale):
     for m in (x, y):
         assume(not np.array_equal(m, m.T))
         assume(not np.array_equal(np.abs(m) @ np.abs(m).T, np.eye(4)))
-    sparse = _pair_sym(_outer(x, y, scale), 4)
+    sparse = _pair_sym(_outer(_coo(x), _coo(y), scale), 4)
     dense = _dense_nonzeros(_dense_pair_sym(scale * _dense_outer(x, y)))
     assert sparse.dtype == np.int64
     assert np.array_equal(sparse, dense)
+
+
+def _dense_of_rows(t, n):
+    dense = np.zeros((n,) * 4, dtype=np.int64)
+    np.add.at(dense, tuple(t[:, :4].T), t[:, 4])
+    return dense
+
+
+coo_rows = st.tuples(st.integers(0, 40), st.integers(0, 40)).flatmap(
+    lambda mb: st.tuples(
+        arrays(np.int64, (mb[0], 4), elements=st.integers(0, 3)),
+        # mostly negative, with value widths on both sides of the 24 bits
+        # that fit in an int32 word under an 8-bit key
+        arrays(np.int64, (mb[0],), elements=st.integers(-2 ** mb[1], 2 ** 4)),
+        arrays(np.bool_, (mb[0],))))
+
+
+@given(coo_rows)
+@settings(max_examples=200, deadline=None)
+def test_sparse_pair_sym_matches_dense_on_raw_rows(drawn):
+    """Rows in any order, repeated positions, values far below zero, and
+    each row flagged in `cancel` repeated with the opposite value, so that
+    its position sums to zero and must be dropped."""
+    idx, val, cancel = drawn
+    t = np.concatenate([np.column_stack([idx, val]),
+                        np.column_stack([idx[cancel], -val[cancel]])])
+    sparse = _pair_sym(t, 4)
+    assert sparse.dtype == np.int64
+    assert np.array_equal(sparse, _dense_nonzeros(_dense_pair_sym(_dense_of_rows(t, 4))))
+    if cancel.all():
+        assert sparse.shape == (2, 0)
+
+
+def test_sparse_pair_sym_edge_cases():
+    empty = _pair_sym(np.empty((0, 5), dtype=np.int64), 4)
+    assert empty.dtype == np.int64 and empty.shape == (2, 0)
+    zero = np.zeros((4, 4), dtype=np.int64)
+    assert _outer(_coo(zero), _coo(np.eye(4, dtype=np.int64))).shape == (0, 5)
+    # one position under all six pairings, cancelled by its own negative
+    row = np.array([[0, 1, 2, 3, -7], [0, 1, 2, 3, 7]], dtype=np.int64)
+    assert _pair_sym(row, 4).shape == (2, 0)
+    # every value negative: the shift to nonnegative words must undo exactly
+    t = np.array([[3, 0, 1, 2, -2 ** 40], [3, 0, 1, 2, -1]], dtype=np.int64)
+    got = _pair_sym(t, 4)
+    assert np.array_equal(got, _dense_nonzeros(_dense_pair_sym(_dense_of_rows(t, 4))))
+    assert set(got[1].tolist()) == {-2 ** 40 - 1}
+    # the widest values that still fit an int32 word beside the top key,
+    # and one bit more
+    for top in (2 ** 22, 2 ** 23):
+        t = np.array([[3, 3, 3, 3, top - 1], [0, 1, 2, 3, -top]], dtype=np.int64)
+        want = _dense_nonzeros(_dense_pair_sym(_dense_of_rows(t, 4)))
+        assert np.array_equal(_pair_sym(t, 4), want)
 
 
 @pytest.mark.parametrize("quad", [(0, 1, 2, 3), (6, 7, 8, 9)])
@@ -212,10 +311,87 @@ def test_mu7_relation_negative_control(five, witness):
     assert bad.witness == witness
 
 
+WRONG_C = [Fraction(14), Fraction(16), Fraction(15, 2), Fraction(0), Fraction(-15)]
+
+
+@pytest.mark.parametrize("quad", [(0, 1, 2, 3), (2, 4, 7, 10)])
+def test_mu7_residual_matches_dense_two_tensor_reference(quad):
+    """The residual den D - num Q the check sorts equals the dense one, entry
+    by entry, for c = 15 and for wrong constants, and it vanishes exactly
+    when the two-tensor comparison holds."""
+    rep = build_clifford(11)
+    table = _pairing_table(rep, (1, 2, 5))
+    d_dense, q_dense = _dense_mu7_tensors(rep, quad)
+    d_sparse, q_sparse = _mu7_tensors(rep, table, quad)
+    for c in WRONG_C + [Fraction(15)]:
+        num, den = c.numerator, c.denominator
+        residual = _residual(rep, table, quad, c)
+        assert np.array_equal(residual, _dense_nonzeros(den * d_dense - num * q_dense))
+        same = (np.array_equal(d_sparse[0], q_sparse[0])
+                and np.array_equal(den * d_sparse[1], num * q_sparse[1]))
+        assert (not residual.size) == same == (c == 15)
+
+
+def _pairs_with_10_scaled(factor):
+    """Scale C Gamma^{a 10}: Q at each quadruple with a4 = 10 is scaled by
+    `factor`, every other quadruple and every D unchanged.  With c = 15
+    fixed at (0, 1, 2, 3), (0, 1, 2, 10) then looks like c = 15 / factor."""
+    def perturb(indices, m):
+        return factor * m if len(indices) == 2 and indices[1] == 10 else m
+    return perturb
+
+
+@pytest.mark.parametrize("perturb, witness", [
+    (None, None),
+    (_pairs_with_10_scaled(2), "(0, 1, 2, 10)"),
+    (_pairs_with_10_scaled(-1), "(0, 1, 2, 10)"),
+    # Q vanishes at a later quadruple while D does not
+    (_pairs_with_10_scaled(0), "(0, 1, 2, 10)"),
+])
+def test_mu7_relation_matches_two_tensor_reference(perturb, witness):
+    rep = build_clifford(11)
+    if perturb is not None:
+        pairing = rep.pairing
+        rep.pairing = lambda indices: perturb(tuple(indices), pairing(indices))
+    ok, want_witness, c = _two_tensor_mu7(rep)
+    got = quartic_fierz_check(rep, "mu7-relation")
+    assert (got.ok, got.witness) == (ok, want_witness)
+    assert got.witness == witness
+    if ok:
+        assert got.pinned["c"] == f"{c.numerator}/{c.denominator}" == "15/1"
+
+
+def test_mu7_relation_sorts_one_residual_per_quadruple(monkeypatch):
+    """Two `_pair_sym` calls fix c at (0, 1, 2, 3); each of the other 329
+    quadruples takes one."""
+    calls = []
+    real = clifford._pair_sym
+    monkeypatch.setattr(clifford, "_pair_sym",
+                        lambda t, n: calls.append(len(t)) or real(t, n))
+    rep = quartic_fierz_check(build_clifford(11), "mu7-relation")
+    assert rep.ok
+    assert len(calls) == 331
+    assert rep.stats["quadruples"] == 330
+    assert rep.stats["sym_keys"] == 6 * sum(calls) == 20_275_200
+
+
 def test_mu7_relation_refuses_int64_overflow():
     rep = build_clifford(11)
     rep.charge_conj *= 2 ** 31
     with pytest.raises(CliffordError):
+        quartic_fierz_check(rep, "mu7-relation")
+
+
+def test_mu7_relation_refuses_packed_word_overflow():
+    """Scaling C by s scales both sides by s^2 and leaves c = 15.  The
+    residual's values reach 2 * 1800 s^2, which must fit in the 43 bits an
+    int64 word has left under a 20-bit key: at s = 2^15 they do, at s = 2^16
+    they could not, while every sum would still fit."""
+    rep = build_clifford(11)
+    rep.charge_conj *= 2 ** 15
+    assert quartic_fierz_check(rep, "mu7-relation").pinned["c"] == "15/1"
+    rep.charge_conj *= 2
+    with pytest.raises(CliffordError, match="factor 1800"):
         quartic_fierz_check(rep, "mu7-relation")
 
 
@@ -231,3 +407,32 @@ def test_mu7_relation_vanishing_mu4_squared_fails():
     bad = quartic_fierz_check(rep, "mu7-relation")
     assert not bad.ok
     assert bad.details == "mu4^2 tensor vanishes at every quadruple"
+
+
+MU7_TENSOR_MEMORY_SCRIPT = """
+import tracemalloc
+
+from cealg.clifford import build_clifford, quartic_fierz_check
+
+rep = build_clifford(11)
+tracemalloc.start()
+report = quartic_fierz_check(rep, "mu7-relation")
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(report.pinned["c"], report.stats["quadruples"], peak)
+"""
+
+
+def test_mu7_relation_tensor_path_memory():
+    """The tensor path of d mu7 = 15 mu4^2 keeps its tracemalloc peak, the
+    pairing table included, at most 3.4 MiB: 3.06 MiB measured plus 10 %.
+    Sorting one residual per quadruple replaced two symmetrised tensors and
+    their `np.unique` inverse, which peaked at 7.62 MiB.  Run in a fresh
+    interpreter, so that the figure repeats exactly."""
+    proc = subprocess.run([sys.executable, "-c", MU7_TENSOR_MEMORY_SCRIPT],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    c, quadruples, peak = proc.stdout.split()
+    assert (c, int(quadruples)) == ("15/1", 330)
+    assert int(peak) <= 3.4 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
