@@ -77,7 +77,6 @@ class NotProportional(CatalogError):
 
 @dataclass
 class CatalogAlgebra:
-    tag: str
     algebra: SemifreeDGCA
     rep: CliffordRep | None = None
 
@@ -140,7 +139,7 @@ def _mink(d: int) -> CatalogAlgebra:
     for a in range(d):
         images[f"e^{a}"] = _pairing_element(sig, psi_ids, rep.pairing((a,)), 1)
     alg = make_dgca(sig, images)
-    return CatalogAlgebra(f"superMink({d},{rep.n_spin})", alg, rep)
+    return CatalogAlgebra(alg, rep)
 
 
 def super_minkowski(d: int, rep: CliffordRep) -> CatalogAlgebra:
@@ -264,7 +263,7 @@ def m2brane() -> CatalogAlgebra:
     cat = _mink(11)
     alg = adjoin_generator(cat.algebra, GeneratorDecl("h3", (), 3, EVEN),
                            _mu(11, 2), lam=-1)
-    return CatalogAlgebra("m2brane", alg, cat.rep)
+    return CatalogAlgebra(alg, cat.rep)
 
 
 @lru_cache(maxsize=None)
@@ -309,7 +308,7 @@ def resolved_minkowski() -> tuple[CatalogAlgebra, DGCAMorphism, DGCAMorphism,
         with_g4, GeneratorDecl("h3", (), 3, EVEN),
         Element.generator(with_g4.sig, "g4") - transport(_mu(11, 2), with_g4.sig),
     )
-    cat = CatalogAlgebra("resolvedMink", res_alg, mink.rep)
+    cat = CatalogAlgebra(res_alg, mink.rep)
     sig = res_alg.sig
     mink_alg = mink.algebra
     mu4 = _mu(11, 2)
@@ -398,7 +397,7 @@ def coefficient_line(p: int) -> CatalogAlgebra:
     degree-(p+2) cocycle."""
     deg = p + 2
     sig = make_signature([GeneratorDecl(f"g{deg}", (), deg, EVEN)])
-    return CatalogAlgebra(f"coefficientLine({p})", make_dgca(sig, {}))
+    return CatalogAlgebra(make_dgca(sig, {}))
 
 
 # -- super-Poincare ----------------------------------------------------------
@@ -472,7 +471,7 @@ def super_poincare() -> CatalogAlgebra:
         images[f"omega^{a},{b}"] = Element.from_terms(sig, terms)
 
     alg = make_dgca(sig, images)
-    return CatalogAlgebra("superPoincare", alg, rep)
+    return CatalogAlgebra(alg, rep)
 
 
 @lru_cache(maxsize=None)
@@ -585,7 +584,7 @@ def resolved_poincare() -> CatalogAlgebra:
     mu4 = transport(_mu(11, 2), with_g4.sig)
     alg = adjoin_generator(with_g4, GeneratorDecl("h3", (), 3, EVEN),
                            Element.generator(with_g4.sig, "g4") - mu4)
-    return CatalogAlgebra("resolvedPoincare", alg, iso.rep)
+    return CatalogAlgebra(alg, iso.rep)
 
 
 def family_seven_cocycle(alpha, beta) -> tuple[DGCAMorphism, Report]:

@@ -10,11 +10,12 @@ plus a diagonal involution.
 The representation checks are integer matrix identities.  The quartic
 (Fierz) checks contract four spinor indices exactly, as sparse (COO) int64
 tensors built from the nonzeros of the pairing matrices and summed over the
-six slot pairings by one sort of (key, value) words, under an explicit
-int64 overflow guard.  d mu7 = c mu4^2 fixes c at the first quadruple of
-frame indices and decides every later one by a single residual tensor,
-which must vanish.  The checks share no code with the symbolic expansions
-and must agree with them verdict-for-verdict.
+six slot pairings by one sort of (key, value) words, under one int64
+overflow guard per pairing table.  d mu7 = c mu4^2 fixes c at the first
+quadruple of frame indices where mu4^2 is nonzero and decides it and every
+later one by a single residual tensor, which must vanish.  The checks share
+no code with the symbolic expansions and must agree with them
+verdict-for-verdict.
 """
 
 from __future__ import annotations
@@ -123,16 +124,14 @@ class CliffordRep:
         t, s = signature
         self.eta = tuple([-1] * t + [1] * s)
 
-    def gamma_product(self, indices) -> np.ndarray:
-        out = np.eye(self.n_spin, dtype=np.int64)
+    def pairing(self, indices) -> np.ndarray:
+        """C Gamma^{a1} ... Gamma^{ap}: a new array, p matmuls from C."""
+        out = self.charge_conj.copy()
         for a in indices:
             if not 0 <= a < self.d:
                 raise BadIndices(f"index {a} out of range for d={self.d}")
             out = out @ self.gammas[a]
         return out
-
-    def pairing(self, indices) -> np.ndarray:
-        return self.charge_conj @ self.gamma_product(indices)
 
     def to_json(self) -> dict:
         return {
@@ -200,10 +199,11 @@ _D11_SYMMETRY = {0: "antisymmetric", 1: "symmetric", 2: "symmetric",
 
 
 def check_clifford(rep: CliffordRep, task_id: str = "clifford.check") -> Report:
-    """Validate the representation: anticommutators, pairing symmetries for
-    p <= 5, and Gamma^{ab} = (1/2)[Gamma^a, Gamma^b]."""
-    n = rep.n_spin
-    ident = np.eye(n, dtype=np.int64)
+    """Validate the representation: anticommutators and pairing symmetries
+    for p <= 5.  [Gamma^a, Gamma^b] = 2 Gamma^{ab} needs no check of its own:
+    Gamma^{ab} is the ordered product Gamma^a Gamma^b, so for a != b it holds
+    exactly when {Gamma^a, Gamma^b} = 0, and for a = b both sides vanish."""
+    ident = np.eye(rep.n_spin, dtype=np.int64)
     for a in range(rep.d):
         for b in range(a, rep.d):
             anti = rep.gammas[a] @ rep.gammas[b] + rep.gammas[b] @ rep.gammas[a]
@@ -231,13 +231,6 @@ def check_clifford(rep: CliffordRep, task_id: str = "clifford.check") -> Report:
                 return Report(
                     task_id, "fail",
                     details=f"pairing symmetry at p={p} is {flags[p]}, expected {want}")
-    for a in range(rep.d):
-        for b in range(rep.d):
-            comm = rep.gammas[a] @ rep.gammas[b] - rep.gammas[b] @ rep.gammas[a]
-            gam_ab = rep.gamma_product((a, b)) if a != b else np.zeros_like(ident)
-            if not np.array_equal(comm, 2 * gam_ab):
-                return Report(task_id, "fail",
-                              details=f"Gamma^{{ab}} != [Gamma,Gamma]/2 at ({a},{b})")
     flag_str = {p: next(iter(s)) for p, s in flags.items()}
     return Report(
         task_id, "pass",
@@ -347,6 +340,16 @@ def _pairing_table(rep: CliffordRep, ranks) -> dict[tuple[int, ...], tuple]:
             for idx in itertools.combinations(range(rep.d), p)}
 
 
+def _closure_terms(rep: CliffordRep, table, prefix, scale: int) -> list:
+    """sum_b eta_bb (C Gamma^{prefix b}) (x) (C Gamma^b) over b not in the
+    prefix, times scale, as (x, y, scale) terms: C Gamma^{prefix b} is read
+    from the table at the sorted indices, with the sign of moving b to the
+    last slot, past the prefix indices above b."""
+    return [(table[tuple(sorted(prefix + (b,)))], table[(b,)],
+             scale * rep.eta[b] * (-1) ** sum(a > b for a in prefix))
+            for b in range(rep.d) if b not in prefix]
+
+
 def _mu7_terms(rep: CliffordRep, table, quad, d_scale: int = 1,
                q_scale: int = 1) -> tuple[list, list]:
     """Both sides of d mu7 = c mu4^2 at the quadruple a1 < a2 < a3 < a4, as
@@ -354,21 +357,11 @@ def _mu7_terms(rep: CliffordRep, table, quad, d_scale: int = 1,
     D = 120 sym4[sum_b eta_bb (C Gamma^{a1..a4 b}) (x) (C Gamma^b)] and
     Q = 8 sym4[the three two-index splittings of mu4^2], times d_scale and
     q_scale."""
-    d_terms = []
-    for b in range(rep.d):
-        if b in quad:
-            continue
-        five = tuple(sorted(quad + (b,)))
-        pos = five.index(b)
-        # move b to the last slot of Gamma^{a1..a4 b}
-        sgn = -1 if (len(five) - 1 - pos) & 1 else 1
-        d_terms.append((table[five], table[(b,)],
-                        120 * d_scale * sgn * rep.eta[b]))
     a1, a2, a3, a4 = quad
     q_terms = [(table[a1, a2], table[a3, a4], 8 * q_scale),
                (table[a1, a3], table[a2, a4], -8 * q_scale),
                (table[a1, a4], table[a2, a3], 8 * q_scale)]
-    return d_terms, q_terms
+    return _closure_terms(rep, table, quad, 120 * d_scale), q_terms
 
 
 def _rows(terms) -> np.ndarray:
@@ -397,12 +390,14 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
     decided.  family "mu7-relation" (d=11): at each quadruple
     a1 < a2 < a3 < a4, the same contraction D for the 5-index pairing must
     be c times the contraction Q of the two-index splittings of mu4^2.
-    c = num/den is read off the first quadruple where Q is nonzero, by
-    comparing D and Q there; every later quadruple is decided by one
-    residual den D - num Q, which must vanish.  c is reported exactly, with
-    the count of `quadruples` decided.  p_substitute swaps in another
-    pairing rank as a negative control of the machinery.  Raises
-    CliffordError if the int64 arithmetic could overflow.
+    Where Q vanishes before c is known, D must vanish too.  c = num/den is
+    read off the first quadruple where Q is nonzero, by comparing D and Q
+    there; that quadruple and every later one is decided by one residual
+    den D - num Q, which must vanish.  c is reported exactly, with the count
+    of `quadruples` decided.  Each family reads its pairings from one
+    `_pairing_table`, guarded once.  p_substitute swaps in another pairing
+    rank as a negative control of the machinery.  Raises CliffordError if
+    the int64 arithmetic could overflow.
     """
     n = rep.n_spin
     stats = {"d": rep.d, "sym_keys": 0}
@@ -415,13 +410,13 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
     if family == "mu4-closure":
         p = p_substitute if p_substitute is not None else default_cocycle_p(rep.d)
         stats.update(p=p, prefixes=0)
-        cg1 = [_coo(rep.pairing((b,))) for b in range(rep.d)]
+        table = _pairing_table(rep, {1, p})
+        # at most one row per slot pairing of each of the d - (p - 1) terms
+        _guard_int64([v for _, _, v in table.values()], 6 * (rep.d - p + 1),
+                     1, n)
         for prefix in itertools.combinations(range(rep.d), p - 1):
             stats["prefixes"] += 1
-            rest = [b for b in range(rep.d) if b not in prefix]
-            bigs = [_coo(rep.pairing(prefix + (b,))) for b in rest]
-            _guard_int64([v for _, _, v in bigs + cg1], 6 * len(rest), 1, n)
-            terms = [(big, cg1[b], rep.eta[b]) for big, b in zip(bigs, rest)]
+            terms = _closure_terms(rep, table, prefix, 1)
             if terms and sym(terms).size:
                 return Report(
                     "fierz." + family, "fail",
@@ -453,36 +448,25 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
         c = None
         for quad in itertools.combinations(range(rep.d), 4):
             stats["quadruples"] += 1
-            if c is not None:
-                d_terms, q_terms = _mu7_terms(rep, table, quad, c.denominator,
-                                              -c.numerator)
-                if sym(d_terms + q_terms).size:
-                    return Report("fierz.mu7-relation", "fail",
-                                  details=f"proportionality breaks at {quad}",
-                                  witness=str(quad), stats=stats)
-                continue
-            d_terms, q_terms = _mu7_terms(rep, table, quad)
-            d_tensor, q_tensor = sym(d_terms), sym(q_terms)
-            if not q_tensor.size:
-                if d_tensor.size:
-                    return Report("fierz.mu7-relation", "fail",
-                                  details=f"no proportionality at {quad}",
-                                  witness=str(quad), stats=stats)
-                continue
-            # c from the first nonzero of Q in C order: its smallest key
-            key = q_tensor[0, 0]
-            at = np.searchsorted(d_tensor[0], key)
-            hit = at < d_tensor.shape[1] and d_tensor[0, at] == key
-            c = Fraction(int(d_tensor[1, at]) if hit else 0, int(q_tensor[1, 0]))
-            num, den = c.numerator, c.denominator
-            _guard_int64(values, summands, 120 * max(abs(num), den), n)
-            # den * D == num * Q at every entry; for num = 0, D must vanish
-            if num:
-                same = (np.array_equal(d_tensor[0], q_tensor[0])
-                        and np.array_equal(den * d_tensor[1], num * q_tensor[1]))
-            else:
-                same = not d_tensor.size
-            if not same:
+            if c is None:
+                d_tensor, q_tensor = map(sym, _mu7_terms(rep, table, quad))
+                if not q_tensor.size:
+                    if d_tensor.size:
+                        return Report("fierz.mu7-relation", "fail",
+                                      details=f"no proportionality at {quad}",
+                                      witness=str(quad), stats=stats)
+                    continue
+                # c from the first nonzero of Q in C order: its smallest key
+                key = q_tensor[0, 0]
+                at = np.searchsorted(d_tensor[0], key)
+                hit = at < d_tensor.shape[1] and d_tensor[0, at] == key
+                c = Fraction(int(d_tensor[1, at]) if hit else 0,
+                             int(q_tensor[1, 0]))
+                _guard_int64(values, summands,
+                             120 * max(abs(c.numerator), c.denominator), n)
+            d_terms, q_terms = _mu7_terms(rep, table, quad, c.denominator,
+                                          -c.numerator)
+            if sym(d_terms + q_terms).size:
                 return Report("fierz.mu7-relation", "fail",
                               details=f"proportionality breaks at {quad}",
                               witness=str(quad), stats=stats)

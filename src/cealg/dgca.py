@@ -174,7 +174,12 @@ def apply_d(A: SemifreeDGCA, x: Element) -> Element:
     (packed,) = batched.leibniz(sig, A.d_images, [x.terms])
     if packed is not None:
         return Element.from_packed(sig, packed)
-    return Element(sig, _accumulate({}, _leibniz_terms(A.d_images, x)))
+    return _dict_apply_d(A, x)
+
+
+def _dict_apply_d(A: SemifreeDGCA, x: Element) -> Element:
+    """d(x) on the dict path, without asking the kernel."""
+    return Element(A.sig, _accumulate({}, _leibniz_terms(A.d_images, x)))
 
 
 def _leibniz_terms(d_images: tuple[Element, ...], x: Element):
@@ -220,16 +225,13 @@ def check_d_squared(A: SemifreeDGCA, task_id: str = "d_squared") -> Report:
     in generator order.
 
     All d-images go to `batched.leibniz` in one call, which runs those that
-    reach its pair gate, alone or together in one tagged call; `apply_d`
-    takes the rest one by one, up to the first residual.  (An input whose
-    kernel call tripped a guard also comes back None, and `apply_d` asks
-    the kernel again before it takes the dict path; guards trip rarely,
-    and on none of super-Poincare's or resolved Poincare's d-images.)"""
+    reach its pair gate, alone or together in one tagged call; the dict
+    path takes the rest one by one, up to the first residual."""
     gids = [gid for gid, img in enumerate(A.d_images) if img]
     batch = batched.leibniz(A.sig, A.d_images,
                             [A.d_images[gid].terms for gid in gids])
     for gid, packed in zip(gids, batch):
-        res = (apply_d(A, A.d_images[gid]) if packed is None
+        res = (_dict_apply_d(A, A.d_images[gid]) if packed is None
                else Element.from_packed(A.sig, packed))
         if res:
             name = A.sig.decls[gid].name

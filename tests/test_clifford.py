@@ -184,6 +184,70 @@ def test_check_clifford_negative_control():
     assert "anticommutator" in bad.details
 
 
+def _commutator_loop_ok(rep):
+    """The commutator pass `check_clifford` no longer runs: [Gamma^a, Gamma^b]
+    = 2 Gamma^{ab} for every a, b, with Gamma^{ab} the ordered product for
+    a != b and 0 for a = b."""
+    for a, b in itertools.product(range(rep.d), repeat=2):
+        ga, gb = rep.gammas[a], rep.gammas[b]
+        gab = ga @ gb if a != b else np.zeros_like(ga)
+        if not np.array_equal(ga @ gb - gb @ ga, 2 * gab):
+            return False
+    return True
+
+
+def _one_entry_flipped(d, gamma, row):
+    """The rep with the nonzero entry in one row of one gamma sign-flipped."""
+    rep = build_clifford(d)
+    col = np.flatnonzero(rep.gammas[gamma][row])[0]
+    rep.gammas[gamma][row, col] *= -1
+    return rep
+
+
+@pytest.mark.parametrize("rep", [
+    build_clifford(3), build_clifford(11),
+    _one_entry_flipped(3, 1, 0), _one_entry_flipped(3, 0, 1),
+    _one_entry_flipped(11, 4, 7), _one_entry_flipped(11, 0, 0),
+    _one_entry_flipped(11, 10, 31),
+], ids=["d3", "d11", "d3-g1", "d3-g0", "d11-g4", "d11-g0", "d11-g10"])
+def test_check_clifford_needs_no_commutator_pass(rep):
+    assert _commutator_loop_ok(rep) == check_clifford(rep).ok
+
+
+@pytest.mark.parametrize("indices", [(), (3,), (0, 7), (1, 2, 3, 4, 5)])
+def test_pairing_returns_a_fresh_array(indices):
+    rep = build_clifford(11)
+    charge_conj = rep.charge_conj.copy()
+    gammas = [g.copy() for g in rep.gammas]
+    m = rep.pairing(indices)
+    want = m.copy()
+    m += 1
+    assert np.array_equal(rep.pairing(indices), want)
+    assert np.array_equal(rep.charge_conj, charge_conj)
+    assert all(np.array_equal(g, h) for g, h in zip(rep.gammas, gammas))
+
+
+def test_mu4_closure_reads_one_pairing_table():
+    """The 11 pairings of rank 1 and 55 of rank 2, once each: 66 calls."""
+    rep = build_clifford(11)
+    calls = []
+    pairing = rep.pairing
+    rep.pairing = lambda indices: calls.append(tuple(indices)) or pairing(indices)
+    report = quartic_fierz_check(rep, "mu4-closure")
+    assert report.ok
+    assert len(calls) == len(set(calls)) == 66
+    assert (report.stats["sym_keys"], report.stats["prefixes"]) == (675_840, 11)
+
+
+def test_mu4_closure_refuses_int64_overflow():
+    rep = build_clifford(11)
+    rep.charge_conj *= 2 ** 15
+    assert quartic_fierz_check(rep, "mu4-closure").ok
+    rep.charge_conj *= 2 ** 16
+    with pytest.raises(CliffordError):
+        quartic_fierz_check(rep, "mu4-closure")
+
+
 def test_quartic_closure_identities():
     assert quartic_fierz_check(build_clifford(3), "mu4-closure").ok
     assert quartic_fierz_check(build_clifford(11), "mu4-closure").ok
@@ -362,17 +426,19 @@ def test_mu7_relation_matches_two_tensor_reference(perturb, witness):
 
 
 def test_mu7_relation_sorts_one_residual_per_quadruple(monkeypatch):
-    """Two `_pair_sym` calls fix c at (0, 1, 2, 3); each of the other 329
-    quadruples takes one."""
+    """Two `_pair_sym` calls fix c at (0, 1, 2, 3), and each of the 330
+    quadruples, that one included, is decided by one residual: 332 calls.
+    Deciding (0, 1, 2, 3) by its residual too, rather than by comparing its
+    D and Q, costs one sort of its 10,240 rows, 61,440 keys."""
     calls = []
     real = clifford._pair_sym
     monkeypatch.setattr(clifford, "_pair_sym",
                         lambda t, n: calls.append(len(t)) or real(t, n))
     rep = quartic_fierz_check(build_clifford(11), "mu7-relation")
     assert rep.ok
-    assert len(calls) == 331
+    assert len(calls) == 332
     assert rep.stats["quadruples"] == 330
-    assert rep.stats["sym_keys"] == 6 * sum(calls) == 20_275_200
+    assert rep.stats["sym_keys"] == 6 * sum(calls) == 20_336_640
 
 
 def test_mu7_relation_refuses_int64_overflow():

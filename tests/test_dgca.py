@@ -321,6 +321,34 @@ def test_batched_leibniz_guards_fall_back_to_dict_path():
         assert kernel_leibniz(sig, alg.d_images, [el.terms]) == [None]
 
 
+def test_check_d_squared_asks_the_kernel_once_when_a_guard_trips(monkeypatch):
+    """d u = sum_i x z^(100+i) has past BATCH_PAIRS Leibniz pairs, and its
+    z exponents pass 127, so the one kernel call refuses it; check_d_squared
+    then takes the dict path for d(d u) without a second kernel call, and
+    reports the dict path's residual."""
+    sig = make_signature([GeneratorDecl("x", (), 2, EVEN),
+                          GeneratorDecl("y", (), 3, EVEN),
+                          GeneratorDecl("z", (), 0, EVEN),
+                          GeneratorDecl("w", (), 0, EVEN),
+                          GeneratorDecl("u", (), 1, EVEN)])
+    w, x, y, z = (sig.gen_id(n) for n in "wxyz")
+    width = 50
+    d_x = Element(sig, {(((w, k),) if k else ()) + ((y, 1), (z, 30)):
+                        Fraction(1) for k in range(width)})
+    d_u = Element(sig, {((x, 1), (z, 100 + i)): Fraction(1)
+                        for i in range(batched.BATCH_PAIRS // width + 1)})
+    alg = make_dgca(sig, {"x": d_x, "u": d_u})
+    want = Element(sig, dict_leibniz(alg.d_images, d_u))
+    assert want
+    assert kernel_leibniz(sig, alg.d_images, [d_u.terms]) == [None]
+    calls = spy_core(monkeypatch)
+    rep = check_d_squared(alg)
+    assert calls == [1]
+    assert not rep.ok
+    assert (rep.witness, rep.residual) == ("u", want)
+    assert rep.stats == {"residual_terms": len(want)}
+
+
 def test_apply_d_routes_by_leibniz_pairs(monkeypatch):
     """apply_d reaches the kernel core when d(x) has BATCH_PAIRS Leibniz
     pairs and not one pair below, whatever the number of input terms."""
