@@ -48,10 +48,19 @@ reaches the gate by itself runs alone: sharing one call with resolved
 Poincare's d(g4 - mu4) would widen its 149,856 pairs from 3 key words to 5.
 
 Pairs are formed in steps, in left-row order (input-major, then
-term-major and slot-minor for Leibniz), and merged by sort and
-`np.add.reduceat` into a running accumulator that drops zero sums.  The
-result stays packed (`Packed`: sorted keys, numerators, denominator and
-layout), split per tag, and the front-ends return it.  It is decoded to
+term-major and slot-minor for Leibniz), and merged into a running
+accumulator that drops zero sums.  A merge sorts once, by an argsort of a
+uint64 hash of each key's words: equal keys are then runs of equal hashes,
+unless two different keys share a hash (then it lexsorts the full keys).
+Run starts are found one key word at a time and summed by
+`np.add.reduceat`; while a merge runs, only the concatenation of the
+merged entries and the waiting batches is alive.  Key and exponent rows
+are moved with `np.take(..., axis=0)`: numpy's 2-D fancy indexing
+(`keys[idx]`) copies rows this narrow element by element, several times
+slower, with the same result.
+
+The result stays packed (`Packed`: sorted keys, numerators, denominator
+and layout), split per tag, and the front-ends return it.  It is decoded to
 canonical `(monomial, Fraction)` entries, with one shared tuple per
 (generator, exponent) and one `Fraction` per distinct coefficient, only
 when an `Element`'s terms are first read; a zero test reads the row count,
@@ -176,7 +185,7 @@ def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
     rest_d = _strict_suffix(bits_d)[rows, c] + (k - 1) * odd
     rest_p = _strict_suffix(bits_p)[rows, c] + (k - 1) * par
     flip = (prefix ^ ((1 - odd) * rest_d) ^ (par * rest_p)) & 1
-    holes = e[rows]
+    holes = np.take(e, rows, axis=0)
     holes[np.arange(len(rows)), c] -= 1
     return (holes, x.nums[rows] * k * (1 - 2 * flip),
             x.maxnum * int(e.max(initial=0)), block,
@@ -464,7 +473,8 @@ class Packed:
         tags = ctx.field(self.keys, len(ctx.gen_ids))
         order = np.argsort(tags, kind="stable")
         cuts = np.searchsorted(tags[order], np.arange(1, ctx.inputs))
-        return [Packed(self.keys[rows], self.nums[rows], self.den, ctx)
+        return [Packed(np.take(self.keys, rows, axis=0), self.nums[rows],
+                       self.den, ctx)
                 for rows in np.split(order, cuts)]
 
 
@@ -493,7 +503,7 @@ def proportional(lhs: Packed, rhs: Packed) -> Fraction | None:
     for p in (lhs, rhs):
         keys = p.ctx.repack(p.keys, ctx)
         order = np.lexsort(keys.T[::-1])
-        sides.append((keys[order], p.nums[order]))
+        sides.append((np.take(keys, order, axis=0), p.nums[order]))
     (kl, nl), (kr, nr) = sides
     if not np.array_equal(kl, kr):
         return None
@@ -524,7 +534,30 @@ def _pairs(a: _Operand, b: _Operand, ends: np.ndarray, shift: np.ndarray,
             flip ^= wa[ia] & wb[ib]
         vals = a.nums[ia] * b.nums[ib]
         np.negative(vals, out=vals, where=(np.bitwise_count(flip) & 1) == 1)
-        yield a.keys[ia] + b.keys[ib], vals
+        keys = np.take(a.keys, ia, axis=0)
+        keys += np.take(b.keys, ib, axis=0)
+        yield keys, vals
+
+
+def _hash(keys: np.ndarray) -> np.ndarray:
+    """One uint64 word per row of packed keys: the key itself, or a hash of
+    its words."""
+    hashed = keys[:, 0].copy()
+    for w in range(1, keys.shape[1]):
+        hashed *= _HASH_MUL
+        hashed ^= keys[:, w]
+    return hashed
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True where a row of packed keys differs from the row before it (and
+    at the first row), compared one word at a time."""
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:, 0], keys[:-1, 0], out=new[1:])
+    for w in range(1, keys.shape[1]):
+        new[1:] |= keys[1:, w] != keys[:-1, w]
+    return new
 
 
 class _Accumulator:
@@ -549,33 +582,34 @@ class _Accumulator:
     def _merge(self):
         keys = np.concatenate([self.keys] + [k for k, _ in self.pending])
         vals = np.concatenate([self.vals] + [v for _, v in self.pending])
+        # only the concatenation stays alive while it is sorted
+        self.keys = self.vals = None
         self.pending = []
         self.size = 0
-        # sort by one uint64 word: the key itself, or a hash of its words
-        # whose order is kept only if no two different keys share a hash
-        # (then equal keys are exactly the runs of equal hashes)
-        hashed = keys[:, 0].copy()
-        for w in range(1, keys.shape[1]):
-            hashed *= _HASH_MUL
-            hashed ^= keys[:, w]
-        order = np.argsort(hashed)
-        keys = keys[order]
+        # one sort, by one uint64 word: the key itself, or a hash of its
+        # words whose order is kept only if no two different keys share a
+        # hash (then equal keys are exactly the runs of equal hashes).  The
+        # hashes are taken again on the sorted rows, one sequential pass,
+        # rather than kept alive through the sort and gathered.  Rows move
+        # by np.take: numpy's 2-D fancy indexing copies narrow rows element
+        # by element, several times slower.
+        order = np.argsort(_hash(keys))
+        keys = np.take(keys, order, axis=0)
         vals = vals[order]
         del order
-        new = np.ones(len(vals), dtype=bool)
-        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-        hashed.sort()
+        hashed = _hash(keys)
+        new = _run_starts(keys)
         if (np.count_nonzero(hashed[1:] != hashed[:-1])
                 < np.count_nonzero(new[1:])):
             fix = np.lexsort(keys.T[::-1])
-            keys = keys[fix]
+            keys = np.take(keys, fix, axis=0)
             vals = vals[fix]
-            new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+            new = _run_starts(keys)
         del hashed
         starts = np.flatnonzero(new)
         sums = np.add.reduceat(vals, starts) if len(starts) else vals[:0]
         keep = sums != 0
-        self.keys = keys[starts[keep]]
+        self.keys = np.take(keys, starts[keep], axis=0)
         self.vals = sums[keep]
 
     def result(self):
@@ -587,6 +621,6 @@ class _Accumulator:
         if self.pending:
             self._merge()
         order = np.lexsort(self.keys.T[::-1])
-        self.keys = self.keys[order]
+        self.keys = np.take(self.keys, order, axis=0)
         self.vals = self.vals[order]
         return self.keys, self.vals

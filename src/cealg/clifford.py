@@ -397,7 +397,7 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
     of `quadruples` decided.  Each family reads its pairings from one
     `_pairing_table`, guarded once.  p_substitute swaps in another pairing
     rank as a negative control of the machinery.  Raises CliffordError if
-    the int64 arithmetic could overflow.
+    p is not in 1..d or if the int64 arithmetic could overflow.
     """
     n = rep.n_spin
     stats = {"d": rep.d, "sym_keys": 0}
@@ -409,6 +409,10 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
 
     if family == "mu4-closure":
         p = p_substitute if p_substitute is not None else default_cocycle_p(rep.d)
+        if not 1 <= p <= rep.d:
+            # p > d has no prefix with a free index b, so it would pass
+            # without checking anything
+            raise CliffordError(f"pairing rank p={p} outside 1..{rep.d}")
         stats.update(p=p, prefixes=0)
         table = _pairing_table(rep, {1, p})
         # at most one row per slot pairing of each of the d - (p - 1) terms

@@ -259,6 +259,14 @@ def test_quartic_negative_controls():
     assert not quartic_fierz_check(rep, "mu4-closure", p_substitute=1).ok
 
 
+@pytest.mark.parametrize("d, p", [(11, 0), (11, -1), (11, 12), (3, 4)])
+def test_mu4_closure_refuses_rank_outside_1_to_d(d, p):
+    """p <= 0 has no (p-1)-tuples, and p > d has no free index b, so that
+    it would pass without checking an identity."""
+    with pytest.raises(CliffordError, match="outside"):
+        quartic_fierz_check(build_clifford(d), "mu4-closure", p_substitute=p)
+
+
 def test_mu7_relation_constant():
     rep = quartic_fierz_check(build_clifford(11), "mu7-relation")
     assert rep.ok

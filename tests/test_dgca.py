@@ -251,6 +251,23 @@ def test_check_d_squared_routes_d_images(monkeypatch):
     assert calls == []
 
 
+def test_leibniz_split_gives_empty_inputs_two_dimensional_keys():
+    """One shared call on super-Poincare: a generator with d g != 0 next to
+    the 98 d-images, whose d is 0.  `Packed.split` gives every input its
+    rows as (n, words) uint64 keys, n = 0 for the d-images."""
+    iso = super_poincare().algebra
+    g = next(i for i, img in enumerate(iso.d_images) if img)
+    inputs = [{((g, 1),): Fraction(1)}] + [img.terms for img in iso.d_images]
+    got = batched.leibniz(iso.sig, iso.d_images, inputs)
+    words = got[0].ctx.words
+    assert words > 1
+    assert [(p.keys.dtype, p.keys.shape, p.nums.shape) for p in got] == (
+        [(np.uint64, (len(iso.d_images[g]), words), (len(iso.d_images[g]),))]
+        + [(np.uint64, (0, words), (0,))] * len(iso.d_images))
+    assert got[0].decode() == iso.d_images[g].terms
+    assert all(p.decode() == {} for p in got[1:])
+
+
 def test_check_d_squared_failure_report_above_the_gate(monkeypatch):
     """Two corrupted d e^a on super-Poincare, checked in one tagged call:
     the report names the first failing generator in generator order (one

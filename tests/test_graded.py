@@ -399,6 +399,51 @@ def test_batched_product_chunks_collisions_and_full_cancellation(
     assert kernel_product(sig, t1, t2) == want
 
 
+#: Key words for the accumulator property: few, so that keys repeat, with
+#: both ends of the uint64 range.
+KEY_WORDS = st.sampled_from([0, 1, 2, 1 << 32, 1 << 63, (1 << 64) - 1])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_accumulator_matches_dict_sum(data):
+    """`batched._Accumulator` against a dict sum of (key, value) entries:
+    keys of 1-3 words, cut into batches at random points (empty batches
+    too), values that often cancel, a few-entry step so that it merges
+    many times.  The result is every key with a nonzero sum, once, in
+    lexicographic key order, as (n, words) uint64 keys, n = 0 included.
+    With `_HASH_MUL` = 0 a key hashes to its last word, so keys that differ
+    only before it collide and a merge takes the full-key fallback."""
+    words = data.draw(st.integers(min_value=1, max_value=3))
+    entries = data.draw(st.lists(
+        st.tuples(st.tuples(*[KEY_WORDS] * words),
+                  st.integers(min_value=-3, max_value=3)), max_size=60))
+    cuts = sorted(data.draw(st.lists(
+        st.integers(min_value=0, max_value=len(entries)), max_size=8)))
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            mp.setattr(batched, "_HASH_MUL", np.uint64(0))
+        acc = batched._Accumulator(words,
+                                   data.draw(st.integers(min_value=1,
+                                                         max_value=8)))
+        for lo, hi in zip([0] + cuts, cuts + [len(entries)]):
+            batch = entries[lo:hi]
+            acc.add(np.array([k for k, _ in batch],
+                             dtype=np.uint64).reshape(len(batch), words),
+                    np.array([v for _, v in batch], dtype=np.int64))
+        keys, vals = acc.result()
+    sums = {}
+    for k, v in entries:
+        sums[k] = sums.get(k, 0) + v
+    want = sorted((k, v) for k, v in sums.items() if v)
+    assert (keys.dtype, keys.shape) == (np.uint64, (len(want), words))
+    assert (vals.dtype, vals.shape) == (np.int64, (len(want),))
+    rows = [tuple(r) for r in keys.tolist()]
+    assert len(set(rows)) == len(rows)
+    assert np.all(vals != 0)
+    assert list(zip(rows, vals.tolist())) == want
+
+
 def test_batched_product_guards_fall_back_to_dict_path():
     # above the pair threshold, so Element.__mul__ asks the batched kernel
     sig = make_signature([GeneratorDecl("w", (), 0, EVEN),
