@@ -7,8 +7,9 @@ one input and is tagged with the right block B_k it meets.  It has two
 front-ends, and each leaves to the dict path what has fewer than
 `BATCH_PAIRS` term pairs:
 
-* `product(sig, terms1, terms2)`: one input, terms1, and one block, terms2,
-  met by every term of terms1 (`Element.__mul__`);
+* `sum_of_products(sig, pairs)`: one untagged input, the a_k of the
+  (terms, terms) pairs (a_k, b_k), whose terms meet block b_k; its pair
+  count is the sum of len(a_k) * len(b_k) (`graded.sum_of_products`);
 * `leibniz(sig, d_images, inputs)`: d of each terms dict in `inputs`, with
   one block per slot generator g, d g, met by the holes at g: each term
   with a factor g^e, with g's exponent lowered by one, times e and the sign
@@ -22,7 +23,7 @@ The gate is 20,000 pairs.  Besides d mu7, mu4^2, the five-brane cocycle's
 d and the d**2 = 0 checks on super-Poincare and resolved Poincare, it
 takes the 34,816-pair d mu4 on superMink(11): `is_coboundary`'s closure
 check, `m2brane`'s, and resolved Minkowski's `adjoin_generator` and
-`check_chain_map`.
+`check_chain_map`; and tr(omega^k), k = 6, 7, 8, in one call each.
 
 An element becomes an int8 exponent matrix (terms x generators in use)
 and int64 numerators over one shared denominator.  For a pair of terms
@@ -115,13 +116,13 @@ _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
 _EMAX = 127
 
 
-def product(sig, terms1: dict, terms2: dict) -> Packed | None:
-    """terms1 * terms2, packed, or None below the gate or if a guard
-    trips."""
-    if len(terms1) * len(terms2) < BATCH_PAIRS:
+def sum_of_products(sig, pairs: list) -> Packed | None:
+    """sum_k a_k * b_k over the (terms, terms) pairs (a_k, b_k), packed, or
+    None below the gate, summed over the pairs, or if a guard trips."""
+    if sum(len(a) * len(b) for a, b in pairs) < BATCH_PAIRS:
         return None
-    return _sum_of_products(sig, _flat([terms1]), [_flat([terms2])],
-                            _term_rows)
+    return _sum_of_products(sig, _flat([a for a, _ in pairs], tagged=False),
+                            [_flat([b]) for _, b in pairs], _term_rows)
 
 
 def leibniz(sig, d_images, inputs: list) -> list:
@@ -163,8 +164,9 @@ def _leibniz_pairs(d_images, terms: dict) -> int:
 
 
 def _term_rows(ctx, e: np.ndarray, x: "_Flat"):
-    """The left rows of a product: every term of x, all meeting block 0."""
-    return e, x.nums, x.maxnum, np.zeros(len(e), dtype=np.int64), x.src
+    """The left rows of a sum of products: each term of x on its block."""
+    block = np.zeros(len(e), np.int64) if x.src is None else x.src
+    return e, x.nums, x.maxnum, block, None
 
 
 def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
@@ -256,15 +258,16 @@ class _Flat:
     (generator, exponent) pairs in order, numerators over one denominator,
     and each term's input (`src`).  `src` is None for one input, so that a
     one-input call allocates no tags: with them, the fivebrane benchmark's
-    peak RSS rose by 1-8 %, depending on where glibc placed later blocks."""
+    peak RSS rose by 1-8 %, depending on where glibc placed later blocks.
+    `inputs` counts the inputs a tag field keeps apart: 1 if not `tagged`."""
 
     __slots__ = ("inputs", "src", "lens", "gens", "exps", "nums", "den",
                  "maxnum")
 
 
-def _flat(inputs: list) -> _Flat | None:
+def _flat(inputs: list, tagged: bool = True) -> _Flat | None:
     f = _Flat()
-    f.inputs = len(inputs)
+    f.inputs = len(inputs) if tagged else 1
     monos = list(chain.from_iterable(inputs))
     coeffs = list(chain.from_iterable(t.values() for t in inputs))
     f.den = den = lcm(*{c.denominator for c in coeffs})

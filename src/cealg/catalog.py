@@ -49,8 +49,11 @@ from .graded import (
     Element,
     GeneratorDecl,
     GradedError,
+    SignatureMismatch,
     _accumulate,
+    linear_combine,
     make_signature,
+    sum_of_products,
     transport,
 )
 from .linalg import CoboundaryDecision, is_coboundary
@@ -196,12 +199,13 @@ def proportionality_constant(lhs: Element, rhs: Element) -> Fraction:
     When both sides are still packed kernel results, `batched.proportional`
     decides it on their arrays; whatever it does not confirm is decided
     here on the terms, which also builds the residual of a mismatch."""
+    if lhs.sig != rhs.sig:
+        raise SignatureMismatch("lhs and rhs live in different signatures")
     if lhs.is_zero():
         return Fraction(0)
     if rhs.is_zero():
         raise NotProportional("rhs is zero but lhs is not", residual=lhs)
-    if (lhs.packed is not None and rhs.packed is not None
-            and lhs.sig == rhs.sig):
+    if lhs.packed is not None and rhs.packed is not None:
         c = batched.proportional(lhs.packed, rhs.packed)
         if c is not None:
             return c
@@ -209,7 +213,7 @@ def proportionality_constant(lhs: Element, rhs: Element) -> Fraction:
     c = lhs.coefficient(m0) / rhs.terms[m0]
     # compared in place: no stored coefficient is zero, so c = 0 fails on the
     # keys; the residual is built only to report a mismatch
-    if (lhs.sig != rhs.sig or lhs.terms.keys() != rhs.terms.keys()
+    if (lhs.terms.keys() != rhs.terms.keys()
             or any(lhs.terms[m] != c * v for m, v in rhs.terms.items())):
         raise NotProportional(f"not proportional (tried c = {c})",
                               residual=lhs - c * rhs)
@@ -501,17 +505,8 @@ def _omega_matrix(cat_tag: str) -> list[list[Element]]:
 def _matmul(p, q):
     d = len(p)
     sig = p[0][0].sig
-    out = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            acc = {}
-            for cc in range(d):
-                if p[a][cc] and q[cc][b]:
-                    _accumulate(acc, (p[a][cc] * q[cc][b]).terms.items())
-            row.append(Element(sig, acc))
-        out.append(row)
-    return out
+    return [[sum_of_products(sig, [(p[a][c], q[c][b]) for c in range(d)])
+             for b in range(d)] for a in range(d)]
 
 
 @lru_cache(maxsize=None)
@@ -527,20 +522,13 @@ def trace_power(cat_tag: str, k: int) -> Element:
     """trace(omega^k), computed as sum_{a,c} (M^j)[a][c] (M^{k-j})[c][a]
     so only half-size matrix powers are ever materialized."""
     mat = _omega_matrix(cat_tag)
-    sig = mat[0][0].sig
     d = len(mat)
-    acc = {}
     if k == 1:
-        for a in range(d):
-            _accumulate(acc, mat[a][a].terms.items())
-        return Element(sig, acc)
+        return linear_combine([(1, mat[a][a]) for a in range(d)])
     pj = _omega_power(cat_tag, k // 2)
     pk = _omega_power(cat_tag, k - k // 2)
-    for a in range(d):
-        for cc in range(d):
-            if pj[a][cc] and pk[cc][a]:
-                _accumulate(acc, (pj[a][cc] * pk[cc][a]).terms.items())
-    return Element(sig, acc)
+    return sum_of_products(mat[0][0].sig, [
+        (pj[a][c], pk[c][a]) for a, c in itertools.product(range(d), repeat=2)])
 
 
 @lru_cache(maxsize=None)

@@ -7,13 +7,14 @@ exactly when deg + par is odd.  Elements are stored canonically: a hash map
 from sorted monomials to nonzero Fraction coefficients, with every sign
 incurred by sorting absorbed into the coefficient.
 
-Products have two exact paths that return the same canonical map.  The
-dict path (`_products` feeding `_accumulate`) multiplies monomial by
-monomial and is the reference.  `batched.product` is asked first; it works
-on int8 exponent matrices and int64 numerators over a shared denominator,
-and returns None for the products it leaves to the dict path.  What it
-returns stays packed (`Element.from_packed`): the terms are decoded on
-their first read, and len, bool and is_zero read the row count.
+Sums of products have two exact paths that return the same canonical map;
+`sum_of_products` chooses, and `Element.__mul__` is its one-pair case.  The
+dict path (`_products` feeding `_accumulate`) is the reference.
+`batched.sum_of_products` is asked first; it works on int8 exponent
+matrices and int64 numerators over a shared denominator, and returns None
+for the sums it leaves to the dict path.  What it returns stays packed
+(`Element.from_packed`): the terms are decoded on their first read, and
+len, bool and is_zero read the row count.
 """
 
 from __future__ import annotations
@@ -353,12 +354,7 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            self._check(other)
-            packed = batched.product(self.sig, self.terms, other.terms)
-            if packed is not None:
-                return _PackedElement(self.sig, packed)
-            return Element(self.sig, _accumulate(
-                {}, _products(self.terms, other.terms, self.sig)))
+            return sum_of_products(self.sig, [(self, other)])
         return self._scaled(Fraction(other))
 
     def __rmul__(self, other):
@@ -476,15 +472,29 @@ def _accumulate(acc: dict, pairs) -> dict:
     return acc
 
 
-def _products(terms1: dict, terms2: dict, sig: AlgebraSignature):
-    """The signed (monomial, coefficient) pairs of a product, before summing."""
+def _products(pairs, sig: AlgebraSignature):
+    """The signed (monomial, coefficient) pairs of the products of the
+    (terms, terms) `pairs`, before summing."""
     mm = monomial_mul
-    for m1, c1 in terms1.items():
-        for m2, c2 in terms2.items():
-            res = mm(m1, m2, sig)
-            if res is not None:
-                s, mono = res
-                yield mono, (c1 * c2 if s > 0 else -(c1 * c2))
+    for terms1, terms2 in pairs:
+        for m1, c1 in terms1.items():
+            for m2, c2 in terms2.items():
+                res = mm(m1, m2, sig)
+                if res is not None:
+                    s, mono = res
+                    yield mono, (c1 * c2 if s > 0 else -(c1 * c2))
+
+
+def sum_of_products(sig: AlgebraSignature, pairs: Sequence) -> Element:
+    """sum_k a_k * b_k over the pairs (a_k, b_k) of elements of `sig`, on
+    the kernel if `batched.sum_of_products` takes it, else on the dict path."""
+    if any(x.sig is not sig and x.sig != sig for pair in pairs for x in pair):
+        raise SignatureMismatch("elements live in different signatures")
+    terms = [(a.terms, b.terms) for a, b in pairs]
+    packed = batched.sum_of_products(sig, terms)
+    if packed is not None:
+        return _PackedElement(sig, packed)
+    return Element(sig, _accumulate({}, _products(terms, sig)))
 
 
 def normalize(sig: AlgebraSignature, raw, coeff=1) -> Element:

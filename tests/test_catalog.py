@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cealg
-from cealg import batched
+from cealg import batched, catalog
 from cealg import (
     ChainHomotopy,
     Element,
@@ -146,6 +146,16 @@ def test_proportionality_zero_sides():
     assert exc.value.residual == shifted
 
 
+def test_proportionality_zero_lhs_in_another_signature():
+    """Sides from two signatures raise SignatureMismatch, a zero lhs too."""
+    sig_a, sig_b = (make_signature([GeneratorDecl(n, (), 0, EVEN)])
+                    for n in "ab")
+    b = Element.generator(sig_b, "b")
+    for lhs in (Element.zero(sig_a), Element.generator(sig_a, "a")):
+        with pytest.raises(SignatureMismatch):
+            proportionality_constant(lhs, b)
+
+
 def outcome(lhs, rhs):
     """proportionality_constant(lhs, rhs): c, or the error's type, message
     and residual."""
@@ -190,9 +200,11 @@ def test_packed_proportionality_matches_dict_path(data):
     c = data.draw(st.fractions(min_value=-5, max_value=5,
                                max_denominator=7).filter(bool))
     with kernel_gate_at_zero():
-        lhs = batched.product(sig, x, batched.product(sig, y, z).decode())
-        cxy = batched.product(sig, {m: c * v for m, v in x.items()}, y)
-        rhs = batched.product(sig, cxy.decode(), z)
+        yz = batched.sum_of_products(sig, [(y, z)])
+        lhs = batched.sum_of_products(sig, [(x, yz.decode())])
+        cx = {m: c * v for m, v in x.items()}
+        cxy = batched.sum_of_products(sig, [(cx, y)])
+        rhs = batched.sum_of_products(sig, [(cxy.decode(), z)])
     n = len(lhs)
     assert len(rhs) == n
     if n:
@@ -235,9 +247,9 @@ def test_packed_proportionality_int64_guard():
 
     def packed(c1, c2):
         with kernel_gate_at_zero():
-            return batched.product(sig, {((z, 1),): Fraction(c1),
-                                         ((z, 2),): Fraction(c2)},
-                                   {((y, 1),): Fraction(1)})
+            return batched.sum_of_products(sig, [({((z, 1),): Fraction(c1),
+                                                   ((z, 2),): Fraction(c2)},
+                                                  {((y, 1),): Fraction(1)})])
 
     for lhs, rhs, want in [
             (packed(2 ** 32, 1), packed(2 ** 32, 1 + 2 ** 32), None),
@@ -429,6 +441,29 @@ def test_traces_small():
     tr3 = trace_power("superPoincare", 3)
     assert len(tr3) == 165
     assert apply_d(super_poincare().algebra, tr3).is_zero()
+
+
+def test_trace_sums_route_by_summed_pairs(monkeypatch):
+    """A trace is one sum of products, gated on its summed pairs:
+    tr(omega^4) sums 8,910 pairs and makes no kernel call, which keeps
+    `iso.traces` on the dict path; tr(omega^6) makes exactly one, which
+    returns no rows."""
+    calls = []
+    real = batched._sum_of_products
+
+    def spy(*args):
+        res = real(*args)
+        calls.append(len(res))
+        return res
+
+    monkeypatch.setattr(batched, "_sum_of_products", spy)
+    sq = catalog._omega_power("superPoincare", 2)
+    assert sum(len(sq[a][c]) * len(sq[c][a]) for a in range(len(sq))
+               for c in range(len(sq))) == 8_910
+    assert trace_power.__wrapped__("superPoincare", 4).is_zero()
+    assert calls == []
+    assert trace_power.__wrapped__("superPoincare", 6).is_zero()
+    assert calls == [0]
 
 
 def test_lorentz_trace_validation():

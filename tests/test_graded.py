@@ -29,6 +29,7 @@ from cealg.graded import (
     _accumulate,
     _products,
     sort_sign,
+    sum_of_products,
 )
 
 
@@ -290,14 +291,16 @@ def random_signature(draw, max_gens=24):
 
 
 @st.composite
-def random_terms(draw, sig, max_terms=12):
-    """A canonical terms dict: monomials on up to five generators with
-    exponents up to 3 (1 for square-zero ones), coefficients with mixed
-    denominators; possibly empty."""
+def random_terms(draw, sig, max_terms=12, among=None):
+    """A canonical terms dict: monomials on up to five generators (of
+    `among`, a list of generator ids, if given) with exponents up to 3 (1
+    for square-zero ones), coefficients with mixed denominators; possibly
+    empty."""
     coeff = st.fractions(min_value=-6, max_value=6,
                          max_denominator=12).filter(bool)
-    gens = st.lists(st.integers(min_value=0, max_value=len(sig) - 1),
-                    max_size=5, unique=True)
+    among = range(len(sig)) if among is None else among
+    gens = (st.lists(st.sampled_from(among), max_size=5, unique=True)
+            if among else st.just([]))
     terms = {}
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
         mono = tuple(
@@ -309,7 +312,7 @@ def random_terms(draw, sig, max_terms=12):
 
 
 def dict_product(sig, t1, t2):
-    return _accumulate({}, _products(t1, t2, sig))
+    return _accumulate({}, _products([(t1, t2)], sig))
 
 
 def decoded(packed):
@@ -318,7 +321,7 @@ def decoded(packed):
 
 
 def kernel_product(sig, t1, t2):
-    return decoded(batched.product(sig, t1, t2))
+    return decoded(batched.sum_of_products(sig, [(t1, t2)]))
 
 
 def kernel_leibniz(sig, images, inputs):
@@ -327,8 +330,9 @@ def kernel_leibniz(sig, images, inputs):
 
 @contextmanager
 def kernel_gate_at_zero():
-    """Let every call of `batched.product`/`leibniz` reach the kernel core,
-    however small its inputs: the front-ends' pair gate is set to 0."""
+    """Let every call of `batched.sum_of_products`/`leibniz` reach the
+    kernel core, however small its inputs: the front-ends' pair gate is set
+    to 0."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(batched, "BATCH_PAIRS", 0)
         yield mp
@@ -345,6 +349,47 @@ def test_batched_product_matches_dict_path(data):
 
 
 @given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sum_of_products_matches_per_product_dict_sum(data):
+    """`graded.sum_of_products` against the dict sum of each product on its
+    own, with the gate at 0, where every call (no pair included) runs on
+    the kernel, and at its default, where these small sums stay on the
+    dict path: 0-4 pairs, empty sides, and blocks on the same generators
+    or on disjoint ranges of them.  A pair with a side from a second
+    signature raises SignatureMismatch on either path."""
+    sig = data.draw(random_signature())
+    n = data.draw(st.integers(min_value=0, max_value=4))
+    if n and data.draw(st.booleans()):
+        ranges = [r.tolist() for r in np.array_split(np.arange(len(sig)), n)]
+    else:
+        ranges = [None] * n
+    terms = [tuple(data.draw(random_terms(sig, max_terms=8, among=r))
+                   for _ in range(2)) for r in ranges]
+    want = {}
+    for t1, t2 in terms:
+        _accumulate(want, dict_product(sig, t1, t2).items())
+    pairs = [(Element(sig, t1), Element(sig, t2)) for t1, t2 in terms]
+    for gate in (0, batched.BATCH_PAIRS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batched, "BATCH_PAIRS", gate)
+            got = sum_of_products(sig, pairs)
+        assert (got.packed is not None) == (gate == 0)
+        assert got.terms == want
+    if n:
+        wider = make_signature(list(sig.decls)
+                               + [GeneratorDecl("y", (), 0, EVEN)])
+        k = data.draw(st.integers(min_value=0, max_value=n - 1))
+        side = data.draw(st.integers(min_value=0, max_value=1))
+        mixed = [list(pair) for pair in pairs]
+        mixed[k][side] = Element(wider, terms[k][side])
+        for gate in (0, batched.BATCH_PAIRS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(batched, "BATCH_PAIRS", gate)
+                with pytest.raises(SignatureMismatch):
+                    sum_of_products(sig, mixed)
+
+
+@given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_packed_element_decodes_on_first_read(data):
     """A kernel product stays packed through len, bool and is_zero; its
@@ -354,7 +399,7 @@ def test_packed_element_decodes_on_first_read(data):
     t1 = data.draw(random_terms(sig))
     t2 = data.draw(random_terms(sig))
     with kernel_gate_at_zero():
-        packed = batched.product(sig, t1, t2)
+        packed = batched.sum_of_products(sig, [(t1, t2)])
         el = Element(sig, t1) * Element(sig, t2)
     want = dict_product(sig, t1, t2)
     assert el.packed is not None

@@ -117,6 +117,22 @@ def test_flat_form_examples():
     assert not exc.value.residual.is_zero()
 
 
+def test_flat_form_check_rejects_non_closed_omega4():
+    """The chain-map check on g4 is d omega4 = 0: it rejects a non-closed
+    omega4, with d omega4 as the residual, so `forms_fiber_check` need not
+    check a flat pair's projection again."""
+    pdr = poly_de_rham(8)
+    sig = pdr.algebra.sig
+    s4 = sphere_model(4).algebra
+    w4 = Element.from_terms(
+        sig, [(1, [("x^1", 1)] + [(f"dx^{i}", 1) for i in range(2, 6)])])
+    assert (w4 * w4).is_zero()
+    with pytest.raises(ChainMapViolation) as exc:
+        flat_form_check(s4, pdr, {"g4": w4, "g7": Element.zero(sig)})
+    assert exc.value.residual == apply_d(pdr.algebra, w4)
+    assert exc.value.residual
+
+
 def test_flat_forms_agree_with_raw_morphism_validation():
     from cealg import make_morphism
 
