@@ -20,11 +20,11 @@ from .graded import (
     Element,
     GeneratorDecl,
     GradedError,
-    Monomial,
     SignatureMismatch,
     _accumulate,
     make_signature,
     monomial_mul,
+    sum_of_products,
     transport,
 )
 
@@ -276,24 +276,20 @@ class DGCAMorphism:
     def __call__(self, x: Element) -> Element:
         if x.sig != self.source.sig:
             raise SignatureMismatch("element not in the morphism source")
+        return self._apply(x.terms)
+
+    def _apply(self, terms: dict) -> Element:
+        """f(x) = c + sum_y f(y) f(x_y) (see `_first_factors`), in one
+        `sum_of_products` call per node of x's prefix tree."""
         tsig = self.target.sig
-        out: dict[Monomial, Fraction] = {}
-        pow_cache: dict[tuple[int, int], Element] = {}
-        for mono, coeff in x.terms.items():
-            acc = Element.scalar(tsig, coeff)
-            for g, e in mono:
-                key = (g, e)
-                p = pow_cache.get(key)
-                if p is None:
-                    p = self.images[g]
-                    for _ in range(e - 1):
-                        p = p * self.images[g]
-                    pow_cache[key] = p
-                acc = acc * p
-                if not acc:
-                    break
-            _accumulate(out, acc.terms.items())
-        return Element(tsig, out)
+        const, rests = _first_factors(terms)
+        if not rests:
+            return Element.scalar(tsig, const)
+        pairs = [(self.images[y], self._apply(rest))
+                 for y, rest in rests.items() if self.images[y]]
+        if const:
+            pairs.append((Element.scalar(tsig, const), Element.one(tsig)))
+        return sum_of_products(tsig, pairs)
 
     def to_json(self) -> dict:
         return {
@@ -404,41 +400,44 @@ class ChainHomotopy:
         self.images = tuple(img_list)
 
     def __call__(self, x: Element) -> Element:
-        src = self.f.source.sig
-        if x.sig != src:
+        if x.sig != self.f.source.sig:
             raise SignatureMismatch("element not in the homotopy source")
-        tsig = self.f.target.sig
-        degs = src.degrees
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in x.terms.items():
-            flat: list[int] = []
-            for g, e in mono:
-                flat.extend([g] * e)
-            deg_prefix = 0
-            for i, gid in enumerate(flat):
-                si = self.images[gid]
-                if si:
-                    left = _monomial_from_flat(flat[:i])
-                    right = _monomial_from_flat(flat[i + 1 :])
-                    term = (
-                        self.f(Element(src, {left: Fraction(1)}))
-                        * si
-                        * self.g(Element(src, {right: Fraction(1)}))
-                    )
-                    sign = -1 if deg_prefix & 1 else 1
-                    _accumulate(out, ((coeff * sign) * term).terms.items())
-                deg_prefix += degs[gid]
-        return Element(tsig, out)
+        return self._apply(x.terms)
+
+    def _apply(self, terms: dict) -> Element:
+        """s(x) = sum_y s(y) g(x_y) + (-1)^deg(y) f(y) s(x_y) (see
+        `_first_factors`), in one `sum_of_products` call per node of x's
+        prefix tree."""
+        f, g = self.f, self.g
+        _, rests = _first_factors(terms)
+        if not rests:
+            return Element.zero(f.target.sig)
+        degs = f.source.sig.degrees
+        pairs = []
+        for y, rest in rests.items():
+            if self.images[y]:
+                pairs.append((self.images[y], g._apply(rest)))
+            fy = f.images[y]
+            if fy:
+                pairs.append((-fy if degs[y] & 1 else fy, self._apply(rest)))
+        return sum_of_products(f.target.sig, pairs)
 
 
-def _monomial_from_flat(flat: list[int]) -> Monomial:
-    out: list[tuple[int, int]] = []
-    for g in flat:
-        if out and out[-1][0] == g:
-            out[-1] = (g, out[-1][1] + 1)
+def _first_factors(terms: dict) -> tuple:
+    """x = c + sum_y y x_y: the constant c of the terms dict x and, per
+    first generator y of its monomials, x_y: those monomials without that
+    first factor, so no sign arises.  Recursing on the x_y goes as deep as
+    the longest monomial of x has factors, counted with multiplicity."""
+    const = 0
+    rests: dict[int, dict] = {}
+    for mono, coeff in terms.items():
+        if mono:
+            y, e = mono[0]
+            rest = ((y, e - 1),) + mono[1:] if e > 1 else mono[1:]
+            rests.setdefault(y, {})[rest] = coeff
         else:
-            out.append((g, 1))
-    return tuple(out)
+            const = coeff
+    return const, rests
 
 
 def check_homotopy(f: DGCAMorphism, g: DGCAMorphism, s: ChainHomotopy,
