@@ -234,7 +234,8 @@ def check_clifford(rep: CliffordRep, task_id: str = "clifford.check") -> Report:
     flag_str = {p: next(iter(s)) for p, s in flags.items()}
     return Report(
         task_id, "pass",
-        details="anticommutators, pairing symmetries and commutators verified",
+        details="anticommutators, C antisymmetric and pairing symmetries "
+                "for p <= 5 verified",
         stats={"d": rep.d, "n_spin": rep.n_spin},
         pinned={"d": rep.d, "n_spin": rep.n_spin,
                 "pairing_symmetry": {str(p): f for p, f in flag_str.items()}},

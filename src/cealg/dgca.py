@@ -33,11 +33,11 @@ class DgcaError(GradedError):
     pass
 
 
-class InhomogeneousImage(DgcaError):
+class BidegreeMismatch(DgcaError):
     pass
 
 
-class BidegreeMismatch(DgcaError):
+class InhomogeneousImage(BidegreeMismatch):
     pass
 
 
@@ -136,26 +136,35 @@ def make_dgca(sig: AlgebraSignature, images: Mapping[str, Element]) -> SemifreeD
 
     Each image must be homogeneous of bidegree (deg+1, parity) for its
     generator; d**2 = 0 is not asserted here (see check_d_squared).
-    Missing generators get differential zero.
+    Missing generators get differential zero; a name that is no generator
+    raises UnknownGenerator.
     """
-    d_list: list[Element] = []
-    for gid, decl in enumerate(sig.decls):
-        img = images.get(decl.name)
+    return SemifreeDGCA(sig, _generator_images(sig, sig, images, 1, "d"))
+
+
+def _generator_images(src: AlgebraSignature, tsig: AlgebraSignature,
+                      images: Mapping[str, Element], shift: int,
+                      label: str) -> tuple[Element, ...]:
+    """The images of the generators x of `src`, in order, from the
+    name-keyed `images` (zero where a name is absent): elements of `tsig`,
+    homogeneous of bidegree (deg x + shift, parity x).  A name that is no
+    generator of `src` raises UnknownGenerator."""
+    by_id = {src.gen_id(name): img for name, img in images.items()}
+    out = []
+    for gid, decl in enumerate(src.decls):
+        img = by_id.get(gid)
         if img is None:
-            img = Element.zero(sig)
-        if img.sig != sig:
-            raise SignatureMismatch(f"image of {decl.name} in wrong signature")
-        if img:
-            if not img.is_homogeneous():
-                raise InhomogeneousImage(f"d({decl.name}) is not homogeneous")
-            (bd,) = img.bidegrees()
-            if bd != (decl.degree + 1, decl.parity):
-                raise BidegreeMismatch(
-                    f"d({decl.name}) has bidegree {bd}, expected "
-                    f"{(decl.degree + 1, decl.parity)}"
-                )
-        d_list.append(img)
-    return SemifreeDGCA(sig, tuple(d_list))
+            img = Element.zero(tsig)
+        if img.sig != tsig:
+            raise SignatureMismatch(f"{label}({decl.name}) not in the target")
+        want = (decl.degree + shift, decl.parity)
+        if img and not img.is_homogeneous(want):
+            kind = (BidegreeMismatch if img.is_homogeneous()
+                    else InhomogeneousImage)
+            raise kind(f"{label}({decl.name}) is not homogeneous of bidegree "
+                       f"{want}: got {sorted(img.bidegrees())}")
+        out.append(img)
+    return tuple(out)
 
 
 def apply_d(A: SemifreeDGCA, x: Element) -> Element:
@@ -320,20 +329,8 @@ def make_morphism(source: SemifreeDGCA, target: SemifreeDGCA,
     Pass validate=False to construct deliberately broken morphisms for
     negative tests, then call check_chain_map on them.
     """
-    img_list: list[Element] = []
-    for decl in source.sig.decls:
-        img = images.get(decl.name)
-        if img is None:
-            img = Element.zero(target.sig)
-        if img.sig != target.sig:
-            raise SignatureMismatch(f"image of {decl.name} not in target")
-        if img and not img.is_homogeneous(decl.bidegree):
-            raise BidegreeMismatch(
-                f"image of {decl.name} is not homogeneous of bidegree "
-                f"{decl.bidegree}: got {sorted(img.bidegrees())}"
-            )
-        img_list.append(img)
-    f = DGCAMorphism(source, target, tuple(img_list))
+    f = DGCAMorphism(source, target, _generator_images(
+        source.sig, target.sig, images, 0, "f"))
     if validate:
         rep = check_chain_map(f)
         if not rep.ok:
@@ -382,22 +379,8 @@ class ChainHomotopy:
             raise SignatureMismatch("homotopy needs parallel morphisms")
         self.f = f
         self.g = g
-        src = f.source.sig
-        tsig = f.target.sig
-        img_list: list[Element] = []
-        for decl in src.decls:
-            img = images.get(decl.name)
-            if img is None:
-                img = Element.zero(tsig)
-            if img.sig != tsig:
-                raise SignatureMismatch(f"s({decl.name}) not in target")
-            if img and not img.is_homogeneous((decl.degree - 1, decl.parity)):
-                raise BidegreeMismatch(
-                    f"s({decl.name}) must have bidegree "
-                    f"{(decl.degree - 1, decl.parity)}"
-                )
-            img_list.append(img)
-        self.images = tuple(img_list)
+        self.images = _generator_images(f.source.sig, f.target.sig, images,
+                                        -1, "s")
 
     def __call__(self, x: Element) -> Element:
         if x.sig != self.f.source.sig:
@@ -406,10 +389,11 @@ class ChainHomotopy:
 
     def _apply(self, terms: dict) -> Element:
         """s(x) = sum_y s(y) g(x_y) + (-1)^deg(y) f(y) s(x_y) (see
-        `_first_factors`), in one `sum_of_products` call per node of x's
-        prefix tree."""
+        `_first_factors`), one `sum_of_products` call per prefix-tree node,
+        skipping the monomials with no factor that s is nonzero on."""
         f, g = self.f, self.g
-        _, rests = _first_factors(terms)
+        _, rests = _first_factors({m: c for m, c in terms.items()
+                                   if any(self.images[y] for y, _ in m)})
         if not rests:
             return Element.zero(f.target.sig)
         degs = f.source.sig.degrees
@@ -427,17 +411,15 @@ def _first_factors(terms: dict) -> tuple:
     """x = c + sum_y y x_y: the constant c of the terms dict x and, per
     first generator y of its monomials, x_y: those monomials without that
     first factor, so no sign arises.  Recursing on the x_y goes as deep as
-    the longest monomial of x has factors, counted with multiplicity."""
-    const = 0
+    the longest monomial of x has factors, counted with multiplicity; past
+    the interpreter's recursion limit that raises RecursionError."""
     rests: dict[int, dict] = {}
     for mono, coeff in terms.items():
         if mono:
             y, e = mono[0]
             rest = ((y, e - 1),) + mono[1:] if e > 1 else mono[1:]
             rests.setdefault(y, {})[rest] = coeff
-        else:
-            const = coeff
-    return const, rests
+    return terms.get((), 0), rests
 
 
 def check_homotopy(f: DGCAMorphism, g: DGCAMorphism, s: ChainHomotopy,

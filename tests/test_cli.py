@@ -9,6 +9,7 @@ import pytest
 from cealg.cli import main
 from cealg.dgca import Report
 from cealg.reporting import (
+    GOLDEN_DIR,
     GoldenReport,
     LedgerMismatch,
     TaskConfig,
@@ -55,6 +56,15 @@ def test_write_report_and_json_shape(tmp_path):
     assert data["task_id"] == "hopf.pushout"
     assert data["verdict"] == "pass"
     assert "ledger_hash" in data and "engine_version" in data
+
+
+@pytest.mark.parametrize(
+    "task_id", sorted(path.stem for path in GOLDEN_DIR.glob("*.json")))
+def test_task_matches_its_golden_report(task_id):
+    """Every shipped golden report is reproduced bit-exactly: verdict and
+    every pinned scalar of the task run with default parameters."""
+    cmp = compare_golden(run_task(task_id), load_golden(task_id))
+    assert cmp.ok, cmp.details
 
 
 def test_compare_golden_pass_fail_and_mismatch():

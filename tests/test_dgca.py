@@ -36,7 +36,8 @@ import cealg
 from cealg import batched
 from cealg.catalog import _mink, _mu, resolved_poincare, super_poincare
 from cealg.dgca import _leibniz_terms
-from cealg.graded import EVEN, _accumulate
+from cealg.dgca import DGCAMorphism, SemifreeDGCA
+from cealg.graded import EVEN, UnknownGenerator, _accumulate
 from cealg.linalg import is_coboundary
 from cealg.reporting import run_task
 from test_graded import (dict_product, distinct_terms, kernel_gate_at_zero,
@@ -657,6 +658,137 @@ def test_chain_map_property_extends_to_monomials():
         word = [(rng.choice(names), 1) for _ in range(rng.randint(0, 4))]
         m = Element.from_terms(s4.sig, [(1, word)])
         assert apply_d(s4, f(m)) == f(apply_d(s4, m))
+
+
+def test_make_dgca_rejects_an_unknown_generator():
+    sig = s4_algebra().sig
+    g4 = Element.generator(sig, "g4")
+    with pytest.raises(UnknownGenerator, match="gX"):
+        make_dgca(sig, {"g7": g4 * g4, "gX": Element.zero(sig)})
+
+
+def test_make_morphism_rejects_an_unknown_generator():
+    s4 = s4_algebra()
+    g4, g7 = (Element.generator(s4.sig, n) for n in ("g4", "g7"))
+    with pytest.raises(UnknownGenerator, match="h9"):
+        make_morphism(s4, s4, {"g4": g4, "g7": g7, "h9": g4})
+
+
+def test_chain_homotopy_rejects_an_unknown_generator():
+    s4 = s4_algebra()
+    ident = identity_morphism(s4)
+    with pytest.raises(UnknownGenerator, match="h3"):
+        ChainHomotopy(ident, ident, {"h3": Element.zero(s4.sig)})
+
+
+def reference_morphism(f, x):
+    """f(x) as `DGCAMorphism.__call__` computed it before the
+    first-generator recursion: per monomial, its coefficient times the
+    images of its factors, one product at a time, with each power of an
+    image built once per call."""
+    tsig = f.target.sig
+    out = {}
+    pow_cache = {}
+    for mono, coeff in x.terms.items():
+        acc = Element.scalar(tsig, coeff)
+        for g, e in mono:
+            p = pow_cache.get((g, e))
+            if p is None:
+                p = f.images[g]
+                for _ in range(e - 1):
+                    p = p * f.images[g]
+                pow_cache[(g, e)] = p
+            acc = acc * p
+            if not acc:
+                break
+        _accumulate(out, acc.terms.items())
+    return Element(tsig, out)
+
+
+def reference_homotopy(s, x):
+    """s(x) as `ChainHomotopy.__call__` computed it before the
+    first-generator recursion: per monomial, flattened to its factors, the
+    sum over slots i of (-1)^(deg of the factors before i)
+    f(left) s(factor i) g(right), with f and g applied by
+    `reference_morphism` to one-monomial elements."""
+    src = s.f.source.sig
+
+    def monomial(flat):
+        out = []
+        for g in flat:
+            if out and out[-1][0] == g:
+                out[-1] = (g, out[-1][1] + 1)
+            else:
+                out.append((g, 1))
+        return Element(src, {tuple(out): Fraction(1)})
+
+    out = {}
+    for mono, coeff in x.terms.items():
+        flat = [g for g, e in mono for _ in range(e)]
+        deg_prefix = 0
+        for i, gid in enumerate(flat):
+            if s.images[gid]:
+                term = (reference_morphism(s.f, monomial(flat[:i]))
+                        * s.images[gid]
+                        * reference_morphism(s.g, monomial(flat[i + 1:])))
+                sign = -1 if deg_prefix & 1 else 1
+                _accumulate(out, ((coeff * sign) * term).terms.items())
+            deg_prefix += src.degrees[gid]
+    return Element(s.f.target.sig, out)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_morphism_and_homotopy_match_the_per_monomial_loops(data):
+    """f(x) and s(x) by the first-generator recursion against the loops it
+    replaced (`reference_morphism`, `reference_homotopy`), with the kernel
+    gate at 0 and at its default.  Generators of degree 0-4 and either
+    parity; images of up to three terms, zero ones included, drawn apart
+    for f, g and s (so f != g), of any bidegree, since both sides form the
+    same ordered products; x on up to three generators with exponents up
+    to 3, so constants, powers and the zero element occur."""
+    src = data.draw(random_signature(max_gens=6))
+    tsig = data.draw(random_signature(max_gens=8))
+    A, B = SemifreeDGCA(src, ()), SemifreeDGCA(tsig, ())
+
+    def images():
+        return tuple(Element(tsig, data.draw(random_terms(tsig, max_terms=3)))
+                     for _ in range(len(src)))
+
+    f, g = DGCAMorphism(A, B, images()), DGCAMorphism(A, B, images())
+    s = ChainHomotopy(f, g, {})
+    s.images = images()
+    among = data.draw(st.lists(st.sampled_from(range(len(src))), max_size=3,
+                               unique=True))
+    x = Element(src, data.draw(random_terms(src, max_terms=6, among=among)))
+    want_f, want_s = reference_morphism(f, x), reference_homotopy(s, x)
+    for gate in (0, batched.BATCH_PAIRS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batched, "BATCH_PAIRS", gate)
+            assert f(x) == want_f
+            assert s(x) == want_s
+
+
+def test_homotopy_applies_no_morphism_through_its_public_call(monkeypatch):
+    """s(x) reaches f and g only through their private recursion, not by
+    calling the morphisms on one-monomial elements."""
+    calls = []
+    real = DGCAMorphism.__call__
+
+    def spy(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(DGCAMorphism, "__call__", spy)
+    sig = make_signature([GeneratorDecl("g4", (), 4, EVEN),
+                          GeneratorDecl("h3", (), 3, EVEN)])
+    g4, h3 = Element.generator(sig, "g4"), Element.generator(sig, "h3")
+    alg = make_dgca(sig, {"h3": g4})
+    ident = identity_morphism(alg)
+    zero = DGCAMorphism(alg, alg, (Element.zero(sig),) * 2)
+    s = ChainHomotopy(ident, zero, {"g4": h3})
+    assert s(g4 * g4 + 3 * g4) == g4 * h3 + 3 * h3
+    assert calls == []
 
 
 def test_homotopy_f_f_zero_passes():

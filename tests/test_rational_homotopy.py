@@ -20,7 +20,7 @@ from cealg import (
     radial_contraction,
     sphere_model,
 )
-from cealg.graded import GradedError
+from cealg.graded import GradedError, UnknownGenerator
 from cealg.rational_homotopy import _random_form
 
 
@@ -181,3 +181,13 @@ def test_form_expression_grammar():
     assert flat.assignment.image_of("g7").is_zero()
     with pytest.raises(GradedError):
         parse_form_expr(pdr, {"nope": 1})
+
+
+def test_flat_form_check_json_rejects_an_unknown_generator():
+    """A name the model does not have is an error, not a dropped image:
+    with "g8" on the 4-sphere model, g7 would silently map to 0."""
+    with pytest.raises(UnknownGenerator, match="g8"):
+        flat_form_check_json(sphere_model(4).algebra, poly_de_rham(8), {
+            "g4": {"prod": [{"dx": 1}, {"dx": 2}, {"dx": 3}, {"dx": 4}]},
+            "g8": {"x": 1},
+        })
