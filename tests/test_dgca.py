@@ -35,8 +35,7 @@ from cealg import (
 import cealg
 from cealg import batched
 from cealg.catalog import _mink, _mu, resolved_poincare, super_poincare
-from cealg.dgca import _leibniz_terms
-from cealg.dgca import DGCAMorphism, SemifreeDGCA
+from cealg.dgca import DGCAMorphism, SemifreeDGCA, _leibniz_terms
 from cealg.graded import EVEN, UnknownGenerator, _accumulate
 from cealg.linalg import is_coboundary
 from cealg.reporting import run_task
