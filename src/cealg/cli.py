@@ -1,11 +1,12 @@
 """Command-line task runner.
 
     cealg --task m5.relation
-    cealg --task family --alpha 1 --beta 1 --long
+    cealg --task family --alpha 1 --beta 1
     cealg --task s4.cohomology --max-degree 12 --json
     cealg --list-tasks
 
-Exit codes: 0 = pass, 1 = fail, 2 = capped or unsupported.
+Exit codes: 0 = pass, 1 = fail, 2 = capped by --cap, unsupported, or an
+unknown task.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", help="task id to run (see --list-tasks)")
     p.add_argument("--list-tasks", action="store_true",
                    help="print the known task ids and exit")
-    p.add_argument("--long", action="store_true",
-                   help="enable the long-running expansions "
-                        "(tr omega^7 and the beta family members)")
     p.add_argument("--cap", type=int, default=None,
                    help="monomial cap per basis built; a coboundary "
                         "decision builds only its element's weight component")
@@ -80,7 +78,7 @@ def main(argv=None) -> int:
         print("error: --task is required (or --list-tasks)", file=sys.stderr)
         return EXIT_CAPPED
 
-    params = {"long": args.long}
+    params = {}
     if args.cap is not None:
         params["cap"] = args.cap
     if args.alpha is not None:

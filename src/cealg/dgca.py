@@ -288,14 +288,14 @@ class DGCAMorphism:
         return self._apply(x.terms)
 
     def _apply(self, terms: dict) -> Element:
-        """f(x) = c + sum_y f(y) f(x_y) (see `_first_factors`), in one
-        `sum_of_products` call per node of x's prefix tree."""
+        """f(x) = c + sum_(y, e) f(y)^e f(x_(y, e)) (see `_first_factors`),
+        in one `sum_of_products` call per node of x's prefix tree."""
         tsig = self.target.sig
         const, rests = _first_factors(terms)
         if not rests:
             return Element.scalar(tsig, const)
-        pairs = [(self.images[y], self._apply(rest))
-                 for y, rest in rests.items() if self.images[y]]
+        pairs = [(_power(self.images[y], e), self._apply(rest))
+                 for (y, e), rest in rests.items() if self.images[y]]
         if const:
             pairs.append((Element.scalar(tsig, const), Element.one(tsig)))
         return sum_of_products(tsig, pairs)
@@ -388,9 +388,10 @@ class ChainHomotopy:
         return self._apply(x.terms)
 
     def _apply(self, terms: dict) -> Element:
-        """s(x) = sum_y s(y) g(x_y) + (-1)^deg(y) f(y) s(x_y) (see
-        `_first_factors`), one `sum_of_products` call per prefix-tree node,
-        skipping the monomials with no factor that s is nonzero on."""
+        """s(x) = sum_(y, e) s(y^e) g(x_(y, e)) + (-1)^(e deg(y)) f(y)^e
+        s(x_(y, e)) (see `_first_factors`), one `sum_of_products` call per
+        prefix-tree node, skipping the monomials with no factor that s is
+        nonzero on."""
         f, g = self.f, self.g
         _, rests = _first_factors({m: c for m, c in terms.items()
                                    if any(self.images[y] for y, _ in m)})
@@ -398,28 +399,47 @@ class ChainHomotopy:
             return Element.zero(f.target.sig)
         degs = f.source.sig.degrees
         pairs = []
-        for y, rest in rests.items():
+        for (y, e), rest in rests.items():
             if self.images[y]:
-                pairs.append((self.images[y], g._apply(rest)))
-            fy = f.images[y]
-            if fy:
-                pairs.append((-fy if degs[y] & 1 else fy, self._apply(rest)))
+                pairs.append((self._power_image(y, e), g._apply(rest)))
+            s_rest = self._apply(rest) if f.images[y] else None
+            if s_rest:
+                fe = _power(f.images[y], e)
+                pairs.append((-fe if (e * degs[y]) & 1 else fe, s_rest))
         return sum_of_products(f.target.sig, pairs)
+
+    def _power_image(self, y: int, e: int) -> Element:
+        """s(y^e) by the loop s(y^k) = s(y) g(y)^(k-1) + (-1)^deg(y) f(y)
+        s(y^(k-1)), k = 2..e."""
+        sy, fy, gy = self.images[y], self.f.images[y], self.g.images[y]
+        if self.f.source.sig.degrees[y] & 1:
+            fy = -fy
+        tsig = self.f.target.sig
+        out, g_pow = sy, Element.one(tsig)
+        for _ in range(e - 1):
+            g_pow = g_pow * gy
+            out = sum_of_products(tsig, [(sy, g_pow), (fy, out)])
+        return out
 
 
 def _first_factors(terms: dict) -> tuple:
-    """x = c + sum_y y x_y: the constant c of the terms dict x and, per
-    first generator y of its monomials, x_y: those monomials without that
-    first factor, so no sign arises.  Recursing on the x_y goes as deep as
-    the longest monomial of x has factors, counted with multiplicity; past
-    the interpreter's recursion limit that raises RecursionError."""
-    rests: dict[int, dict] = {}
+    """x = c + sum_(y, e) y^e x_(y, e): the constant c of the terms dict x
+    and, per first power y^e of its monomials, x_(y, e): those monomials
+    without that first power, so no sign arises.  Recursing on the
+    x_(y, e) goes as deep as a monomial of x has distinct generators."""
+    rests: dict[tuple, dict] = {}
     for mono, coeff in terms.items():
         if mono:
-            y, e = mono[0]
-            rest = ((y, e - 1),) + mono[1:] if e > 1 else mono[1:]
-            rests.setdefault(y, {})[rest] = coeff
+            rests.setdefault(mono[0], {})[mono[1:]] = coeff
     return terms.get((), 0), rests
+
+
+def _power(x: Element, e: int) -> Element:
+    """x^e for e >= 1, by e - 1 products."""
+    out = x
+    for _ in range(e - 1):
+        out = out * x
+    return out
 
 
 def check_homotopy(f: DGCAMorphism, g: DGCAMorphism, s: ChainHomotopy,

@@ -790,6 +790,23 @@ def test_homotopy_applies_no_morphism_through_its_public_call(monkeypatch):
     assert calls == []
 
 
+def test_high_powers_recurse_once_per_distinct_generator():
+    """A monomial's whole first power is split off at once, so a power far
+    past the interpreter's recursion limit goes through f and s: z^2000 by
+    the identity, and s(y^1500) = 1500 y^1499 w for f = g = id, s(y) = w."""
+    zsig = make_signature([GeneratorDecl("z", (), 0, EVEN)])
+    z2000 = Element.from_terms(zsig, [(1, [("z", 2000)])])
+    assert identity_morphism(make_dgca(zsig, {}))(z2000) == z2000
+
+    sig = make_signature([GeneratorDecl("y", (), 2, EVEN),
+                          GeneratorDecl("w", (), 1, EVEN)])
+    ident = identity_morphism(make_dgca(sig, {}))
+    s = ChainHomotopy(ident, ident, {"y": Element.generator(sig, "w")})
+    y1500 = Element.from_terms(sig, [(1, [("y", 1500)])])
+    assert s(y1500) == Element.from_terms(sig, [(1500, [("y", 1499),
+                                                        ("w", 1)])])
+
+
 def test_homotopy_f_f_zero_passes():
     s4 = s4_algebra()
     ident = identity_morphism(s4)
