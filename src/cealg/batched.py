@@ -14,16 +14,28 @@ front-ends, and each leaves to the dict path what has fewer than
   one block per slot generator g, d g, met by the holes at g: each term
   with a factor g^e, with g's exponent lowered by one, times e and the sign
   `_leibniz_terms` gives it.  An input's pair count is the sum over its
-  terms and their factors g of the terms of d g.  An input that reaches
-  the gate by itself runs alone; the others share one call if together
-  they reach it, and those below the summed gate stay on the dict path
-  (`apply_d`, `check_d_squared`).
+  terms and their factors g of the terms of d g.  An input of at least
+  `ALONE_PAIRS` pairs runs alone; the others share one call if together
+  they reach `BATCH_PAIRS`, and stay on the dict path if not
+  (`dgca.apply_d_all`).
 
-The gate is 20,000 pairs.  Besides d mu7, mu4^2, the five-brane cocycle's
-d and the d**2 = 0 checks on super-Poincare and resolved Poincare, it
-takes the 34,816-pair d mu4 on superMink(11): `is_coboundary`'s closure
-check, `m2brane`'s, and resolved Minkowski's `adjoin_generator` and
-`check_chain_map`; and tr(omega^k), k = 6, 7, 8, in one call each.
+Two constants route the calls.  `BATCH_PAIRS` = 1,000 is the measured
+crossover: per call, in ms (kernel vs dict path, decoding included, median
+of 25, 2-vCPU Xeon),
+
+    pairs    superMink(11) product  super-Poincare product  PolyDeRham(8) d
+    ~250     1.59 vs 0.84           2.16 vs 1.39            1.54 vs 1.82
+    ~500     1.34 vs 1.73           2.76 vs 3.38            2.16 vs 4.62
+    ~1,000   2.33 vs 3.48           3.35 vs 6.98            3.27 vs 9.11
+
+so at 1,000 pairs the kernel is 1.5-2.8x faster on every algebra
+measured; it takes, for example, tr(omega^4) (8,910 pairs) and each full
+block of the flat-forms sampler (`rational_homotopy.forms_fiber_check`).
+`ALONE_PAIRS` = 20,000 is where one Leibniz input gets a call of its own,
+since in a shared call every row is as wide as the union of the inputs'
+columns (see below).  One gate of 2,000 for both roles made `iso.d2`
+0.24 -> 0.52 s and `resolvedpoincare.d2` 0.12 -> 0.33 s: their
+2,000-20,000-pair d-images then each ran alone instead of sharing a call.
 
 An element becomes an int8 exponent matrix (terms x generators in use)
 and int64 numerators over one shared denominator.  For a pair of terms
@@ -44,9 +56,9 @@ generators' fields: a left row carries its input's index there and a right
 row 0.  The field has no sign and no square-zero bits, so it only keeps
 the inputs' keys apart; a call of one input has no tag field, and its keys
 are exactly those of that input alone.  In a shared call every row is as
-wide as the union of the inputs' columns, which is why an input that
-reaches the gate by itself runs alone: sharing one call with resolved
-Poincare's d(g4 - mu4) would widen its 149,856 pairs from 3 key words to 5.
+wide as the union of the inputs' columns, which is why an input of
+`ALONE_PAIRS` runs alone: sharing one call with resolved Poincare's
+d(g4 - mu4) would widen its 149,856 pairs from 3 key words to 5.
 
 Pairs are formed in steps, in left-row order (input-major, then
 term-major and slot-minor for Leibniz), and merged into a running
@@ -62,9 +74,11 @@ slower, with the same result.
 
 The result stays packed (`Packed`: sorted keys, numerators, denominator
 and layout), split per tag, and the front-ends return it.  It is decoded to
-canonical `(monomial, Fraction)` entries, with one shared tuple per
-(generator, exponent) and one `Fraction` per distinct coefficient, only
-when an `Element`'s terms are first read; a zero test reads the row count,
+canonical `(monomial, Fraction)` entries (`_Context.decode`), with one
+shared tuple per (generator, exponent) and one `Fraction` per distinct
+coefficient, only when an `Element`'s terms are first read, and for a
+shared call the first read of any input decodes the whole call in one pass
+(`Packed.split`); a zero test reads the row count,
 and `proportional` decides lhs = c * rhs on the arrays of two results, so
 that d mu7 = 15 mu4^2 decodes neither 194,992-term side.
 
@@ -101,9 +115,13 @@ from math import lcm
 
 import numpy as np
 
-#: Products and Leibniz differentials of fewer term pairs are left to the
-#: dict path.
-BATCH_PAIRS = 20_000
+#: Products and Leibniz differentials of fewer term pairs, summed over a
+#: call's inputs, are left to the dict path: the measured crossover, above
+#: which the kernel is faster (see the module docstring).
+BATCH_PAIRS = 1_000
+#: A Leibniz input of at least this many pairs runs in a call of its own,
+#: so that its rows are not widened by the other inputs' columns.
+ALONE_PAIRS = 20_000
 #: Pairs per vectorised step: P // STEPS for a call of P pairs, clamped to
 #: [STEP_MIN, STEP_MAX] (see `_step` and the module docstring).
 STEPS = 32
@@ -130,11 +148,11 @@ def leibniz(sig, d_images, inputs: list) -> list:
     `d_images` (Elements), packed, or None where the dict path is left to
     compute it: below the gate, or if a guard trips.
 
-    An input of at least BATCH_PAIRS Leibniz pairs runs alone; the others
+    An input of at least ALONE_PAIRS Leibniz pairs runs alone; the others
     share one call if together they have at least BATCH_PAIRS."""
     pairs = [_leibniz_pairs(d_images, terms) for terms in inputs]
-    calls = [[i] for i, p in enumerate(pairs) if p >= BATCH_PAIRS]
-    shared = [i for i, p in enumerate(pairs) if p < BATCH_PAIRS]
+    calls = [[i] for i, p in enumerate(pairs) if p >= ALONE_PAIRS]
+    shared = [i for i, p in enumerate(pairs) if p < ALONE_PAIRS]
     if shared and sum(pairs[i] for i in shared) >= BATCH_PAIRS:
         calls.append(shared)
     out = [None] * len(inputs)
@@ -153,10 +171,10 @@ def leibniz(sig, d_images, inputs: list) -> list:
 
 def _leibniz_pairs(d_images, terms: dict) -> int:
     """The Leibniz pairs of d(terms): the sum, over the terms and their
-    factors g, of the terms of d g.  The count stops at the gate."""
+    factors g, of the terms of d g.  The count stops at ALONE_PAIRS."""
     pairs = 0
     for mono in terms:
-        if pairs >= BATCH_PAIRS:
+        if pairs >= ALONE_PAIRS:
             break
         for g, _ in mono:
             pairs += len(d_images[g].terms)
@@ -406,12 +424,20 @@ class _Context:
         op.occ = _bitmask(e[:, self.sqz])
         return op
 
-    def decode(self, keys: np.ndarray, nums: np.ndarray, den: int) -> dict:
+    def decode(self, keys: np.ndarray, nums: np.ndarray, den: int,
+               sizes: list) -> list:
         """The canonical dict entries of packed keys and numerators over
-        `den`, in the keys' order; a tag field is not read."""
-        out = {}
+        `den`, in the keys' order: one dict per run of `sizes` consecutive
+        rows (one run per input of a split call); a tag field is not
+        read."""
+        it = self._entries(keys, nums, den)
+        return [dict(islice(it, k)) for k in sizes]
+
+    def _entries(self, keys: np.ndarray, nums: np.ndarray, den: int):
+        """Yield the (monomial, Fraction) entries of `decode`, decoding
+        ROWS rows at a time."""
         if not len(nums):
-            return out
+            return
         uniq = _unique(nums)
         fracs = [Fraction(v, den) for v in uniq.tolist()]
         # one shared (generator, exponent) tuple per column and exponent
@@ -431,8 +457,7 @@ class _Context:
             counts = np.bincount(rows, minlength=len(block)).tolist()
             monos = [tuple(islice(it, k)) for k in counts]
             inv = np.searchsorted(uniq, nums[r0:r0 + ROWS])
-            out.update(zip(monos, map(fracs.__getitem__, inv.tolist())))
-        return out
+            yield from zip(monos, map(fracs.__getitem__, inv.tolist()))
 
     def repack(self, keys: np.ndarray, into: "_Context") -> np.ndarray:
         """Packed keys of this layout in the layout `into`, whose columns
@@ -466,19 +491,64 @@ class Packed:
         return len(self.nums)
 
     def decode(self) -> dict:
-        return self.ctx.decode(self.keys, self.nums, self.den)
+        return self.ctx.decode(self.keys, self.nums, self.den, [len(self)])[0]
 
     def split(self) -> list:
-        """Per input of a call, the rows tagged with it, in key order."""
+        """Per input of a call, the rows tagged with it, in key order.
+
+        Each input gets a `Packed` of its own keys (n x words, n = 0 for an
+        input whose result is 0) and numerators: views of one copy of the
+        call's rows, sorted by tag.  The first `decode()` of any of them
+        decodes the whole call in one pass and keeps every input's dict:
+        decoding the inputs one by one paid the decoder's set-up once per
+        input, about 77 us, 0.38-0.46 s for a 6,000-input call whose core
+        took 0.045 s."""
         ctx = self.ctx
         if ctx.inputs == 1:
             return [self]
         tags = ctx.field(self.keys, len(ctx.gen_ids))
         order = np.argsort(tags, kind="stable")
-        cuts = np.searchsorted(tags[order], np.arange(1, ctx.inputs))
-        return [Packed(np.take(self.keys, rows, axis=0), self.nums[rows],
-                       self.den, ctx)
-                for rows in np.split(order, cuts)]
+        ends = np.searchsorted(tags[order],
+                               np.arange(ctx.inputs + 1)).tolist()
+        rows = Packed(np.take(self.keys, order, axis=0), self.nums[order],
+                      self.den, ctx)
+        call = _Call(rows, [b - a for a, b in zip(ends, ends[1:])])
+        return [_Part(rows.keys[a:b], rows.nums[a:b], self.den, ctx, call, i)
+                for i, (a, b) in enumerate(zip(ends, ends[1:]))]
+
+
+class _Call:
+    """The rows of a shared call, sorted by tag, with `sizes` rows per
+    input, and each input's dict once one of them is decoded."""
+
+    __slots__ = ("rows", "sizes", "dicts")
+
+    def __init__(self, rows: Packed, sizes: list):
+        self.rows = rows
+        self.sizes = sizes
+        self.dicts = None
+
+    def decode(self) -> list:
+        if self.dicts is None:
+            rows = self.rows
+            self.dicts = rows.ctx.decode(rows.keys, rows.nums, rows.den,
+                                         self.sizes)
+        return self.dicts
+
+
+class _Part(Packed):
+    """The rows of input `index` of a shared call (`Packed.split`)."""
+
+    __slots__ = ("call", "index")
+
+    def __init__(self, keys: np.ndarray, nums: np.ndarray, den: int,
+                 ctx: _Context, call: _Call, index: int):
+        super().__init__(keys, nums, den, ctx)
+        self.call = call
+        self.index = index
+
+    def decode(self) -> dict:
+        return self.call.decode()[self.index]
 
 
 def proportional(lhs: Packed, rhs: Packed) -> Fraction | None:

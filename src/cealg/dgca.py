@@ -175,20 +175,25 @@ def apply_d(A: SemifreeDGCA, x: Element) -> Element:
     terms collapse to a single term with multiplicity e (their relative
     signs cancel whenever e can exceed 1), and each d-image monomial is
     multiplied into the once-built "hole" monomial, with the Koszul cost of
-    moving it left past the suffix restored as a scalar sign.
+    moving it left past the suffix restored as a scalar sign.  This is the
+    one-element case of `apply_d_all`.
     """
+    (dx,) = apply_d_all(A, [x])
+    return dx
+
+
+def apply_d_all(A: SemifreeDGCA, xs: list) -> list:
+    """d of each element of `xs`, in order: all of them go to
+    `batched.leibniz` in one call, which runs those that reach its pair
+    gates, alone or together in one tagged call, and the dict path takes
+    the rest."""
     sig = A.sig
-    if x.sig != sig:
+    if any(x.sig is not sig and x.sig != sig for x in xs):
         raise SignatureMismatch("element not in this algebra")
-    (packed,) = batched.leibniz(sig, A.d_images, [x.terms])
-    if packed is not None:
-        return Element.from_packed(sig, packed)
-    return _dict_apply_d(A, x)
-
-
-def _dict_apply_d(A: SemifreeDGCA, x: Element) -> Element:
-    """d(x) on the dict path, without asking the kernel."""
-    return Element(A.sig, _accumulate({}, _leibniz_terms(A.d_images, x)))
+    batch = batched.leibniz(sig, A.d_images, [x.terms for x in xs])
+    return [Element(sig, _accumulate({}, _leibniz_terms(A.d_images, x)))
+            if packed is None else Element.from_packed(sig, packed)
+            for x, packed in zip(xs, batch)]
 
 
 def _leibniz_terms(d_images: tuple[Element, ...], x: Element):
@@ -231,17 +236,9 @@ def _leibniz_terms(d_images: tuple[Element, ...], x: Element):
 
 def check_d_squared(A: SemifreeDGCA, task_id: str = "d_squared") -> Report:
     """Verify d(d(g)) = 0 for every generator, reporting the first residual
-    in generator order.
-
-    All d-images go to `batched.leibniz` in one call, which runs those that
-    reach its pair gate, alone or together in one tagged call; the dict
-    path takes the rest one by one, up to the first residual."""
+    in generator order; the d-images go to `apply_d_all` together."""
     gids = [gid for gid, img in enumerate(A.d_images) if img]
-    batch = batched.leibniz(A.sig, A.d_images,
-                            [A.d_images[gid].terms for gid in gids])
-    for gid, packed in zip(gids, batch):
-        res = (_dict_apply_d(A, A.d_images[gid]) if packed is None
-               else Element.from_packed(A.sig, packed))
+    for gid, res in zip(gids, apply_d_all(A, [A.d_images[g] for g in gids])):
         if res:
             name = A.sig.decls[gid].name
             return Report(

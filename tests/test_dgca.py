@@ -174,10 +174,10 @@ SCALED_STEPS = {"STEPS": 2, "STEP_MIN": 3, "STEP_MAX": 12}
 def test_batched_leibniz_many_inputs_match_dict_path(data):
     """Many inputs in one `leibniz` call, each against the dict path: x
     next to -x and next to x again (without the tag field their keys would
-    merge), empty inputs and mixed denominators, under a pair gate drawn so
-    that some inputs reach it alone and the rest share a call, or not.
-    Steps of a few pairs make the accumulator merge many times in one
-    call."""
+    merge), empty inputs and mixed denominators, under the two gates drawn
+    so that some inputs reach ALONE_PAIRS and run alone, and the rest share
+    a call if together they reach BATCH_PAIRS, or not.  Steps of a few
+    pairs make the accumulator merge many times in one call."""
     sig = data.draw(random_signature(max_gens=12))
     images = tuple(Element(sig, data.draw(random_terms(sig, max_terms=4)))
                    for _ in range(len(sig)))
@@ -186,14 +186,16 @@ def test_batched_leibniz_many_inputs_match_dict_path(data):
         xs + [{m: -c for m, c in xs[0].items()}, xs[0], {}]))
     pairs = [batched._leibniz_pairs(images, terms) for terms in inputs]
     gate = data.draw(st.integers(min_value=0, max_value=max(pairs) + 1))
+    alone = data.draw(st.integers(min_value=0, max_value=max(pairs) + 1))
     with kernel_gate_at_zero() as mp:
         mp.setattr(batched, "BATCH_PAIRS", gate)
+        mp.setattr(batched, "ALONE_PAIRS", alone)
         for name, value in SCALED_STEPS.items():
             mp.setattr(batched, name, value)
         got = kernel_leibniz(sig, images, inputs)
-    shared = sum(p for p in pairs if p < gate)
+    shared = sum(p for p in pairs if p < alone)
     for terms, p, out in zip(inputs, pairs, got):
-        if p < gate and shared < gate:
+        if p < alone and shared < gate:
             assert out is None
         else:
             assert out == dict_leibniz(images, Element(sig, terms))
@@ -339,8 +341,9 @@ def test_batched_leibniz_guards_fall_back_to_dict_path():
 
 
 def test_check_d_squared_asks_the_kernel_once_when_a_guard_trips(monkeypatch):
-    """d u = sum_i x z^(100+i) has past BATCH_PAIRS Leibniz pairs, and its
-    z exponents pass 127, so the one kernel call refuses it; check_d_squared
+    """d u = sum_i x z^(100+i) has past ALONE_PAIRS Leibniz pairs, so it
+    runs alone, and its z exponents pass 127, so that one kernel call
+    refuses it; check_d_squared
     then takes the dict path for d(d u) without a second kernel call, and
     reports the dict path's residual."""
     sig = make_signature([GeneratorDecl("x", (), 2, EVEN),
@@ -353,7 +356,7 @@ def test_check_d_squared_asks_the_kernel_once_when_a_guard_trips(monkeypatch):
     d_x = Element(sig, {(((w, k),) if k else ()) + ((y, 1), (z, 30)):
                         Fraction(1) for k in range(width)})
     d_u = Element(sig, {((x, 1), (z, 100 + i)): Fraction(1)
-                        for i in range(batched.BATCH_PAIRS // width + 1)})
+                        for i in range(batched.ALONE_PAIRS // width + 1)})
     alg = make_dgca(sig, {"x": d_x, "u": d_u})
     want = Element(sig, dict_leibniz(alg.d_images, d_u))
     assert want
@@ -388,20 +391,21 @@ def test_apply_d_routes_by_leibniz_pairs(monkeypatch):
                               in distinct_terms(sig, pairs).items()})
         assert apply_d(make_dgca(sig, {"a": image}), gen_a) == image
         assert calls == want
-    # 3,000 input terms with one pair each: far below the gate
+    # BATCH_PAIRS - 1 input terms with one pair each: one below the gate
     small = make_dgca(sig, {"a": Element.generator(sig, "y")})
     el = Element(sig, {((a, 1), (z, i)) if i else ((a, 1),): Fraction(1)
-                       for i in range(3000)})
+                       for i in range(batched.BATCH_PAIRS - 1)})
     assert apply_d(small, el).terms == dict_leibniz(small.d_images, el)
     assert calls == [1]
     # d mu4 on superMink(11), the membrane's closure check, has 34,816
-    # pairs: between the gate of 20,000 and the 50,000 it replaced
+    # pairs: past ALONE_PAIRS, so it runs alone; the gate is the measured
+    # crossover of 1,000 pairs
     mink = _mink(11).algebra
     mu4 = _mu(11, 2)
     with monkeypatch.context() as mp:
-        mp.setattr(batched, "BATCH_PAIRS", 10 ** 6)
+        mp.setattr(batched, "ALONE_PAIRS", 10 ** 6)
         assert batched._leibniz_pairs(mink.d_images, mu4.terms) == 34_816
-    assert batched.BATCH_PAIRS == 20_000
+    assert (batched.BATCH_PAIRS, batched.ALONE_PAIRS) == (1_000, 20_000)
     assert apply_d(mink, mu4).is_zero()
     assert calls == [1, len(mu4)]
 

@@ -499,10 +499,12 @@ def test_batched_product_guards_fall_back_to_dict_path():
         return Element(sig, {((0, 1 + i % 16), (1, zbase + i // 16)):
                              Fraction(coeff) for i in range(side)})
 
+    # the z exponents are zbase + i // 16, so the sums below pass 127
+    # whatever `side` is
     cases = [
         (el(2 ** 40, 1), el(2 ** 30, 1)),    # products reach 2**70
-        (el(1, 100), el(1, 20)),             # exponent sums past 127
-        (el(1, 120), el(1, 1)),              # input exponents past 127
+        (el(1, 100), el(1, 28)),             # exponent sums past 127
+        (el(1, 128), el(1, 1)),              # input exponents past 127
     ]
     for a, b in cases:
         assert (a * b).terms == dict_product(sig, a.terms, b.terms)

@@ -1,6 +1,8 @@
 """Sphere models, polynomial de Rham complexes, flat forms."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,8 +22,12 @@ from cealg import (
     radial_contraction,
     sphere_model,
 )
+from cealg import batched
+from cealg import rational_homotopy as rh
+from cealg.dgca import Report, make_dgca
 from cealg.graded import GradedError, UnknownGenerator
-from cealg.rational_homotopy import _random_form
+from cealg.rational_homotopy import FIBER_BLOCK, PolyDeRham, _random_form
+from test_dgca import _package_env
 
 
 def test_sphere_models():
@@ -162,6 +168,166 @@ def test_forms_fiber_sequence():
     rep = forms_fiber_check(poly_de_rham(8), n_samples=50)
     assert rep.ok
     assert rep.pinned["samples"] == 50
+
+
+def name_based_random_form(rng, pdr, form_degree, n_terms=3,
+                           max_poly_degree=2):
+    """The reference builder of `_random_form`: the same draws, as named
+    factors in drawn order, canonicalised by `Element.from_terms`."""
+    sig = pdr.algebra.sig
+    n = pdr.n
+    terms = []
+    for _ in range(n_terms):
+        coeff = Fraction(rng.randint(-4, 4))
+        if not coeff:
+            continue
+        dxs = rng.sample(range(1, n + 1), form_degree)
+        pairs = [(f"dx^{i}", 1) for i in dxs]
+        for _ in range(rng.randint(0, max_poly_degree)):
+            pairs.append((f"x^{rng.randint(1, n)}", 1))
+        terms.append((coeff, pairs))
+    return Element.from_terms(sig, terms)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4, 3)])
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_random_form_matches_the_name_based_builder(k, shape):
+    """`_random_form` builds canonical monomials directly: the same Element
+    as the name-based builder, the same draws (so the same rng state
+    afterwards), and a form homogeneous of bidegree (k, 0)."""
+    n_terms, max_poly_degree = shape
+    pdr = poly_de_rham(8)
+    rng, ref = random.Random(k), random.Random(k)
+    for _ in range(200):
+        got = _random_form(rng, pdr, k, n_terms, max_poly_degree)
+        want = name_based_random_form(ref, pdr, k, n_terms, max_poly_degree)
+        assert got == want
+        assert rng.getstate() == ref.getstate()
+        assert got.is_homogeneous((k, 0))
+
+
+def per_sample_fiber_check(target, n_samples, seed):
+    """The reference loop of `forms_fiber_check`: one sample at a time, each
+    identity decided by `flat_form_check`, on `name_based_random_form`."""
+    rng = random.Random(seed)
+    alg = target.algebra
+    s4 = sphere_model(4).algebra
+    zero = Element.zero(alg.sig)
+    for idx in range(n_samples):
+        eta = name_based_random_form(rng, target, 3)
+        omega4 = apply_d(alg, eta)
+        closed7 = apply_d(alg, name_based_random_form(rng, target, 6))
+        omega7 = eta * omega4 + closed7
+        try:
+            rh.flat_form_check(s4, target, {"g4": omega4, "g7": omega7})
+        except ChainMapViolation as exc:
+            return Report("flatforms.fiber", "fail",
+                          details=f"sample {idx} unexpectedly not flat",
+                          residual=exc.residual)
+        try:
+            rh.flat_form_check(s4, target, {"g4": zero, "g7": closed7})
+        except ChainMapViolation as exc:
+            return Report("flatforms.fiber", "fail",
+                          details=f"closed 7-form sample {idx} rejected",
+                          residual=exc.residual)
+        bad7 = name_based_random_form(rng, target, 7)
+        if apply_d(alg, bad7):
+            try:
+                rh.flat_form_check(s4, target, {"g4": zero, "g7": bad7})
+            except ChainMapViolation:
+                continue
+            return Report("flatforms.fiber", "fail",
+                          details=f"non-closed 7-form accepted at {idx}")
+    return Report("flatforms.fiber", "pass",
+                  details=f"fiber sequence verified on {n_samples} samples",
+                  stats={"samples": n_samples},
+                  pinned={"samples": n_samples})
+
+
+def broken_de_rham() -> PolyDeRham:
+    """PolyDeRham(8) with d dx^1 = dx^2 dx^3, so d**2 x^1 != 0; built
+    without `poly_de_rham`'s d**2 check."""
+    sig = poly_de_rham(8).algebra.sig
+    images = {f"x^{i}": Element.generator(sig, f"dx^{i}")
+              for i in range(1, 9)}
+    images["dx^1"] = (Element.generator(sig, "dx^2")
+                      * Element.generator(sig, "dx^3"))
+    return PolyDeRham(8, make_dgca(sig, images))
+
+
+def lenient_flat_form_check(model, target, images):
+    """`flat_form_check` that accepts, unchecked, a g7 image with an x
+    factor of exponent 2 or more."""
+    if any(e > 1 for mono in images["g7"].terms for _, e in mono):
+        return None
+    return flat_form_check(model, target, images)
+
+
+#: (algebra, seed, lenient): the broken algebra fails at sample 0 on both
+#: d omega4 = 0 and d omega7 = omega4^2, so only the first is reported
+#: (seed 26), and at sample 2 on d omega7 = omega4^2 alone (seed 8); with
+#: the lenient check, seed 43 accepts a non-closed 7-form at sample 210,
+#: past the first block.
+FAIL_CASES = [("broken", 26, False), ("broken", 8, False),
+              ("valid", 43, True)]
+
+
+@pytest.mark.parametrize("case", FAIL_CASES)
+@pytest.mark.parametrize("n_samples", [0, 50, 300])
+def test_fiber_check_fail_path_matches_the_per_sample_loop(monkeypatch,
+                                                           case, n_samples):
+    """The block sampler reports the verdict, details and residual of the
+    per-sample loop.  300 samples are one block of FIBER_BLOCK on the
+    kernel and one on the dict path."""
+    kind, seed, lenient = case
+    target = broken_de_rham() if kind == "broken" else poly_de_rham(8)
+    if lenient:
+        monkeypatch.setattr(rh, "flat_form_check", lenient_flat_form_check)
+    want = per_sample_fiber_check(target, n_samples, seed)
+    calls = []
+    real = batched._sum_of_products
+    monkeypatch.setattr(batched, "_sum_of_products",
+                        lambda *a: calls.append(1) or real(*a))
+    got = forms_fiber_check(target, n_samples, seed)
+    assert (got.verdict, got.details, got.residual, got.pinned) == (
+        want.verdict, want.details, want.residual, want.pinned)
+    if kind == "valid" and n_samples == 300:
+        assert FIBER_BLOCK < 210 < n_samples
+        assert got.details == "non-closed 7-form accepted at 210"
+        assert calls == [1]
+
+
+FIBER_MEMORY_SCRIPT = """
+import tracemalloc
+
+from cealg import batched
+from cealg.rational_homotopy import forms_fiber_check, poly_de_rham
+
+pdr = poly_de_rham(8)
+calls = []
+real = batched._sum_of_products
+batched._sum_of_products = lambda *a: calls.append(1) or real(*a)
+tracemalloc.start()
+rep = forms_fiber_check(pdr, 2000, seed=1)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(rep.pinned["samples"], len(calls), peak)
+"""
+
+
+def test_fiber_check_memory_and_kernel_calls():
+    """2,000 samples in blocks of FIBER_BLOCK: a tracemalloc peak of at
+    most 1.3 MiB (1.12 MiB measured; 1.52 MiB when `_random_form` built
+    its (g, 1) factors afresh, 9.25 MiB with all samples in one block) and
+    exactly 10 kernel core calls, one per full block's first shared call.
+    Run in a fresh interpreter, so that the figures repeat exactly."""
+    proc = subprocess.run([sys.executable, "-c", FIBER_MEMORY_SCRIPT],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    samples, calls, peak = map(int, proc.stdout.split())
+    assert (samples, calls) == (2000, 10)
+    assert peak <= 1.3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_form_expression_grammar():
