@@ -26,6 +26,7 @@ from .clifford import (
     CliffordRep,
     Unsupported,
     build_clifford,
+    pairing_walk,
     quartic_fierz_check,
 )
 from .dgca import (
@@ -157,7 +158,8 @@ def brane_cocycle(cat: CatalogAlgebra, p: int) -> Element:
     """mu_{p+2} = sum over ordered p-tuples of
     (C Gamma^{a1..ap}) psi psi e_{a1}...e_{ap}, e-indices lowered with eta.
 
-    Implemented as p! times the sum over strictly increasing tuples.  Raises
+    Implemented as p! times the sum over strictly increasing tuples, whose
+    pairings come from one `pairing_walk`.  Raises
     ZeroCocycle when the symmetric part of the pairing vanishes.
     """
     if cat.rep is None:
@@ -171,12 +173,14 @@ def brane_cocycle(cat: CatalogAlgebra, p: int) -> Element:
     weight = 1
     for k in range(2, p + 1):
         weight *= k
-    for tup in itertools.combinations(range(rep.d), p):
+    for tup, matrix in pairing_walk(rep, p):
+        if len(tup) < p:
+            continue
         eta = 1
         for a in tup:
             eta *= rep.eta[a]
         prefix = tuple((e_ids[a], 1) for a in tup)
-        _accumulate(acc, _pairing_element(sig, psi_ids, rep.pairing(tup),
+        _accumulate(acc, _pairing_element(sig, psi_ids, matrix,
                                           weight * eta, prefix).terms.items())
     out = Element(sig, acc)
     if not out:
@@ -225,13 +229,15 @@ def verify_m5_relation() -> Report:
     """Fully symbolic check that d mu7 is a single rational multiple of
     mu4 wedge mu4 in d=11, cross-checked against the sparse tensor path."""
     cat = _mink(11)
+    # the tensor path first, so that its short-lived arrays are freed
+    # before d mu7 and mu4^2 are built rather than placed among them
+    fast = quartic_fierz_check(cat.rep, "mu7-relation")
     alg = cat.algebra
     mu4 = _mu(11, 2)
     mu7 = _mu(11, 5)
     d_mu7 = apply_d(alg, mu7)
     mu4_sq = mu4 * mu4
     c = proportionality_constant(d_mu7, mu4_sq)
-    fast = quartic_fierz_check(cat.rep, "mu7-relation")
     c_fast = Fraction(fast.pinned["c"]) if fast.pinned.get("c") else None
     agree = fast.ok and c_fast == c
     return Report(

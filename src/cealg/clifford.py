@@ -9,11 +9,13 @@ plus a diagonal involution.
 
 The representation checks are integer matrix identities.  The quartic
 (Fierz) checks contract four spinor indices exactly, as sparse (COO) int64
-tensors built from the nonzeros of the pairing matrices and summed over the
-six slot pairings by one sort of (key, value) words, under one int64
-overflow guard per pairing table.  d mu7 = c mu4^2 fixes c at the first
-quadruple of frame indices where mu4^2 is nonzero and decides it and every
-later one by a single residual tensor, which must vanish.  The checks share
+tensors built from the nonzeros of the pairing matrices and summed by one
+sort of (key, value) words, under one int64 overflow guard per pairing
+table.  For symmetric pairings each entry is keyed once, by its sorted
+index tuple; otherwise it is keyed under all six slot pairings.
+d mu7 = c mu4^2 fixes c at the first quadruple of frame indices where
+mu4^2 is nonzero and decides it and every later one by a single residual
+tensor, which must vanish.  The checks share
 no code with the symbolic expansions and must agree with them
 verdict-for-verdict.
 """
@@ -192,6 +194,20 @@ def antisym_gamma(rep: CliffordRep, indices) -> PairingMatrix:
     return PairingMatrix(indices, m, _symmetry_of(m))
 
 
+def pairing_walk(rep: CliffordRep, max_rank: int):
+    """Yield (A, C Gamma^A) for every strictly increasing A of length at
+    most max_rank, depth first in lexicographic order, so that the tuples of
+    one length come in `itertools.combinations` order.  Each product is one
+    matmul from its parent's, and a parent's array is reused for its
+    children, so the yielded arrays must not be modified."""
+    def walk(indices, m):
+        yield indices, m
+        if len(indices) < max_rank:
+            for a in range(indices[-1] + 1 if indices else 0, rep.d):
+                yield from walk(indices + (a,), m @ rep.gammas[a])
+    return walk((), rep.charge_conj)
+
+
 # expected symmetry of C Gamma^(p) in d=11, from C^T = -C and
 # (C Gamma^a)^T = C Gamma^a: sign (-1)^(p+1) * (-1)^(p(p-1)/2)
 _D11_SYMMETRY = {0: "antisymmetric", 1: "symmetric", 2: "symmetric",
@@ -214,14 +230,10 @@ def check_clifford(rep: CliffordRep, task_id: str = "clifford.check") -> Report:
                               witness=f"({a},{b})")
     if _symmetry_of(rep.charge_conj) != "antisymmetric":
         return Report(task_id, "fail", details="C is not antisymmetric")
-    flags: dict[int, set[str]] = {}
-    for p in range(0, 6):
-        if p > rep.d:
-            break
-        seen = set()
-        for idx in itertools.combinations(range(rep.d), p):
-            seen.add(_symmetry_of(rep.pairing(idx)))
-        flags[p] = seen
+    flags: dict[int, set[str]] = {p: set() for p in range(min(5, rep.d) + 1)}
+    for idx, m in pairing_walk(rep, 5):
+        flags[len(idx)].add(_symmetry_of(m))
+    for p, seen in flags.items():
         if len(seen) != 1 or "mixed" in seen:
             return Report(task_id, "fail",
                           details=f"inconsistent pairing symmetry at p={p}: {seen}")
@@ -274,37 +286,29 @@ def _outer(x, y, scale: int = 1) -> np.ndarray:
     return out.reshape(-1, 5)
 
 
-def _pair_sym(t: np.ndarray, n: int) -> np.ndarray:
-    """Sum over the six pairings of four spinor slots, exactly.
-
-    `t` holds COO rows (i, j, k, l, value) with indices below n; repeated
-    positions add up.  Each position is keyed by its C-order offset
-    ((i n + j) n + k) n + l in the dense n^4 tensor.  Returns a (2, m) int64
-    array: the sorted keys of the nonzero entries, then their values.
-
-    Each row value, shifted to be nonnegative, is packed into the low bits
-    of one word under its key: int32 when key and value fit in 31 bits,
-    else int64.  One sort of those words brings equal keys together and
-    `np.add.reduceat` sums each run in int64.  The caller bounds the values
-    with `_guard_int64`, so that the words and the sums cannot overflow.
-
-    For factors that are individually symmetric this equals 6x the full
-    symmetrization, which is exactly the functional picking out coefficients
-    of commuting-generator monomials.
-    """
-    val = t[:, 4]
+def _word_layout(val: np.ndarray, n: int) -> tuple[type, int, int]:
+    """How `_key_sums` packs `val` under keys of an n^4 tensor: the word
+    dtype (int32 when key and value fit in 31 bits, else int64), the shift
+    lo that makes every value nonnegative, and the bits the shifted values
+    take."""
     lo = int(val.min(initial=0))
     bits = (int(val.max(initial=0)) - lo).bit_length()
     dtype = np.int32 if (n ** 4 - 1).bit_length() + bits < 32 else np.int64
-    idx = t[:, :4].T.astype(dtype)
-    words = np.empty((len(_SLOT_PERMS), len(t)), dtype=dtype)
-    for row, perm in zip(words, _SLOT_PERMS):
-        row[...] = idx[perm[0]]
-        for slot in perm[1:]:
-            row *= n
-            row += idx[slot]
+    return dtype, lo, bits
+
+
+def _key_sums(words: np.ndarray, val: np.ndarray, lo: int, bits: int
+              ) -> np.ndarray:
+    """Sum `val` by key, exactly: `words` holds the keys (overwritten), in
+    the layout `_word_layout` chose for `val`, and `val` broadcasts to it.
+
+    Each value, shifted to be nonnegative, is packed into the low bits of
+    the word under its key.  One sort of those words brings equal keys
+    together and `np.add.reduceat` sums each run in int64.  Returns a
+    (2, m) int64 array: the sorted keys whose sum is nonzero, then the sums.
+    """
     words <<= bits
-    words += (val - lo).astype(dtype)
+    words += (val - lo).astype(words.dtype)
     words = words.ravel()
     words.sort()
     vals = words & ((1 << bits) - 1)
@@ -319,10 +323,117 @@ def _pair_sym(t: np.ndarray, n: int) -> np.ndarray:
     return np.stack([words[first[nonzero]], sums[nonzero]])
 
 
+def _pair_sym(t: np.ndarray, n: int) -> np.ndarray:
+    """Sum over the six pairings of four spinor slots, exactly.
+
+    `t` holds COO rows (i, j, k, l, value) with indices below n; repeated
+    positions add up.  Each position is keyed by its C-order offset
+    ((i n + j) n + k) n + l in the dense n^4 tensor, under each of the six
+    slot pairings, and `_key_sums` sums the 6 len(t) keyed values.  Returns
+    a (2, m) int64 array: the sorted keys of the nonzero entries, then their
+    values.  The caller bounds the values with `_guard_int64`, so that the
+    words and the sums cannot overflow.
+
+    For factors that are individually symmetric this equals 6x the full
+    symmetrization, which is exactly the functional picking out coefficients
+    of commuting-generator monomials; `_sorted_key_sym` decides the same
+    from one key per row.  This is the general path, for factors of any
+    symmetry.
+    """
+    val = t[:, 4]
+    dtype, lo, bits = _word_layout(val, n)
+    idx = t[:, :4].T.astype(dtype)
+    words = np.empty((len(_SLOT_PERMS), len(t)), dtype=dtype)
+    for row, perm in zip(words, _SLOT_PERMS):
+        row[...] = idx[perm[0]]
+        for slot in perm[1:]:
+            row *= n
+            row += idx[slot]
+    return _key_sums(words, val, lo, bits)
+
+
+@dataclass
+class _SortedPairs:
+    """A pairing table of symmetric matrices, read as sorted index pairs.
+
+    `index` maps each index tuple A of the table to its row r; row r of
+    `lo`, `hi` (int32) and `val` (int64) holds min(i, j), max(i, j) and the
+    value of each nonzero (i, j) of C Gamma^A, padded with zero values to a
+    common width.
+    """
+
+    index: dict[tuple[int, ...], int]
+    lo: np.ndarray
+    hi: np.ndarray
+    val: np.ndarray
+
+
+# ordered index tuples that fall on one sorted key: at most 4! for four
+# distinct indices
+_ORBIT_MAX = 24
+
+
+def _sorted_pairs(table, n: int) -> _SortedPairs | None:
+    """The table's matrices as `_SortedPairs`, or None unless every one of
+    them is symmetric."""
+    coos = list(table.values())
+    sizes = np.array([len(v) for _, _, v in coos], dtype=np.int64)
+    width = int(sizes.max(initial=0))
+    filled = np.arange(width) < sizes[:, None]
+    pairs = _SortedPairs({idx: r for r, idx in enumerate(table)},
+                         np.zeros(filled.shape, dtype=np.int32),
+                         np.zeros(filled.shape, dtype=np.int32),
+                         np.zeros(filled.shape, dtype=np.int64))
+    for out, of in ((pairs.lo, np.minimum), (pairs.hi, np.maximum)):
+        out[filled] = np.concatenate([of(i, j) for i, j, _ in coos])
+    pairs.val[filled] = np.concatenate([v for _, _, v in coos])
+    # symmetric: the off-diagonal entries pair up, (i, j) with (j, i), on
+    # one sorted pair of one matrix, with equal values
+    off = np.flatnonzero(pairs.lo != pairs.hi)
+    key = off // max(width, 1) * n + pairs.lo.flat[off]
+    key = key * n + pairs.hi.flat[off]
+    order = np.argsort(key)
+    key, off = key[order], off[order]
+    if not (np.array_equal(key[0::2], key[1::2])
+            and np.array_equal(pairs.val.flat[off[0::2]],
+                               pairs.val.flat[off[1::2]])):
+        return None
+    return pairs
+
+
+def _sorted_key_sym(pairs: _SortedPairs, terms, n: int) -> np.ndarray:
+    """The one-key counterpart of `_pair_sym`, for symmetric factors.
+
+    `terms` are (x, y, scale) with x and y rows of `pairs`.  Each pair of
+    entries x_ij, y_kl adds scale x_ij y_kl at the C-order offset of the
+    sorted tuple of (i, j, k, l): the two sorted pairs are merged by min and
+    max, and `_key_sums` sums the keyed values.  Returns the same (2, m)
+    layout as `_pair_sym`, over sorted keys only.
+
+    At a sorted key m this sum is |orbit(m)| Sym(T)_m, where |orbit(m)| is
+    the number of distinct orderings of m, while `_pair_sym` of the same
+    terms reads 6 Sym(T)_m there (and the same at every reordering of m).
+    The two have the same sorted support, and the same ratio of any two
+    tensors at one key, so every zero test and c are decided the same; the
+    sort is 6 times shorter.  Padding adds zero values only.
+    """
+    x, y, scale = (np.array(column, dtype=np.int64) for column in zip(*terms))
+    val = (scale[:, None] * pairs.val[x])[:, :, None] * pairs.val[y][:, None]
+    dtype, lo, bits = _word_layout(val, n)
+    a, b = (m[x, :, None].astype(dtype) for m in (pairs.lo, pairs.hi))
+    c, d = (m[y, None, :].astype(dtype) for m in (pairs.lo, pairs.hi))
+    words = np.minimum(a, c)
+    mid = np.maximum(a, c), np.minimum(b, d)
+    for k in (np.minimum(*mid), np.maximum(*mid), np.maximum(b, d)):
+        words *= n
+        words += k
+    return _key_sums(words, val, lo, bits)
+
+
 def _guard_int64(values, summands: int, factor: int, n: int) -> None:
-    """Raise unless `_pair_sym` is exact on rows whose values are `factor`
+    """Raise unless `_key_sums` is exact on keyed values that are `factor`
     times a product of two of `values` (arrays of entries), with at most
-    `summands` rows on one key: each sum stays below 2^62, and each value,
+    `summands` of them on one key: each sum stays below 2^62, and each value,
     shifted to be nonnegative, fits under the key of an n^4 tensor in one
     int64 word."""
     top = max((int(np.abs(v).max(initial=0)) for v in values), default=0)
@@ -343,9 +454,10 @@ def _pairing_table(rep: CliffordRep, ranks) -> dict[tuple[int, ...], tuple]:
 
 def _closure_terms(rep: CliffordRep, table, prefix, scale: int) -> list:
     """sum_b eta_bb (C Gamma^{prefix b}) (x) (C Gamma^b) over b not in the
-    prefix, times scale, as (x, y, scale) terms: C Gamma^{prefix b} is read
-    from the table at the sorted indices, with the sign of moving b to the
-    last slot, past the prefix indices above b."""
+    prefix, times scale, as (x, y, scale) terms, x and y what the table
+    holds for the index tuples (a `_coo` triple or a `_SortedPairs` row):
+    C Gamma^{prefix b} is read at the sorted indices, with the sign of
+    moving b to the last slot, past the prefix indices above b."""
     return [(table[tuple(sorted(prefix + (b,)))], table[(b,)],
              scale * rep.eta[b] * (-1) ** sum(a > b for a in prefix))
             for b in range(rep.d) if b not in prefix]
@@ -354,7 +466,8 @@ def _closure_terms(rep: CliffordRep, table, prefix, scale: int) -> list:
 def _mu7_terms(rep: CliffordRep, table, quad, d_scale: int = 1,
                q_scale: int = 1) -> tuple[list, list]:
     """Both sides of d mu7 = c mu4^2 at the quadruple a1 < a2 < a3 < a4, as
-    (x, y, scale) terms whose `_outer` rows `_pair_sym` sums to
+    (x, y, scale) terms over the table's entries, as in `_closure_terms`,
+    whose sums over the slot pairings are
     D = 120 sym4[sum_b eta_bb (C Gamma^{a1..a4 b}) (x) (C Gamma^b)] and
     Q = 8 sym4[the three two-index splittings of mu4^2], times d_scale and
     q_scale."""
@@ -381,9 +494,13 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
 
     Each identity is a sum of outer products of pairing matrices contracted
     against four commuting spinors.  It is evaluated as integer COO tensors
-    (`_outer`), symmetrized over the six slot pairings by one packed sort
-    (`_pair_sym`) and decided on every nonzero entry, never as a dense n^4
-    array.  Stats: `sym_keys`, the keys `_pair_sym` sorted.
+    summed by one packed sort and decided on every nonzero entry, never as
+    a dense n^4 array.  When every matrix of the family's pairing table is
+    symmetric (ranks 1, 2 and 5 in d=11), `_sorted_key_sym` keys each
+    product entry once, by its sorted index tuple; otherwise (the p = 3
+    negative control, or a perturbed pairing) `_outer` rows are summed over
+    the six slot pairings by `_pair_sym`.  The two decide every identity,
+    witness and c alike.  Stats: `sym_keys`, the keys sorted.
 
     family "mu4-closure": for every (p-1)-tuple A of frame indices,
     sum_b eta_bb sym4[(C Gamma^{A b}) (x) (C Gamma^b)] must vanish; this is
@@ -393,20 +510,35 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
     be c times the contraction Q of the two-index splittings of mu4^2.
     Where Q vanishes before c is known, D must vanish too.  c = num/den is
     read off the first quadruple where Q is nonzero, by comparing D and Q
-    there; that quadruple and every later one is decided by one residual
-    den D - num Q, which must vanish.  c is reported exactly, with the count
-    of `quadruples` decided.  Each family reads its pairings from one
-    `_pairing_table`, guarded once.  p_substitute swaps in another pairing
-    rank as a negative control of the machinery.  Raises CliffordError if
-    p is not in 1..d or if the int64 arithmetic could overflow.
+    at their smallest key; that quadruple and every later one is decided by
+    one residual den D - num Q, which must vanish.  c is reported exactly,
+    with the count of `quadruples` decided.  Each family reads its pairings
+    from one `_pairing_table`, guarded once for the path it takes.
+    p_substitute swaps in another pairing rank as a negative control of the
+    machinery.  Raises CliffordError if p is not in 1..d or if the int64
+    arithmetic could overflow.
     """
     n = rep.n_spin
     stats = {"d": rep.d, "sym_keys": 0}
+    pairs = None
+
+    def read(ranks):
+        """The pairing table for `ranks`, what the term builders index it
+        by, and the most keyed values one term can put on one key."""
+        nonlocal pairs
+        table = _pairing_table(rep, ranks)
+        pairs = _sorted_pairs(table, n)
+        if pairs is None:
+            return table, table, len(_SLOT_PERMS)
+        return table, pairs.index, _ORBIT_MAX
 
     def sym(terms) -> np.ndarray:
-        rows = _rows(terms)
-        stats["sym_keys"] += len(_SLOT_PERMS) * len(rows)
-        return _pair_sym(rows, n)
+        if pairs is None:
+            rows = _rows(terms)
+            stats["sym_keys"] += len(_SLOT_PERMS) * len(rows)
+            return _pair_sym(rows, n)
+        stats["sym_keys"] += len(terms) * pairs.val.shape[1] ** 2
+        return _sorted_key_sym(pairs, terms, n)
 
     if family == "mu4-closure":
         p = p_substitute if p_substitute is not None else default_cocycle_p(rep.d)
@@ -415,13 +547,13 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
             # without checking anything
             raise CliffordError(f"pairing rank p={p} outside 1..{rep.d}")
         stats.update(p=p, prefixes=0)
-        table = _pairing_table(rep, {1, p})
-        # at most one row per slot pairing of each of the d - (p - 1) terms
-        _guard_int64([v for _, _, v in table.values()], 6 * (rep.d - p + 1),
-                     1, n)
+        table, source, per_key = read({1, p})
+        # the d - (p - 1) terms of one prefix
+        _guard_int64([v for _, _, v in table.values()],
+                     per_key * (rep.d - p + 1), 1, n)
         for prefix in itertools.combinations(range(rep.d), p - 1):
             stats["prefixes"] += 1
-            terms = _closure_terms(rep, table, prefix, 1)
+            terms = _closure_terms(rep, source, prefix, 1)
             if terms and sym(terms).size:
                 return Report(
                     "fierz." + family, "fail",
@@ -443,18 +575,17 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
             return sub
         if rep.d != 11:
             raise Unsupported("mu7-relation needs the d=11 representation")
-        table = _pairing_table(rep, (1, 2, 5))
+        table, source, per_key = read((1, 2, 5))
         values = [v for _, _, v in table.values()]
-        # at most one row per slot pairing of each term, and the residual
-        # has the d - 4 terms of D and the 3 of Q
-        summands = 6 * (rep.d - 1)
+        # the residual has the d - 4 terms of D and the 3 of Q
+        summands = per_key * (rep.d - 1)
         _guard_int64(values, summands, 120, n)
         stats["quadruples"] = 0
         c = None
         for quad in itertools.combinations(range(rep.d), 4):
             stats["quadruples"] += 1
             if c is None:
-                d_tensor, q_tensor = map(sym, _mu7_terms(rep, table, quad))
+                d_tensor, q_tensor = map(sym, _mu7_terms(rep, source, quad))
                 if not q_tensor.size:
                     if d_tensor.size:
                         return Report("fierz.mu7-relation", "fail",
@@ -469,7 +600,7 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
                              int(q_tensor[1, 0]))
                 _guard_int64(values, summands,
                              120 * max(abs(c.numerator), c.denominator), n)
-            d_terms, q_terms = _mu7_terms(rep, table, quad, c.denominator,
+            d_terms, q_terms = _mu7_terms(rep, source, quad, c.denominator,
                                           -c.numerator)
             if sym(d_terms + q_terms).size:
                 return Report("fierz.mu7-relation", "fail",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .dgca import DgcaError, NotClosed, SemifreeDGCA, apply_d
+from .dgca import DgcaError, NotClosed, SemifreeDGCA, apply_d, apply_d_all
 from .graded import Element, GradedError, Monomial
 
 DEFAULT_CAP = 2_000_000
@@ -217,12 +217,14 @@ def differential_matrix(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
                         ) -> SparseRationalMatrix:
     """Matrix of d from the degree basis (`dom`) to the degree+1 basis
     (`cod`), carrying both bases; with `weights`, which d must preserve,
-    between those bases' weight-`weight` components."""
+    between those bases' weight-`weight` components.  The columns are d of
+    the `dom` monomials, all taken in one `apply_d_all` call."""
     dom = monomial_basis(A, degree, cap, weights, weight)
     cod = monomial_basis(A, degree + 1, cap, weights, weight)
+    images = apply_d_all(A, [Element(A.sig, {mono: Fraction(1)})
+                             for mono in dom.monomials])
     entries: dict[tuple[int, int], Fraction] = {}
-    for c, mono in enumerate(dom.monomials):
-        img = apply_d(A, Element(A.sig, {mono: Fraction(1)}))
+    for c, img in enumerate(images):
         for m2, coeff in img.terms.items():
             entries[(cod.index[m2], c)] = coeff
     return SparseRationalMatrix(len(cod), len(dom), entries, dom, cod)

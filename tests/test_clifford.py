@@ -1,9 +1,13 @@
 """Gamma matrix construction, pairing symmetries, quartic identities."""
 
+import ast
 import itertools
+import math
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +32,10 @@ from cealg.clifford import (
     _pair_sym,
     _pairing_table,
     _rows,
+    _sorted_key_sym,
+    _sorted_pairs,
     octonion_left_mults,
+    pairing_walk,
     spin9_gammas,
 )
 from test_dgca import _package_env
@@ -236,7 +243,8 @@ def test_mu4_closure_reads_one_pairing_table():
     report = quartic_fierz_check(rep, "mu4-closure")
     assert report.ok
     assert len(calls) == len(set(calls)) == 66
-    assert (report.stats["sym_keys"], report.stats["prefixes"]) == (675_840, 11)
+    # one key per product entry: 11 prefixes of 10 terms of 32 x 32 entries
+    assert (report.stats["sym_keys"], report.stats["prefixes"]) == (112_640, 11)
 
 
 def test_mu4_closure_refuses_int64_overflow():
@@ -434,19 +442,26 @@ def test_mu7_relation_matches_two_tensor_reference(perturb, witness):
 
 
 def test_mu7_relation_sorts_one_residual_per_quadruple(monkeypatch):
-    """Two `_pair_sym` calls fix c at (0, 1, 2, 3), and each of the 330
-    quadruples, that one included, is decided by one residual: 332 calls.
-    Deciding (0, 1, 2, 3) by its residual too, rather than by comparing its
-    D and Q, costs one sort of its 10,240 rows, 61,440 keys."""
-    calls = []
-    real = clifford._pair_sym
-    monkeypatch.setattr(clifford, "_pair_sym",
-                        lambda t, n: calls.append(len(t)) or real(t, n))
+    """Two sorts fix c at (0, 1, 2, 3), and each of the 330 quadruples, that
+    one included, is decided by one residual: 332 sorts, all on the one-key
+    path, since ranks 1, 2 and 5 are symmetric.  A residual has the 7 terms
+    of D and the 3 of Q, 10 x 32 x 32 = 10,240 keys, where the six slot
+    pairings sorted 61,440."""
+    keys = []
+    real = clifford._sorted_key_sym
+    monkeypatch.setattr(
+        clifford, "_sorted_key_sym",
+        lambda pairs, terms, n: keys.append(len(terms) * 32 * 32)
+        or real(pairs, terms, n))
+    six = []
+    monkeypatch.setattr(clifford, "_pair_sym", lambda t, n: six.append(t))
     rep = quartic_fierz_check(build_clifford(11), "mu7-relation")
     assert rep.ok
-    assert len(calls) == 332
+    assert six == []
+    assert len(keys) == 332
+    assert keys[2:] == [10_240] * 330
     assert rep.stats["quadruples"] == 330
-    assert rep.stats["sym_keys"] == 6 * sum(calls) == 20_336_640
+    assert rep.stats["sym_keys"] == sum(keys) == 3_389_440
 
 
 def test_mu7_relation_refuses_int64_overflow():
@@ -499,9 +514,11 @@ print(report.pinned["c"], report.stats["quadruples"], peak)
 
 def test_mu7_relation_tensor_path_memory():
     """The tensor path of d mu7 = 15 mu4^2 keeps its tracemalloc peak, the
-    pairing table included, at most 3.4 MiB: 3.06 MiB measured plus 10 %.
-    Sorting one residual per quadruple replaced two symmetrised tensors and
-    their `np.unique` inverse, which peaked at 7.62 MiB.  Run in a fresh
+    pairing table included, at most 1.78 MiB: 1.62 MiB measured plus 10 %.
+    Keying each entry once, by its sorted index tuple, replaced the six
+    slot pairings of `_outer` rows, which peaked at 3.06 MiB; sorting one
+    residual per quadruple had replaced two symmetrised tensors and their
+    `np.unique` inverse, which peaked at 7.62 MiB.  Run in a fresh
     interpreter, so that the figure repeats exactly."""
     proc = subprocess.run([sys.executable, "-c", MU7_TENSOR_MEMORY_SCRIPT],
                           env=_package_env(), capture_output=True, text=True,
@@ -509,4 +526,145 @@ def test_mu7_relation_tensor_path_memory():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     c, quadruples, peak = proc.stdout.split()
     assert (c, int(quadruples)) == ("15/1", 330)
-    assert int(peak) <= 3.4 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
+    assert int(peak) <= 1.78 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
+
+
+def _orbit_size(m):
+    """The number of distinct orderings of the index tuple m."""
+    return math.factorial(len(m)) // math.prod(
+        math.factorial(k) for k in Counter(m).values())
+
+
+def _index_tuples(keys, n):
+    """C-order offsets of an n^4 tensor as index tuples (i, j, k, l)."""
+    return [tuple(int(k) // n ** (3 - s) % n for s in range(4)) for k in keys]
+
+
+@st.composite
+def symmetric_terms(draw):
+    """A table of random symmetric integer n x n matrices, some of them zero
+    and most with ragged nonzero counts, and (x, y, scale) terms over it."""
+    n = draw(st.integers(1, 5))
+    entries = st.one_of(st.just(0), st.integers(-4, 4))
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(arrays(np.int64, (n, n), elements=entries))
+        mats.append(np.triu(m) + np.triu(m, 1).T)
+    table = {(k,): _coo(m) for k, m in enumerate(mats)}
+    terms = draw(st.lists(st.tuples(st.integers(0, len(mats) - 1),
+                                    st.integers(0, len(mats) - 1),
+                                    st.integers(-5, 5)),
+                          min_size=1, max_size=5))
+    return n, table, terms
+
+
+@given(symmetric_terms())
+@settings(max_examples=200, deadline=None)
+def test_one_key_path_matches_six_pairings(drawn):
+    """For symmetric factors the one-key sum has the six-pairing sum's
+    support on sorted keys, and at each sorted key m, 6 one = |orbit(m)| six,
+    since the six pairings read 6 Sym(T)_m and the one key
+    |orbit(m)| Sym(T)_m."""
+    n, table, terms = drawn
+    pairs = _sorted_pairs(table, n)
+    assert pairs is not None
+    one = _sorted_key_sym(
+        pairs, [(pairs.index[x,], pairs.index[y,], s) for x, y, s in terms], n)
+    six = _pair_sym(_rows([(table[x,], table[y,], s) for x, y, s in terms]), n)
+    assert one.dtype == np.int64
+    tuples = _index_tuples(six[0], n)
+    on_sorted = np.array([list(t) == sorted(t) for t in tuples], dtype=bool)
+    assert np.array_equal(one[0], six[0][on_sorted])
+    orbits = np.array([_orbit_size(t) for t in _index_tuples(one[0], n)],
+                      dtype=np.int64)
+    assert np.array_equal(6 * one[1], orbits * six[1][on_sorted])
+    # the six-pairing tensor is symmetric, so its support is the orbits of
+    # the sorted keys
+    assert {tuple(sorted(t)) for t in tuples} == set(
+        _index_tuples(one[0], n))
+
+
+@pytest.mark.parametrize("m", [
+    [[0, 1], [-1, 0]],                   # antisymmetric
+    [[0, 1], [0, 0]],                    # one entry without its mirror
+    [[1, 2], [3, 0]],                    # both mirrors, unequal values
+    [[0, 1, 0], [0, 0, 0], [0, 1, 0]],   # two equal entries, not mirrors
+], ids=["antisymmetric", "unpaired", "unequal", "not-mirrored"])
+def test_sorted_pairs_refuses_a_non_symmetric_matrix(m):
+    m = np.array(m, dtype=np.int64)
+    n = len(m)
+    table = {(0,): _coo(np.eye(n, dtype=np.int64)), (1,): _coo(m)}
+    assert _sorted_pairs(table, n) is None
+    assert _sorted_pairs({(0,): table[0,]}, n) is not None
+
+
+def _path_calls(monkeypatch):
+    """Record the arguments of every `_pair_sym` and `_sorted_key_sym`
+    call, by path."""
+    calls = {"six": [], "one": []}
+    for name, path in (("_pair_sym", "six"), ("_sorted_key_sym", "one")):
+        real = getattr(clifford, name)
+        monkeypatch.setattr(
+            clifford, name,
+            lambda *a, real=real, path=path: calls[path].append(a) or real(*a))
+    return calls
+
+
+def test_one_non_symmetric_pairing_routes_through_pair_sym(monkeypatch):
+    """The path is chosen once per pairing table: unperturbed mu4-closure
+    keys each entry once, with one asymmetric entry in C Gamma^{0 1} it
+    sums over the six slot pairings, and p = 3 (antisymmetric) does too."""
+    calls = _path_calls(monkeypatch)
+    assert quartic_fierz_check(build_clifford(11), "mu4-closure").ok
+    assert (len(calls["one"]), len(calls["six"])) == (11, 0)
+
+    calls["one"].clear()
+    rep = build_clifford(11)
+    pairing = rep.pairing
+
+    def skewed(indices):
+        m = pairing(indices)
+        if tuple(indices) == (0, 1):
+            m[0, 1] += 1
+        return m
+
+    rep.pairing = skewed
+    bad = quartic_fierz_check(rep, "mu4-closure")
+    assert (bad.ok, bad.witness) == (False, "(0,)")
+    assert (len(calls["one"]), len(calls["six"])) == (0, 1)
+
+    calls["six"].clear()
+    bad = quartic_fierz_check(build_clifford(11), "mu4-closure",
+                              p_substitute=3)
+    assert (bad.ok, bad.witness) == (False, "(0, 1)")
+    assert (len(calls["one"]), len(calls["six"])) == (0, 1)
+
+
+@pytest.mark.parametrize("d", [3, 11])
+def test_pairing_walk_matches_pairing(d):
+    """Every strictly increasing tuple of length at most 5, once, each
+    length in `itertools.combinations` order, with C Gamma^A as
+    `rep.pairing` computes it."""
+    rep = build_clifford(d)
+    walked = list(pairing_walk(rep, 5))
+    for p in range(6):
+        assert ([idx for idx, _ in walked if len(idx) == p]
+                == list(itertools.combinations(range(d), p)))
+    assert all(np.array_equal(m, rep.pairing(idx)) for idx, m in walked)
+
+
+def test_tensor_path_imports_nothing_from_the_symbolic_kernel():
+    """clifford.py takes only `Report` from `.dgca` and `GradedError` from
+    `.graded`, and nothing from `.batched` or `.catalog`, so that the Fierz
+    check stays independent of the symbolic expansions."""
+    tree = ast.parse(Path(clifford.__file__).read_text())
+    local = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.setdefault(node.module, set()).update(
+                a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert all(not a.name.startswith("cealg") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("cealg")
+    assert local == {"dgca": {"Report"}, "graded": {"GradedError"}}

@@ -164,6 +164,28 @@ def test_each_basis_enumerated_once_per_matrix(monkeypatch):
         assert len(calls) <= 2 * (n + 1)
 
 
+@pytest.mark.parametrize("d, degree, weight", [(3, 3, None), (11, 2, 3)])
+def test_differential_matrix_takes_one_leibniz_call(monkeypatch, d, degree,
+                                                    weight):
+    """The columns come from one `apply_d_all` call over the domain basis
+    (on the kernel for superMink(11)'s 6,656 entries) and equal d of each
+    monomial taken alone by `apply_d`."""
+    alg = _mink(d).algebra
+    weights = la.generator_weights(alg) if weight is not None else None
+    calls = []
+    real = la.apply_d_all
+    monkeypatch.setattr(la, "apply_d_all",
+                        lambda A, xs: calls.append(len(xs)) or real(A, xs))
+    m = differential_matrix(alg, degree, weights=weights, weight=weight or 0)
+    assert calls == [len(m.dom.monomials)] and m.entries
+    want = {}
+    for c, mono in enumerate(m.dom.monomials):
+        img = apply_d(alg, Element(alg.sig, {mono: Fraction(1)}))
+        for m2, v in img.terms.items():
+            want[(m.cod.index[m2], c)] = v
+    assert m.entries == want
+
+
 def test_solve_exact_and_unsolvable():
     # 2x2: [[1,2],[3,4]] v = (5, 6) -> v = (-4, 9/2)
     m = SparseRationalMatrix(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2),
