@@ -72,15 +72,16 @@ are moved with `np.take(..., axis=0)`: numpy's 2-D fancy indexing
 (`keys[idx]`) copies rows this narrow element by element, several times
 slower, with the same result.
 
-The result stays packed (`Packed`: sorted keys, numerators, denominator
-and layout), split per tag, and the front-ends return it.  It is decoded to
-canonical `(monomial, Fraction)` entries (`_Context.decode`), with one
-shared tuple per (generator, exponent) and one `Fraction` per distinct
-coefficient, only when an `Element`'s terms are first read, and for a
-shared call the first read of any input decodes the whole call in one pass
-(`Packed.split`); a zero test reads the row count,
-and `proportional` decides lhs = c * rhs on the arrays of two results, so
-that d mu7 = 15 mu4^2 decodes neither 194,992-term side.
+The result of a call of one input stays packed (`Packed`: sorted keys,
+numerators, denominator and layout), and the front-ends return it.  It is
+decoded to canonical `(monomial, Fraction)` entries (`_Context.decode`),
+with one shared tuple per (generator, exponent) and one `Fraction` per
+distinct coefficient, only when an `Element`'s terms are first read; a
+zero test reads the row count, and `proportional` decides lhs = c * rhs on
+the arrays of two results, so that d mu7 = 15 mu4^2 decodes neither
+194,992-term side.  A shared call is decoded as it returns, in one pass,
+into one dict per input (`Packed.split`): every shared call that has rows
+is read in full by its callers, so deferring its decoding saved nothing.
 
 A call of P pairs takes steps of P / 32 pairs clamped to [2**11, 2**17]
 (`_step`), and its accumulator lets two steps wait before a merge, so a
@@ -145,11 +146,13 @@ def sum_of_products(sig, pairs: list) -> Packed | None:
 
 def leibniz(sig, d_images, inputs: list) -> list:
     """Per terms dict in `inputs`, its d under the generator differentials
-    `d_images` (Elements), packed, or None where the dict path is left to
-    compute it: below the gate, or if a guard trips.
+    `d_images` (Elements), or None where the dict path is left to compute
+    it: below the gate, or if a guard trips.
 
     An input of at least ALONE_PAIRS Leibniz pairs runs alone; the others
-    share one call if together they have at least BATCH_PAIRS."""
+    share one call if together they have at least BATCH_PAIRS.  The d of
+    an input that had a call to itself stays a `Packed`; in a call of
+    several inputs each d is a canonical dict (`Packed.split`)."""
     pairs = [_leibniz_pairs(d_images, terms) for terms in inputs]
     calls = [[i] for i, p in enumerate(pairs) if p >= ALONE_PAIRS]
     shared = [i for i, p in enumerate(pairs) if p < ALONE_PAIRS]
@@ -164,8 +167,8 @@ def leibniz(sig, d_images, inputs: list) -> list:
                                         for g in slots],
                                partial(_hole_rows, slots))
         if res is not None:
-            for i, packed in zip(call, res.split()):
-                out[i] = packed
+            for i, d in zip(call, res.split()):
+                out[i] = d
     return out
 
 
@@ -494,61 +497,20 @@ class Packed:
         return self.ctx.decode(self.keys, self.nums, self.den, [len(self)])[0]
 
     def split(self) -> list:
-        """Per input of a call, the rows tagged with it, in key order.
-
-        Each input gets a `Packed` of its own keys (n x words, n = 0 for an
-        input whose result is 0) and numerators: views of one copy of the
-        call's rows, sorted by tag.  The first `decode()` of any of them
-        decodes the whole call in one pass and keeps every input's dict:
-        decoding the inputs one by one paid the decoder's set-up once per
-        input, about 77 us, 0.38-0.46 s for a 6,000-input call whose core
-        took 0.045 s."""
+        """Per input of the call, its result: this `Packed` itself for a
+        call of one input, else one canonical dict per input (`{}` where
+        its result is 0).  A shared call is decoded at once, in one pass over
+        its rows sorted by tag: decoding the inputs one by one paid the
+        decoder's set-up once per input, about 77 us, 0.38-0.46 s for a
+        6,000-input call whose core took 0.045 s."""
         ctx = self.ctx
         if ctx.inputs == 1:
             return [self]
-        tags = ctx.field(self.keys, len(ctx.gen_ids))
+        tags = ctx.field(self.keys, len(ctx.gen_ids)).astype(np.int64)
         order = np.argsort(tags, kind="stable")
-        ends = np.searchsorted(tags[order],
-                               np.arange(ctx.inputs + 1)).tolist()
-        rows = Packed(np.take(self.keys, order, axis=0), self.nums[order],
-                      self.den, ctx)
-        call = _Call(rows, [b - a for a, b in zip(ends, ends[1:])])
-        return [_Part(rows.keys[a:b], rows.nums[a:b], self.den, ctx, call, i)
-                for i, (a, b) in enumerate(zip(ends, ends[1:]))]
-
-
-class _Call:
-    """The rows of a shared call, sorted by tag, with `sizes` rows per
-    input, and each input's dict once one of them is decoded."""
-
-    __slots__ = ("rows", "sizes", "dicts")
-
-    def __init__(self, rows: Packed, sizes: list):
-        self.rows = rows
-        self.sizes = sizes
-        self.dicts = None
-
-    def decode(self) -> list:
-        if self.dicts is None:
-            rows = self.rows
-            self.dicts = rows.ctx.decode(rows.keys, rows.nums, rows.den,
-                                         self.sizes)
-        return self.dicts
-
-
-class _Part(Packed):
-    """The rows of input `index` of a shared call (`Packed.split`)."""
-
-    __slots__ = ("call", "index")
-
-    def __init__(self, keys: np.ndarray, nums: np.ndarray, den: int,
-                 ctx: _Context, call: _Call, index: int):
-        super().__init__(keys, nums, den, ctx)
-        self.call = call
-        self.index = index
-
-    def decode(self) -> dict:
-        return self.call.decode()[self.index]
+        return ctx.decode(np.take(self.keys, order, axis=0), self.nums[order],
+                          self.den, np.bincount(tags, minlength=ctx.inputs)
+                          .tolist())
 
 
 def proportional(lhs: Packed, rhs: Packed) -> Fraction | None:

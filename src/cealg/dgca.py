@@ -186,14 +186,17 @@ def apply_d_all(A: SemifreeDGCA, xs: list) -> list:
     """d of each element of `xs`, in order: all of them go to
     `batched.leibniz` in one call, which runs those that reach its pair
     gates, alone or together in one tagged call, and the dict path takes
-    the rest."""
+    the rest.  The d of an input that had a kernel call to itself stays
+    packed until its terms are read (`Element.from_packed`); every other d
+    is a dict."""
     sig = A.sig
     if any(x.sig is not sig and x.sig != sig for x in xs):
         raise SignatureMismatch("element not in this algebra")
     batch = batched.leibniz(sig, A.d_images, [x.terms for x in xs])
-    return [Element(sig, _accumulate({}, _leibniz_terms(A.d_images, x)))
-            if packed is None else Element.from_packed(sig, packed)
-            for x, packed in zip(xs, batch)]
+    return [Element.from_packed(sig, d) if isinstance(d, batched.Packed)
+            else Element(sig, _accumulate({}, _leibniz_terms(A.d_images, x))
+                         if d is None else d)
+            for x, d in zip(xs, batch)]
 
 
 def _leibniz_terms(d_images: tuple[Element, ...], x: Element):
@@ -234,29 +237,32 @@ def _leibniz_terms(d_images: tuple[Element, ...], x: Element):
             deg_prefix = (deg_prefix + degs[g] * e) & 1
 
 
+def _first_failure(task_id: str, sig: AlgebraSignature, residuals,
+                   details: str) -> Report | None:
+    """The failing report of the first generator, in generator order, whose
+    residual is nonzero, or None if there is none.  `residuals` yields
+    (generator id, residual) pairs and is read only up to that generator;
+    `details` names it through "{}"."""
+    for gid, res in residuals:
+        if res:
+            name = sig.decls[gid].name
+            return Report(task_id, "fail", details=details.format(name),
+                          witness=name, residual=res,
+                          stats={"residual_terms": len(res)})
+    return None
+
+
 def check_d_squared(A: SemifreeDGCA, task_id: str = "d_squared") -> Report:
     """Verify d(d(g)) = 0 for every generator, reporting the first residual
     in generator order; the d-images go to `apply_d_all` together."""
     gids = [gid for gid, img in enumerate(A.d_images) if img]
-    for gid, res in zip(gids, apply_d_all(A, [A.d_images[g] for g in gids])):
-        if res:
-            name = A.sig.decls[gid].name
-            return Report(
-                task_id,
-                "fail",
-                details=f"d**2 != 0 on generator {name}",
-                witness=name,
-                residual=res,
-                stats={"residual_terms": len(res)},
-            )
-    return Report(
-        task_id,
-        "pass",
-        details="d**2 = 0 on all generators",
+    dd = apply_d_all(A, [A.d_images[g] for g in gids])
+    return _first_failure(task_id, A.sig, zip(gids, dd),
+                          "d**2 != 0 on generator {}") or Report(
+        task_id, "pass", details="d**2 = 0 on all generators",
         stats={"generators": len(A.sig),
                "max_image_terms": max(map(len, A.d_images), default=0)},
-        pinned={"generators": len(A.sig)},
-    )
+        pinned={"generators": len(A.sig)})
 
 
 class DGCAMorphism:
@@ -336,21 +342,15 @@ def make_morphism(source: SemifreeDGCA, target: SemifreeDGCA,
 
 
 def check_chain_map(f: DGCAMorphism, task_id: str = "chain_map") -> Report:
-    """Verify d(f(g)) = f(d(g)) on every source generator."""
-    for gid, decl in enumerate(f.source.sig.decls):
-        lhs = apply_d(f.target, f.images[gid])
-        rhs = f(f.source.d_images[gid])
-        res = lhs - rhs
-        if res:
-            return Report(
-                task_id,
-                "fail",
-                details=f"chain map fails on generator {decl.name}",
-                witness=decl.name,
-                residual=res,
-                stats={"residual_terms": len(res)},
-            )
-    return Report(task_id, "pass", details="chain map on all generators")
+    """Verify d(f(g)) = f(d(g)) on every source generator; the f(g) go to
+    `apply_d_all` together, and f(d(g)) is taken only up to the first
+    failing generator."""
+    dfs = apply_d_all(f.target, list(f.images))
+    residuals = ((gid, df - f(dg)) for gid, (df, dg)
+                 in enumerate(zip(dfs, f.source.d_images)))
+    return _first_failure(task_id, f.source.sig, residuals,
+                          "chain map fails on generator {}") or Report(
+        task_id, "pass", details="chain map on all generators")
 
 
 def identity_morphism(A: SemifreeDGCA) -> DGCAMorphism:
@@ -441,23 +441,16 @@ def _power(x: Element, e: int) -> Element:
 
 def check_homotopy(f: DGCAMorphism, g: DGCAMorphism, s: ChainHomotopy,
                    task_id: str = "homotopy") -> Report:
-    """Verify f - g = d s + s d on every generator of the common source."""
+    """Verify f - g = d s + s d on every generator of the common source; the
+    s(g) go to `apply_d_all` together, and s(d(g)) is taken only up to the
+    first failing generator."""
     src = f.source
-    tgt = f.target
-    for gid, decl in enumerate(src.sig.decls):
-        x = Element.generator(src.sig, decl.name)
-        lhs = f.images[gid] - g.images[gid]
-        rhs = apply_d(tgt, s(x)) + s(src.d_images[gid])
-        res = lhs - rhs
-        if res:
-            return Report(
-                task_id,
-                "fail",
-                details=f"homotopy identity fails on {decl.name}",
-                witness=decl.name,
-                residual=res,
-            )
-    return Report(task_id, "pass", details="homotopy identity on all generators")
+    dss = apply_d_all(f.target, list(s.images))
+    residuals = ((gid, (f.images[gid] - g.images[gid]) - (ds + s(dg)))
+                 for gid, (ds, dg) in enumerate(zip(dss, src.d_images)))
+    return _first_failure(task_id, src.sig, residuals,
+                          "homotopy identity fails on {}") or Report(
+        task_id, "pass", details="homotopy identity on all generators")
 
 
 def adjoin_generator(A: SemifreeDGCA, decl: GeneratorDecl, d_image: Element,

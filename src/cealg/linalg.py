@@ -341,6 +341,8 @@ def solve(M: SparseRationalMatrix, b: dict[int, Fraction] | list[Fraction]
 def cohomology_dims(A: SemifreeDGCA, max_degree: int, cap: int = DEFAULT_CAP
                     ) -> list[int]:
     """dim H^k for k = 0..max_degree: dim(ker d_k) - rank d_(k-1), exactly."""
+    if max_degree < 0:
+        raise GradedError("max_degree must be nonnegative")
     mats = [differential_matrix(A, k, cap) for k in range(max_degree + 1)]
     ranks = [rank(m) for m in mats]
     out = []

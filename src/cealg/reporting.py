@@ -146,6 +146,9 @@ def _task_family(cfg: TaskConfig) -> Report:
 
 
 def _task_flatforms(cfg: TaskConfig) -> Report:
+    samples = int(cfg.param("samples", 50))
+    if samples < 1:
+        raise GradedError("the fiber check needs at least one sample")
     pdr = poly_de_rham(8)
     sig = pdr.algebra.sig
     s4 = sphere_model(4).algebra
@@ -165,7 +168,7 @@ def _task_flatforms(cfg: TaskConfig) -> Report:
         flat_form_check(s4, pdr, {"g4": w4b, "g7": Element.zero(sig)})
     except ChainMapViolation:
         rejected = True
-    fiber = forms_fiber_check(pdr, n_samples=int(cfg.param("samples", 50)))
+    fiber = forms_fiber_check(pdr, n_samples=samples)
 
     closed = [
         apply_d(pdr.algebra, Element.from_terms(

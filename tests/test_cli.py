@@ -112,6 +112,24 @@ def test_cli_main_inprocess(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--task", "scan.11.32.2", "--cap", "0"], "cap must be positive"),
+    (["--task", "flatforms.suite", "--samples", "-5"],
+     "the fiber check needs at least one sample"),
+    (["--task", "flatforms.suite", "--samples", "0"],
+     "the fiber check needs at least one sample"),
+    (["--task", "s4.cohomology", "--max-degree", "-3"],
+     "max_degree must be nonnegative"),
+])
+def test_cli_rejects_a_vacuous_parameter(args, message, capsys):
+    """A parameter that would leave nothing to check fails with GradedError
+    (exit 1) instead of passing on an empty sample or degree range."""
+    assert main(args + ["--no-write"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fail: GradedError: {message}\n"
+
+
 def test_cli_subprocess_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "cealg.cli", "--task", "hopf.pushout",

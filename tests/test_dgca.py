@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -34,7 +35,8 @@ from cealg import (
 )
 import cealg
 from cealg import batched
-from cealg.catalog import _mink, _mu, resolved_poincare, super_poincare
+from cealg.catalog import (_mink, _mu, resolved_minkowski, resolved_poincare,
+                           super_poincare)
 from cealg.dgca import DGCAMorphism, SemifreeDGCA, _leibniz_terms
 from cealg.graded import EVEN, UnknownGenerator, _accumulate
 from cealg.linalg import is_coboundary
@@ -254,20 +256,26 @@ def test_check_d_squared_routes_d_images(monkeypatch):
 
 
 def test_leibniz_split_gives_empty_inputs_two_dimensional_keys():
-    """One shared call on super-Poincare: a generator with d g != 0 next to
-    the 98 d-images, whose d is 0.  `Packed.split` gives every input its
-    rows as (n, words) uint64 keys, n = 0 for the d-images."""
+    """One `leibniz` call on super-Poincare.  A generator with d g != 0
+    and the 98 d-images, whose d is 0, share a call, decoded as it returns:
+    each comes back as a dict, `{}` for the d-images.  The sum of the
+    d-images (about 145k pairs) runs alone and comes back as a `Packed`
+    whose d is 0: (0, words) uint64 keys and no numerators."""
     iso = super_poincare().algebra
     g = next(i for i, img in enumerate(iso.d_images) if img)
-    inputs = [{((g, 1),): Fraction(1)}] + [img.terms for img in iso.d_images]
+    total = sum(iso.d_images, Element.zero(iso.sig))
+    inputs = ([{((g, 1),): Fraction(1)}]
+              + [img.terms for img in iso.d_images] + [total.terms])
+    assert batched._leibniz_pairs(iso.d_images, total.terms) >= (
+        batched.ALONE_PAIRS)
     got = batched.leibniz(iso.sig, iso.d_images, inputs)
-    words = got[0].ctx.words
-    assert words > 1
-    assert [(p.keys.dtype, p.keys.shape, p.nums.shape) for p in got] == (
-        [(np.uint64, (len(iso.d_images[g]), words), (len(iso.d_images[g]),))]
-        + [(np.uint64, (0, words), (0,))] * len(iso.d_images))
-    assert got[0].decode() == iso.d_images[g].terms
-    assert all(p.decode() == {} for p in got[1:])
+    assert got[:-1] == [iso.d_images[g].terms] + [{}] * len(iso.d_images)
+    assert all(type(d) is dict for d in got[:-1])
+    alone = got[-1]
+    assert isinstance(alone, batched.Packed)
+    assert (alone.keys.dtype, alone.keys.shape, alone.nums.shape) == (
+        np.uint64, (0, alone.ctx.words), (0,))
+    assert alone.decode() == {}
 
 
 def test_check_d_squared_failure_report_above_the_gate(monkeypatch):
@@ -294,6 +302,116 @@ def test_check_d_squared_failure_report_above_the_gate(monkeypatch):
     assert not rep.ok
     assert (rep.witness, rep.residual) == want
     assert rep.stats == {"residual_terms": len(want[1])}
+
+
+def spy_leibniz(monkeypatch) -> list:
+    """Record the number of inputs of each `batched.leibniz` call."""
+    calls = []
+    real = batched.leibniz
+
+    def spy(sig, d_images, inputs):
+        calls.append(len(inputs))
+        return real(sig, d_images, inputs)
+
+    monkeypatch.setattr(batched, "leibniz", spy)
+    return calls
+
+
+def test_each_generator_check_takes_one_leibniz_call(monkeypatch):
+    """check_d_squared, check_chain_map and check_homotopy each pass all
+    their d's to one `apply_d_all` call: one `batched.leibniz` call, with
+    one input per generator (per nonzero d-image for d**2)."""
+    cat, p, iota, s = resolved_minkowski()
+    alg = cat.algebra
+    ident = identity_morphism(alg)
+    around = compose(p, iota)
+    calls = spy_leibniz(monkeypatch)
+    assert check_d_squared(alg).ok
+    assert check_chain_map(p).ok
+    assert check_chain_map(iota).ok
+    assert check_homotopy(ident, around, s).ok
+    assert calls == [sum(map(bool, alg.d_images)), len(alg.sig),
+                     len(iota.source.sig), len(alg.sig)]
+
+
+def dict_d(A, x):
+    """d x on the dict path, as an Element."""
+    return Element(A.sig, dict_leibniz(A.d_images, x))
+
+
+def spy_calls(monkeypatch, cls) -> list:
+    """Record the argument of each call of a morphism or homotopy."""
+    seen = []
+    real = cls.__call__
+
+    def spy(self, x):
+        seen.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(cls, "__call__", spy)
+    return seen
+
+
+def test_chain_map_failure_report_matches_the_per_generator_loop(
+        monkeypatch):
+    """Resolved Minkowski's projection with one extra term in the g4 image
+    (one of mu4's terms, doubled).  The one-call check names the generator,
+    and gives the residual, of the per-generator loop with d on the dict
+    path, and it takes f(d g) only up to that generator."""
+    cat, p, _, _ = resolved_minkowski()
+    images = {n: p.image_of(n) for n in cat.algebra.sig.names}
+    mono, coeff = next(iter(images["g4"].terms.items()))
+    images["g4"] = images["g4"] + Element(p.target.sig, {mono: coeff})
+    broken = make_morphism(cat.algebra, p.target, images, validate=False)
+    want = None
+    for gid, decl in enumerate(broken.source.sig.decls):
+        res = (dict_d(broken.target, broken.images[gid])
+               - broken(broken.source.d_images[gid]))
+        if res:
+            want = decl.name, res
+            break
+    assert want[0] == "g4"
+    applied = spy_calls(monkeypatch, DGCAMorphism)
+    calls = spy_leibniz(monkeypatch)
+    rep = check_chain_map(broken)
+    assert calls == [len(cat.algebra.sig)]
+    assert not rep.ok
+    assert (rep.witness, rep.residual) == want
+    assert rep.stats == {"residual_terms": len(want[1])}
+    assert len(applied) == cat.algebra.sig.gen_id("g4") + 1
+
+
+def test_homotopy_failure_report_matches_the_per_generator_loop(
+        monkeypatch):
+    """Resolved Minkowski's homotopy with s(g4) = h3 + e^0 e^1 e^2 instead
+    of h3: the one-call check names the generator, and gives the residual,
+    of the per-generator loop with d on the dict path, and it takes s(d g)
+    only up to that generator."""
+    cat, p, iota, _ = resolved_minkowski()
+    alg = cat.algebra
+    ident = identity_morphism(alg)
+    around = compose(p, iota)
+    gen = partial(Element.generator, alg.sig)
+    bad = ChainHomotopy(ident, around,
+                        {"g4": gen("h3") + gen("e^0") * gen("e^1")
+                         * gen("e^2")})
+    want = None
+    for gid, decl in enumerate(alg.sig.decls):
+        x = gen(decl.name)
+        res = ((ident.images[gid] - around.images[gid])
+               - (dict_d(alg, bad(x)) + bad(alg.d_images[gid])))
+        if res:
+            want = decl.name, res
+            break
+    assert want[0] == "g4" and len(want[1]) > 1
+    applied = spy_calls(monkeypatch, ChainHomotopy)
+    calls = spy_leibniz(monkeypatch)
+    rep = check_homotopy(ident, around, bad)
+    assert calls == [len(alg.sig)]
+    assert not rep.ok
+    assert (rep.witness, rep.residual) == want
+    assert rep.stats == {"residual_terms": len(want[1])}
+    assert len(applied) == alg.sig.gen_id("g4") + 1
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])

@@ -315,9 +315,10 @@ def dict_product(sig, t1, t2):
     return _accumulate({}, _products([(t1, t2)], sig))
 
 
-def decoded(packed):
-    """The terms of a kernel result (`batched.Packed`), or None."""
-    return None if packed is None else packed.decode()
+def decoded(d):
+    """The terms of a kernel result: a `batched.Packed` is decoded, and a
+    dict (an input of a shared Leibniz call) or None is returned as is."""
+    return d.decode() if isinstance(d, batched.Packed) else d
 
 
 def kernel_product(sig, t1, t2):
