@@ -38,18 +38,23 @@ columns (see below).  One gate of 2,000 for both roles made `iso.d2`
 2,000-20,000-pair d-images then each ran alone instead of sharing a call.
 
 An element becomes an int8 exponent matrix (terms x generators in use)
-and int64 numerators over one shared denominator.  For a pair of terms
-(a, b):
+and int64 numerators over one shared denominator; `_Context.operand`
+packs its rows into keys and uint64 bit masks, bit c for column c.  For a
+pair of terms (a, b):
 
 * the Koszul sign is the parity of (strict suffix sums of a's odd-degree
   bits) . (b's odd-degree bits), plus the same for odd-parity bits, which
-  is exactly what `monomial_mul` counts; both sides are uint64 bit masks,
-  and a's suffix parities are taken on the words themselves
-  (`_suffix_parity`), so it is the parity of popcount(mask_a & mask_b);
+  is exactly what `monomial_mul` counts; a's suffix parities are taken on
+  its words (`_suffix_parity`), so it is the parity of
+  popcount(mask_a & mask_b);
 * the pair vanishes when a and b share a square-zero generator, that is
   when their square-zero occupancy masks meet;
 * the packed key of the product is the word-wise sum of the packed keys of
   a and b, since every packed field is wide enough for the sum.
+
+A Leibniz hole at g is not packed again but derived from its term's words
+and g's (`_hole_rows`): the key minus g's unit field, and each mask XOR
+g's bit, since g^k -> g^(k-1) flips the low bit of k.
 
 A call of several inputs adds a tag field to the packed key, after the
 generators' fields: a left row carries its input's index there and a right
@@ -67,10 +72,10 @@ uint64 hash of each key's words: equal keys are then runs of equal hashes,
 unless two different keys share a hash (then it lexsorts the full keys).
 Run starts are found one key word at a time and summed by
 `np.add.reduceat`; while a merge runs, only the concatenation of the
-merged entries and the waiting batches is alive.  Key and exponent rows
-are moved with `np.take(..., axis=0)`: numpy's 2-D fancy indexing
-(`keys[idx]`) copies rows this narrow element by element, several times
-slower, with the same result.
+merged entries and the waiting batches is alive.  Key rows are moved
+with `np.take(..., axis=0)`: numpy's 2-D fancy indexing (`keys[idx]`)
+copies rows this narrow element by element, several times slower, with
+the same result.
 
 The result of a call of one input stays packed (`Packed`: sorted keys,
 numerators, denominator and layout), and the front-ends return it.  It is
@@ -187,32 +192,37 @@ def _leibniz_pairs(d_images, terms: dict) -> int:
 def _term_rows(ctx, e: np.ndarray, x: "_Flat"):
     """The left rows of a sum of products: each term of x on its block."""
     block = np.zeros(len(e), np.int64) if x.src is None else x.src
-    return e, x.nums, x.maxnum, block, None
+    return ctx.operand(e, x.nums, left=True), x.maxnum, block
 
 
 def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
     """The left rows of a Leibniz differential: per term of x (term-major)
-    and slot (slot-minor) where the term has a factor g^e, its exponent row
-    with e - 1 at g and its numerator times e and the sign `_leibniz_terms`
-    gives it, meeting the slot's block.  Only the parities of prefix and
-    suffix sums are used, so they are summed in int8."""
+    and slot g (slot-minor) where the term has a factor g^k, its hole, with
+    its numerator times k and the sign `_leibniz_terms` gives it, meeting
+    the slot's block.  The hole comes from the words of its term and of g
+    (`ctx.operand` of g's exponent row).  Its sign is the parity of its
+    odd-degree bits and of its suffix parities at g's bits: deg_prefix +
+    cross in `_leibniz_terms` but for the hole's own bits at g, which add
+    (odd(g) + par(g)) * (k - 1), even: k = 1 where g squares to zero, and
+    odd(g) = par(g) where it does not."""
     cs = np.searchsorted(ctx.cols, slots)
     rows, block = np.nonzero(e[:, cs])
-    c = cs[block]
-    k = e[rows, c].astype(np.int64)
-    odd = ctx.odd[c]
-    par = ctx.par[c]
-    bits_d = e & ctx.odd
-    bits_p = e & ctx.par
-    prefix = (np.cumsum(bits_d, axis=1, dtype=np.int8) - bits_d)[rows, c]
-    rest_d = _strict_suffix(bits_d)[rows, c] + (k - 1) * odd
-    rest_p = _strict_suffix(bits_p)[rows, c] + (k - 1) * par
-    flip = (prefix ^ ((1 - odd) * rest_d) ^ (par * rest_p)) & 1
-    holes = np.take(e, rows, axis=0)
-    holes[np.arange(len(rows)), c] -= 1
-    return (holes, x.nums[rows] * k * (1 - 2 * flip),
-            x.maxnum * int(e.max(initial=0)), block,
-            None if x.src is None else x.src[rows])
+    term = ctx.operand(e, x.nums, left=False, tag=x.src)
+    g = ctx.operand(np.eye(len(ctx.cols), dtype=np.int8)[cs], None, False)
+    h = _Operand()
+    h.keys = np.take(term.keys, rows, axis=0)
+    h.keys -= np.take(g.keys, block, axis=0)
+    h.occ = np.take(term.occ, rows, axis=1)
+    h.occ ^= np.take(g.occ, block, axis=1)
+    sign = np.take(term.sign, rows, axis=1)
+    sign ^= np.take(g.sign, block, axis=1)
+    flip = np.bitwise_xor.reduce(np.split(sign, 2)[0])
+    h.sign = np.concatenate([_suffix_parity(s) for s in np.split(sign, 2)])
+    del sign
+    flip ^= np.bitwise_xor.reduce(h.sign & np.take(g.sign, block, axis=1))
+    flip = (np.bitwise_count(flip) & 1).astype(np.int64)
+    h.nums = x.nums[rows] * e[rows, cs[block]] * (1 - 2 * flip)
+    return h, x.maxnum * int(e.max(initial=0)), block
 
 
 def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
@@ -220,11 +230,9 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     """sum_k A_k * B_k, packed and tagged per input of x, or None if a
     guard trips.
 
-    The blocks B_k are the flat terms `blocks`.  `left_rows(ctx, e, x)`
-    turns the exponent rows e and the numerators of x into the left rows:
-    (int8 exponent rows, int64 numerators over x's denominator, a bound on
-    their absolute values, the block each row meets, the input each row
-    comes from)."""
+    The blocks B_k are the flat terms `blocks`, and `left_rows(ctx, e, x)`
+    gives the left rows of x, whose exponent rows are e: (an `_Operand` over
+    x's denominator, a bound on its |numerators|, each row's block)."""
     if x is None or any(b is None for b in blocks):
         return None
     if not blocks:
@@ -236,14 +244,12 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     if colmax.max(initial=0) > _EMAX:
         return None
     ctx = _Context(sig, cols, colmax, x.inputs)
-    e, nums, maxnum, block, tag = left_rows(ctx, _dense(x, ctx), x)
+    a, maxnum, block = left_rows(ctx, _dense(x, ctx), x)
     den = lcm(*(b.den for b in blocks))
     bmax = max(b.maxnum * (den // b.den) for b in blocks)
     sizes = np.array([len(b.nums) for b in blocks], dtype=np.int64)
-    if maxnum * bmax * min(int(sizes.sum()), len(e)) >= _LIMIT:
+    if maxnum * bmax * min(int(sizes.sum()), len(a.nums)) >= _LIMIT:
         return None
-    a = ctx.operand(e, nums, left=True, tag=tag)
-    del e, nums
     for blk in blocks:
         blk.nums *= den // blk.den
     b = ctx.operand(np.concatenate([_dense(blk, ctx) for blk in blocks]),
@@ -251,7 +257,7 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     # the pairs p of left row i end at ends[i]; p meets right row p + shift[i]
     ends = np.cumsum(sizes[block])
     shift = np.cumsum(sizes)[block] - ends
-    del block, tag
+    del block
     step = _step(int(ends.max(initial=0)))
     acc = _Accumulator(ctx.words, step)
     for keys, vals in _pairs(a, b, ends, shift, step):
@@ -329,16 +335,10 @@ def _bitmask(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.view(np.uint64).T)
 
 
-def _strict_suffix(bits: np.ndarray) -> np.ndarray:
-    """Row-wise sums over the columns strictly to the right, in int8: only
-    their parities are used."""
-    return np.cumsum(bits[:, ::-1], axis=1, dtype=np.int8)[:, ::-1] - bits
-
-
 def _suffix_parity(words: np.ndarray) -> np.ndarray:
     """The bit masks of `_bitmask` with each bit replaced by the parity of
-    the set bits strictly to its right in its row (`_strict_suffix` & 1):
-    an XOR scan within each word, plus the parity of the later words."""
+    the set bits strictly to its right in its row: an XOR scan within each
+    word, plus the parity of the later words."""
     out = words.copy()
     for s in (1, 2, 4, 8, 16, 32):
         out ^= out >> np.uint64(s)
@@ -369,7 +369,7 @@ class _Context:
         self.inputs = inputs
         self.odd = np.array([sig.odd_bits[g] for g in self.gen_ids], np.int8)
         self.par = np.array([sig.parities[g] for g in self.gen_ids], np.int8)
-        self.sqz = np.array([sig.sqz[g] for g in self.gen_ids], bool)
+        self.sqz = np.array([sig.sqz[g] for g in self.gen_ids], np.int8)
         # greedy packing: a field never straddles two 64-bit words
         widths = [max(1, int(m).bit_length()) for m in colmax]
         if inputs > 1:
@@ -406,9 +406,9 @@ class _Context:
 
     def operand(self, e: np.ndarray, nums: np.ndarray, left: bool,
                 tag: np.ndarray | None = None) -> _Operand:
-        """One side of the pair kernel, with its bit masks: sign bits and
-        square-zero occupancy, as uint64 words (`_bitmask`).  Left rows
-        carry their input's tag in the key.
+        """One side of the pair kernel, with its bit masks as uint64 words
+        (`_bitmask`), bit c for column c: sign bits and square-zero
+        occupancy.  Keys carry `tag`, each row's input, if given.
 
         Sign bits are a row's odd-degree bits, then its odd-parity bits,
         each kind in whole words; on the left side each is replaced by the
@@ -424,7 +424,7 @@ class _Context:
         op.nums = nums
         op.keys = self.pack(e, tag)
         op.sign = np.concatenate(sign)
-        op.occ = _bitmask(e[:, self.sqz])
+        op.occ = _bitmask(e & self.sqz)
         return op
 
     def decode(self, keys: np.ndarray, nums: np.ndarray, den: int,
@@ -625,9 +625,7 @@ class _Accumulator:
         # words whose order is kept only if no two different keys share a
         # hash (then equal keys are exactly the runs of equal hashes).  The
         # hashes are taken again on the sorted rows, one sequential pass,
-        # rather than kept alive through the sort and gathered.  Rows move
-        # by np.take: numpy's 2-D fancy indexing copies narrow rows element
-        # by element, several times slower.
+        # rather than kept alive through the sort and gathered.
         order = np.argsort(_hash(keys))
         keys = np.take(keys, order, axis=0)
         vals = vals[order]

@@ -192,6 +192,8 @@ def _task_flatforms(cfg: TaskConfig) -> Report:
 
 def _task_derham_d2(cfg: TaskConfig) -> Report:
     n_max = int(cfg.param("max_dim", 8))
+    if n_max < 1:
+        raise GradedError("max_dim must be at least 1")
     for n in range(1, n_max + 1):
         rep = check_d_squared(poly_de_rham(n).algebra, task_id="derham.d2")
         if not rep.ok:

@@ -417,13 +417,104 @@ def test_homotopy_failure_report_matches_the_per_generator_loop(
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
 def test_suffix_parity_on_words_matches_int8_reference(width):
     """The strict-suffix parities taken on packed words, across word
-    boundaries, against `_strict_suffix` on int8 columns."""
+    boundaries, against row-wise sums over the columns strictly to the
+    right, taken in int8 (only their parities are compared)."""
     rng = np.random.default_rng(width)
     bits = rng.integers(0, 2, size=(40, width), dtype=np.int8)
     bits[0] = 0
     bits[1] = 1
+    strict = np.cumsum(bits[:, ::-1], axis=1, dtype=np.int8)[:, ::-1] - bits
     assert np.array_equal(batched._suffix_parity(batched._bitmask(bits)),
-                          batched._bitmask(batched._strict_suffix(bits) & 1))
+                          batched._bitmask(strict & 1))
+
+
+#: (degree, parity) of the four kinds of generator: odd degree and odd
+#: parity (a polynomial generator with both sign bits), odd degree only and
+#: odd parity only (both square to zero), and neither.
+KINDS = [(1, 1), (1, 0), (2, 1), (2, 0)]
+
+
+def boundary_case(width: int, turn: int):
+    """A signature of `width` generators, generator i of kind
+    KINDS[(i + turn) % 4], so that over the four turns the last column of
+    a 64-bit word and the first of the next take every kind; d-images on
+    the generators around each word boundary, and two inputs whose terms
+    meet them with exponents up to 3 (1 where they square to zero), next
+    to one term on every generator, which puts all `width` columns in use.
+    """
+    sig = make_signature(GeneratorDecl("x", (i,), *KINDS[(i + turn) % 4])
+                         for i in range(width))
+    rng = random.Random(width * 4 + turn)
+    edge = sorted({g for b in (64, 128) for g in range(b - 2, b + 2)
+                   if g < width} | {width - 1})
+
+    def power(g):
+        return g, rng.randint(1, 1 if sig.sqz[g] else 3)
+
+    def terms(count, size):
+        out = {}
+        for _ in range(count):
+            gens = {rng.choice(edge)} | set(rng.sample(range(width), size))
+            mono = tuple(sorted(power(g) for g in gens))
+            out[mono] = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        return out
+
+    images = tuple(Element(sig, terms(3, 2) if g in edge else {})
+                   for g in range(width))
+    every = {tuple(power(g) for g in range(width)): Fraction(1)}
+    return sig, images, [terms(40, 4) | every, terms(40, 6)]
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 130])
+def test_batched_leibniz_across_word_boundaries(monkeypatch, width):
+    """Kernel Leibniz against `_leibniz_terms` with 63, 64, 65 and 130
+    columns in use, each kind of generator at the last column of a word
+    and at the first of the next.  The hole operand `_hole_rows` derives
+    from its term's packed words is also compared, field by field, with
+    `_Context.operand` applied to the hole rows materialised from the dict
+    path: per term, `_leibniz_terms` with d g = 1 on the slots yields each
+    hole with its signed multiplicity, in slot order."""
+    seen = []
+    real = batched._hole_rows
+
+    def spy(slots, ctx, e, x):
+        out = real(slots, ctx, e, x)
+        seen.append((slots, ctx, x, out))
+        return out
+
+    monkeypatch.setattr(batched, "_hole_rows", spy)
+    for turn in range(4):
+        sig, images, inputs = boundary_case(width, turn)
+        seen.clear()
+        with kernel_gate_at_zero():
+            got = kernel_leibniz(sig, images, inputs)
+        assert got == [dict_leibniz(images, Element(sig, t)) for t in inputs]
+        [(slots, ctx, x, (hole, bound, block))] = seen
+        assert len(ctx.cols) == width
+        one = Element(sig, {(): Fraction(1)})
+        unit = tuple(one if g in slots else Element.zero(sig)
+                     for g in range(width))
+        monos, nums, tags, gens = [], [], [], []
+        for tag, terms in enumerate(inputs):
+            for mono, coeff in terms.items():
+                for hole_mono, c in _leibniz_terms(
+                        unit, Element(sig, {mono: coeff})):
+                    monos.append(hole_mono)
+                    nums.append(int(c * x.den))
+                    tags.append(tag)
+                    gens.append(next(g for g, k in mono
+                                     if dict(hole_mono).get(g) != k))
+        rows = np.zeros((len(monos), width), dtype=np.int8)
+        for r, mono in enumerate(monos):
+            for g, k in mono:
+                rows[r, np.searchsorted(ctx.cols, g)] = k
+        want = ctx.operand(rows, np.array(nums, dtype=np.int64), left=True,
+                           tag=np.array(tags))
+        for field in ("keys", "sign", "occ", "nums"):
+            assert np.array_equal(getattr(hole, field),
+                                  getattr(want, field)), field
+        assert np.array_equal(np.array(slots)[block], gens)
+        assert bound >= np.abs(hole.nums).max()
 
 
 def test_batched_leibniz_guards_fall_back_to_dict_path():
@@ -607,10 +698,38 @@ def _package_env() -> dict:
     return env
 
 
-D_MU4_MEMORY_SCRIPT = """
+KERNEL_MEMORY_SCRIPT = """
 import tracemalloc
 
-from cealg import batched, catalog
+from cealg import batched
+{setup}
+calls = []
+real = batched._sum_of_products
+batched._sum_of_products = lambda *a: calls.append(1) or real(*a)
+tracemalloc.start()
+out = {call}
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print({facts}, len(calls), peak)
+"""
+
+
+def kernel_memory(setup: str, call: str, facts: str) -> list:
+    """Run the code `setup`, then the expression `call` under tracemalloc
+    (numpy reports its buffers), in a fresh interpreter with this package
+    first on PYTHONPATH, so that the figures repeat exactly.  Return the
+    integers `facts` (expressions over the names `setup` binds and `out`,
+    the value of `call`), then the number of kernel core calls `call`
+    made and its traced peak in bytes."""
+    script = KERNEL_MEMORY_SCRIPT.format(setup=setup, call=call, facts=facts)
+    proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return list(map(int, proc.stdout.split()))
+
+
+D_MU4_SETUP = """
+from cealg import catalog
 from cealg.dgca import adjoin_generator, apply_d
 from cealg.graded import EVEN, Element, GeneratorDecl, transport
 
@@ -618,48 +737,26 @@ iso = catalog.super_poincare().algebra
 alg = adjoin_generator(iso, GeneratorDecl("g4", (), 4, EVEN),
                        Element.zero(iso.sig))
 x = Element.generator(alg.sig, "g4") - transport(catalog._mu(11, 2), alg.sig)
-calls = []
-real = batched._sum_of_products
-batched._sum_of_products = lambda *a: calls.append(1) or real(*a)
-tracemalloc.start()
-dx = apply_d(alg, x)
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print(len(x), len(calls), len(dx), peak)
 """
 
 
 def test_resolved_poincare_d_mu4_memory_on_the_kernel():
     """The closure check d(g4 - mu4) of the resolved Poincare algebra
     (913 terms, 149,856 Leibniz pairs) runs on the batched kernel, gives 0
-    and keeps its tracemalloc peak (numpy reports its buffers) at most
-    6.95 MiB, half of what a fixed 2**17-pair step costs there.  Run in a
-    fresh interpreter, so that the figure repeats exactly."""
-    proc = subprocess.run([sys.executable, "-c", D_MU4_MEMORY_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    terms, calls, result, peak = map(int, proc.stdout.split())
-    assert (terms, calls, result) == (913, 1, 0)
+    and keeps its tracemalloc peak at most 6.95 MiB, half of what a fixed
+    2**17-pair step costs there."""
+    terms, result, calls, peak = kernel_memory(
+        D_MU4_SETUP, "apply_d(alg, x)", "len(x), len(out)")
+    assert (terms, result, calls) == (913, 0, 1)
     assert peak <= 6.95 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
-D_MU7_MEMORY_SCRIPT = """
-import tracemalloc
-
-from cealg import batched, catalog
+D_MU7_SETUP = """
+from cealg import catalog
 from cealg.dgca import apply_d
 
 mink = catalog._mink(11).algebra
 mu7 = catalog._mu(11, 5)
-calls = []
-real = batched._sum_of_products
-batched._sum_of_products = lambda *a: calls.append(1) or real(*a)
-tracemalloc.start()
-dx = apply_d(mink, mu7)
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print(len(mu7), len(calls), len(dx), peak)
 """
 
 
@@ -667,49 +764,52 @@ def test_d_mu7_memory_on_the_kernel():
     """d mu7 on superMink(11) (7,840 terms, 741,888 Leibniz pairs, a
     194,992-term result) runs on the kernel core and keeps its tracemalloc
     peak, result included, at most 43.7 MiB: 39.7 MiB plus 10 %, where the
-    per-block Leibniz loop the core replaced peaked.  Run in a fresh
-    interpreter, so that the figure repeats exactly."""
-    proc = subprocess.run([sys.executable, "-c", D_MU7_MEMORY_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    terms, calls, result, peak = map(int, proc.stdout.split())
-    assert (terms, calls, result) == (7840, 1, 194_992)
+    per-block Leibniz loop the core replaced peaked."""
+    terms, result, calls, peak = kernel_memory(
+        D_MU7_SETUP, "apply_d(mink, mu7)", "len(mu7), len(out)")
+    assert (terms, result, calls) == (7840, 194_992, 1)
     assert peak <= 43.7 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
-CHECK_D_SQUARED_MEMORY_SCRIPT = """
-import tracemalloc
-
-from cealg import batched, catalog
+CHECK_D_SQUARED_SETUP = """
+from cealg import catalog
 from cealg.dgca import check_d_squared
 
 alg = catalog.resolved_poincare().algebra
-calls = []
-real = batched._sum_of_products
-batched._sum_of_products = lambda *a: calls.append(1) or real(*a)
-tracemalloc.start()
-rep = check_d_squared(alg)
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print(rep.pinned["generators"], len(calls), peak)
 """
 
 
 def test_check_d_squared_memory_on_the_kernel():
     """d**2 = 0 on resolved Poincare: 98 d-images in one tagged core call,
     and d(g4 - mu4) alone, with a tracemalloc peak of at most 4.5 MiB
-    (3.32 MiB measured); one core call over all 99 d-images, where every
-    row is as wide as d(g4 - mu4)'s, peaks at 6.17 MiB.  Run in a fresh
-    interpreter, so that the figure repeats exactly."""
-    proc = subprocess.run([sys.executable, "-c",
-                           CHECK_D_SQUARED_MEMORY_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    generators, calls, peak = map(int, proc.stdout.split())
+    (2.70 MiB measured); one core call over all 99 d-images, where every
+    row is as wide as d(g4 - mu4)'s, peaks at 6.17 MiB."""
+    generators, calls, peak = kernel_memory(
+        CHECK_D_SQUARED_SETUP, "check_d_squared(alg)",
+        'out.pinned["generators"]')
     assert (generators, calls) == (100, 2)
     assert peak <= 4.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+TRACE7_SETUP = """
+from cealg import catalog
+from cealg.dgca import apply_d
+
+iso = catalog.super_poincare().algebra
+tr = catalog.trace_power("superPoincare", 7)
+"""
+
+
+def test_d_trace7_memory_on_the_kernel():
+    """d tr(omega^7) on super-Poincare (206,580 terms in, 1,446,060 holes,
+    d = 0), a Leibniz call whose peak is set by its hole rows, keeps its
+    tracemalloc peak at most 300 MiB: 205.3 MiB measured, where holes
+    derived from their terms' packed words replaced int8 hole exponent
+    rows that peaked at 390.7 MiB."""
+    terms, result, calls, peak = kernel_memory(
+        TRACE7_SETUP, "apply_d(iso, tr)", "len(tr), len(out)")
+    assert (terms, result, calls) == (206_580, 0, 1)
+    assert peak <= 300 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_check_d_squared_negative_control():

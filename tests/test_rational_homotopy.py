@@ -1,8 +1,6 @@
 """Sphere models, polynomial de Rham complexes, flat forms."""
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +25,7 @@ from cealg import rational_homotopy as rh
 from cealg.dgca import Report, make_dgca
 from cealg.graded import GradedError, UnknownGenerator
 from cealg.rational_homotopy import FIBER_BLOCK, PolyDeRham, _random_form
-from test_dgca import _package_env
+from test_dgca import kernel_memory
 
 
 def test_sphere_models():
@@ -297,21 +295,10 @@ def test_fiber_check_fail_path_matches_the_per_sample_loop(monkeypatch,
         assert calls == [1]
 
 
-FIBER_MEMORY_SCRIPT = """
-import tracemalloc
-
-from cealg import batched
+FIBER_MEMORY_SETUP = """
 from cealg.rational_homotopy import forms_fiber_check, poly_de_rham
 
 pdr = poly_de_rham(8)
-calls = []
-real = batched._sum_of_products
-batched._sum_of_products = lambda *a: calls.append(1) or real(*a)
-tracemalloc.start()
-rep = forms_fiber_check(pdr, 2000, seed=1)
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print(rep.pinned["samples"], len(calls), peak)
 """
 
 
@@ -319,13 +306,10 @@ def test_fiber_check_memory_and_kernel_calls():
     """2,000 samples in blocks of FIBER_BLOCK: a tracemalloc peak of at
     most 1.3 MiB (1.12 MiB measured; 1.52 MiB when `_random_form` built
     its (g, 1) factors afresh, 9.25 MiB with all samples in one block) and
-    exactly 10 kernel core calls, one per full block's first shared call.
-    Run in a fresh interpreter, so that the figures repeat exactly."""
-    proc = subprocess.run([sys.executable, "-c", FIBER_MEMORY_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    samples, calls, peak = map(int, proc.stdout.split())
+    exactly 10 kernel core calls, one per full block's first shared call."""
+    samples, calls, peak = kernel_memory(
+        FIBER_MEMORY_SETUP, "forms_fiber_check(pdr, 2000, seed=1)",
+        'out.pinned["samples"]')
     assert (samples, calls) == (2000, 10)
     assert peak <= 1.3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
