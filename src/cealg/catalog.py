@@ -607,9 +607,9 @@ def _family(alpha: Fraction, beta: Fraction) -> tuple[DGCAMorphism, Report]:
     # restriction omega -> 0 onto the resolved Minkowski algebra
     res_cat, _, _, _ = resolved_minkowski()
     res_alg = res_cat.algebra
-    omega_names = [d.name for d in sig.decls if d.family == "omega"]
+    omega_names = {d.name for d in sig.decls if d.family == "omega"}
     kappa_images = {
-        n: (Element.zero(res_alg.sig) if n in set(omega_names)
+        n: (Element.zero(res_alg.sig) if n in omega_names
             else Element.generator(res_alg.sig, n))
         for n in sig.names
     }

@@ -1,8 +1,9 @@
 """Sparse exact rational linear algebra over graded monomial bases.
 
-`differential_matrix` is the one place where a matrix of d and its two
-canonical bases are built; it hands the bases back on the matrix, so
-`cohomology_dims` and `is_coboundary` enumerate no basis of their own.
+`differential_matrix` is the one place where a matrix of d is built, over
+one canonical basis, its domain's; its rows are the monomials d reaches.
+It hands both back on the matrix, so `cohomology_dims` and `is_coboundary`
+enumerate no basis of their own.
 Rank and linear solving convert the matrix's entries to integer rows once
 and run integer (division-free) row elimination with gcd normalization.
 
@@ -183,8 +184,9 @@ def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
 @dataclass
 class SparseRationalMatrix:
     """A sparse matrix over Q; `dom` and `cod` are the bases of its columns
-    and rows when `differential_matrix` built it, else None.  They take no
-    part in comparison or printing."""
+    and rows when `differential_matrix` built it, else None (`cod` holds
+    only the monomials its columns reach).  They take no part in comparison
+    or printing."""
 
     rows: int
     cols: int
@@ -215,14 +217,15 @@ class SparseRationalMatrix:
 def differential_matrix(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
                         weights: tuple[int, ...] | None = None, weight: int = 0
                         ) -> SparseRationalMatrix:
-    """Matrix of d from the degree basis (`dom`) to the degree+1 basis
-    (`cod`), carrying both bases; with `weights`, which d must preserve,
-    between those bases' weight-`weight` components.  The columns are d of
-    the `dom` monomials, all taken in one `apply_d_all` call."""
+    """Matrix of d on the degree basis (`dom`); with `weights`, which d must
+    preserve, on its weight-`weight` component.  The columns are d of the
+    `dom` monomials, all taken in one `apply_d_all` call; the rows (`cod`)
+    are the monomials they reach, sorted, as in the degree+1 basis."""
     dom = monomial_basis(A, degree, cap, weights, weight)
-    cod = monomial_basis(A, degree + 1, cap, weights, weight)
     images = apply_d_all(A, [Element(A.sig, {mono: Fraction(1)})
                              for mono in dom.monomials])
+    cod = GradedBasis(A, degree + 1, tuple(sorted(
+        {m2 for img in images for m2 in img.terms})))
     entries: dict[tuple[int, int], Fraction] = {}
     for c, img in enumerate(images):
         for m2, coeff in img.terms.items():
@@ -364,8 +367,9 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
 
     Solves d v = x over x's weight component one degree down (the complete
     basis when x is not weight-homogeneous or the grading is trivial); `cap`
-    bounds the two bases built.  A yes comes with a witness w satisfying
-    d(w) = x exactly.
+    bounds the one basis built, that domain.  A monomial of x that d of no
+    domain monomial reaches makes the answer no at once.  A yes comes with
+    a witness w satisfying d(w) = x exactly.
     """
     if x.sig != A.sig:
         raise GradedError("element not in this algebra")
@@ -389,8 +393,10 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
         mat = differential_matrix(A, deg - 1, cap, weights, weight)
     except Capped:
         return CoboundaryDecision("capped")
-    b = {mat.cod.index[m]: c for m, c in x.terms.items()}
-    v = solve(mat, b)
+    index = mat.cod.index
+    if any(m not in index for m in x.terms):
+        return CoboundaryDecision("no")
+    v = solve(mat, {index[m]: c for m, c in x.terms.items()})
     if v is None:
         return CoboundaryDecision("no")
     terms = {mat.dom.monomials[i]: c for i, c in enumerate(v) if c}

@@ -23,6 +23,7 @@ from .dgca import (
     apply_d,
     apply_d_all,
     check_d_squared,
+    compose,
     make_dgca,
     make_morphism,
     set_generators_to_zero,
@@ -85,8 +86,6 @@ def hopf_sequence_check() -> Report:
         s4, fiber,
         {"g4": Element.zero(fiber.sig),
          "g7": Element.generator(fiber.sig, "g7")})
-    from .dgca import compose
-
     composite = compose(base_map, to_fiber)
     kills_base = composite.image_of("g4").is_zero()
 

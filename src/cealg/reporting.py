@@ -18,10 +18,11 @@ from pathlib import Path
 from . import catalog
 from .clifford import build_clifford, check_clifford, quartic_fierz_check
 from .conventions import ENGINE_VERSION, LEDGER_HASH, MEASURED_C
-from .dgca import Report, apply_d, check_d_squared
+from .dgca import ChainMapViolation, Report, apply_d, check_d_squared
 from .graded import Element, GradedError
 from .linalg import cohomology_dims, count_monomials
 from .rational_homotopy import (
+    flat_form_check,
     forms_fiber_check,
     hopf_sequence_check,
     poincare_lemma_check,
@@ -152,8 +153,6 @@ def _task_flatforms(cfg: TaskConfig) -> Report:
     pdr = poly_de_rham(8)
     sig = pdr.algebra.sig
     s4 = sphere_model(4).algebra
-    from .dgca import ChainMapViolation
-    from .rational_homotopy import flat_form_check
 
     w4 = Element.from_terms(
         sig, [(1, [("dx^1", 1), ("dx^2", 1), ("dx^3", 1), ("dx^4", 1)])])

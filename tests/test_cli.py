@@ -93,8 +93,11 @@ def test_cli_main_inprocess(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "hopf.pushout: pass" in out
 
+    # --cap bounds the 165-monomial domain of scan.11.32.2's solve
+    assert main(["--task", "scan.11.32.2", "--cap", "165",
+                 "--no-write"]) == 0
     # exit 2: a verdict capped by --cap, an unknown task, an unknown option
-    assert main(["--task", "scan.11.32.2", "--cap", "20000",
+    assert main(["--task", "scan.11.32.2", "--cap", "164",
                  "--no-write"]) == 2
     assert main(["--task", "definitely.not.a.task", "--no-write"]) == 2
     with pytest.raises(SystemExit) as exc:

@@ -714,18 +714,24 @@ print({facts}, len(calls), peak)
 """
 
 
-def kernel_memory(setup: str, call: str, facts: str) -> list:
-    """Run the code `setup`, then the expression `call` under tracemalloc
-    (numpy reports its buffers), in a fresh interpreter with this package
-    first on PYTHONPATH, so that the figures repeat exactly.  Return the
-    integers `facts` (expressions over the names `setup` binds and `out`,
-    the value of `call`), then the number of kernel core calls `call`
-    made and its traced peak in bytes."""
-    script = KERNEL_MEMORY_SCRIPT.format(setup=setup, call=call, facts=facts)
+def fresh_run(script: str) -> list:
+    """Run `script` in a fresh interpreter with this package first on
+    PYTHONPATH, so that its figures repeat exactly, and return the integers
+    it prints."""
     proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return list(map(int, proc.stdout.split()))
+
+
+def kernel_memory(setup: str, call: str, facts: str) -> list:
+    """Run the code `setup`, then the expression `call` under tracemalloc
+    (numpy reports its buffers), in a fresh interpreter (`fresh_run`).
+    Return the integers `facts` (expressions over the names `setup` binds
+    and `out`, the value of `call`), then the number of kernel core calls
+    `call` made and its traced peak in bytes."""
+    return fresh_run(
+        KERNEL_MEMORY_SCRIPT.format(setup=setup, call=call, facts=facts))
 
 
 D_MU4_SETUP = """
