@@ -50,7 +50,11 @@ pair of terms (a, b):
 * the pair vanishes when a and b share a square-zero generator, that is
   when their square-zero occupancy masks meet;
 * the packed key of the product is the word-wise sum of the packed keys of
-  a and b, since every packed field is wide enough for the sum.
+  a and b, since every packed field is wide enough for the sum.  A
+  square-zero generator's field is 1 bit wide: a pair whose sides both
+  have it is dropped before its keys are added, so that a live sum holds
+  it at most once.  d mu7 and mu4^2 therefore get one layout, whatever
+  their operands' exponent maxima.
 
 A Leibniz hole at g is not packed again but derived from its term's words
 and g's (`_hole_rows`): the key minus g's unit field, and each mask XOR
@@ -77,16 +81,23 @@ with `np.take(..., axis=0)`: numpy's 2-D fancy indexing (`keys[idx]`)
 copies rows this narrow element by element, several times slower, with
 the same result.
 
-The result of a call of one input stays packed (`Packed`: sorted keys,
-numerators, denominator and layout), and the front-ends return it.  It is
-decoded to canonical `(monomial, Fraction)` entries (`_Context.decode`),
-with one shared tuple per (generator, exponent) and one `Fraction` per
-distinct coefficient, only when an `Element`'s terms are first read; a
-zero test reads the row count, and `proportional` decides lhs = c * rhs on
-the arrays of two results, so that d mu7 = 15 mu4^2 decodes neither
-194,992-term side.  A shared call is decoded as it returns, in one pass,
-into one dict per input (`Packed.split`): every shared call that has rows
-is read in full by its callers, so deferring its decoding saved nothing.
+The result of a call of one input stays packed (`Packed`: distinct keys
+in the order of the last merge, numerators, denominator and layout), and
+the front-ends return it.  It is decoded to canonical `(monomial,
+Fraction)` entries (`_Context.decode`), with one shared tuple per
+(generator, exponent) and one `Fraction` per distinct coefficient, only
+when an `Element`'s terms are first read; a zero test reads the row
+count, and `proportional` decides lhs = c * rhs on the arrays of two
+results, so that d mu7 = 15 mu4^2 decodes neither 194,992-term side.  A
+shared call is decoded as it returns, in one pass, into one dict per input
+(`Packed.split`): every shared call that has rows is read in full by its
+callers, so deferring its decoding saved nothing.  Key order is paid for
+only where it is read: `Packed.decode` and `Packed.split` sort the rows by
+key (one lexsort each), so every decoded dict lists its terms in key
+order.  A last merge orders its rows by a hash of their keys, so equal
+key sets in one layout come out in one order unless only one side's last
+merge met a hash collision: `proportional` compares d mu7 and mu4^2 row
+by row as they are, with no sort.
 
 A call of P pairs takes steps of P / 32 pairs clamped to [2**11, 2**17]
 (`_step`), and its accumulator lets two steps wait before a merge, so a
@@ -97,7 +108,9 @@ peaks at about 3 MiB of traced memory, where 2**17-pair steps take
 The core returns None when a guard trips, and the caller then takes the
 exact dict path:
 
-* an output exponent sum (and so an input exponent) exceeds int8 (127);
+* an output exponent sum (and so an input exponent) exceeds int8 (127),
+  or an input holds a square-zero generator to a power above 1 (which the
+  1-bit field could not hold);
 * a numerator, or max|left| * max|right| * min(left rows, right rows),
   could reach 2**62, so that an int64 product or sum could wrap.  The left
   numerators include the Leibniz multiplicity e.  In one output monomial a
@@ -239,10 +252,16 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
         ctx = _Context(sig, x.gens[:0], x.gens[:0], x.inputs)
         return Packed(np.zeros((0, ctx.words), np.uint64), x.nums[:0], 1, ctx)
     cols = _unique(np.concatenate([x.gens] + [b.gens for b in blocks]))
-    colmax = _colmax(x, cols) + np.max([_colmax(b, cols) for b in blocks],
-                                       axis=0)
-    if colmax.max(initial=0) > _EMAX:
+    sqz = np.array([sig.sqz[g] for g in cols.tolist()], dtype=bool)
+    xmax = _colmax(x, cols)
+    bmax = np.max([_colmax(b, cols) for b in blocks], axis=0)
+    colmax = xmax + bmax
+    if (colmax.max(initial=0) > _EMAX
+            or np.maximum(xmax, bmax)[sqz].max(initial=0) > 1):
         return None
+    # a live pair has each square-zero generator on one side at most:
+    # `_pairs` drops the others before it adds their keys
+    colmax[sqz] = 1
     ctx = _Context(sig, cols, colmax, x.inputs)
     a, maxnum, block = left_rows(ctx, _dense(x, ctx), x)
     den = lcm(*(b.den for b in blocks))
@@ -462,6 +481,13 @@ class _Context:
             inv = np.searchsorted(uniq, nums[r0:r0 + ROWS])
             yield from zip(monos, map(fracs.__getitem__, inv.tolist()))
 
+    def same_layout(self, other: "_Context") -> bool:
+        """Whether keys of this layout and of `other` pack every field in
+        the same place, so that equal keys mean equal monomials."""
+        return (np.array_equal(self.cols, other.cols)
+                and (self.word, self.shift, self.mask)
+                == (other.word, other.shift, other.mask))
+
     def repack(self, keys: np.ndarray, into: "_Context") -> np.ndarray:
         """Packed keys of this layout in the layout `into`, whose columns
         include these and whose fields are at least as wide; a tag field is
@@ -475,11 +501,14 @@ class _Context:
 
 
 class Packed:
-    """A kernel result kept as arrays: packed keys, sorted and distinct,
-    their nonzero int64 numerators over the denominator `den`, and the
-    layout `ctx` the keys are packed in.  `decode` turns it into canonical
-    dict entries, in key order; `graded.Element.from_packed` defers that to
-    the first read of the element's terms."""
+    """A kernel result kept as arrays: packed keys, distinct and in the
+    order of the accumulator's last merge, their nonzero int64 numerators
+    over the denominator `den`, and the layout `ctx` the keys are packed
+    in.  `decode` and `split` turn it into canonical dict entries in key
+    order, the one place that order is paid for; `graded.Element.from_packed`
+    defers that to the first read of the element's terms.  In key order,
+    terms that share most of their factors are neighbours, so the next
+    operation on the decoded terms sees their contributions cancel early."""
 
     __slots__ = ("keys", "nums", "den", "ctx")
 
@@ -494,20 +523,24 @@ class Packed:
         return len(self.nums)
 
     def decode(self) -> dict:
-        return self.ctx.decode(self.keys, self.nums, self.den, [len(self)])[0]
+        """The canonical dict of this result, in key order."""
+        order = np.lexsort(self.keys.T[::-1])
+        return self.ctx.decode(np.take(self.keys, order, axis=0),
+                               self.nums[order], self.den, [len(self)])[0]
 
     def split(self) -> list:
         """Per input of the call, its result: this `Packed` itself for a
         call of one input, else one canonical dict per input (`{}` where
-        its result is 0).  A shared call is decoded at once, in one pass over
-        its rows sorted by tag: decoding the inputs one by one paid the
-        decoder's set-up once per input, about 77 us, 0.38-0.46 s for a
-        6,000-input call whose core took 0.045 s."""
+        its result is 0), each in key order.  A shared call is decoded at
+        once, in one pass over its rows sorted by tag, then by key (one
+        lexsort): decoding the inputs one by one paid the decoder's set-up
+        once per input, about 77 us, 0.38-0.46 s for a 6,000-input call
+        whose core took 0.045 s."""
         ctx = self.ctx
         if ctx.inputs == 1:
             return [self]
         tags = ctx.field(self.keys, len(ctx.gen_ids)).astype(np.int64)
-        order = np.argsort(tags, kind="stable")
+        order = np.lexsort((*self.keys.T[::-1], tags))
         return ctx.decode(np.take(self.keys, order, axis=0), self.nums[order],
                           self.den, np.bincount(tags, minlength=ctx.inputs)
                           .tolist())
@@ -518,16 +551,33 @@ def proportional(lhs: Packed, rhs: Packed) -> Fraction | None:
     do not show it: a side is empty, the keys differ, the numerators are
     not proportional, or a cross product of numerators could reach 2**63.
 
-    Both sides must come from one signature.  Their layouts may differ, so
-    both are re-packed into one layout over the union of their columns
-    and sorted there; lhs = c * rhs then holds exactly when the keys agree
-    row by row and nums_l[i] * nums_r[0] == nums_r[i] * nums_l[0] for
-    every i, with c = nums_l[0] * den_r / (nums_r[0] * den_l)."""
+    Both sides must come from one signature.  With their rows in one order,
+    lhs = c * rhs holds exactly when the keys agree row by row and
+    nums_l[i] * nums_r[0] == nums_r[i] * nums_l[0] for every i, with
+    c = nums_l[0] * den_r / (nums_r[0] * den_l).  When both sides have one
+    layout and their key arrays are already equal, as for d mu7 and mu4^2,
+    the rows are compared as they are; otherwise (other layouts, or the
+    same keys in another order) both are re-packed into one layout over
+    the union of their columns and sorted there (`_sorted_union`)."""
     if not len(lhs) or len(lhs) != len(rhs):
         return None
     big = [int(np.abs(p.nums).max()) for p in (lhs, rhs)]
     if big[0] * big[1] >= 1 << 63:
         return None
+    if lhs.ctx.same_layout(rhs.ctx) and np.array_equal(lhs.keys, rhs.keys):
+        nl, nr = lhs.nums, rhs.nums
+    else:
+        (kl, nl), (kr, nr) = _sorted_union(lhs, rhs)
+        if not np.array_equal(kl, kr):
+            return None
+    if not np.array_equal(nl * nr[0], nr * nl[0]):
+        return None
+    return Fraction(int(nl[0]) * rhs.den, int(nr[0]) * lhs.den)
+
+
+def _sorted_union(lhs: Packed, rhs: Packed) -> list:
+    """(keys, numerators) of each side, re-packed into one layout over the
+    union of their columns and sorted by key there."""
     cols = _unique(np.concatenate([lhs.ctx.cols, rhs.ctx.cols]))
     colmax = np.zeros(len(cols), dtype=np.int64)
     for p in (lhs, rhs):
@@ -539,24 +589,26 @@ def proportional(lhs: Packed, rhs: Packed) -> Fraction | None:
         keys = p.ctx.repack(p.keys, ctx)
         order = np.lexsort(keys.T[::-1])
         sides.append((np.take(keys, order, axis=0), p.nums[order]))
-    (kl, nl), (kr, nr) = sides
-    if not np.array_equal(kl, kr):
-        return None
-    if not np.array_equal(nl * nr[0], nr * nl[0]):
-        return None
-    return Fraction(int(nl[0]) * rhs.den, int(nr[0]) * lhs.den)
+    return sides
 
 
 def _pairs(a: _Operand, b: _Operand, ends: np.ndarray, shift: np.ndarray,
            step: int):
     """Yield (keys, values) of the non-vanishing signed products of the
     pairs p of a and b, `step` at a time and in order: pair p belongs to
-    the first row i of a with p < ends[i], and to row p + shift[i] of b."""
+    the first row i of a with p < ends[i], and to row p + shift[i] of b.
+    A step [p0, p1) takes each row's index as many times as it has pairs
+    there, min(ends[i], p1) - max(ends[i - 1], p0) (`np.repeat`)."""
     total = int(ends.max(initial=0))
     for p0 in range(0, total, step):
-        p = np.arange(p0, min(p0 + step, total))
-        ia = np.searchsorted(ends, p, "right")
-        ib = p + shift[ia]
+        p1 = min(p0 + step, total)
+        # rows lo..hi-1 have pairs in the step: row hi-1 is the first whose
+        # pairs reach p1, and ends[lo - 1] <= p0 < ends[lo]
+        lo = int(np.searchsorted(ends, p0, "right"))
+        hi = int(np.searchsorted(ends, p1, "left")) + 1
+        ia = np.repeat(np.arange(lo, hi),
+                       np.diff(np.minimum(ends[lo:hi], p1), prepend=p0))
+        ib = np.arange(p0, p1) + shift[ia]
         dead = np.zeros(len(ia), dtype=np.uint64)
         for wa, wb in zip(a.occ, b.occ):
             dead |= wa[ia] & wb[ib]
@@ -646,14 +698,10 @@ class _Accumulator:
         self.vals = sums[keep]
 
     def result(self):
-        """The merged (keys, values), sorted by key.
-
-        The order of one operation's output is the order the next one
-        processes its input in; in key order, terms that share most of their
-        factors are neighbours, and their contributions cancel early."""
+        """The merged (keys, values): distinct keys, nonzero values, in the
+        order of the last merge (by hash, or by key after a collision).
+        Key order is set where it is read, by `Packed.decode` and
+        `Packed.split`."""
         if self.pending:
             self._merge()
-        order = np.lexsort(self.keys.T[::-1])
-        self.keys = np.take(self.keys, order, axis=0)
-        self.vals = self.vals[order]
         return self.keys, self.vals

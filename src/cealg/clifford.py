@@ -127,12 +127,16 @@ class CliffordRep:
         self.eta = tuple([-1] * t + [1] * s)
 
     def pairing(self, indices) -> np.ndarray:
-        """C Gamma^{a1} ... Gamma^{ap}: a new array, p matmuls from C."""
-        out = self.charge_conj.copy()
+        """C Gamma^{a1} ... Gamma^{ap}: a new array, p products from C, each
+        a column gather where the gamma allows it (`_gathers`)."""
+        indices = tuple(indices)
         for a in indices:
             if not 0 <= a < self.d:
                 raise BadIndices(f"index {a} out of range for d={self.d}")
-            out = out @ self.gammas[a]
+        gammas = [self.gammas[a] for a in indices]
+        out = self.charge_conj.copy()
+        for gamma, gather in zip(gammas, _gathers(gammas)):
+            out = _times(out, gamma, gather)
         return out
 
     def to_json(self) -> dict:
@@ -143,6 +147,30 @@ class CliffordRep:
             "gammas": [g.tolist() for g in self.gammas],
             "charge_conj": self.charge_conj.tolist(),
         }
+
+
+def _gathers(gammas: list) -> list:
+    """Per gamma, (rows, values) when each of its columns has exactly one
+    nonzero entry, at rows[j] with value values[j], else None.  Then
+    M Gamma = M[:, rows] * values exactly, a column gather in place of a
+    matmul: the built-in gammas are signed permutations.  Derived from the
+    matrices as they are now, since a rep's gammas may be edited in place."""
+    if not gammas:
+        return []
+    g = np.stack(gammas)
+    rows = (g != 0).argmax(axis=1)
+    values = np.take_along_axis(g, rows[:, None, :], axis=1)[:, 0, :]
+    ok = (np.count_nonzero(g, axis=(1, 2)) == g.shape[2]) & values.all(axis=1)
+    return [(r, v) if k else None for r, v, k in zip(rows, values, ok)]
+
+
+def _times(m: np.ndarray, gamma: np.ndarray, gather) -> np.ndarray:
+    """m @ gamma, as a column gather when `gather` (from `_gathers`) is
+    given."""
+    if gather is None:
+        return m @ gamma
+    rows, values = gather
+    return m[:, rows] * values
 
 
 def build_clifford(d: int, signature: tuple[int, int] | None = None
@@ -198,13 +226,18 @@ def pairing_walk(rep: CliffordRep, max_rank: int):
     """Yield (A, C Gamma^A) for every strictly increasing A of length at
     most max_rank, depth first in lexicographic order, so that the tuples of
     one length come in `itertools.combinations` order.  Each product is one
-    matmul from its parent's, and a parent's array is reused for its
-    children, so the yielded arrays must not be modified."""
+    product from its parent's, and a parent's array is reused for its
+    children, so the yielded arrays must not be modified.  The products
+    are column gathers where the gammas allow it (`_gathers`, taken when
+    the walk starts)."""
+    gathers = _gathers(rep.gammas)
+
     def walk(indices, m):
         yield indices, m
         if len(indices) < max_rank:
             for a in range(indices[-1] + 1 if indices else 0, rep.d):
-                yield from walk(indices + (a,), m @ rep.gammas[a])
+                yield from walk(indices + (a,),
+                                _times(m, rep.gammas[a], gathers[a]))
     return walk((), rep.charge_conj)
 
 

@@ -1,6 +1,7 @@
 """Catalog constructions: named algebras, cocycles, extensions, lifts."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -194,19 +195,25 @@ def test_packed_proportionality_matches_dict_path(data):
     maxima) differ, swapped, with one coefficient perturbed, a key missing
     on either side or on both, zero sides and a second signature.  A pass
     on two nonzero packed sides decodes neither, unless the int64 guard
-    trips."""
+    trips.  The same keys in another row order are still decided on the
+    arrays: rows shuffled, and rhs computed again with `_HASH_MUL` = 0,
+    whose merges take the collision fallback where keys span several
+    words.  One layout and equal key arrays are compared as they are, with
+    no `_Context.repack`."""
     sig = data.draw(random_signature(max_gens=12))
     x, y, z = (data.draw(random_terms(sig, max_terms=6)) for _ in range(3))
     c = data.draw(st.fractions(min_value=-5, max_value=5,
                                max_denominator=7).filter(bool))
-    with kernel_gate_at_zero():
+    with kernel_gate_at_zero() as mp:
         yz = batched.sum_of_products(sig, [(y, z)])
         lhs = batched.sum_of_products(sig, [(x, yz.decode())])
         cx = {m: c * v for m, v in x.items()}
-        cxy = batched.sum_of_products(sig, [(cx, y)])
-        rhs = batched.sum_of_products(sig, [(cxy.decode(), z)])
+        cxy = batched.sum_of_products(sig, [(cx, y)]).decode()
+        rhs = batched.sum_of_products(sig, [(cxy, z)])
+        mp.setattr(batched, "_HASH_MUL", np.uint64(0))
+        collided = batched.sum_of_products(sig, [(cxy, z)])
     n = len(lhs)
-    assert len(rhs) == n
+    assert len(rhs) == len(collided) == n
     if n:
         left = Element.from_packed(sig, lhs)
         right = Element.from_packed(sig, rhs)
@@ -216,6 +223,20 @@ def test_packed_proportionality_matches_dict_path(data):
                    * int(np.abs(rhs.nums).max()) >= 2 ** 63)
         assert (left.packed is lhs and right.packed is rhs) != guarded
         assert packed_against_dict_path(sig, rhs, sig, lhs) == c
+        shuffled = rows(rhs, np.array(data.draw(st.permutations(range(n)))))
+        for other in (collided, shuffled):
+            assert batched.proportional(lhs, other) == (
+                None if guarded else 1 / c)
+            assert packed_against_dict_path(sig, lhs, sig, other) == 1 / c
+        repacks = []
+        with pytest.MonkeyPatch.context() as mp:
+            repack = batched._Context.repack
+            mp.setattr(batched._Context, "repack",
+                       lambda *a: repacks.append(1) or repack(*a))
+            half = batched.Packed(rhs.keys, rhs.nums, 2 * rhs.den, rhs.ctx)
+            assert batched.proportional(rhs, half) == (
+                None if int(np.abs(rhs.nums).max()) ** 2 >= 2 ** 63 else 2)
+        assert repacks == []
         i, j = (data.draw(st.integers(min_value=0, max_value=n - 1))
                 for _ in range(2))
         others = np.arange(n) != i
@@ -265,28 +286,71 @@ def test_packed_proportionality_int64_guard():
                                 packed(2 ** 10, 2 ** 11)) == 2 ** 10
 
 
+def test_packed_proportionality_same_keys_in_another_order(monkeypatch):
+    """Keys of two words: t1 t2 in the merges' hash order against
+    (2 t1) t2 computed with `_HASH_MUL` = 0, whose merges find colliding
+    hashes and sort the full keys instead.  The sides share a layout and a
+    key set in different row orders; the arrays still decide c = 1/2,
+    through the sorted union, as the dict path does."""
+    sig = make_signature(GeneratorDecl("x", (i,), i % 5, i % 2)
+                         for i in range(80))
+    rng = random.Random(7)
+    pool = [0, 1, 2, 3, 76, 77, 78, 79]
+    t1, t2 = ({tuple((g, rng.randint(1, 1 if sig.sqz[g] else 3))
+                     for g in sorted(rng.sample(pool, 3))):
+               Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+               for _ in range(60)} for _ in range(2))
+    t1[tuple((g, 1) for g in range(80))] = Fraction(1)
+    with kernel_gate_at_zero() as mp:
+        lhs = batched.sum_of_products(sig, [(t1, t2)])
+        mp.setattr(batched, "_HASH_MUL", np.uint64(0))
+        sorts = []
+        lexsort = np.lexsort
+        mp.setattr(np, "lexsort", lambda k: sorts.append(1) or lexsort(k))
+        rhs = batched.sum_of_products(sig, [({m: 2 * v for m, v in t1.items()},
+                                             t2)])
+    assert sorts and lhs.ctx.words == 2 and lhs.ctx.same_layout(rhs.ctx)
+    assert not np.array_equal(lhs.keys, rhs.keys)
+    assert batched.proportional(lhs, rhs) == Fraction(1, 2)
+    assert packed_against_dict_path(sig, lhs, sig, rhs) == Fraction(1, 2)
+
+
 M5_DECODE_SCRIPT = """
+import numpy as np
+
 from cealg import batched, catalog
 
-calls = []
-real = batched._Context.decode
-batched._Context.decode = lambda *a: calls.append(1) or real(*a)
+calls = {"decode": 0, "lexsort": 0, "repack": 0}
+
+
+def counted(name, real):
+    def call(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    return call
+
+
+batched._Context.decode = counted("decode", batched._Context.decode)
+batched._Context.repack = counted("repack", batched._Context.repack)
+np.lexsort = counted("lexsort", np.lexsort)
 rep = catalog.verify_m5_relation()
 chi, cocycle = catalog.m5_cocycle()
-print(rep.verdict, rep.pinned["c"], cocycle.verdict, len(calls))
+print(rep.verdict, rep.pinned["c"], cocycle.verdict, *calls.values())
 """
 
 
 def test_passing_m5_run_decodes_no_kernel_result():
     """verify_m5_relation() and m5_cocycle() pass without decoding a kernel
-    result: d mu7 = 15 mu4**2 is decided on the arrays, and every other
-    kernel result is only tested for zero.  Run in a fresh interpreter, so
-    that no cached construction hides a call."""
+    result and without sorting one by key (no `np.lexsort` call anywhere):
+    d mu7 = 15 mu4**2 is decided on the arrays as the kernel left them,
+    with no `_Context.repack`, since both sides share one layout and one
+    row order, and every other kernel result is only tested for zero.  Run
+    in a fresh interpreter, so that no cached construction hides a call."""
     proc = subprocess.run([sys.executable, "-c", M5_DECODE_SCRIPT],
                           env=_package_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split() == ["pass", "15/1", "pass", "0"]
+    assert proc.stdout.split() == ["pass", "15/1", "pass", "0", "0", "0"]
 
 
 M5_MEMORY_SCRIPT = """
@@ -304,23 +368,26 @@ mu4_sq = mu4 * mu4
 c = catalog.proportionality_constant(d_mu7, mu4_sq)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-print(c, len(d_mu7), len(mu4_sq), peak)
+lhs, rhs = d_mu7.packed.ctx, mu4_sq.packed.ctx
+layout = (lhs.word, lhs.shift) == (rhs.word, rhs.shift)
+print(c, len(d_mu7), len(mu4_sq), layout, peak)
 """
 
 
 def test_m5_relation_memory_on_the_arrays():
     """d mu7, mu4**2 and their comparison, as verify_m5_relation() runs
-    them, keep a tracemalloc peak of at most 34.4 MiB: 31.26 MiB measured,
-    inside the d mu7 kernel call, plus 10 %.  Decoding both 194,992-term
-    results into dicts peaked at 68.4 MiB.  Run in a fresh interpreter, so
-    that the figure repeats exactly."""
+    them, keep a tracemalloc peak of at most 26.46 MiB: 24.05 MiB measured
+    (numpy 2.4.6), plus 10 %.  Re-sorting both sides into a union layout
+    for the comparison peaked at 25.50 MiB, and decoding both 194,992-term
+    results into dicts at 68.4 MiB.  Both sides share one layout.  Run in
+    a fresh interpreter, so that the figure repeats exactly."""
     proc = subprocess.run([sys.executable, "-c", M5_MEMORY_SCRIPT],
                           env=_package_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    c, d_mu7, mu4_sq, peak = proc.stdout.split()
-    assert (c, d_mu7, mu4_sq) == ("15", "194992", "194992")
-    assert int(peak) <= 34.4 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
+    c, d_mu7, mu4_sq, layout, peak = proc.stdout.split()
+    assert (c, d_mu7, mu4_sq, layout) == ("15", "194992", "194992", "True")
+    assert int(peak) <= 26.46 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
 
 
 def test_m2brane_extension():

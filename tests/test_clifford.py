@@ -653,6 +653,41 @@ def test_pairing_walk_matches_pairing(d):
     assert all(np.array_equal(m, rep.pairing(idx)) for idx, m in walked)
 
 
+def _one_column_doubled(d, gamma):
+    """The rep with a second nonzero entry in column 0 of one gamma, which
+    is then no signed permutation."""
+    rep = build_clifford(d)
+    row = np.flatnonzero(rep.gammas[gamma][:, 0] == 0)[0]
+    rep.gammas[gamma][row, 0] = 1
+    return rep
+
+
+@pytest.mark.parametrize("rep, gathered", [
+    (build_clifford(3), 3), (build_clifford(11), 11),
+    (_one_entry_flipped(3, 1, 0), 3), (_one_entry_flipped(11, 4, 7), 11),
+    (_one_entry_flipped(11, 0, 0), 11), (_one_entry_flipped(11, 10, 31), 11),
+    (_one_column_doubled(3, 2), 2), (_one_column_doubled(11, 5), 10),
+], ids=["d3", "d11", "d3-g1", "d11-g4", "d11-g0", "d11-g10", "d3-dense-g2",
+        "d11-dense-g5"])
+def test_gamma_gathers_match_matmul(rep, gathered):
+    """C Gamma^A for every strictly increasing A with |A| <= 5, from
+    `rep.pairing` and from `pairing_walk`, against the chain of int64
+    matmuls from C: the built-in reps, reps with one gamma entry flipped
+    in place after they were built, and reps with a gamma that is no signed
+    permutation, whose products stay matmuls.  `gathered` gammas multiply
+    by a column gather."""
+    assert sum(g is not None for g in clifford._gathers(rep.gammas)) == (
+        gathered)
+    walked = list(pairing_walk(rep, 5))
+    assert len(walked) == sum(math.comb(rep.d, p) for p in range(6))
+    for idx, m in walked:
+        want = rep.charge_conj
+        for a in idx:
+            want = want @ rep.gammas[a]
+        assert np.array_equal(m, want)
+        assert np.array_equal(rep.pairing(idx), want)
+
+
 def test_tensor_path_imports_nothing_from_the_symbolic_kernel():
     """clifford.py takes only `Report` from `.dgca` and `GradedError` from
     `.graded`, and nothing from `.batched` or `.catalog`, so that the Fierz

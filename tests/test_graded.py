@@ -456,10 +456,12 @@ def test_accumulator_matches_dict_sum(data):
     """`batched._Accumulator` against a dict sum of (key, value) entries:
     keys of 1-3 words, cut into batches at random points (empty batches
     too), values that often cancel, a few-entry step so that it merges
-    many times.  The result is every key with a nonzero sum, once, in
-    lexicographic key order, as (n, words) uint64 keys, n = 0 included.
-    With `_HASH_MUL` = 0 a key hashes to its last word, so keys that differ
-    only before it collide and a merge takes the full-key fallback."""
+    many times.  The result is every key with a nonzero sum, once, as
+    (n, words) uint64 keys, n = 0 included, in the last merge's order (key
+    order is set by `Packed.decode` and `Packed.split`, see
+    `test_decode_and_split_give_key_order`).  With `_HASH_MUL` = 0 a key
+    hashes to its last word, so keys that differ only before it collide and
+    a merge takes the full-key fallback."""
     words = data.draw(st.integers(min_value=1, max_value=3))
     entries = data.draw(st.lists(
         st.tuples(st.tuples(*[KEY_WORDS] * words),
@@ -481,13 +483,78 @@ def test_accumulator_matches_dict_sum(data):
     sums = {}
     for k, v in entries:
         sums[k] = sums.get(k, 0) + v
-    want = sorted((k, v) for k, v in sums.items() if v)
+    want = {k: v for k, v in sums.items() if v}
     assert (keys.dtype, keys.shape) == (np.uint64, (len(want), words))
     assert (vals.dtype, vals.shape) == (np.int64, (len(want),))
     rows = [tuple(r) for r in keys.tolist()]
     assert len(set(rows)) == len(rows)
     assert np.all(vals != 0)
-    assert list(zip(rows, vals.tolist())) == want
+    assert dict(zip(rows, vals.tolist())) == want
+
+
+def monomials_in_key_order(p) -> list:
+    """Per input of the call that made the `batched.Packed` p, the
+    monomials of its rows sorted by their packed words compared as Python
+    tuples, each row decoded on its own."""
+    ctx = p.ctx
+    tags = (ctx.field(p.keys, len(ctx.gen_ids)).tolist() if ctx.inputs > 1
+            else [0] * len(p))
+    out = [[] for _ in range(ctx.inputs)]
+    for _, i in sorted((k, i) for i, k in enumerate(map(tuple,
+                                                        p.keys.tolist()))):
+        row = ctx.decode(p.keys[i:i + 1], p.nums[i:i + 1], p.den, [1])[0]
+        out[tags[i]].extend(row)
+    return out
+
+
+#: 80 generators: a term on all of them packs into two key words.
+WIDE = make_signature(GeneratorDecl("x", (i,), i % 5, i % 2)
+                      for i in range(80))
+WIDE_ALL = tuple((g, 1) for g in range(80))
+#: Generators at both ends of WIDE, so that keys differ in both words.
+WIDE_POOL = [0, 1, 2, 3, 76, 77, 78, 79]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_decode_and_split_give_key_order(data):
+    """A kernel result keeps its last merge's order; `Packed.decode` (one
+    input) and `Packed.split` (a shared Leibniz call) give its entries in
+    key order, the packed words compared lexicographically, the order of
+    every decoded dict, golden and witness.  On WIDE, keys take two words,
+    so a merge's hash order is not key order; with `_HASH_MUL` = 0 keys
+    that differ only before their last word collide, so merges take the
+    full-key fallback.  Few-pair steps make the accumulator merge many
+    times."""
+    if data.draw(st.booleans()):
+        sig, among = WIDE, WIDE_POOL
+    else:
+        sig, among = data.draw(random_signature(max_gens=8)), None
+    t1, t2 = (data.draw(random_terms(sig, among=among)) for _ in range(2))
+    images = tuple(
+        Element(sig, data.draw(random_terms(sig, max_terms=4, among=among)))
+        if among is None or g in among else Element.zero(sig)
+        for g in range(len(sig)))
+    inputs = data.draw(st.lists(random_terms(sig, among=among), min_size=2,
+                                max_size=4))
+    if among:
+        t1[WIDE_ALL] = inputs[0][WIDE_ALL] = Fraction(1)
+    shared = []
+    with kernel_gate_at_zero() as mp:
+        mp.setattr(batched, "ALONE_PAIRS", 1 << 62)
+        for name, value in (("STEPS", 2), ("STEP_MIN", 3), ("STEP_MAX", 12)):
+            mp.setattr(batched, name, value)
+        if data.draw(st.booleans()):
+            mp.setattr(batched, "_HASH_MUL", np.uint64(0))
+        split = batched.Packed.split
+        mp.setattr(batched.Packed, "split",
+                   lambda self: shared.append(self) or split(self))
+        product = batched.sum_of_products(sig, [(t1, t2)])
+        ds = batched.leibniz(sig, images, inputs)
+    assert [list(product.decode())] == monomials_in_key_order(product)
+    assert product.decode() == dict_product(sig, t1, t2)
+    assert len(shared) == 1 and shared[0].ctx.inputs == len(inputs)
+    assert [list(d) for d in ds] == monomials_in_key_order(shared[0])
 
 
 def test_batched_product_guards_fall_back_to_dict_path():
@@ -510,6 +577,16 @@ def test_batched_product_guards_fall_back_to_dict_path():
     for a, b in cases:
         assert (a * b).terms == dict_product(sig, a.terms, b.terms)
         assert kernel_product(sig, a.terms, b.terms) is None
+    # a raw square-zero power t**2, which the raw constructor and the dict
+    # path's products keep, and a square-zero field of 1 bit could not hold
+    tsig = make_signature([GeneratorDecl("t", (), 1, EVEN),
+                           GeneratorDecl("w", (), 0, EVEN)])
+    t, w = tsig.gen_id("t"), tsig.gen_id("w")
+    a = Element(tsig, {tuple(sorted([(t, 2), (w, i)])): Fraction(1)
+                       for i in range(1, side + 1)})
+    b = Element(tsig, {((w, i),): Fraction(1) for i in range(1, side + 1)})
+    assert (a * b).terms == dict_product(tsig, a.terms, b.terms)
+    assert kernel_product(tsig, a.terms, b.terms) is None
 
 
 def distinct_terms(sig, n):
