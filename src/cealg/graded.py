@@ -163,23 +163,28 @@ def monomial_mul(m1: Monomial, m2: Monomial, sig: AlgebraSignature):
     """Multiply two canonical monomials.
 
     Returns (sign, monomial) with sign in {+1, -1}, or None when the product
-    vanishes because a square-zero generator is repeated.
+    vanishes because a square-zero generator is repeated: shared by both
+    factors, or already squared in one (which only a raw
+    `Element(sig, terms)` can hold).
     """
-    if not m1:
-        return 1, m2
-    if not m2:
-        return 1, m1
+    sqz = sig.sqz
+    for g, e in m2:
+        if e > 1 and sqz[g]:
+            return None
     odd = sig.odd_bits
     par = sig.parities
-    sqz = sig.sqz
     # U, V: parities of summed odd-degree / odd-parity weights of the m1
     # items not yet consumed; an m2 item crosses exactly those.
     u = 0
     v = 0
     for g, e in m1:
+        if e > 1 and sqz[g]:
+            return None
         if e & 1:
             u ^= odd[g]
             v ^= par[g]
+    if not m1 or not m2:
+        return 1, m1 or m2
     sign = 0
     out = []
     i = 0

@@ -32,6 +32,7 @@ from cealg import (
     identity_morphism,
     m2brane,
     m5_cocycle,
+    make_dgca,
     make_morphism,
     make_signature,
     measured_c,
@@ -390,6 +391,84 @@ def test_m5_relation_memory_on_the_arrays():
     assert int(peak) <= 26.46 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
 
 
+M5_CORE_CALLS_SCRIPT = """
+from cealg import batched, catalog
+
+calls = []
+phase = ["relation"]
+core, pairs = batched._sum_of_products, batched._pairs
+
+
+def counted_core(*args):
+    calls.append([phase[0], 0])
+    return core(*args)
+
+
+def counted_pairs(a, b, ends, *rest):
+    calls[-1][1] = int(ends.max(initial=0))
+    return pairs(a, b, ends, *rest)
+
+
+batched._sum_of_products = counted_core
+batched._pairs = counted_pairs
+catalog.verify_m5_relation()
+phase[0] = "cocycle"
+chi, rep = catalog.m5_cocycle()
+print(rep.verdict)
+for name, n in calls:
+    print(name, n)
+"""
+
+
+def test_m5_run_computes_each_large_product_once():
+    """verify_m5_relation() then m5_cocycle() make exactly two kernel core
+    calls of at least 500,000 term pairs, both in the relation: d mu7
+    (741,888 Leibniz pairs) and mu4**2 (912**2 pairs).  m5_cocycle makes
+    none: it closes h3 mu4 + mu7/15 from those two results by the Leibniz
+    rule over h3, where d of the cocycle took 1.6 M pairs of its own.  Run
+    in a fresh interpreter, so that no cached construction hides a call."""
+    proc = subprocess.run([sys.executable, "-c", M5_CORE_CALLS_SCRIPT],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "pass"
+    calls = [(name, int(n)) for name, n in map(str.split, lines[1:])]
+    assert [c for c in calls if c[1] >= 500_000] == [
+        ("relation", 741_888), ("relation", 912 ** 2)]
+
+
+M5_COCYCLE_MEMORY_SCRIPT = """
+import tracemalloc
+
+from cealg import catalog
+
+tracemalloc.start()
+catalog.verify_m5_relation()
+tracemalloc.reset_peak()
+chi, rep = catalog.m5_cocycle()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(rep.verdict, len(chi), peak)
+"""
+
+
+def test_m5_cocycle_memory_after_the_relation():
+    """m5_cocycle() after verify_m5_relation() keeps the tracemalloc peak,
+    traced from the interpreter's start (so the relation's cached parts
+    count), at most 22.01 MiB: 20.01 MiB measured (numpy 2.4.6), plus
+    10 %.  The direct d of the 8,752-term cocycle, a 1.6 M-pair Leibniz
+    call, peaked at 36.30 MiB.  Run in a fresh interpreter, so that the
+    figure repeats exactly."""
+    proc = subprocess.run([sys.executable, "-c", M5_COCYCLE_MEMORY_SCRIPT],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    verdict, terms, peak = proc.stdout.split()
+    assert (verdict, terms) == ("pass", "8752")
+    assert int(peak) <= 22.01 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
+
+
 def test_m2brane_extension():
     m2 = m2brane()
     assert "h3" in m2.algebra.sig.names
@@ -413,9 +492,12 @@ def test_adjoin_with_alternative_normalization():
 
 
 def test_m5_cocycle_closed_and_wrong_normalization_fails():
+    """chi is closed by the Leibniz rule over h3 and by the direct d; for
+    h3 mu4 + (2/c) mu7 both give the same residual, term for term."""
     chi, rep = m5_cocycle()
-    assert rep.ok
+    assert rep.ok and rep.stats["path"] == "leibniz over h3"
     m2 = m2brane()
+    assert apply_d(m2.algebra, chi).is_zero()
     sig = m2.algebra.sig
     h3 = Element.generator(sig, "h3")
     mu4 = transport(_mu(11, 2), sig)
@@ -426,8 +508,42 @@ def test_m5_cocycle_closed_and_wrong_normalization_fails():
     assert not res.is_zero()
     # the leftover is exactly mu4^2
     assert res == mu4 * mu4
+    # the product rule builds it from the relation's parts
+    same, leibniz, stats = catalog._close_m5(m2.algebra, 2 / c)
+    assert same == bad and leibniz == res
+    assert stats["path"] == "leibniz over h3"
     # and d(h3 mu4) alone is -mu4^2
     assert apply_d(m2.algebra, h3 * mu4) == -(mu4 * mu4)
+    # the residual was read without decoding the cached parts
+    assert all(part.packed is not None
+               for part in catalog._m5_parts().values())
+
+
+def test_m5_cocycle_product_rule_falls_back_to_the_terms(monkeypatch):
+    """When the arrays do not show d mu7 = 15 mu4**2 (as when
+    `batched.proportional` meets its int64 guard), d chi is summed from
+    the parts' terms, and is 0 all the same."""
+    monkeypatch.setattr(batched, "proportional", lambda lhs, rhs: None)
+    _, res, stats = catalog._close_m5(m2brane().algebra, 1 / measured_c())
+    assert res.is_zero() and stats["path"] == "leibniz over h3"
+
+
+def test_m5_cocycle_direct_when_h3_is_not_over_mu4():
+    """On an extension with d h3 = -mu4 + d(e^0 e^1 e^2), which is not a
+    multiple of mu4, d chi is the direct d, and it is the product rule's
+    d(e^0 e^1 e^2) mu4, computed here on its own."""
+    mink = _mink(11).algebra
+    m2 = m2brane().algebra
+    sig = m2.sig
+    exact = apply_d(mink, Element.from_terms(
+        mink.sig, [(1, [("e^0", 1), ("e^1", 1), ("e^2", 1)])]))
+    images = {n: m2.d_of(n) for n in sig.names}
+    images["h3"] = images["h3"] + transport(exact, sig)
+    ext = make_dgca(sig, images)
+    chi, res, stats = catalog._close_m5(ext, 1 / measured_c())
+    assert stats == {"path": "direct"}
+    mu4 = transport(_mu(11, 2), sig)
+    assert not res.is_zero() and res == transport(exact, sig) * mu4
 
 
 def test_resolution_round_trip_and_homotopy():

@@ -20,6 +20,7 @@ from cealg.reporting import (
     run_task,
     write_report,
 )
+from test_dgca import _package_env
 
 
 def test_unknown_task():
@@ -152,6 +153,18 @@ def test_cli_subprocess_smoke(tmp_path):
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["verdict"] == "pass"
+
+
+def test_cli_m5_cocycle_matches_its_golden_in_a_fresh_interpreter():
+    """`cealg --task m5.cocycle --check-golden --no-write` runs the
+    relation, then closes the cocycle from its cached parts, and matches
+    the golden (c = 15/1, 8,752 terms) with nothing cached beforehand."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cealg.cli", "--task", "m5.cocycle",
+         "--check-golden", "--no-write"],
+        env=_package_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "m5.cocycle: pass" in proc.stdout
 
 
 def test_reports_are_deterministic():

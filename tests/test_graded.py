@@ -577,8 +577,9 @@ def test_batched_product_guards_fall_back_to_dict_path():
     for a, b in cases:
         assert (a * b).terms == dict_product(sig, a.terms, b.terms)
         assert kernel_product(sig, a.terms, b.terms) is None
-    # a raw square-zero power t**2, which the raw constructor and the dict
-    # path's products keep, and a square-zero field of 1 bit could not hold
+    # a raw square-zero power t**2, which only the raw constructor keeps
+    # (the dict path's products drop it), and a square-zero field of 1 bit
+    # could not hold
     tsig = make_signature([GeneratorDecl("t", (), 1, EVEN),
                            GeneratorDecl("w", (), 0, EVEN)])
     t, w = tsig.gen_id("t"), tsig.gen_id("w")
@@ -587,6 +588,21 @@ def test_batched_product_guards_fall_back_to_dict_path():
     b = Element(tsig, {((w, i),): Fraction(1) for i in range(1, side + 1)})
     assert (a * b).terms == dict_product(tsig, a.terms, b.terms)
     assert kernel_product(tsig, a.terms, b.terms) is None
+
+
+def test_product_with_a_raw_square_zero_power_vanishes():
+    """t**2 w times w is 0 when t squares to zero: a product that holds a
+    square-zero generator to a power above 1 vanishes, also when only one
+    factor holds it, and also against the unit."""
+    sig = make_signature([GeneratorDecl("t", (), 1, EVEN),
+                          GeneratorDecl("w", (), 0, EVEN)])
+    t, w = sig.gen_id("t"), sig.gen_id("w")
+    squared = Element(sig, {((t, 2), (w, 1)): Fraction(1)})
+    assert (squared * Element(sig, {((w, 1),): Fraction(1)})).is_zero()
+    assert (Element(sig, {((w, 1),): Fraction(1)}) * squared).is_zero()
+    assert (squared * Element.one(sig)).is_zero()
+    assert (Element(sig, {((t, 3),): Fraction(1)})
+            * Element.generator(sig, "w")).is_zero()
 
 
 def distinct_terms(sig, n):
