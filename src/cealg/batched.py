@@ -88,16 +88,18 @@ Fraction)` entries (`_Context.decode`), with one shared tuple per
 (generator, exponent) and one `Fraction` per distinct coefficient, only
 when an `Element`'s terms are first read; a zero test reads the row
 count, and `proportional` decides lhs = c * rhs on the arrays of two
-results, so that d mu7 = 15 mu4^2 decodes neither 194,992-term side.  A
-shared call is decoded as it returns, in one pass, into one dict per input
-(`Packed.split`): every shared call that has rows is read in full by its
-callers, so deferring its decoding saved nothing.  Key order is paid for
-only where it is read: `Packed.decode` and `Packed.split` sort the rows by
-key (one lexsort each), so every decoded dict lists its terms in key
-order.  A last merge orders its rows by a hash of their keys, so equal
-key sets in one layout come out in one order unless only one side's last
-merge met a hash collision: `proportional` compares d mu7 and mu4^2 row
-by row as they are, with no sort.
+results of one layout and equal key arrays, so that d mu7 = 15 mu4^2
+decodes neither 194,992-term side.  A shared call is decoded as it
+returns, in one pass, into one dict per input (`Packed.split`): every
+shared call that has rows is read in full by its callers, so deferring
+its decoding saved nothing.  Key order is paid for only where it is
+read: `Packed.decode` and `Packed.split` sort the rows by key (one lexsort
+each), so every decoded dict lists its terms in key order.  A last merge
+orders its rows by a hash of their keys, so equal key sets in one layout
+come out in one order unless only one side's last merge met a hash
+collision: `proportional` compares d mu7 and mu4^2 row by row as they
+are, with no sort, and answers None for sides whose keys differ in layout
+or row order.
 
 A call of P pairs takes steps of P / 32 pairs clamped to [2**11, 2**17]
 (`_step`), and its accumulator lets two steps wait before a merge, so a
@@ -488,17 +490,6 @@ class _Context:
                 and (self.word, self.shift, self.mask)
                 == (other.word, other.shift, other.mask))
 
-    def repack(self, keys: np.ndarray, into: "_Context") -> np.ndarray:
-        """Packed keys of this layout in the layout `into`, whose columns
-        include these and whose fields are at least as wide; a tag field is
-        dropped."""
-        out = np.zeros((len(keys), into.words), dtype=np.uint64)
-        at = np.searchsorted(into.cols, self.cols).tolist()
-        for c, col in enumerate(at):
-            out[:, into.word[col]] |= (self.field(keys, c)
-                                       << np.uint64(into.shift[col]))
-        return out
-
 
 class Packed:
     """A kernel result kept as arrays: packed keys, distinct and in the
@@ -508,7 +499,9 @@ class Packed:
     order, the one place that order is paid for; `graded.Element.from_packed`
     defers that to the first read of the element's terms.  In key order,
     terms that share most of their factors are neighbours, so the next
-    operation on the decoded terms sees their contributions cancel early."""
+    operation on the decoded terms sees their contributions cancel early.
+    `proportional` reads two results as they are, neither decoded nor
+    re-sorted, so it decides only for one layout and equal key arrays."""
 
     __slots__ = ("keys", "nums", "den", "ctx")
 
@@ -548,48 +541,25 @@ class Packed:
 
 def proportional(lhs: Packed, rhs: Packed) -> Fraction | None:
     """The c with lhs = c * rhs, decided on the arrays, or None when they
-    do not show it: a side is empty, the keys differ, the numerators are
-    not proportional, or a cross product of numerators could reach 2**63.
+    do not show it: a side is empty, the sides differ in layout or in key
+    arrays, the numerators are not proportional, or a cross product of
+    numerators could reach 2**63.
 
-    Both sides must come from one signature.  With their rows in one order,
-    lhs = c * rhs holds exactly when the keys agree row by row and
+    Both sides must come from one signature.  With one layout and equal
+    key arrays, as d mu7 and mu4^2 have, lhs = c * rhs holds exactly when
     nums_l[i] * nums_r[0] == nums_r[i] * nums_l[0] for every i, with
-    c = nums_l[0] * den_r / (nums_r[0] * den_l).  When both sides have one
-    layout and their key arrays are already equal, as for d mu7 and mu4^2,
-    the rows are compared as they are; otherwise (other layouts, or the
-    same keys in another order) both are re-packed into one layout over
-    the union of their columns and sorted there (`_sorted_union`)."""
-    if not len(lhs) or len(lhs) != len(rhs):
+    c = nums_l[0] * den_r / (nums_r[0] * den_l).  Equal key sets in other
+    layouts or row orders answer None too; the caller then compares the
+    terms."""
+    if (not len(lhs) or not lhs.ctx.same_layout(rhs.ctx)
+            or not np.array_equal(lhs.keys, rhs.keys)):
         return None
-    big = [int(np.abs(p.nums).max()) for p in (lhs, rhs)]
-    if big[0] * big[1] >= 1 << 63:
+    nl, nr = lhs.nums, rhs.nums
+    if int(np.abs(nl).max()) * int(np.abs(nr).max()) >= 1 << 63:
         return None
-    if lhs.ctx.same_layout(rhs.ctx) and np.array_equal(lhs.keys, rhs.keys):
-        nl, nr = lhs.nums, rhs.nums
-    else:
-        (kl, nl), (kr, nr) = _sorted_union(lhs, rhs)
-        if not np.array_equal(kl, kr):
-            return None
     if not np.array_equal(nl * nr[0], nr * nl[0]):
         return None
     return Fraction(int(nl[0]) * rhs.den, int(nr[0]) * lhs.den)
-
-
-def _sorted_union(lhs: Packed, rhs: Packed) -> list:
-    """(keys, numerators) of each side, re-packed into one layout over the
-    union of their columns and sorted by key there."""
-    cols = _unique(np.concatenate([lhs.ctx.cols, rhs.ctx.cols]))
-    colmax = np.zeros(len(cols), dtype=np.int64)
-    for p in (lhs, rhs):
-        at = np.searchsorted(cols, p.ctx.cols)
-        colmax[at] = np.maximum(colmax[at], p.ctx.colmax)
-    ctx = _Context(lhs.ctx.sig, cols, colmax, 1)
-    sides = []
-    for p in (lhs, rhs):
-        keys = p.ctx.repack(p.keys, ctx)
-        order = np.lexsort(keys.T[::-1])
-        sides.append((np.take(keys, order, axis=0), p.nums[order]))
-    return sides
 
 
 def _pairs(a: _Operand, b: _Operand, ends: np.ndarray, shift: np.ndarray,

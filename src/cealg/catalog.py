@@ -7,9 +7,11 @@ algebra with its homotopy equivalence data, the equivariant lift to the
 4-sphere model, the super-Poincare algebra with its trace cocycles, and the
 two-parameter seven-cocycle family on the resolved Poincare algebra.
 
-Everything is cached per process: the expensive elements (mu7, its
-differential, the iso-algebra variants) are computed once and shared by
-tests, tasks and the CLI.
+The constructions and verdicts are cached per process: the expensive
+elements (mu7, the membrane extension, the iso-algebra variants) are
+computed once and shared by tests, tasks and the CLI.  d mu7 and mu4^2 are
+not kept: the five-brane relation's cached report holds its constant,
+which is all the five-brane cocycle reads of them.
 """
 
 from __future__ import annotations
@@ -225,30 +227,19 @@ def proportionality_constant(lhs: Element, rhs: Element) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _m5_parts() -> dict:
-    """The five-brane's parts on superMink(11), each computed once per
-    process: d mu7 and mu4^2, still packed, and d mu4.
-    `verify_m5_relation` decides d mu7 = c mu4^2 from the first two, and
-    `m5_cocycle` closes h3 mu4 + (1/c) mu7 from all three (`_close_m5`).
-    d mu4 is the 34,816-pair closure check that `m2brane` also makes,
-    through `adjoin_generator`."""
-    alg = _mink(11).algebra
-    mu4 = _mu(11, 2)
-    return {"d_mu7": apply_d(alg, _mu(11, 5)), "mu4_sq": mu4 * mu4,
-            "d_mu4": apply_d(alg, mu4)}
-
-
-@lru_cache(maxsize=None)
 def verify_m5_relation() -> Report:
     """Fully symbolic check that d mu7 is a single rational multiple of
     mu4 wedge mu4 in d=11, cross-checked against the sparse tensor path.
-    d mu7 and mu4^2 are the cached `_m5_parts`, which `m5_cocycle` reuses."""
+    d mu7 and mu4^2 stay packed kernel results, decided on their arrays,
+    and are freed once c is known: the report, cached, keeps only c, which
+    `m5_cocycle` reads (`measured_c`)."""
     cat = _mink(11)
     # the tensor path first, so that its short-lived arrays are freed
     # before d mu7 and mu4^2 are built rather than placed among them
     fast = quartic_fierz_check(cat.rep, "mu7-relation")
-    parts = _m5_parts()
-    d_mu7, mu4_sq = parts["d_mu7"], parts["mu4_sq"]
+    mu4 = _mu(11, 2)
+    d_mu7 = apply_d(cat.algebra, _mu(11, 5))
+    mu4_sq = mu4 * mu4
     c = proportionality_constant(d_mu7, mu4_sq)
     c_fast = Fraction(fast.pinned["c"]) if fast.pinned.get("c") else None
     agree = fast.ok and c_fast == c
@@ -284,7 +275,7 @@ def m2brane() -> CatalogAlgebra:
     """Adjoin h3 with d h3 = -mu4: the homotopy fiber of the membrane
     cocycle.  `adjoin_generator` checks d mu4 = 0 and transports every
     d-image of superMink(11), so the inclusion of superMink(11) is a chain
-    map, which `m5_cocycle` relies on (and checks)."""
+    map, which `m5_cocycle` relies on (`_close_m5`)."""
     cat = _mink(11)
     alg = adjoin_generator(cat.algebra, GeneratorDecl("h3", (), 3, EVEN),
                            _mu(11, 2), lam=-1)
@@ -295,79 +286,41 @@ def m2brane() -> CatalogAlgebra:
 def m5_cocycle() -> tuple[Element, Report]:
     """The closed degree-7 element h3 mu4 + (1/c) mu7 of the membrane
     algebra, with c from `verify_m5_relation`.  Its d is decided by the
-    graded Leibniz rule over h3 from the relation's own parts (`_close_m5`);
-    the report's `stats` name the path that decided it."""
+    graded Leibniz rule over h3 from the relation's constant (`_close_m5`);
+    a failing report carries the residual, a multiple of mu4^2."""
     c = measured_c()
-    chi, res, stats = _close_m5(m2brane().algebra, 1 / c)
+    chi, res = _close_m5(1 / c)
     rep = Report(
         "m5.cocycle",
         "pass" if not res else "fail",
         details=f"d(h3 mu4 + (1/c) mu7) with c = {c}",
         residual=res if res else None,
-        stats={"cocycle_terms": len(chi), **stats},
+        stats={"cocycle_terms": len(chi)},
         pinned={"c": f"{c.numerator}/{c.denominator}",
                 "cocycle_terms": len(chi)},
     )
     return chi, rep
 
 
-def _close_m5(alg: SemifreeDGCA, k: Fraction) -> tuple[Element, Element,
-                                                       dict]:
-    """chi = h3 mu4 + k mu7 on `alg`, superMink(11) with h3 adjoined, its
-    d, and stats naming the path that decided it.
+def _close_m5(k: Fraction) -> tuple[Element, Element]:
+    """chi = h3 mu4 + k mu7 on `m2brane()`, and its d.
 
-    Where d h3 = lam iota(mu4), iota the inclusion of superMink(11), and
-    iota is a chain map (`_h3_over_mu4`), the graded Leibniz rule over h3,
-    of odd degree, gives
+    `adjoin_generator` built that algebra: it checked d mu4 = 0 and kept
+    every d-image of superMink(11), so the inclusion iota of superMink(11)
+    is a chain map, and d h3 = lam iota(mu4).  With d mu7 = c mu4^2, which
+    `verify_m5_relation` decided, the graded Leibniz rule over h3, of odd
+    degree, gives
 
         d chi = lam iota(mu4^2) - h3 iota(d mu4) + k iota(d mu7)
+              = (lam + k c) iota(mu4^2),
 
-    from `_m5_parts`.  iota is injective, so d chi = 0 exactly when
-    d mu4 = 0 and d mu7 = -(lam / k) mu4^2, which `batched.proportional`
-    decides on the packed arrays.  When the arrays do not show it, d chi is
-    summed from the parts' terms, exactly; when lam is not found, d chi is
-    `apply_d` of chi."""
+    which is formed only when the scalar is not 0."""
+    alg = m2brane().algebra
     sig = alg.sig
-    h3 = Element.generator(sig, "h3")
     mu4 = transport(_mu(11, 2), sig)
-    chi = h3 * mu4 + k * transport(_mu(11, 5), sig)
-    lam = _h3_over_mu4(alg, mu4)
-    if lam is None:
-        return chi, apply_d(alg, chi), {"path": "direct"}
-    parts = _m5_parts()
-    stats = {"path": "leibniz over h3",
-             **{f"{name}_terms": len(part) for name, part in parts.items()}}
-    d_mu7, mu4_sq, d_mu4 = parts["d_mu7"], parts["mu4_sq"], parts["d_mu4"]
-    c = (batched.proportional(d_mu7.packed, mu4_sq.packed)
-         if d_mu7.packed is not None and mu4_sq.packed is not None else None)
-    if not d_mu4 and c is not None and lam + k * c == 0:
-        return chi, Element.zero(sig), stats
-
-    def terms(part):  # decoded apart from the cached part, which stays packed
-        return (part if part.packed is None
-                else Element.from_packed(part.sig, part.packed))
-
-    res = (transport(linear_combine([(lam, terms(mu4_sq)),
-                                     (k, terms(d_mu7))]), sig)
-           - h3 * transport(terms(d_mu4), sig))
-    return chi, res, stats
-
-
-def _h3_over_mu4(alg: SemifreeDGCA, mu4: Element) -> Fraction | None:
-    """lam with d h3 = lam mu4 on `alg` (`mu4` is mu4 in alg), if alg is
-    superMink(11) with h3 of bidegree (3, even) adjoined and every d-image
-    of superMink(11) transported unchanged, so that its inclusion is a
-    chain map; else None."""
-    mink = _mink(11).algebra
-    h3 = GeneratorDecl("h3", (), 3, EVEN)
-    if (alg.sig != make_signature(mink.sig.decls + (h3,))
-            or any(alg.d_of(n) != transport(mink.d_of(n), alg.sig)
-                   for n in mink.sig.names)):
-        return None
-    try:
-        return proportionality_constant(alg.d_of("h3"), mu4)
-    except NotProportional:
-        return None
+    chi = Element.generator(sig, "h3") * mu4 + k * transport(_mu(11, 5), sig)
+    s = proportionality_constant(alg.d_of("h3"), mu4) + k * measured_c()
+    return chi, (s * (mu4 * mu4) if s else Element.zero(sig))
 
 
 # -- the resolved algebra and its homotopy equivalence -----------------------

@@ -223,39 +223,6 @@ def monomial_mul(m1: Monomial, m2: Monomial, sig: AlgebraSignature):
     return (1 if sign == 0 else -1), tuple(out)
 
 
-def sort_sign(pairs: Sequence[tuple[int, int]], sig: AlgebraSignature):
-    """Canonicalize an arbitrarily ordered list of (gen id, exponent) pairs.
-
-    Returns (sign, monomial) or None if a square-zero generator ends up with
-    exponent >= 2.  The sign is the Koszul sign of the sorting permutation,
-    counted transposition by transposition.
-    """
-    odd = sig.odd_bits
-    par = sig.parities
-    sign = 0
-    items = [(g, e) for g, e in pairs if e != 0]
-    for g, e in items:
-        if e < 0:
-            raise GradedError("negative exponent")
-    n = len(items)
-    for a in range(n):
-        ga, ea = items[a]
-        ua = odd[ga] & ea & 1
-        va = par[ga] & ea & 1
-        for b in range(a + 1, n):
-            gb, eb = items[b]
-            if ga > gb:
-                sign ^= (ua & odd[gb] & eb & 1) ^ (va & par[gb] & eb & 1)
-    merged: dict[int, int] = {}
-    for g, e in items:
-        merged[g] = merged.get(g, 0) + e
-    for g, e in merged.items():
-        if e >= 2 and sig.sqz[g]:
-            return None
-    mono = tuple(sorted(merged.items()))
-    return (1 if sign == 0 else -1), mono
-
-
 class Element:
     """An exact linear combination of canonical monomials in a fixed signature.
 
@@ -297,16 +264,26 @@ class Element:
 
     @staticmethod
     def from_terms(sig: AlgebraSignature, terms) -> "Element":
-        """Build from [(coeff, [(name, exp), ...]), ...] with normalization."""
+        """Build from [(coeff, [(name, exp), ...]), ...] with normalization:
+        each word is folded, factor by factor, through `monomial_mul`, whose
+        Koszul sign is the sign of sorting it; zero exponents are skipped,
+        and a word that repeats a square-zero generator gives no term."""
         def signed():
             for coeff, pairs in terms:
                 coeff = Fraction(coeff)
                 if not coeff:
                     continue
-                res = sort_sign([(sig.gen_id(n), e) for n, e in pairs], sig)
-                if res is not None:
-                    s, mono = res
-                    yield mono, (coeff if s > 0 else -coeff)
+                sign, mono = 1, ONE_MONOMIAL
+                for n, e in pairs:
+                    g = sig.gen_id(n)
+                    if e < 0:
+                        raise GradedError("negative exponent")
+                    if e and mono is not None:
+                        s, mono = (monomial_mul(mono, ((g, e),), sig)
+                                   or (1, None))
+                        sign *= s
+                if mono is not None:
+                    yield mono, (coeff if sign > 0 else -coeff)
 
         return Element(sig, _accumulate({}, signed()))
 

@@ -20,7 +20,7 @@ from .clifford import build_clifford, check_clifford, quartic_fierz_check
 from .conventions import ENGINE_VERSION, LEDGER_HASH, MEASURED_C
 from .dgca import ChainMapViolation, Report, apply_d, check_d_squared
 from .graded import Element, GradedError
-from .linalg import cohomology_dims, count_monomials
+from .linalg import DEFAULT_CAP, cohomology_dims, count_monomials
 from .rational_homotopy import (
     flat_form_check,
     forms_fiber_check,
@@ -94,7 +94,8 @@ def _task_clifford(cfg: TaskConfig) -> Report:
 
 def _task_s4_cohomology(cfg: TaskConfig) -> Report:
     max_degree = int(cfg.param("max_degree", 12))
-    dims = cohomology_dims(sphere_model(4).algebra, max_degree)
+    dims = cohomology_dims(sphere_model(4).algebra, max_degree,
+                           int(cfg.param("cap", DEFAULT_CAP)))
     expected = [1 if k in (0, 4) else 0 for k in range(max_degree + 1)]
     ok = dims == expected
     return Report(

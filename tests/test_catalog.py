@@ -32,7 +32,6 @@ from cealg import (
     identity_morphism,
     m2brane,
     m5_cocycle,
-    make_dgca,
     make_morphism,
     make_signature,
     measured_c,
@@ -193,14 +192,14 @@ def perturbed(p, i):
 def test_packed_proportionality_matches_dict_path(data):
     """The decision on the arrays against the dict path: x (y z) against
     ((c x) y) z, kernel products whose layouts (columns in use and their
-    maxima) differ, swapped, with one coefficient perturbed, a key missing
-    on either side or on both, zero sides and a second signature.  A pass
-    on two nonzero packed sides decodes neither, unless the int64 guard
-    trips.  The same keys in another row order are still decided on the
-    arrays: rows shuffled, and rhs computed again with `_HASH_MUL` = 0,
-    whose merges take the collision fallback where keys span several
-    words.  One layout and equal key arrays are compared as they are, with
-    no `_Context.repack`."""
+    maxima) may differ, swapped, with one coefficient perturbed, a key
+    missing on either side or on both, zero sides and a second signature.
+    A pass on two nonzero packed sides decodes neither exactly when they
+    share one layout and equal key arrays and the int64 guard does not
+    trip.  The same keys in another row order (rows shuffled, or rhs
+    computed again with `_HASH_MUL` = 0, whose merges take the collision
+    fallback where keys span several words) are not decided on the arrays;
+    the terms still give c."""
     sig = data.draw(random_signature(max_gens=12))
     x, y, z = (data.draw(random_terms(sig, max_terms=6)) for _ in range(3))
     c = data.draw(st.fractions(min_value=-5, max_value=5,
@@ -219,25 +218,26 @@ def test_packed_proportionality_matches_dict_path(data):
         left = Element.from_packed(sig, lhs)
         right = Element.from_packed(sig, rhs)
         assert proportionality_constant(left, right) == 1 / c
-        # only the int64 guard sends a proportional pair to the dict path
+        # a proportional pair goes to the dict path when the sides differ
+        # in layout or key arrays, or the int64 guard trips
         guarded = (int(np.abs(lhs.nums).max())
                    * int(np.abs(rhs.nums).max()) >= 2 ** 63)
-        assert (left.packed is lhs and right.packed is rhs) != guarded
+
+        def arrays_decide(other):
+            return (not guarded and lhs.ctx.same_layout(other.ctx)
+                    and np.array_equal(lhs.keys, other.keys))
+
+        assert (left.packed is lhs and right.packed is rhs) == (
+            arrays_decide(rhs))
         assert packed_against_dict_path(sig, rhs, sig, lhs) == c
         shuffled = rows(rhs, np.array(data.draw(st.permutations(range(n)))))
         for other in (collided, shuffled):
             assert batched.proportional(lhs, other) == (
-                None if guarded else 1 / c)
+                1 / c if arrays_decide(other) else None)
             assert packed_against_dict_path(sig, lhs, sig, other) == 1 / c
-        repacks = []
-        with pytest.MonkeyPatch.context() as mp:
-            repack = batched._Context.repack
-            mp.setattr(batched._Context, "repack",
-                       lambda *a: repacks.append(1) or repack(*a))
-            half = batched.Packed(rhs.keys, rhs.nums, 2 * rhs.den, rhs.ctx)
-            assert batched.proportional(rhs, half) == (
-                None if int(np.abs(rhs.nums).max()) ** 2 >= 2 ** 63 else 2)
-        assert repacks == []
+        half = batched.Packed(rhs.keys, rhs.nums, 2 * rhs.den, rhs.ctx)
+        assert batched.proportional(rhs, half) == (
+            None if int(np.abs(rhs.nums).max()) ** 2 >= 2 ** 63 else 2)
         i, j = (data.draw(st.integers(min_value=0, max_value=n - 1))
                 for _ in range(2))
         others = np.arange(n) != i
@@ -291,8 +291,8 @@ def test_packed_proportionality_same_keys_in_another_order(monkeypatch):
     """Keys of two words: t1 t2 in the merges' hash order against
     (2 t1) t2 computed with `_HASH_MUL` = 0, whose merges find colliding
     hashes and sort the full keys instead.  The sides share a layout and a
-    key set in different row orders; the arrays still decide c = 1/2,
-    through the sorted union, as the dict path does."""
+    key set in different row orders, so the arrays decide nothing, and the
+    terms give c = 1/2."""
     sig = make_signature(GeneratorDecl("x", (i,), i % 5, i % 2)
                          for i in range(80))
     rng = random.Random(7)
@@ -312,7 +312,7 @@ def test_packed_proportionality_same_keys_in_another_order(monkeypatch):
                                              t2)])
     assert sorts and lhs.ctx.words == 2 and lhs.ctx.same_layout(rhs.ctx)
     assert not np.array_equal(lhs.keys, rhs.keys)
-    assert batched.proportional(lhs, rhs) == Fraction(1, 2)
+    assert batched.proportional(lhs, rhs) is None
     assert packed_against_dict_path(sig, lhs, sig, rhs) == Fraction(1, 2)
 
 
@@ -321,7 +321,7 @@ import numpy as np
 
 from cealg import batched, catalog
 
-calls = {"decode": 0, "lexsort": 0, "repack": 0}
+calls = {"decode": 0, "lexsort": 0}
 
 
 def counted(name, real):
@@ -332,7 +332,6 @@ def counted(name, real):
 
 
 batched._Context.decode = counted("decode", batched._Context.decode)
-batched._Context.repack = counted("repack", batched._Context.repack)
 np.lexsort = counted("lexsort", np.lexsort)
 rep = catalog.verify_m5_relation()
 chi, cocycle = catalog.m5_cocycle()
@@ -344,14 +343,14 @@ def test_passing_m5_run_decodes_no_kernel_result():
     """verify_m5_relation() and m5_cocycle() pass without decoding a kernel
     result and without sorting one by key (no `np.lexsort` call anywhere):
     d mu7 = 15 mu4**2 is decided on the arrays as the kernel left them,
-    with no `_Context.repack`, since both sides share one layout and one
-    row order, and every other kernel result is only tested for zero.  Run
+    since both sides share one layout and one row order, and every other
+    kernel result is only tested for zero.  Run
     in a fresh interpreter, so that no cached construction hides a call."""
     proc = subprocess.run([sys.executable, "-c", M5_DECODE_SCRIPT],
                           env=_package_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split() == ["pass", "15/1", "pass", "0", "0", "0"]
+    assert proc.stdout.split() == ["pass", "15/1", "pass", "0", "0"]
 
 
 M5_MEMORY_SCRIPT = """
@@ -424,8 +423,9 @@ def test_m5_run_computes_each_large_product_once():
     """verify_m5_relation() then m5_cocycle() make exactly two kernel core
     calls of at least 500,000 term pairs, both in the relation: d mu7
     (741,888 Leibniz pairs) and mu4**2 (912**2 pairs).  m5_cocycle makes
-    none: it closes h3 mu4 + mu7/15 from those two results by the Leibniz
-    rule over h3, where d of the cocycle took 1.6 M pairs of its own.  Run
+    none: it closes h3 mu4 + mu7/15 from the relation's constant by the
+    Leibniz rule over h3, where d of the cocycle took 1.6 M pairs of its
+    own.  Run
     in a fresh interpreter, so that no cached construction hides a call."""
     proc = subprocess.run([sys.executable, "-c", M5_CORE_CALLS_SCRIPT],
                           env=_package_env(), capture_output=True, text=True,
@@ -455,18 +455,19 @@ print(rep.verdict, len(chi), peak)
 
 def test_m5_cocycle_memory_after_the_relation():
     """m5_cocycle() after verify_m5_relation() keeps the tracemalloc peak,
-    traced from the interpreter's start (so the relation's cached parts
-    count), at most 22.01 MiB: 20.01 MiB measured (numpy 2.4.6), plus
-    10 %.  The direct d of the 8,752-term cocycle, a 1.6 M-pair Leibniz
-    call, peaked at 36.30 MiB.  Run in a fresh interpreter, so that the
-    figure repeats exactly."""
+    traced from the interpreter's start (so whatever the relation leaves
+    cached counts), at most 9.19 MiB: 8.36 MiB measured (numpy 2.4.6),
+    plus 10 %.  Keeping d mu7, mu4**2 and d mu4 cached for the cocycle
+    peaked at 20.01 MiB, and the direct d of the 8,752-term cocycle, a
+    1.6 M-pair Leibniz call, at 36.30 MiB.  Run in a fresh interpreter, so
+    that the figure repeats exactly."""
     proc = subprocess.run([sys.executable, "-c", M5_COCYCLE_MEMORY_SCRIPT],
                           env=_package_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     verdict, terms, peak = proc.stdout.split()
     assert (verdict, terms) == ("pass", "8752")
-    assert int(peak) <= 22.01 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
+    assert int(peak) <= 9.19 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
 
 
 def test_m2brane_extension():
@@ -495,7 +496,7 @@ def test_m5_cocycle_closed_and_wrong_normalization_fails():
     """chi is closed by the Leibniz rule over h3 and by the direct d; for
     h3 mu4 + (2/c) mu7 both give the same residual, term for term."""
     chi, rep = m5_cocycle()
-    assert rep.ok and rep.stats["path"] == "leibniz over h3"
+    assert rep.ok
     m2 = m2brane()
     assert apply_d(m2.algebra, chi).is_zero()
     sig = m2.algebra.sig
@@ -508,42 +509,65 @@ def test_m5_cocycle_closed_and_wrong_normalization_fails():
     assert not res.is_zero()
     # the leftover is exactly mu4^2
     assert res == mu4 * mu4
-    # the product rule builds it from the relation's parts
-    same, leibniz, stats = catalog._close_m5(m2.algebra, 2 / c)
+    # the product rule gives it from the relation's constant
+    same, leibniz = catalog._close_m5(2 / c)
     assert same == bad and leibniz == res
-    assert stats["path"] == "leibniz over h3"
     # and d(h3 mu4) alone is -mu4^2
     assert apply_d(m2.algebra, h3 * mu4) == -(mu4 * mu4)
-    # the residual was read without decoding the cached parts
-    assert all(part.packed is not None
-               for part in catalog._m5_parts().values())
 
 
-def test_m5_cocycle_product_rule_falls_back_to_the_terms(monkeypatch):
+M5_TERMS_SCRIPT = """
+from cealg import batched, catalog
+
+batched.proportional = lambda lhs, rhs: None
+rep = catalog.verify_m5_relation()
+chi, cocycle = catalog.m5_cocycle()
+print(rep.verdict, rep.pinned["c"], cocycle.verdict, len(chi))
+"""
+
+
+def test_m5_cocycle_product_rule_falls_back_to_the_terms():
     """When the arrays do not show d mu7 = 15 mu4**2 (as when
-    `batched.proportional` meets its int64 guard), d chi is summed from
-    the parts' terms, and is 0 all the same."""
-    monkeypatch.setattr(batched, "proportional", lambda lhs, rhs: None)
-    _, res, stats = catalog._close_m5(m2brane().algebra, 1 / measured_c())
-    assert res.is_zero() and stats["path"] == "leibniz over h3"
+    `batched.proportional` meets its int64 guard), the relation compares
+    the terms, and the relation and the cocycle pass all the same.  Run in
+    a fresh interpreter, so that no cached verdict hides the comparison."""
+    proc = subprocess.run([sys.executable, "-c", M5_TERMS_SCRIPT],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["pass", "15/1", "pass", "8752"]
 
 
-def test_m5_cocycle_direct_when_h3_is_not_over_mu4():
-    """On an extension with d h3 = -mu4 + d(e^0 e^1 e^2), which is not a
-    multiple of mu4, d chi is the direct d, and it is the product rule's
-    d(e^0 e^1 e^2) mu4, computed here on its own."""
-    mink = _mink(11).algebra
-    m2 = m2brane().algebra
-    sig = m2.sig
-    exact = apply_d(mink, Element.from_terms(
-        mink.sig, [(1, [("e^0", 1), ("e^1", 1), ("e^2", 1)])]))
-    images = {n: m2.d_of(n) for n in sig.names}
-    images["h3"] = images["h3"] + transport(exact, sig)
-    ext = make_dgca(sig, images)
-    chi, res, stats = catalog._close_m5(ext, 1 / measured_c())
-    assert stats == {"path": "direct"}
-    mu4 = transport(_mu(11, 2), sig)
-    assert not res.is_zero() and res == transport(exact, sig) * mu4
+M5_LEIBNIZ_INPUTS_SCRIPT = """
+from cealg import batched, catalog
+
+inputs = []
+leibniz = batched.leibniz
+
+
+def spy(sig, d_images, terms):
+    inputs.extend(len(t) for t in terms)
+    return leibniz(sig, d_images, terms)
+
+
+batched.leibniz = spy
+rep = catalog.verify_m5_relation()
+chi, cocycle = catalog.m5_cocycle()
+print(rep.verdict, cocycle.verdict, *inputs)
+"""
+
+
+def test_m5_run_takes_d_mu4_once():
+    """A passing verify_m5_relation() then m5_cocycle() takes exactly two
+    d's: d mu7 (7,840 terms in) for the relation, and d mu4 (912 terms in)
+    for `m2brane`'s closure check.  The cocycle's d is read from the
+    relation's constant, and d mu4 is not taken a second time.  Run in a
+    fresh interpreter, so that no cached construction hides a call."""
+    proc = subprocess.run([sys.executable, "-c", M5_LEIBNIZ_INPUTS_SCRIPT],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["pass", "pass", "7840", "912"]
 
 
 def test_resolution_round_trip_and_homotopy():

@@ -115,6 +115,9 @@ def test_cli_main_inprocess(tmp_path, capsys):
 
     assert main(["--task", "s4.cohomology", "--check-golden",
                  "--out", str(tmp_path)]) == 0
+    # --cap reaches s4.cohomology's bases, and every one of them (g4^a
+    # g7^b, b <= 1) has at most one monomial, so cap 1 bounds nothing
+    assert main(["--task", "s4.cohomology", "--cap", "1", "--no-write"]) == 0
 
 
 @pytest.mark.parametrize("args, message", [
@@ -125,6 +128,7 @@ def test_cli_main_inprocess(tmp_path, capsys):
      "the fiber check needs at least one sample"),
     (["--task", "s4.cohomology", "--max-degree", "-3"],
      "max_degree must be nonnegative"),
+    (["--task", "s4.cohomology", "--cap", "0"], "cap must be positive"),
 ])
 def test_cli_rejects_a_vacuous_parameter(args, message, capsys):
     """A parameter that would leave nothing to check fails with GradedError

@@ -28,7 +28,6 @@ from cealg.graded import (
     ODD,
     _accumulate,
     _products,
-    sort_sign,
     sum_of_products,
 )
 
@@ -88,6 +87,16 @@ def test_odd_parity_degree_one_generator_squares():
 
 def test_square_zero_generator_collapses():
     assert normalize(SIG, [("h3", 1), ("h3", 1)]).is_zero()
+
+
+def test_normalize_skips_zero_and_rejects_negative_exponents():
+    # a zero exponent is no factor, even of a square-zero generator, and
+    # a negative one raises wherever it stands in the word
+    assert normalize(SIG, [("h3", 0), ("e^1", 1), ("h3", 1), ("e^0", 0)]) \
+        == Element.generator(SIG, "e^1") * Element.generator(SIG, "h3")
+    for word in ([("e^1", -1)], [("h3", 1), ("h3", 1), ("g4", -2)]):
+        with pytest.raises(cealg.GradedError, match="negative exponent"):
+            normalize(SIG, word)
 
 
 def test_g4_squares_nonzero():
@@ -168,20 +177,18 @@ def random_word(draw):
 
 @given(random_word())
 @settings(max_examples=300, deadline=None)
-def test_sort_sign_matches_bubble_oracle(word):
-    pairs = [(g, 1) for g in word]
-    res = sort_sign(pairs, SIG)
+def test_normalize_matches_bubble_oracle(word):
+    el = normalize(SIG, [(SIG.names[g], 1) for g in word])
     sign, seq = bubble_sort_sign(word, SIG)
-    # squares of square-zero generators must collapse to None
+    # squares of square-zero generators must collapse to zero
     has_sq = any(
         SIG.sqz[g] and seq.count(g) >= 2 for g in set(seq)
     )
     if has_sq:
-        assert res is None
+        assert el.is_zero()
     else:
-        assert res is not None
-        got_sign, mono = res
-        assert got_sign == sign
+        ((mono, coeff),) = el.terms.items()
+        assert coeff == sign
         flat = [g for g, e in mono for _ in range(e)]
         assert flat == seq
 
