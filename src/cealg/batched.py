@@ -58,7 +58,11 @@ pair of terms (a, b):
 
 A Leibniz hole at g is not packed again but derived from its term's words
 and g's (`_hole_rows`): the key minus g's unit field, and each mask XOR
-g's bit, since g^k -> g^(k-1) flips the low bit of k.
+g's bit, since g^k -> g^(k-1) flips the low bit of k.  The holes' sign
+words are XORed, scanned (`_suffix_parity` works in place) and read
+where they lie: scanning them into a second copy set the traced peak of
+the 365,978-term Leibniz call of `family` (alpha = beta = 1), 448.8 MiB
+against 371.1 MiB now.
 
 A call of several inputs adds a tag field to the packed key, after the
 generators' fields: a left row carries its input's index there and a right
@@ -71,20 +75,38 @@ d(g4 - mu4) would widen its 149,856 pairs from 3 key words to 5.
 
 Pairs are formed in steps, in left-row order (input-major, then
 term-major and slot-minor for Leibniz), and merged into a running
-accumulator that drops zero sums.  A merge sorts once, by an argsort of a
-uint64 hash of each key's words: equal keys are then runs of equal hashes,
-unless two different keys share a hash (then it lexsorts the full keys).
-Run starts are found one key word at a time and summed by
-`np.add.reduceat`; while a merge runs, only the concatenation of the
-merged entries and the waiting batches is alive.  Key rows are moved
-with `np.take(..., axis=0)`: numpy's 2-D fancy indexing (`keys[idx]`)
-copies rows this narrow element by element, several times slower, with
-the same result.
+accumulator that drops zero sums.  A merge sorts once, by an argsort of
+one uint64 word per key, `_hash`: its words XORed in and multiplied by an
+odd constant in turn, so that a one-word key's hash is a bijection of it.
+Equal keys are then runs of equal hashes, unless two different keys share
+a hash; the merge then lexsorts its rows by hash, then by key.  Either way
+a merge lists its keys in (hash, key) order, which depends on the key set
+alone.  Run starts are found one key word at a time and summed by
+`np.add.reduceat`.  Key rows are moved with `np.take(..., axis=0)`:
+numpy's 2-D fancy indexing (`keys[idx]`) copies rows this narrow element
+by element, several times slower, with the same result.
+
+A merge holds the concatenation of the merged entries and the waiting
+batches, then a sorted copy of it.  A call of at least `PARTITION_PAIRS`
+= 2**19 pairs therefore splits its accumulator into `BUCKETS` = 32
+buckets (`_buckets`), by the top 5 bits of each row's hash: each step's
+rows are split by one radix argsort of their uint8 bucket numbers and one
+`np.take`, and each bucket keeps its own merged entries and waiting views
+and merges alone.  Only one bucket's concatenation, argsort and sorted
+copy are alive at a time, a 32nd of the whole, and they sort and move
+rows in cache.  The multiply in `_hash` spreads every key bit into the top
+bits, and a row's bucket depends on its hash alone, so the buckets in turn
+list the keys in (hash, key) order, as one bucket would.  Measured on a
+2-vCPU Xeon (numpy 2.4.6): the traced peak of d mu7 (741,888 pairs) falls
+from 24.05 to 14.84 MiB, and the 31.7 M-pair Leibniz call of `family`
+(alpha = 1) from 12.2 to 7.8 s.  Smaller calls keep one bucket and no
+partition pass: the pass cost the 149,856-pair d(g4 - mu4) 26 -> 39 ms,
+and poincare-forms makes many such calls.
 
 The result of a call of one input stays packed (`Packed`: distinct keys
-in the order of the last merge, numerators, denominator and layout), and
-the front-ends return it.  It is decoded to canonical `(monomial,
-Fraction)` entries (`_Context.decode`), with one shared tuple per
+in (hash, key) order, numerators, denominator and layout), and the
+front-ends return it.  It is decoded to canonical `(monomial, Fraction)`
+entries (`_Context.decode`), with one shared tuple per
 (generator, exponent) and one `Fraction` per distinct coefficient, only
 when an `Element`'s terms are first read; a zero test reads the row
 count, and `proportional` decides lhs = c * rhs on the arrays of two
@@ -94,18 +116,17 @@ returns, in one pass, into one dict per input (`Packed.split`): every
 shared call that has rows is read in full by its callers, so deferring
 its decoding saved nothing.  Key order is paid for only where it is
 read: `Packed.decode` and `Packed.split` sort the rows by key (one lexsort
-each), so every decoded dict lists its terms in key order.  A last merge
-orders its rows by a hash of their keys, so equal key sets in one layout
-come out in one order unless only one side's last merge met a hash
-collision: `proportional` compares d mu7 and mu4^2 row by row as they
-are, with no sort, and answers None for sides whose keys differ in layout
-or row order.
+each), so every decoded dict lists its terms in key order.  Equal key
+sets in one layout come out as equal key arrays, whatever steps, buckets
+and cancellations their calls took: `proportional` compares d mu7 and
+mu4^2 row by row as they are, with no sort, and answers None for sides
+whose keys differ in layout or row order.
 
 A call of P pairs takes steps of P / 32 pairs clamped to [2**11, 2**17]
-(`_step`), and its accumulator lets two steps wait before a merge, so a
-small call stays small: the 149,856-pair d(g4 - mu4) on super-Poincare
-peaks at about 3 MiB of traced memory, where 2**17-pair steps take
-14.2 MiB at about the same speed.
+(`_step`), and a bucket merges once its waiting rows reach its merged
+rows and 2 steps / buckets, so a small call stays small: the
+149,856-pair d(g4 - mu4) on super-Poincare peaks at about 3 MiB of traced
+memory, where 2**17-pair steps take 14.2 MiB at about the same speed.
 
 The core returns None when a guard trips, and the caller then takes the
 exact dict path:
@@ -148,6 +169,10 @@ ALONE_PAIRS = 20_000
 STEPS = 32
 STEP_MIN = 1 << 11
 STEP_MAX = 1 << 17
+#: A call of at least PARTITION_PAIRS pairs accumulates in BUCKETS buckets
+#: (see `_buckets` and the module docstring).
+PARTITION_PAIRS = 1 << 19
+BUCKETS = 32
 #: Rows per decoding block.
 ROWS = 1 << 13
 _LIMIT = 1 << 62
@@ -229,12 +254,16 @@ def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
     h.keys -= np.take(g.keys, block, axis=0)
     h.occ = np.take(term.occ, rows, axis=1)
     h.occ ^= np.take(g.occ, block, axis=1)
-    sign = np.take(term.sign, rows, axis=1)
-    sign ^= np.take(g.sign, block, axis=1)
-    flip = np.bitwise_xor.reduce(np.split(sign, 2)[0])
-    h.sign = np.concatenate([_suffix_parity(s) for s in np.split(sign, 2)])
-    del sign
-    flip ^= np.bitwise_xor.reduce(h.sign & np.take(g.sign, block, axis=1))
+    # the sign words are XORed, scanned and read in place, one word of g
+    # gathered at a time, so that no second copy of them is alive
+    h.sign = np.take(term.sign, rows, axis=1)
+    for w, gw in zip(h.sign, g.sign):
+        w ^= gw[block]
+    flip = np.bitwise_xor.reduce(np.split(h.sign, 2)[0])
+    for kind in np.split(h.sign, 2):
+        _suffix_parity(kind)
+    for w, gw in zip(h.sign, g.sign):
+        flip ^= w & gw[block]
     flip = (np.bitwise_count(flip) & 1).astype(np.int64)
     h.nums = x.nums[rows] * e[rows, cs[block]] * (1 - 2 * flip)
     return h, x.maxnum * int(e.max(initial=0)), block
@@ -279,8 +308,9 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     ends = np.cumsum(sizes[block])
     shift = np.cumsum(sizes)[block] - ends
     del block
-    step = _step(int(ends.max(initial=0)))
-    acc = _Accumulator(ctx.words, step)
+    pairs = int(ends.max(initial=0))
+    step = _step(pairs)
+    acc = _Accumulator(ctx.words, step, _buckets(pairs))
     for keys, vals in _pairs(a, b, ends, shift, step):
         acc.add(keys, vals)
     del a, b, ends, shift
@@ -290,6 +320,11 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
 def _step(pairs: int) -> int:
     """Pairs per vectorised step for a call of `pairs` pairs."""
     return min(STEP_MAX, max(STEP_MIN, pairs // STEPS))
+
+
+def _buckets(pairs: int) -> int:
+    """Accumulator buckets for a call of `pairs` pairs."""
+    return BUCKETS if pairs >= PARTITION_PAIRS else 1
 
 
 def _unique(a: np.ndarray) -> np.ndarray:
@@ -357,18 +392,18 @@ def _bitmask(bits: np.ndarray) -> np.ndarray:
 
 
 def _suffix_parity(words: np.ndarray) -> np.ndarray:
-    """The bit masks of `_bitmask` with each bit replaced by the parity of
-    the set bits strictly to its right in its row: an XOR scan within each
-    word, plus the parity of the later words."""
-    out = words.copy()
+    """The bit masks of `_bitmask`, in place, with each bit replaced by the
+    parity of the set bits strictly to its right in its row: an XOR scan
+    within each word, plus the parity of the later words.  Returns
+    `words`."""
     for s in (1, 2, 4, 8, 16, 32):
-        out ^= out >> np.uint64(s)
+        words ^= words >> np.uint64(s)
     # bit j is now the parity of bits j..63 of its word, so bit 0 is the
     # word's parity; later[w] is that of words w, w + 1, ...
-    later = np.bitwise_xor.accumulate((out & np.uint64(1))[::-1])[::-1]
-    out >>= np.uint64(1)
-    out[:-1] ^= later[1:] * ~np.uint64(0)
-    return out
+    later = np.bitwise_xor.accumulate((words & np.uint64(1))[::-1])[::-1]
+    words >>= np.uint64(1)
+    words[:-1] ^= later[1:] * ~np.uint64(0)
+    return words
 
 
 class _Operand:
@@ -492,8 +527,8 @@ class _Context:
 
 
 class Packed:
-    """A kernel result kept as arrays: packed keys, distinct and in the
-    order of the accumulator's last merge, their nonzero int64 numerators
+    """A kernel result kept as arrays: packed keys, distinct and in (hash,
+    key) order (`_Accumulator.result`), their nonzero int64 numerators
     over the denominator `den`, and the layout `ctx` the keys are packed
     in.  `decode` and `split` turn it into canonical dict entries in key
     order, the one place that order is paid for; `graded.Element.from_packed`
@@ -597,12 +632,14 @@ def _pairs(a: _Operand, b: _Operand, ends: np.ndarray, shift: np.ndarray,
 
 
 def _hash(keys: np.ndarray) -> np.ndarray:
-    """One uint64 word per row of packed keys: the key itself, or a hash of
-    its words."""
-    hashed = keys[:, 0].copy()
+    """One uint64 word per row of packed keys: its words, each XORed into
+    the running word and multiplied by `_HASH_MUL`.  For one word that is
+    a bijection, so its keys never collide; the multiply carries every
+    bit into the top ones, which pick a key's bucket."""
+    hashed = keys[:, 0] * _HASH_MUL
     for w in range(1, keys.shape[1]):
-        hashed *= _HASH_MUL
         hashed ^= keys[:, w]
+        hashed *= _HASH_MUL
     return hashed
 
 
@@ -617,14 +654,17 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return new
 
 
-class _Accumulator:
-    """Merges (packed keys, int64 values) batches, dropping zero sums.
+class _Bucket:
+    """Merged (packed keys, int64 values), distinct keys with nonzero sums
+    in (hash, key) order, and the batches waiting for the next merge.
 
-    Batches wait until they outnumber the merged entries (and at least
-    2 x step), so each entry is re-merged a bounded number of times."""
+    Batches wait until they outnumber the merged entries (and `floor`), so
+    each entry is re-merged a bounded number of times."""
 
-    def __init__(self, words: int, step: int):
-        self.floor = 2 * step
+    __slots__ = ("keys", "vals", "pending", "size", "floor")
+
+    def __init__(self, words: int, floor: int):
+        self.floor = floor
         self.keys = np.zeros((0, words), dtype=np.uint64)
         self.vals = np.zeros(0, dtype=np.int64)
         self.pending: list = []
@@ -634,20 +674,21 @@ class _Accumulator:
         self.pending.append((keys, vals))
         self.size += len(vals)
         if self.size >= max(self.floor, len(self.vals)):
-            self._merge()
+            self.merge()
 
-    def _merge(self):
+    def merge(self):
         keys = np.concatenate([self.keys] + [k for k, _ in self.pending])
         vals = np.concatenate([self.vals] + [v for _, v in self.pending])
         # only the concatenation stays alive while it is sorted
         self.keys = self.vals = None
         self.pending = []
         self.size = 0
-        # one sort, by one uint64 word: the key itself, or a hash of its
-        # words whose order is kept only if no two different keys share a
-        # hash (then equal keys are exactly the runs of equal hashes).  The
-        # hashes are taken again on the sorted rows, one sequential pass,
-        # rather than kept alive through the sort and gathered.
+        # one sort, by one uint64 word, `_hash`.  Unless two different keys
+        # share a hash, equal keys are then exactly the runs of equal
+        # hashes; if some do, a lexsort orders the rows by hash, then by
+        # key, so that the order depends on the keys alone.  The hashes are
+        # taken again on the sorted rows, one sequential pass, rather than
+        # kept alive through the sort and gathered.
         order = np.argsort(_hash(keys))
         keys = np.take(keys, order, axis=0)
         vals = vals[order]
@@ -656,7 +697,7 @@ class _Accumulator:
         new = _run_starts(keys)
         if (np.count_nonzero(hashed[1:] != hashed[:-1])
                 < np.count_nonzero(new[1:])):
-            fix = np.lexsort(keys.T[::-1])
+            fix = np.lexsort((*keys.T[::-1], hashed))
             keys = np.take(keys, fix, axis=0)
             vals = vals[fix]
             new = _run_starts(keys)
@@ -667,11 +708,48 @@ class _Accumulator:
         self.keys = np.take(keys, starts[keep], axis=0)
         self.vals = sums[keep]
 
+
+class _Accumulator:
+    """Merges (packed keys, int64 values) batches, dropping zero sums, in
+    `buckets` buckets, a power of two up to 256, each merging alone.
+
+    A row goes to the bucket numbered by the top bits of its hash, so the
+    buckets in turn list their keys in (hash, key) order, whatever their
+    number.  One bucket takes each batch as it comes; several split it by
+    one stable argsort of its rows' uint8 bucket numbers (a radix sort) and
+    one `np.take`, and each bucket waits on views of its part."""
+
+    def __init__(self, words: int, step: int, buckets: int):
+        floor = max(1, 2 * step // buckets)
+        self.buckets = [_Bucket(words, floor) for _ in range(buckets)]
+        self.shift = np.uint64(64 - buckets.bit_length() + 1)
+
+    def add(self, keys: np.ndarray, vals: np.ndarray):
+        if len(self.buckets) == 1:
+            self.buckets[0].add(keys, vals)
+            return
+        ids = (_hash(keys) >> self.shift).astype(np.uint8)
+        order = np.argsort(ids, kind="stable")
+        ends = np.cumsum(np.bincount(ids, minlength=len(self.buckets)))
+        del ids
+        keys = np.take(keys, order, axis=0)
+        vals = vals[order]
+        del order
+        lo = 0
+        for bucket, hi in zip(self.buckets, ends.tolist()):
+            if hi > lo:
+                bucket.add(keys[lo:hi], vals[lo:hi])
+            lo = hi
+
     def result(self):
-        """The merged (keys, values): distinct keys, nonzero values, in the
-        order of the last merge (by hash, or by key after a collision).
-        Key order is set where it is read, by `Packed.decode` and
+        """The merged (keys, values): distinct keys, nonzero values, in
+        (hash, key) order, whichever batches and buckets they came in.  Key
+        order is set where it is read, by `Packed.decode` and
         `Packed.split`."""
-        if self.pending:
-            self._merge()
-        return self.keys, self.vals
+        for bucket in self.buckets:
+            if bucket.pending:
+                bucket.merge()
+        if len(self.buckets) == 1:
+            return self.buckets[0].keys, self.buckets[0].vals
+        return (np.concatenate([b.keys for b in self.buckets]),
+                np.concatenate([b.vals for b in self.buckets]))

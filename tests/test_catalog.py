@@ -1,18 +1,13 @@
 """Catalog constructions: named algebras, cocycles, extensions, lifts."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cealg
 from cealg import batched, catalog
 from cealg import (
     ChainHomotopy,
@@ -54,7 +49,7 @@ from cealg.catalog import (
     resolution_homotopy_report,
 )
 from cealg.graded import EVEN, GradedError, SignatureMismatch
-from test_dgca import _package_env
+from fresh import fresh_run
 from test_graded import kernel_gate_at_zero, random_signature, random_terms
 
 
@@ -197,9 +192,9 @@ def test_packed_proportionality_matches_dict_path(data):
     A pass on two nonzero packed sides decodes neither exactly when they
     share one layout and equal key arrays and the int64 guard does not
     trip.  The same keys in another row order (rows shuffled, or rhs
-    computed again with `_HASH_MUL` = 0, whose merges take the collision
-    fallback where keys span several words) are not decided on the arrays;
-    the terms still give c."""
+    computed again with `_HASH_MUL` = 0, under which every key hashes to 0
+    and merges take the collision fallback, by key) are not decided on the
+    arrays; the terms still give c."""
     sig = data.draw(random_signature(max_gens=12))
     x, y, z = (data.draw(random_terms(sig, max_terms=6)) for _ in range(3))
     c = data.draw(st.fractions(min_value=-5, max_value=5,
@@ -244,7 +239,11 @@ def test_packed_proportionality_matches_dict_path(data):
         cases = [(lhs, perturbed(rhs, i)), (rows(lhs, others), rhs),
                  (lhs, rows(rhs, others))]
         if i != j:
-            cases.append((rows(lhs, others), rows(rhs, np.arange(n) != j)))
+            # rows of one monomial share an index only in one layout, so
+            # rhs drops the row of lhs's row j
+            monos = [next(iter(rows(rhs, [k]).decode())) for k in range(n)]
+            k = monos.index(next(iter(rows(lhs, [j]).decode())))
+            cases.append((rows(lhs, others), rows(rhs, np.arange(n) != k)))
         for a, b in cases:
             got = packed_against_dict_path(sig, a, sig, b)
             # with one term, a perturbed side is still proportional and a
@@ -289,10 +288,10 @@ def test_packed_proportionality_int64_guard():
 
 def test_packed_proportionality_same_keys_in_another_order(monkeypatch):
     """Keys of two words: t1 t2 in the merges' hash order against
-    (2 t1) t2 computed with `_HASH_MUL` = 0, whose merges find colliding
-    hashes and sort the full keys instead.  The sides share a layout and a
-    key set in different row orders, so the arrays decide nothing, and the
-    terms give c = 1/2."""
+    (2 t1) t2 computed with `_HASH_MUL` = 0, under which every key hashes
+    to 0, so that merges sort the full keys instead.  The sides share a
+    layout and a key set in different row orders, so the arrays decide
+    nothing, and the terms give c = 1/2."""
     sig = make_signature(GeneratorDecl("x", (i,), i % 5, i % 2)
                          for i in range(80))
     rng = random.Random(7)
@@ -346,11 +345,8 @@ def test_passing_m5_run_decodes_no_kernel_result():
     since both sides share one layout and one row order, and every other
     kernel result is only tested for zero.  Run
     in a fresh interpreter, so that no cached construction hides a call."""
-    proc = subprocess.run([sys.executable, "-c", M5_DECODE_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split() == ["pass", "15/1", "pass", "0", "0"]
+    assert fresh_run(M5_DECODE_SCRIPT).split() == [
+        "pass", "15/1", "pass", "0", "0"]
 
 
 M5_MEMORY_SCRIPT = """
@@ -376,18 +372,15 @@ print(c, len(d_mu7), len(mu4_sq), layout, peak)
 
 def test_m5_relation_memory_on_the_arrays():
     """d mu7, mu4**2 and their comparison, as verify_m5_relation() runs
-    them, keep a tracemalloc peak of at most 26.46 MiB: 24.05 MiB measured
-    (numpy 2.4.6), plus 10 %.  Re-sorting both sides into a union layout
-    for the comparison peaked at 25.50 MiB, and decoding both 194,992-term
+    them, keep a tracemalloc peak of at most 16.5 MiB: 14.99 MiB measured
+    (numpy 2.4.6), plus 10 %.  One accumulator per call, not 32 buckets,
+    peaked at 24.05 MiB; re-sorting both sides into a union layout for the
+    comparison had peaked at 25.50 MiB, and decoding both 194,992-term
     results into dicts at 68.4 MiB.  Both sides share one layout.  Run in
     a fresh interpreter, so that the figure repeats exactly."""
-    proc = subprocess.run([sys.executable, "-c", M5_MEMORY_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    c, d_mu7, mu4_sq, layout, peak = proc.stdout.split()
+    c, d_mu7, mu4_sq, layout, peak = fresh_run(M5_MEMORY_SCRIPT).split()
     assert (c, d_mu7, mu4_sq, layout) == ("15", "194992", "194992", "True")
-    assert int(peak) <= 26.46 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
+    assert int(peak) <= 16.5 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
 
 
 M5_CORE_CALLS_SCRIPT = """
@@ -427,11 +420,7 @@ def test_m5_run_computes_each_large_product_once():
     Leibniz rule over h3, where d of the cocycle took 1.6 M pairs of its
     own.  Run
     in a fresh interpreter, so that no cached construction hides a call."""
-    proc = subprocess.run([sys.executable, "-c", M5_CORE_CALLS_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
+    lines = fresh_run(M5_CORE_CALLS_SCRIPT).splitlines()
     assert lines[0] == "pass"
     calls = [(name, int(n)) for name, n in map(str.split, lines[1:])]
     assert [c for c in calls if c[1] >= 500_000] == [
@@ -461,11 +450,7 @@ def test_m5_cocycle_memory_after_the_relation():
     peaked at 20.01 MiB, and the direct d of the 8,752-term cocycle, a
     1.6 M-pair Leibniz call, at 36.30 MiB.  Run in a fresh interpreter, so
     that the figure repeats exactly."""
-    proc = subprocess.run([sys.executable, "-c", M5_COCYCLE_MEMORY_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    verdict, terms, peak = proc.stdout.split()
+    verdict, terms, peak = fresh_run(M5_COCYCLE_MEMORY_SCRIPT).split()
     assert (verdict, terms) == ("pass", "8752")
     assert int(peak) <= 9.19 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
 
@@ -531,11 +516,8 @@ def test_m5_cocycle_product_rule_falls_back_to_the_terms():
     `batched.proportional` meets its int64 guard), the relation compares
     the terms, and the relation and the cocycle pass all the same.  Run in
     a fresh interpreter, so that no cached verdict hides the comparison."""
-    proc = subprocess.run([sys.executable, "-c", M5_TERMS_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split() == ["pass", "15/1", "pass", "8752"]
+    assert fresh_run(M5_TERMS_SCRIPT).split() == [
+        "pass", "15/1", "pass", "8752"]
 
 
 M5_LEIBNIZ_INPUTS_SCRIPT = """
@@ -563,11 +545,8 @@ def test_m5_run_takes_d_mu4_once():
     for `m2brane`'s closure check.  The cocycle's d is read from the
     relation's constant, and d mu4 is not taken a second time.  Run in a
     fresh interpreter, so that no cached construction hides a call."""
-    proc = subprocess.run([sys.executable, "-c", M5_LEIBNIZ_INPUTS_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split() == ["pass", "pass", "7840", "912"]
+    assert fresh_run(M5_LEIBNIZ_INPUTS_SCRIPT).split() == [
+        "pass", "pass", "7840", "912"]
 
 
 def test_resolution_round_trip_and_homotopy():
@@ -745,14 +724,7 @@ def test_catalog_preconditions_raise_under_python_O():
     """A non-canonical e-prefix would build non-canonical monomials and an
     unclosed scan entry with a verdict is inconsistent; both checks must
     survive `python -O`."""
-    src = str(Path(cealg.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", CATALOG_PRECONDITIONS_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    fresh_run(CATALOG_PRECONDITIONS_SCRIPT, "-O")
 
 
 def _pairing_element_by_double_loop(sig, psi_ids, matrix, scale, e_prefix):

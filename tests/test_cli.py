@@ -20,7 +20,7 @@ from cealg.reporting import (
     run_task,
     write_report,
 )
-from test_dgca import _package_env
+from fresh import package_env
 
 
 def test_unknown_task():
@@ -166,7 +166,7 @@ def test_cli_m5_cocycle_matches_its_golden_in_a_fresh_interpreter():
     proc = subprocess.run(
         [sys.executable, "-m", "cealg.cli", "--task", "m5.cocycle",
          "--check-golden", "--no-write"],
-        env=_package_env(), capture_output=True, text=True, timeout=300)
+        env=package_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "m5.cocycle: pass" in proc.stdout
 

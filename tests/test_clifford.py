@@ -3,8 +3,6 @@
 import ast
 import itertools
 import math
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +36,7 @@ from cealg.clifford import (
     pairing_walk,
     spin9_gammas,
 )
-from test_dgca import _package_env
+from fresh import fresh_run
 
 
 # Dense reference for the sparse quartic tensors: the einsum outer product
@@ -520,11 +518,7 @@ def test_mu7_relation_tensor_path_memory():
     residual per quadruple had replaced two symmetrised tensors and their
     `np.unique` inverse, which peaked at 7.62 MiB.  Run in a fresh
     interpreter, so that the figure repeats exactly."""
-    proc = subprocess.run([sys.executable, "-c", MU7_TENSOR_MEMORY_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    c, quadruples, peak = proc.stdout.split()
+    c, quadruples, peak = fresh_run(MU7_TENSOR_MEMORY_SCRIPT).split()
     assert (c, int(quadruples)) == ("15/1", 330)
     assert int(peak) <= 1.78 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
 

@@ -1,13 +1,9 @@
 """Differentials, morphisms, homotopies, extensions and pushouts."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +29,6 @@ from cealg import (
     make_signature,
     set_generators_to_zero,
 )
-import cealg
 from cealg import batched
 from cealg.catalog import (_mink, _mu, resolved_minkowski, resolved_poincare,
                            super_poincare)
@@ -41,6 +36,7 @@ from cealg.dgca import DGCAMorphism, SemifreeDGCA, _leibniz_terms
 from cealg.graded import EVEN, UnknownGenerator, _accumulate
 from cealg.linalg import is_coboundary
 from cealg.reporting import run_task
+from fresh import kernel_memory
 from test_graded import (dict_product, distinct_terms, kernel_gate_at_zero,
                          kernel_leibniz, kernel_product, random_signature,
                          random_terms)
@@ -631,6 +627,9 @@ def test_batched_kernels_match_dict_path_across_step_rule(data):
     with kernel_gate_at_zero() as mp:
         for name, value in SCALED_STEPS.items():
             mp.setattr(batched, name, value)
+        # at a partition gate of 0 every call accumulates in 32 buckets
+        mp.setattr(batched, "PARTITION_PAIRS",
+                   data.draw(st.sampled_from([0, batched.PARTITION_PAIRS])))
         assert kernel_product(sig, t1, t2) == dict_product(sig, t1, t2)
         assert (kernel_leibniz(sig, images, [x.terms])
                 == [dict_leibniz(images, x)])
@@ -670,6 +669,12 @@ def test_step_rule_extremes():
     # the d(g4 - mu4) on super-Poincare and fivebrane's d mu7
     assert batched._step(149_856) == 4_683
     assert batched._step(741_888) == 23_184
+    # one bucket below the partition gate; d mu7 and mu4**2 (912**2 pairs)
+    # above it
+    gate = batched.PARTITION_PAIRS
+    assert batched._buckets(149_856) == batched._buckets(gate - 1) == 1
+    assert (batched._buckets(gate) == batched._buckets(741_888)
+            == batched._buckets(912 ** 2) == batched.BUCKETS == 32)
 
 
 def test_apply_d_drops_zero_coefficients():
@@ -689,51 +694,6 @@ def test_apply_d_drops_zero_coefficients():
     assert apply_d(alg, mixed) == apply_d(alg, e2)
 
 
-def _package_env() -> dict:
-    """The environment with this package's source first on PYTHONPATH."""
-    src = str(Path(cealg.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
-
-
-KERNEL_MEMORY_SCRIPT = """
-import tracemalloc
-
-from cealg import batched
-{setup}
-calls = []
-real = batched._sum_of_products
-batched._sum_of_products = lambda *a: calls.append(1) or real(*a)
-tracemalloc.start()
-out = {call}
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print({facts}, len(calls), peak)
-"""
-
-
-def fresh_run(script: str) -> list:
-    """Run `script` in a fresh interpreter with this package first on
-    PYTHONPATH, so that its figures repeat exactly, and return the integers
-    it prints."""
-    proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    return list(map(int, proc.stdout.split()))
-
-
-def kernel_memory(setup: str, call: str, facts: str) -> list:
-    """Run the code `setup`, then the expression `call` under tracemalloc
-    (numpy reports its buffers), in a fresh interpreter (`fresh_run`).
-    Return the integers `facts` (expressions over the names `setup` binds
-    and `out`, the value of `call`), then the number of kernel core calls
-    `call` made and its traced peak in bytes."""
-    return fresh_run(
-        KERNEL_MEMORY_SCRIPT.format(setup=setup, call=call, facts=facts))
-
-
 D_MU4_SETUP = """
 from cealg import catalog
 from cealg.dgca import adjoin_generator, apply_d
@@ -749,12 +709,13 @@ x = Element.generator(alg.sig, "g4") - transport(catalog._mu(11, 2), alg.sig)
 def test_resolved_poincare_d_mu4_memory_on_the_kernel():
     """The closure check d(g4 - mu4) of the resolved Poincare algebra
     (913 terms, 149,856 Leibniz pairs) runs on the batched kernel, gives 0
-    and keeps its tracemalloc peak at most 6.95 MiB, half of what a fixed
-    2**17-pair step costs there."""
+    and keeps its tracemalloc peak at most 2.94 MiB: 2.67 MiB measured
+    (numpy 2.4.6), plus 10 %, where a fixed 2**17-pair step costs
+    14.2 MiB."""
     terms, result, calls, peak = kernel_memory(
         D_MU4_SETUP, "apply_d(alg, x)", "len(x), len(out)")
     assert (terms, result, calls) == (913, 0, 1)
-    assert peak <= 6.95 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    assert peak <= 2.94 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 D_MU7_SETUP = """
@@ -769,12 +730,14 @@ mu7 = catalog._mu(11, 5)
 def test_d_mu7_memory_on_the_kernel():
     """d mu7 on superMink(11) (7,840 terms, 741,888 Leibniz pairs, a
     194,992-term result) runs on the kernel core and keeps its tracemalloc
-    peak, result included, at most 43.7 MiB: 39.7 MiB plus 10 %, where the
-    per-block Leibniz loop the core replaced peaked."""
+    peak, result included, at most 16.33 MiB: 14.84 MiB measured (numpy
+    2.4.6), plus 10 %.  One accumulator whose merges sorted all merged and
+    waiting rows at once peaked at 24.05 MiB, where 32 buckets that merge
+    alone hold one bucket's sort at a time."""
     terms, result, calls, peak = kernel_memory(
         D_MU7_SETUP, "apply_d(mink, mu7)", "len(mu7), len(out)")
     assert (terms, result, calls) == (7840, 194_992, 1)
-    assert peak <= 43.7 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    assert peak <= 16.33 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 CHECK_D_SQUARED_SETUP = """
@@ -787,14 +750,15 @@ alg = catalog.resolved_poincare().algebra
 
 def test_check_d_squared_memory_on_the_kernel():
     """d**2 = 0 on resolved Poincare: 98 d-images in one tagged core call,
-    and d(g4 - mu4) alone, with a tracemalloc peak of at most 4.5 MiB
-    (2.70 MiB measured); one core call over all 99 d-images, where every
-    row is as wide as d(g4 - mu4)'s, peaks at 6.17 MiB."""
+    and d(g4 - mu4) alone, with a tracemalloc peak of at most 2.94 MiB:
+    2.67 MiB measured (numpy 2.4.6), plus 10 %.  One core call over all 99
+    d-images, where every row is as wide as d(g4 - mu4)'s, peaks at
+    6.17 MiB."""
     generators, calls, peak = kernel_memory(
         CHECK_D_SQUARED_SETUP, "check_d_squared(alg)",
         'out.pinned["generators"]')
     assert (generators, calls) == (100, 2)
-    assert peak <= 4.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    assert peak <= 2.94 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 TRACE7_SETUP = """
@@ -809,13 +773,14 @@ tr = catalog.trace_power("superPoincare", 7)
 def test_d_trace7_memory_on_the_kernel():
     """d tr(omega^7) on super-Poincare (206,580 terms in, 1,446,060 holes,
     d = 0), a Leibniz call whose peak is set by its hole rows, keeps its
-    tracemalloc peak at most 300 MiB: 205.3 MiB measured, where holes
-    derived from their terms' packed words replaced int8 hole exponent
-    rows that peaked at 390.7 MiB."""
+    tracemalloc peak at most 200 MiB: 181.67 MiB measured (numpy 2.4.6),
+    plus 10 %.  Scanning the holes' sign words into a second copy peaked
+    at 192.70 MiB, and int8 hole exponent rows, before holes were derived
+    from their terms' packed words, at 390.7 MiB."""
     terms, result, calls, peak = kernel_memory(
         TRACE7_SETUP, "apply_d(iso, tr)", "len(tr), len(out)")
     assert (terms, result, calls) == (206_580, 0, 1)
-    assert peak <= 300 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    assert peak <= 200 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_check_d_squared_negative_control():

@@ -446,8 +446,8 @@ def test_batched_product_chunks_collisions_and_full_cancellation(
     t1[tuple((g, 1) for g in range(80))] = Fraction(1)
     want = dict_product(sig, t1, t2)
     assert kernel_product(sig, t1, t2) == want
-    # a hash of the last word only: keys that differ elsewhere collide, and
-    # the merge must fall back to sorting the full keys
+    # every key hashes to 0: all keys collide, and the merge must fall back
+    # to sorting the full keys
     monkeypatch.setattr(batched, "_HASH_MUL", np.uint64(0))
     assert kernel_product(sig, t1, t2) == want
 
@@ -462,41 +462,88 @@ KEY_WORDS = st.sampled_from([0, 1, 2, 1 << 32, 1 << 63, (1 << 64) - 1])
 def test_accumulator_matches_dict_sum(data):
     """`batched._Accumulator` against a dict sum of (key, value) entries:
     keys of 1-3 words, cut into batches at random points (empty batches
-    too), values that often cancel, a few-entry step so that it merges
-    many times.  The result is every key with a nonzero sum, once, as
-    (n, words) uint64 keys, n = 0 included, in the last merge's order (key
-    order is set by `Packed.decode` and `Packed.split`, see
-    `test_decode_and_split_give_key_order`).  With `_HASH_MUL` = 0 a key
-    hashes to its last word, so keys that differ only before it collide and
-    a merge takes the full-key fallback."""
+    too), values that often cancel, and negated copies of earlier entries
+    that cancel them across batches; a few-entry step, so that it merges
+    many times.  The partition gate, drawn low, gives one bucket or
+    several (2 to 256, so that most stay empty).  The result is every key
+    with a nonzero sum, once, as (n, words) uint64 keys, n = 0 included,
+    in (hash, key) order (key order is set by `Packed.decode` and
+    `Packed.split`, see `test_decode_and_split_give_key_order`): a second
+    call over the same key set, in other batches and buckets, returns the
+    same key array.  Keys built from KEY_WORDS often share a hash, and with
+    `_HASH_MUL` = 0 every key hashes to 0, so that every row falls into
+    one bucket and every merge of two keys takes the lexsort fallback."""
     words = data.draw(st.integers(min_value=1, max_value=3))
     entries = data.draw(st.lists(
         st.tuples(st.tuples(*[KEY_WORDS] * words),
                   st.integers(min_value=-3, max_value=3)), max_size=60))
-    cuts = sorted(data.draw(st.lists(
-        st.integers(min_value=0, max_value=len(entries)), max_size=8)))
-    with pytest.MonkeyPatch.context() as mp:
-        if data.draw(st.booleans()):
-            mp.setattr(batched, "_HASH_MUL", np.uint64(0))
-        acc = batched._Accumulator(words,
-                                   data.draw(st.integers(min_value=1,
-                                                         max_value=8)))
+    if entries:
+        undo = data.draw(st.lists(st.sampled_from(entries), max_size=20))
+        entries += [(k, -v) for k, v in undo]
+
+    def accumulate(entries):
+        cuts = sorted(data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(entries)), max_size=8)))
+        mp.setattr(batched, "PARTITION_PAIRS", data.draw(
+            st.integers(min_value=0, max_value=2 * len(entries))))
+        mp.setattr(batched, "BUCKETS", data.draw(
+            st.sampled_from([2, 8, 32, 256])))
+        acc = batched._Accumulator(
+            words, data.draw(st.integers(min_value=1, max_value=8)),
+            batched._buckets(len(entries)))
         for lo, hi in zip([0] + cuts, cuts + [len(entries)]):
             batch = entries[lo:hi]
             acc.add(np.array([k for k, _ in batch],
                              dtype=np.uint64).reshape(len(batch), words),
                     np.array([v for _, v in batch], dtype=np.int64))
-        keys, vals = acc.result()
+        return acc.result()
+
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            mp.setattr(batched, "_HASH_MUL", np.uint64(0))
+        keys, vals = accumulate(entries)
+        rows = [tuple(r) for r in keys.tolist()]
+        again = accumulate(list(zip(rows[::-1], (2 * vals[::-1]).tolist())))
+        hashed = batched._hash(keys)
     sums = {}
     for k, v in entries:
         sums[k] = sums.get(k, 0) + v
     want = {k: v for k, v in sums.items() if v}
     assert (keys.dtype, keys.shape) == (np.uint64, (len(want), words))
     assert (vals.dtype, vals.shape) == (np.int64, (len(want),))
-    rows = [tuple(r) for r in keys.tolist()]
     assert len(set(rows)) == len(rows)
     assert np.all(vals != 0)
     assert dict(zip(rows, vals.tolist())) == want
+    assert np.array_equal(np.lexsort((*keys.T[::-1], hashed)),
+                          np.arange(len(rows)))
+    assert np.array_equal(again[0], keys)
+    assert np.array_equal(again[1], 2 * vals)
+
+
+def test_accumulator_orders_colliding_keys_by_hash_then_key(monkeypatch):
+    """(2**63, 0) and (0, 2**63) share a hash, since 2**63 times an odd
+    number is 2**63.  A merge that meets both lexsorts its rows by hash,
+    then by key, so the result is in (hash, key) order, as it is when no
+    keys collide: one bucket or 32, in one batch or in many, give one key
+    array for one key set."""
+    top = 1 << 63
+    rows = [(top, 0), (0, top)] + [(i, j) for i in range(6) for j in range(6)]
+    keys = np.array(rows, dtype=np.uint64)
+    hashed = batched._hash(keys).tolist()
+    assert hashed[0] == hashed[1]
+    want = [r for _, r in sorted(zip(hashed, rows))]
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: sorts.append(1) or lexsort(k))
+    got = []
+    for buckets, size in ((1, len(rows)), (32, 3)):
+        acc = batched._Accumulator(2, 1, buckets)
+        for i in range(0, len(rows), size):
+            acc.add(keys[::-1][i:i + size], np.ones(size, dtype=np.int64))
+        got.append(acc.result()[0])
+    assert sorts
+    assert [tuple(r) for r in got[0].tolist()] == want
+    assert np.array_equal(got[0], got[1])
 
 
 def monomials_in_key_order(p) -> list:
@@ -525,14 +572,13 @@ WIDE_POOL = [0, 1, 2, 3, 76, 77, 78, 79]
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_decode_and_split_give_key_order(data):
-    """A kernel result keeps its last merge's order; `Packed.decode` (one
+    """A kernel result is in (hash, key) order; `Packed.decode` (one
     input) and `Packed.split` (a shared Leibniz call) give its entries in
     key order, the packed words compared lexicographically, the order of
     every decoded dict, golden and witness.  On WIDE, keys take two words,
-    so a merge's hash order is not key order; with `_HASH_MUL` = 0 keys
-    that differ only before their last word collide, so merges take the
-    full-key fallback.  Few-pair steps make the accumulator merge many
-    times."""
+    and a merge's hash order is not key order; with `_HASH_MUL` = 0 every
+    key hashes to 0, so merges take the full-key fallback.  Few-pair steps
+    make the accumulator merge many times."""
     if data.draw(st.booleans()):
         sig, among = WIDE, WIDE_POOL
     else:

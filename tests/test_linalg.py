@@ -3,8 +3,6 @@
 import hashlib
 import itertools
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -33,7 +31,7 @@ from cealg import (
 from cealg import reporting
 from cealg.catalog import _mink, _mu, brane_cocycle
 from cealg.graded import EVEN, ODD
-from test_dgca import _package_env, fresh_run
+from fresh import fresh_run
 
 
 def s4():
@@ -549,10 +547,7 @@ if dec.status != "yes" or apply_d(alg, dec.witness) != a * b:
 def test_inhomogeneous_fallback_under_python_O():
     """The homogeneity check decides which basis is solved over, so it must
     survive `python -O`."""
-    proc = subprocess.run([sys.executable, "-O", "-c", FALLBACK_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    fresh_run(FALLBACK_SCRIPT, "-O")
 
 
 def test_cap_bounds_the_bases_built():
@@ -600,10 +595,7 @@ raise SystemExit(f"answered {dec.status!r} with witness {dec.witness!r}")
 def test_invalid_witness_raises_under_python_O():
     """The witness check decides the verdict, so it must not be an assert
     that `python -O` strips: a solver returning a wrong vector must raise."""
-    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_SOLVER_SCRIPT],
-                          env=_package_env(), capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    fresh_run(WRONG_SOLVER_SCRIPT, "-O")
 
 
 def test_is_coboundary_requires_closed():
@@ -648,7 +640,7 @@ def test_mu4_decision_memory():
     165-monomial domain and the 8,208 rows d of it reaches, with a
     tracemalloc peak of at most 6 MiB (2.83 MiB measured); enumerating the
     29,040-monomial degree-4 component as well peaked at 11.74 MiB."""
-    no, peak = fresh_run(MU4_DECISION_SCRIPT)
+    no, peak = map(int, fresh_run(MU4_DECISION_SCRIPT).split())
     assert no == 1
     assert peak <= 6 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 

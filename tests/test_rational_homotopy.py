@@ -25,7 +25,7 @@ from cealg import rational_homotopy as rh
 from cealg.dgca import Report, make_dgca
 from cealg.graded import GradedError, UnknownGenerator
 from cealg.rational_homotopy import FIBER_BLOCK, PolyDeRham, _random_form
-from test_dgca import kernel_memory
+from fresh import kernel_memory
 
 
 def test_sphere_models():
@@ -304,14 +304,14 @@ pdr = poly_de_rham(8)
 
 def test_fiber_check_memory_and_kernel_calls():
     """2,000 samples in blocks of FIBER_BLOCK: a tracemalloc peak of at
-    most 1.3 MiB (1.12 MiB measured; 1.52 MiB when `_random_form` built
+    most 1.24 MiB (1.12 MiB measured, plus 10 %; 1.52 MiB when `_random_form` built
     its (g, 1) factors afresh, 9.25 MiB with all samples in one block) and
     exactly 10 kernel core calls, one per full block's first shared call."""
     samples, calls, peak = kernel_memory(
         FIBER_MEMORY_SETUP, "forms_fiber_check(pdr, 2000, seed=1)",
         'out.pinned["samples"]')
     assert (samples, calls) == (2000, 10)
-    assert peak <= 1.3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    assert peak <= 1.24 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_form_expression_grammar():
