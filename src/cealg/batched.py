@@ -3,13 +3,22 @@
 The vectorised twin of the dict kernel in `graded` (`_products`) and
 `dgca` (`_leibniz_terms`).  One core, `_sum_of_products`, computes
 sum_k A_k * B_k for one or more inputs at once: each left row comes from
-one input and is tagged with the right block B_k it meets.  It has two
+one input and is tagged with the right block B_k it meets.  It has three
 front-ends, and each leaves to the dict path what has fewer than
 `BATCH_PAIRS` term pairs:
 
 * `sum_of_products(sig, pairs)`: one untagged input, the a_k of the
   (terms, terms) pairs (a_k, b_k), whose terms meet block b_k; its pair
   count is the sum of len(a_k) * len(b_k) (`graded.sum_of_products`);
+* `square(sig, terms)`: terms * terms, asked first by `Element.__mul__`
+  when both factors are one object.  Where every term has even degree and
+  even parity, the terms commute, so each unordered pair is formed once:
+  term i meets itself with coefficient c_i and each later term j with
+  2 c_j, so a left row meets a range of right rows rather than a whole
+  block (`_square_rows`: a row c_i on row i, a row 2 c_i on rows i + 1
+  on).  mu4^2 takes 416,328 pairs of its 912 terms instead of 831,744.
+  Its gate counts the len(terms)**2 ordered pairs, so that it and the
+  general product of the same terms agree on the dict path;
 * `leibniz(sig, d_images, inputs)`: d of each terms dict in `inputs`, with
   one block per slot generator g, d g, met by the holes at g: each term
   with a factor g^e, with g's exponent lowered by one, times e and the sign
@@ -58,11 +67,13 @@ pair of terms (a, b):
 
 A Leibniz hole at g is not packed again but derived from its term's words
 and g's (`_hole_rows`): the key minus g's unit field, and each mask XOR
-g's bit, since g^k -> g^(k-1) flips the low bit of k.  The holes' sign
-words are XORed, scanned (`_suffix_parity` works in place) and read
-where they lie: scanning them into a second copy set the traced peak of
-the 365,978-term Leibniz call of `family` (alpha = beta = 1), 448.8 MiB
-against 371.1 MiB now.
+g's bit, since g^k -> g^(k-1) flips the low bit of k.  The holes' mask
+words are XORed, scanned (`_suffix_parity` works in place, one word at a
+time) and read where they lie, with g's words gathered one at a time
+into one buffer: the traced peak of the 365,978-term Leibniz call of
+`family` (alpha = beta = 1) is 334.6 MiB, against 371.1 MiB with
+full-size gathers and scans and 448.8 MiB with the sign words scanned
+into a second copy.
 
 A call of several inputs adds a tag field to the packed key, after the
 generators' fields: a left row carries its input's index there and a right
@@ -101,7 +112,11 @@ list the keys in (hash, key) order, as one bucket would.  Measured on a
 from 24.05 to 14.84 MiB, and the 31.7 M-pair Leibniz call of `family`
 (alpha = 1) from 12.2 to 7.8 s.  Smaller calls keep one bucket and no
 partition pass: the pass cost the 149,856-pair d(g4 - mu4) 26 -> 39 ms,
-and poincare-forms makes many such calls.
+and poincare-forms makes many such calls.  A square counts the ordered
+pairs it stands for, not those it forms: its result, whose merges the
+buckets bound, is as large as the full product's.  Counted by the
+416,328 pairs it forms, mu4^2 fell below PARTITION_PAIRS and merged in
+one bucket, and the fivebrane run's peak RSS read 54.2 MiB, not 52.3.
 
 The result of a call of one input stays packed (`Packed`: distinct keys
 in (hash, key) order, numerators, denominator and layout), and the
@@ -136,16 +151,20 @@ exact dict path:
   1-bit field could not hold);
 * a numerator, or max|left| * max|right| * min(left rows, right rows),
   could reach 2**62, so that an int64 product or sum could wrap.  The left
-  numerators include the Leibniz multiplicity e.  In one output monomial a
-  left row meets at most one row of its block, and a right row at most one
-  left row tagged with its block, hence the min.
+  numerators include the Leibniz multiplicity e, and a square's its factor
+  2.  In one output monomial a left row meets at most one row of its
+  block, and a right row at most one left row tagged with its block,
+  hence the min;
+* in a square, a term has odd degree or odd parity: its two orders need
+  not give one sign, and `sum_of_products` decides instead.
 
 `proportional` likewise answers None, and its caller compares the terms,
 when max|nums_l| * max|nums_r| could reach 2**63.
 
 The module uses only the signature's bit tables and the d-images' terms,
 not `Element` or `apply_d`, so the dict path stays an independent
-reference for it.
+reference for it.  Its decoder keeps its own (generator, exponent) table
+per layout, since `graded`, which holds the shared one, imports it.
 """
 
 from __future__ import annotations
@@ -189,6 +208,20 @@ def sum_of_products(sig, pairs: list) -> Packed | None:
                             [_flat([b]) for _, b in pairs], _term_rows)
 
 
+def square(sig, terms: dict) -> Packed | None:
+    """terms * terms, packed, with each unordered pair of terms formed once,
+    or None below the gate (counted as terms * terms), or if a guard trips:
+    then `sum_of_products` of (terms, terms) is left to decide.
+
+    Term i meets itself with coefficient c_i and each later term j with
+    2 c_j, which is exact only where the terms commute: a term of odd
+    degree or odd parity trips a guard."""
+    if len(terms) ** 2 < BATCH_PAIRS:
+        return None
+    x = _flat([terms], tagged=False)
+    return _sum_of_products(sig, x, [x], _square_rows)
+
+
 def leibniz(sig, d_images, inputs: list) -> list:
     """Per terms dict in `inputs`, its d under the generator differentials
     `d_images` (Elements), or None where the dict path is left to compute
@@ -229,13 +262,52 @@ def _leibniz_pairs(d_images, terms: dict) -> int:
     return pairs
 
 
-def _term_rows(ctx, e: np.ndarray, x: "_Flat"):
+def _block_pairs(block: np.ndarray, sizes: np.ndarray):
+    """(ends, shift) of left rows that each meet all of their block, the
+    blocks having `sizes` rows each: the pairs p of row i end at ends[i],
+    and p meets right row p + shift[i].  Built in place, with no
+    temporary as long as the rows."""
+    ends = sizes[block]
+    np.cumsum(ends, out=ends)
+    shift = np.cumsum(sizes)[block]
+    shift -= ends
+    return ends, shift
+
+
+def _term_rows(ctx, e: np.ndarray, x: "_Flat", sizes: np.ndarray):
     """The left rows of a sum of products: each term of x on its block."""
     block = np.zeros(len(e), np.int64) if x.src is None else x.src
-    return ctx.operand(e, x.nums, left=True), x.maxnum, block
+    return (ctx.operand(e, x.nums, left=True), x.maxnum,
+            *_block_pairs(block, sizes), None)
 
 
-def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
+def _square_rows(ctx, e: np.ndarray, x: "_Flat", sizes: np.ndarray):
+    """The left rows of x * x, whose one block is x: per term i, a row of
+    numerator c_i on right row i, then a row of 2 c_i on rows i + 1, ...
+    Each unordered pair of terms is met once.  None if a term has odd
+    degree or odd parity, since such a pair's two orders need not agree.
+
+    The partition counts the len(x)**2 ordered pairs these rows stand for:
+    the result, whose merges it bounds, is as large as that of the product
+    formed in full, not half of it."""
+    if ((np.count_nonzero(e & ctx.odd, axis=1) & 1).any()
+            or (np.count_nonzero(e & ctx.par, axis=1) & 1).any()):
+        return None
+    n = len(e)
+    nums = np.repeat(x.nums, 2)
+    nums[1::2] *= 2
+    # row 2i meets right row i, row 2i + 1 rows i + 1 .. n - 1
+    counts = np.ones(2 * n, np.int64)
+    counts[1::2] = np.arange(n - 1, -1, -1)
+    ends = np.cumsum(counts)
+    shift = np.repeat(np.arange(n), 2) + 1 - ends
+    shift[1::2] += counts[1::2]
+    return (ctx.operand(np.repeat(e, 2, axis=0), nums, left=True),
+            2 * x.maxnum, ends, shift, n * n)
+
+
+def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat",
+               sizes: np.ndarray):
     """The left rows of a Leibniz differential: per term of x (term-major)
     and slot g (slot-minor) where the term has a factor g^k, its hole, with
     its numerator times k and the sign `_leibniz_terms` gives it, meeting
@@ -246,27 +318,46 @@ def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat"):
     (odd(g) + par(g)) * (k - 1), even: k = 1 where g squares to zero, and
     odd(g) = par(g) where it does not."""
     cs = np.searchsorted(ctx.cols, slots)
-    rows, block = np.nonzero(e[:, cs])
+    at = e[:, cs]
+    # contiguous copies: `np.nonzero` gives strided views of one buffer,
+    # which every `np.take` by them would copy first
+    rows, block = map(np.ascontiguousarray, np.nonzero(at))
+    k = at[rows, block]
+    del at
     term = ctx.operand(e, x.nums, left=False, tag=x.src)
     g = ctx.operand(np.eye(len(ctx.cols), dtype=np.int8)[cs], None, False)
     h = _Operand()
     h.keys = np.take(term.keys, rows, axis=0)
     h.keys -= np.take(g.keys, block, axis=0)
+    # the mask words are XORed, scanned and read in place, so that no
+    # second copy of them is alive.  g's words are gathered one at a time
+    # into `gw_at`, freed while the scan takes a buffer of its own
+    # (`np.take` into `out` copies `out` first unless mode is "clip")
+    gw_at = np.empty(len(rows), np.uint64)
     h.occ = np.take(term.occ, rows, axis=1)
-    h.occ ^= np.take(g.occ, block, axis=1)
-    # the sign words are XORed, scanned and read in place, one word of g
-    # gathered at a time, so that no second copy of them is alive
+    for w, gw in zip(h.occ, g.occ):
+        w ^= np.take(gw, block, out=gw_at, mode="clip")
     h.sign = np.take(term.sign, rows, axis=1)
     for w, gw in zip(h.sign, g.sign):
-        w ^= gw[block]
+        w ^= np.take(gw, block, out=gw_at, mode="clip")
+    del gw_at
     flip = np.bitwise_xor.reduce(np.split(h.sign, 2)[0])
     for kind in np.split(h.sign, 2):
         _suffix_parity(kind)
+    gw_at = np.empty(len(rows), np.uint64)
     for w, gw in zip(h.sign, g.sign):
-        flip ^= w & gw[block]
-    flip = (np.bitwise_count(flip) & 1).astype(np.int64)
-    h.nums = x.nums[rows] * e[rows, cs[block]] * (1 - 2 * flip)
-    return h, x.maxnum * int(e.max(initial=0)), block
+        np.take(gw, block, out=gw_at, mode="clip")
+        gw_at &= w
+        flip ^= gw_at
+    del gw_at
+    odd = (np.bitwise_count(flip) & 1).astype(bool)
+    del flip
+    h.nums = x.nums[rows]
+    h.nums *= k
+    np.negative(h.nums, out=h.nums, where=odd)
+    del odd, k, rows, term
+    return (h, x.maxnum * int(e.max(initial=0)), *_block_pairs(block, sizes),
+            None)
 
 
 def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
@@ -274,9 +365,13 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     """sum_k A_k * B_k, packed and tagged per input of x, or None if a
     guard trips.
 
-    The blocks B_k are the flat terms `blocks`, and `left_rows(ctx, e, x)`
-    gives the left rows of x, whose exponent rows are e: (an `_Operand` over
-    x's denominator, a bound on its |numerators|, each row's block)."""
+    The blocks B_k are the flat terms `blocks`, and
+    `left_rows(ctx, e, x, sizes)` gives the left rows of x, whose exponent
+    rows are e, among blocks of `sizes` rows: (an `_Operand` over x's
+    denominator, a bound on its |numerators|, the rows' pairs as `_pairs`
+    takes them, ends and shift, over all blocks' rows in order, and the
+    pairs the partition counts, if not those formed), or None if a guard
+    trips."""
     if x is None or any(b is None for b in blocks):
         return None
     if not blocks:
@@ -294,23 +389,24 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     # `_pairs` drops the others before it adds their keys
     colmax[sqz] = 1
     ctx = _Context(sig, cols, colmax, x.inputs)
-    a, maxnum, block = left_rows(ctx, _dense(x, ctx), x)
+    sizes = np.array([len(b.nums) for b in blocks], dtype=np.int64)
+    rows = left_rows(ctx, _dense(x, ctx), x, sizes)
+    if rows is None:
+        return None
+    a, maxnum, ends, shift, counted = rows
+    del rows
     den = lcm(*(b.den for b in blocks))
     bmax = max(b.maxnum * (den // b.den) for b in blocks)
-    sizes = np.array([len(b.nums) for b in blocks], dtype=np.int64)
     if maxnum * bmax * min(int(sizes.sum()), len(a.nums)) >= _LIMIT:
         return None
     for blk in blocks:
         blk.nums *= den // blk.den
     b = ctx.operand(np.concatenate([_dense(blk, ctx) for blk in blocks]),
                     np.concatenate([blk.nums for blk in blocks]), left=False)
-    # the pairs p of left row i end at ends[i]; p meets right row p + shift[i]
-    ends = np.cumsum(sizes[block])
-    shift = np.cumsum(sizes)[block] - ends
-    del block
     pairs = int(ends.max(initial=0))
     step = _step(pairs)
-    acc = _Accumulator(ctx.words, step, _buckets(pairs))
+    acc = _Accumulator(ctx.words, step,
+                       _buckets(pairs if counted is None else counted))
     for keys, vals in _pairs(a, b, ends, shift, step):
         acc.add(keys, vals)
     del a, b, ends, shift
@@ -394,15 +490,24 @@ def _bitmask(bits: np.ndarray) -> np.ndarray:
 def _suffix_parity(words: np.ndarray) -> np.ndarray:
     """The bit masks of `_bitmask`, in place, with each bit replaced by the
     parity of the set bits strictly to its right in its row: an XOR scan
-    within each word, plus the parity of the later words.  Returns
+    within each word, plus the parity of the later words.  Scanned one
+    word at a time, last first, with one word-sized temporary.  Returns
     `words`."""
-    for s in (1, 2, 4, 8, 16, 32):
-        words ^= words >> np.uint64(s)
-    # bit j is now the parity of bits j..63 of its word, so bit 0 is the
-    # word's parity; later[w] is that of words w, w + 1, ...
-    later = np.bitwise_xor.accumulate((words & np.uint64(1))[::-1])[::-1]
-    words >>= np.uint64(1)
-    words[:-1] ^= later[1:] * ~np.uint64(0)
+    tmp = np.empty(words.shape[1:], np.uint64)
+    # all ones in a row whose words after the current one have odd parity;
+    # a row of one word has none
+    later = np.zeros_like(tmp) if len(words) > 1 else None
+    for word in words[::-1]:
+        for s in (1, 2, 4, 8, 16, 32):
+            word ^= np.right_shift(word, np.uint64(s), out=tmp)
+        # bit j is now the parity of bits j..63 of the word, so bit 0 is
+        # the word's parity
+        np.bitwise_and(word, np.uint64(1), out=tmp)
+        word >>= np.uint64(1)
+        if later is not None:
+            word ^= later
+            tmp *= ~np.uint64(0)
+            later ^= tmp
     return words
 
 

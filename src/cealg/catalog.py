@@ -47,6 +47,7 @@ from .dgca import (
 )
 from .graded import (
     EVEN,
+    FACTORS,
     ODD,
     AlgebraSignature,
     Element,
@@ -108,7 +109,9 @@ def _pairing_element(sig: AlgebraSignature, psi_ids, matrix, scale,
                      e_prefix=()) -> Element:
     """sum_{alpha,beta} M[alpha,beta] psi^alpha psi^beta (times a fixed sorted
     e-monomial prefix and an overall scale).  Only the symmetric part of M
-    survives the commuting odd generators."""
+    survives the commuting odd generators.  The monomials hold shared
+    factors (`graded.FACTORS`), and each distinct entry of M gives one
+    coefficient, shared by its terms."""
     if (any(x[0] >= y[0] for x, y in zip(e_prefix, e_prefix[1:]))
             or e_prefix and e_prefix[-1][0] >= min(psi_ids)):
         raise CatalogError("the e-prefix must be strictly increasing and "
@@ -118,12 +121,15 @@ def _pairing_element(sig: AlgebraSignature, psi_ids, matrix, scale,
     np.fill_diagonal(sym, np.diagonal(matrix))
     terms = {}
     scale = Fraction(scale)
+    coeffs = {}
     rows, cols = np.nonzero(sym)
     for a, b, v in zip(rows.tolist(), cols.tolist(), sym[rows, cols].tolist()):
-        c = scale * int(v)
+        c = coeffs.get(v)
+        if c is None:
+            c = coeffs[v] = scale * v
         if c:
-            pair = (((psi_ids[a], 2),) if a == b
-                    else ((psi_ids[a], 1), (psi_ids[b], 1)))
+            pair = ((FACTORS[psi_ids[a], 2],) if a == b
+                    else (FACTORS[psi_ids[a], 1], FACTORS[psi_ids[b], 1]))
             terms[e_prefix + pair] = c
     return Element(sig, terms)
 
@@ -181,7 +187,7 @@ def brane_cocycle(cat: CatalogAlgebra, p: int) -> Element:
         eta = 1
         for a in tup:
             eta *= rep.eta[a]
-        prefix = tuple((e_ids[a], 1) for a in tup)
+        prefix = tuple(FACTORS[e_ids[a], 1] for a in tup)
         _accumulate(acc, _pairing_element(sig, psi_ids, matrix,
                                           weight * eta, prefix).terms.items())
     out = Element(sig, acc)

@@ -7,7 +7,6 @@ builds that share conventions.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 
 ENGINE_VERSION = "0.1.0"
@@ -64,7 +63,11 @@ measured proportionality constant
   constant is 15; no convention correction factor is needed.
 """
 
-LEDGER_HASH = hashlib.sha256(CONVENTIONS.encode()).hexdigest()
+#: sha256 of CONVENTIONS, hex; a literal, since importing `hashlib` loads
+#: OpenSSL's libcrypto, about 3.6 MiB of RSS in every process.
+#: `tests/test_cli.py` recomputes it.
+LEDGER_HASH = (
+    "a20f8e623c242b9b101b423a363b0f6111e571a2d6ca59c77cd06f0a2c7e3ff4")
 
 #: d mu7 = MEASURED_C * mu4 wedge mu4, measured symbolically and confirmed
 #: by the sparse tensor contraction path.

@@ -35,6 +35,23 @@ Monomial = tuple[tuple[int, int], ...]
 ONE_MONOMIAL: Monomial = ()
 
 
+class _FactorTable(dict):
+    """(g, e) -> the one shared tuple (g, e), made on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, f):
+        self[f] = f
+        return f
+
+
+#: FACTORS[g, e] is the shared (generator id, exponent) tuple (g, e):
+#: monomials built from generator ids hold these, not fresh tuples of their
+#: own.  A dict lookup rather than a function call, since the flat-forms
+#: sampler takes one per factor it draws.
+FACTORS = _FactorTable()
+
+
 class GradedError(Exception):
     """Base class for errors raised by the graded core."""
 
@@ -255,7 +272,7 @@ class Element:
 
     @staticmethod
     def generator(sig: AlgebraSignature, name: str) -> "Element":
-        return Element(sig, {((sig.gen_id(name), 1),): Fraction(1)})
+        return Element(sig, {(FACTORS[sig.gen_id(name), 1],): Fraction(1)})
 
     @staticmethod
     def from_packed(sig: AlgebraSignature, packed) -> "Element":
@@ -279,7 +296,7 @@ class Element:
                     if e < 0:
                         raise GradedError("negative exponent")
                     if e and mono is not None:
-                        s, mono = (monomial_mul(mono, ((g, e),), sig)
+                        s, mono = (monomial_mul(mono, (FACTORS[g, e],), sig)
                                    or (1, None))
                         sign *= s
                 if mono is not None:
@@ -336,6 +353,10 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
+            if other is self:
+                packed = batched.square(self.sig, self.terms)
+                if packed is not None:
+                    return _PackedElement(self.sig, packed)
             return sum_of_products(self.sig, [(self, other)])
         return self._scaled(Fraction(other))
 
@@ -343,10 +364,18 @@ class Element:
         return self._scaled(Fraction(other))
 
     def _scaled(self, c: Fraction) -> "Element":
+        """c times self, with one product per distinct coefficient."""
         if not c:
             return Element.zero(self.sig)
-        return Element(self.sig,
-                       {m: c * v for m, v in self.terms.items() if v})
+        products = {}
+        terms = {}
+        for m, v in self.terms.items():
+            if v:
+                cv = products.get(v)
+                if cv is None:
+                    cv = products[v] = c * v
+                terms[m] = cv
+        return Element(self.sig, terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -507,18 +536,18 @@ def transport(el: Element, new_sig: AlgebraSignature) -> Element:
     signatures are canonically sorted by (family, indices), which the
     generator name determines, so no signs arise; generators of the
     old signature that the element does not mention need not exist in the
-    new one.
+    new one.  Each distinct factor is mapped once, to its shared tuple
+    (`FACTORS`).
     """
     names = el.sig.names
-    cache: dict[int, int] = {}
+    moved: dict = {}
     acc = {}
     for mono, c in el.terms.items():
         new = []
-        for g, e in mono:
-            ng = cache.get(g)
-            if ng is None:
-                ng = new_sig.gen_id(names[g])
-                cache[g] = ng
-            new.append((ng, e))
+        for f in mono:
+            nf = moved.get(f)
+            if nf is None:
+                nf = moved[f] = FACTORS[new_sig.gen_id(names[f[0]]), f[1]]
+            new.append(nf)
         acc[tuple(new)] = c
     return Element(new_sig, acc)

@@ -31,6 +31,7 @@ from .dgca import (
 from .graded import (
     EVEN,
     Element,
+    FACTORS,
     GeneratorDecl,
     GradedError,
     _accumulate,
@@ -195,14 +196,6 @@ def flat_form_check(model: SemifreeDGCA, target: PolyDeRham,
 _COEFFS = tuple(Fraction(c) for c in range(-4, 5))
 
 
-@lru_cache(maxsize=None)
-def _unit_factors(n_gens: int) -> tuple:
-    """The factors (g, 1), g < n_gens, shared by `_random_form`'s
-    monomials: built afresh, they were half of the flat-forms sampler's
-    traced memory."""
-    return tuple((g, 1) for g in range(n_gens))
-
-
 def _random_form(rng: random.Random, pdr: PolyDeRham, form_degree: int,
                  n_terms: int = 3, max_poly_degree: int = 2) -> Element:
     """Up to n_terms terms c dx^(i_1) ... dx^(i_k) x^(j_1) ... x^(j_m), with
@@ -213,12 +206,13 @@ def _random_form(rng: random.Random, pdr: PolyDeRham, form_degree: int,
     Monomials are built canonical: dx^i has id dx^1 + i - 1 and x^j id
     x^1 + j - 1, the dx factors are put in index order with the sign of
     the inversions of their drawn order (they have odd degree; the x do
-    not), and equal x factors merge into one power."""
+    not), and equal x factors merge into one power.  They hold shared
+    factors (`graded.FACTORS`): built afresh, the factors were half of the
+    flat-forms sampler's traced memory."""
     sig = pdr.algebra.sig
     n = pdr.n
     dx0 = sig.gen_id("dx^1") - 1
     x0 = sig.gen_id("x^1") - 1
-    unit = _unit_factors(len(sig))
     terms = []
     for _ in range(n_terms):
         c = rng.randint(-4, 4)
@@ -228,12 +222,12 @@ def _random_form(rng: random.Random, pdr: PolyDeRham, form_degree: int,
         xs = sorted(rng.randint(1, n)
                     for _ in range(rng.randint(0, max_poly_degree)))
         odd = sum(a > b for i, a in enumerate(dxs) for b in dxs[i + 1:]) & 1
-        mono = [unit[dx0 + i] for i in sorted(dxs)]
+        mono = [FACTORS[dx0 + i, 1] for i in sorted(dxs)]
         for g in (x0 + j for j in xs):
             if mono and mono[-1][0] == g:
-                mono[-1] = (g, mono[-1][1] + 1)
+                mono[-1] = FACTORS[g, mono[-1][1] + 1]
             else:
-                mono.append(unit[g])
+                mono.append(FACTORS[g, 1])
         terms.append((tuple(mono), _COEFFS[4 - c if odd else 4 + c]))
     return Element(sig, _accumulate({}, terms))
 

@@ -372,15 +372,16 @@ print(c, len(d_mu7), len(mu4_sq), layout, peak)
 
 def test_m5_relation_memory_on_the_arrays():
     """d mu7, mu4**2 and their comparison, as verify_m5_relation() runs
-    them, keep a tracemalloc peak of at most 16.5 MiB: 14.99 MiB measured
-    (numpy 2.4.6), plus 10 %.  One accumulator per call, not 32 buckets,
-    peaked at 24.05 MiB; re-sorting both sides into a union layout for the
+    them, keep a tracemalloc peak of at most 16.32 MiB: 14.83 MiB measured
+    (numpy 2.4.6), plus 10 %.  Forming mu4**2 from all 912**2 ordered
+    pairs of terms peaked at 14.99 MiB, and one accumulator per call, not
+    32 buckets, at 24.05 MiB; re-sorting both sides into a union layout for the
     comparison had peaked at 25.50 MiB, and decoding both 194,992-term
     results into dicts at 68.4 MiB.  Both sides share one layout.  Run in
     a fresh interpreter, so that the figure repeats exactly."""
     c, d_mu7, mu4_sq, layout, peak = fresh_run(M5_MEMORY_SCRIPT).split()
     assert (c, d_mu7, mu4_sq, layout) == ("15", "194992", "194992", "True")
-    assert int(peak) <= 16.5 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
+    assert int(peak) <= 16.32 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
 
 
 M5_CORE_CALLS_SCRIPT = """
@@ -414,17 +415,19 @@ for name, n in calls:
 
 def test_m5_run_computes_each_large_product_once():
     """verify_m5_relation() then m5_cocycle() make exactly two kernel core
-    calls of at least 500,000 term pairs, both in the relation: d mu7
-    (741,888 Leibniz pairs) and mu4**2 (912**2 pairs).  m5_cocycle makes
-    none: it closes h3 mu4 + mu7/15 from the relation's constant by the
-    Leibniz rule over h3, where d of the cocycle took 1.6 M pairs of its
-    own.  Run
+    calls of at least 100,000 term pairs, both in the relation: d mu7
+    (741,888 Leibniz pairs) and mu4**2, which forms each unordered pair of
+    mu4's 912 terms once (912 * 913 / 2 = 416,328 pairs; the filter was
+    500,000 while it formed all 912**2).  The next largest call, d mu4 in
+    the cocycle's m2brane, has 34,816.  m5_cocycle makes no large call: it
+    closes h3 mu4 + mu7/15 from the relation's constant by the Leibniz
+    rule over h3, where d of the cocycle took 1.6 M pairs of its own.  Run
     in a fresh interpreter, so that no cached construction hides a call."""
     lines = fresh_run(M5_CORE_CALLS_SCRIPT).splitlines()
     assert lines[0] == "pass"
     calls = [(name, int(n)) for name, n in map(str.split, lines[1:])]
-    assert [c for c in calls if c[1] >= 500_000] == [
-        ("relation", 741_888), ("relation", 912 ** 2)]
+    assert [c for c in calls if c[1] >= 100_000] == [
+        ("relation", 741_888), ("relation", 912 * 913 // 2)]
 
 
 M5_COCYCLE_MEMORY_SCRIPT = """
@@ -445,14 +448,16 @@ print(rep.verdict, len(chi), peak)
 def test_m5_cocycle_memory_after_the_relation():
     """m5_cocycle() after verify_m5_relation() keeps the tracemalloc peak,
     traced from the interpreter's start (so whatever the relation leaves
-    cached counts), at most 9.19 MiB: 8.36 MiB measured (numpy 2.4.6),
-    plus 10 %.  Keeping d mu7, mu4**2 and d mu4 cached for the cocycle
-    peaked at 20.01 MiB, and the direct d of the 8,752-term cocycle, a
-    1.6 M-pair Leibniz call, at 36.30 MiB.  Run in a fresh interpreter, so
-    that the figure repeats exactly."""
+    cached counts), at most 3.42 MiB: 3.11 MiB measured (numpy 2.4.6),
+    plus 10 %.  Before mu4, mu7 and their transports shared their
+    (generator, exponent) tuples (`graded.FACTORS`) and coefficients, it
+    peaked at 8.36 MiB; keeping d mu7, mu4**2 and d mu4 cached for the cocycle at 20.01 MiB,
+    and the direct d of the 8,752-term cocycle, a 1.6 M-pair Leibniz call,
+    at 36.30 MiB.  Run in a fresh interpreter, so that the figure repeats
+    exactly."""
     verdict, terms, peak = fresh_run(M5_COCYCLE_MEMORY_SCRIPT).split()
     assert (verdict, terms) == ("pass", "8752")
-    assert int(peak) <= 9.19 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
+    assert int(peak) <= 3.42 * 2 ** 20, f"peak {int(peak) / 2 ** 20:.2f} MiB"
 
 
 def test_m2brane_extension():

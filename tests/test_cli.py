@@ -1,5 +1,6 @@
 """Task runner, report persistence, golden comparisons, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from cealg.reporting import (
     run_task,
     write_report,
 )
-from fresh import package_env
+from cealg import conventions
+from fresh import fresh_run, package_env
 
 
 def test_unknown_task():
@@ -178,3 +180,18 @@ def test_reports_are_deterministic():
     c1 = run_task("mu3.closure").pinned
     c2 = run_task("mu3.closure").pinned
     assert c1 == c2
+
+
+def test_ledger_hash_is_the_digest_of_the_conventions():
+    """LEDGER_HASH is a literal, so that the package need not import
+    `hashlib`; it must stay the sha256 of the ledger text."""
+    assert conventions.LEDGER_HASH == hashlib.sha256(
+        conventions.CONVENTIONS.encode()).hexdigest()
+
+
+def test_package_import_leaves_openssl_unloaded():
+    """Importing the package and its task registry does not load
+    `_hashlib`, OpenSSL's libcrypto (about 3.6 MiB of RSS per process)."""
+    assert fresh_run(
+        "import sys, cealg, cealg.reporting; print('_hashlib' in sys.modules)"
+    ).split() == ["False"]

@@ -473,9 +473,9 @@ def test_batched_leibniz_across_word_boundaries(monkeypatch, width):
     seen = []
     real = batched._hole_rows
 
-    def spy(slots, ctx, e, x):
-        out = real(slots, ctx, e, x)
-        seen.append((slots, ctx, x, out))
+    def spy(slots, ctx, e, x, sizes):
+        out = real(slots, ctx, e, x, sizes)
+        seen.append((slots, ctx, x, sizes, out))
         return out
 
     monkeypatch.setattr(batched, "_hole_rows", spy)
@@ -485,7 +485,13 @@ def test_batched_leibniz_across_word_boundaries(monkeypatch, width):
         with kernel_gate_at_zero():
             got = kernel_leibniz(sig, images, inputs)
         assert got == [dict_leibniz(images, Element(sig, t)) for t in inputs]
-        [(slots, ctx, x, (hole, bound, block))] = seen
+        [(slots, ctx, x, sizes, (hole, bound, ends, shift, counted))] = seen
+        # each hole meets all of its slot's block, right rows lo .. hi - 1,
+        # and the partition counts the pairs formed
+        hi = ends + shift
+        lo = hi - np.diff(ends, prepend=0)
+        block = np.searchsorted(np.cumsum(sizes), lo, side="right")
+        assert np.array_equal(hi - lo, sizes[block]) and counted is None
         assert len(ctx.cols) == width
         one = Element(sig, {(): Fraction(1)})
         unit = tuple(one if g in slots else Element.zero(sig)
@@ -773,14 +779,16 @@ tr = catalog.trace_power("superPoincare", 7)
 def test_d_trace7_memory_on_the_kernel():
     """d tr(omega^7) on super-Poincare (206,580 terms in, 1,446,060 holes,
     d = 0), a Leibniz call whose peak is set by its hole rows, keeps its
-    tracemalloc peak at most 200 MiB: 181.67 MiB measured (numpy 2.4.6),
-    plus 10 %.  Scanning the holes' sign words into a second copy peaked
-    at 192.70 MiB, and int8 hole exponent rows, before holes were derived
-    from their terms' packed words, at 390.7 MiB."""
+    tracemalloc peak at most 177 MiB: 161.00 MiB measured (numpy 2.4.6),
+    plus 10 %.  Gathering g's words by strided `np.nonzero` indices and
+    with full-size temporaries peaked at 181.67 MiB, scanning the holes'
+    sign words into a second copy at 192.70 MiB, and int8 hole exponent
+    rows, before holes were derived from their terms' packed words, at
+    390.7 MiB."""
     terms, result, calls, peak = kernel_memory(
         TRACE7_SETUP, "apply_d(iso, tr)", "len(tr), len(out)")
     assert (terms, result, calls) == (206_580, 0, 1)
-    assert peak <= 200 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    assert peak <= 177 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_check_d_squared_negative_control():

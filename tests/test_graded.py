@@ -723,3 +723,126 @@ def test_no_assert_statement_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# -- the square front-end -----------------------------------------------------
+
+
+def spy_core(mp) -> list:
+    """Record, per kernel core call, whether it was the square's (rows
+    from `batched._square_rows`) and whether it answered (not None)."""
+    calls = []
+    real = batched._sum_of_products
+
+    def spy(sig, x, blocks, left_rows):
+        out = real(sig, x, blocks, left_rows)
+        calls.append((left_rows is batched._square_rows, out is not None))
+        return out
+
+    mp.setattr(batched, "_sum_of_products", spy)
+    return calls
+
+
+def even_terms(sig, terms: dict) -> dict:
+    """The terms of even degree and even parity."""
+    return {m: c for m, c in terms.items()
+            if not any(x & 1 for x in sig.monomial_bidegree(m))}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_square_matches_general_kernel_and_dict_path(data):
+    """x * x against x * y, where y is an equal copy and so takes the
+    general kernel path, and against the dict path (`_products`), on
+    random signatures with odd, even and square-zero generators.  With
+    every term of even degree and even parity the square forms each
+    unordered pair once (`batched.square`), and its result has the
+    general one's layout and key array, so that `proportional` gives 1
+    without a decode (or None, where its int64 guard trips); otherwise it
+    is left to the general path."""
+    sig = data.draw(random_signature())
+    terms = data.draw(random_terms(sig))
+    if data.draw(st.booleans()):
+        terms = even_terms(sig, terms)
+    x, y = Element(sig, terms), Element(sig, dict(terms))
+    with kernel_gate_at_zero() as mp:
+        calls = spy_core(mp)
+        sq = x * x
+        square_calls = list(calls)
+        general = x * y
+    want = dict_product(sig, terms, terms)
+    square = terms == even_terms(sig, terms)
+    assert square_calls == ([(True, True)] if square
+                            else [(True, False), (False, True)])
+    assert calls[len(square_calls):] == [(False, True)]
+    assert sq.packed.ctx.same_layout(general.packed.ctx)
+    assert np.array_equal(sq.packed.keys, general.packed.keys)
+    if want:
+        decodes = []
+        decode = batched._Context.decode
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batched._Context, "decode",
+                       lambda *a: decodes.append(1) or decode(*a))
+            c = batched.proportional(sq.packed, general.packed)
+        top = int(np.abs(sq.packed.nums).max())
+        assert c == (None if top * top >= 1 << 63 else 1)
+        assert decodes == []
+    assert sq.terms == general.terms == want
+
+
+def test_square_guards_fall_back():
+    """x * x leaves to the general path, which then decides as it would
+    for any product, a square with a term of odd degree or of odd parity,
+    one whose doubled cross terms could reach the int64 bound (the general
+    product of the same numerators stays below it), and one holding a raw
+    square-zero power, which the general kernel also leaves to the dict
+    path.  Each call has more than BATCH_PAIRS ordered pairs."""
+    sig = make_signature([GeneratorDecl("e", (), 1, EVEN),
+                          GeneratorDecl("o", (), 2, ODD),
+                          GeneratorDecl("t", (), 1, EVEN),
+                          GeneratorDecl("w", (), 0, EVEN)])
+    e, o, t, w = (sig.gen_id(n) for n in "eotw")
+    n = int(batched.BATCH_PAIRS ** 0.5) + 1
+    powers = {((w, i),): Fraction(1 + i % 5) for i in range(1, n + 1)}
+    big = {m: Fraction(2 ** 28) for m in powers}
+    assert 2 ** 56 * n < 1 << 62 <= 2 * 2 ** 56 * n
+    cases = [
+        ({**powers, ((e, 1),): Fraction(1)}, [(True, False), (False, True)]),
+        ({**powers, ((o, 1),): Fraction(1)}, [(True, False), (False, True)]),
+        (big, [(True, False), (False, True)]),
+        ({**powers, ((t, 2), (w, 1)): Fraction(1)},
+         [(True, False), (False, False)]),
+    ]
+    for terms, want_calls in cases:
+        x = Element(sig, terms)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_core(mp)
+            sq = x * x
+        assert calls == want_calls
+        assert sq.terms == dict_product(sig, terms, terms)
+    # an even square of the same size is taken
+    x = Element(sig, powers)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_core(mp)
+        assert (x * x).terms == dict_product(sig, powers, powers)
+    assert calls == [(True, True)]
+
+
+def test_mu4_square_is_partitioned_by_its_ordered_pairs(monkeypatch):
+    """mu4**2 forms 912 * 913 / 2 = 416,328 pairs, fewer than
+    PARTITION_PAIRS, yet accumulates in BUCKETS buckets: its result is as
+    large as that of the 912**2 ordered pairs it stands for, and with one
+    bucket the fivebrane run's peak RSS rose by about 2 MiB."""
+    from cealg import catalog
+
+    mu4 = catalog._mu(11, 2)
+    buckets, pairs = [], []
+    accumulator, real_pairs = batched._Accumulator, batched._pairs
+    monkeypatch.setattr(batched, "_Accumulator", lambda words, step, n: (
+        buckets.append(n) or accumulator(words, step, n)))
+    monkeypatch.setattr(batched, "_pairs", lambda a, b, ends, *rest: (
+        pairs.append(int(ends[-1])) or real_pairs(a, b, ends, *rest)))
+    square = mu4 * mu4
+    assert len(mu4) == 912 and len(square) == 194_992
+    assert pairs == [912 * 913 // 2] and pairs[0] < batched.PARTITION_PAIRS
+    assert buckets == [batched.BUCKETS] and 912 ** 2 >= batched.PARTITION_PAIRS
