@@ -3,22 +3,21 @@
 The vectorised twin of the dict kernel in `graded` (`_products`) and
 `dgca` (`_leibniz_terms`).  One core, `_sum_of_products`, computes
 sum_k A_k * B_k for one or more inputs at once: each left row comes from
-one input and is tagged with the right block B_k it meets.  It has three
+one input and is tagged with the right block B_k it meets.  It has two
 front-ends, and each leaves to the dict path what has fewer than
 `BATCH_PAIRS` term pairs:
 
 * `sum_of_products(sig, pairs)`: one untagged input, the a_k of the
   (terms, terms) pairs (a_k, b_k), whose terms meet block b_k; its pair
-  count is the sum of len(a_k) * len(b_k) (`graded.sum_of_products`);
-* `square(sig, terms)`: terms * terms, asked first by `Element.__mul__`
-  when both factors are one object.  Where every term has even degree and
-  even parity, the terms commute, so each unordered pair is formed once:
-  term i meets itself with coefficient c_i and each later term j with
-  2 c_j, so a left row meets a range of right rows rather than a whole
-  block (`_square_rows`: a row c_i on row i, a row 2 c_i on rows i + 1
-  on).  mu4^2 takes 416,328 pairs of its 912 terms instead of 831,744.
-  Its gate counts the len(terms)**2 ordered pairs, so that it and the
-  general product of the same terms agree on the dict path;
+  count is the sum of len(a_k) * len(b_k) (`graded.sum_of_products`).
+  One pair whose two sides are one dict, as `x * x` gives, is a square,
+  tried first with each unordered pair formed once.  Where every term has
+  even degree and even parity, the terms commute: term i meets itself
+  with coefficient c_i and each later term j with 2 c_j, so a left row
+  meets a range of right rows rather than a whole block (`_square_rows`:
+  a row c_i on row i, a row 2 c_i on rows i + 1 on).  mu4^2 takes 416,328
+  pairs of its 912 terms instead of 831,744.  The gate counts the
+  len(terms)**2 ordered pairs either way;
 * `leibniz(sig, d_images, inputs)`: d of each terms dict in `inputs`, with
   one block per slot generator g, d g, met by the holes at g: each term
   with a factor g^e, with g's exponent lowered by one, times e and the sign
@@ -156,7 +155,7 @@ exact dict path:
   block, and a right row at most one left row tagged with its block,
   hence the min;
 * in a square, a term has odd degree or odd parity: its two orders need
-  not give one sign, and `sum_of_products` decides instead.
+  not give one sign, and the square is formed in full instead.
 
 `proportional` likewise answers None, and its caller compares the terms,
 when max|nums_l| * max|nums_r| could reach 2**63.
@@ -201,25 +200,20 @@ _EMAX = 127
 
 def sum_of_products(sig, pairs: list) -> Packed | None:
     """sum_k a_k * b_k over the (terms, terms) pairs (a_k, b_k), packed, or
-    None below the gate, summed over the pairs, or if a guard trips."""
+    None below the gate, summed over the pairs, or if a guard trips.
+
+    One pair whose two sides are one dict is a square, tried first with
+    each unordered pair of terms formed once (`_square_rows`), and formed
+    in full if its guards trip."""
     if sum(len(a) * len(b) for a, b in pairs) < BATCH_PAIRS:
         return None
+    if len(pairs) == 1 and pairs[0][0] is pairs[0][1]:
+        x = _flat([pairs[0][0]], tagged=False)
+        out = _sum_of_products(sig, x, [x], _square_rows)
+        if out is not None:
+            return out
     return _sum_of_products(sig, _flat([a for a, _ in pairs], tagged=False),
                             [_flat([b]) for _, b in pairs], _term_rows)
-
-
-def square(sig, terms: dict) -> Packed | None:
-    """terms * terms, packed, with each unordered pair of terms formed once,
-    or None below the gate (counted as terms * terms), or if a guard trips:
-    then `sum_of_products` of (terms, terms) is left to decide.
-
-    Term i meets itself with coefficient c_i and each later term j with
-    2 c_j, which is exact only where the terms commute: a term of odd
-    degree or odd parity trips a guard."""
-    if len(terms) ** 2 < BATCH_PAIRS:
-        return None
-    x = _flat([terms], tagged=False)
-    return _sum_of_products(sig, x, [x], _square_rows)
 
 
 def leibniz(sig, d_images, inputs: list) -> list:
@@ -375,6 +369,7 @@ def _sum_of_products(sig, x: "_Flat | None", blocks: list, left_rows
     if x is None or any(b is None for b in blocks):
         return None
     if not blocks:
+        # no pairs, so reached only with BATCH_PAIRS at 0, as tests set it
         ctx = _Context(sig, x.gens[:0], x.gens[:0], x.inputs)
         return Packed(np.zeros((0, ctx.words), np.uint64), x.nums[:0], 1, ctx)
     cols = _unique(np.concatenate([x.gens] + [b.gens for b in blocks]))
@@ -524,7 +519,6 @@ class _Context:
 
     def __init__(self, sig, cols: np.ndarray, colmax: np.ndarray,
                  inputs: int):
-        self.sig = sig
         self.cols = cols
         self.gen_ids = cols.tolist()
         self.inputs = inputs

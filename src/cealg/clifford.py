@@ -11,12 +11,12 @@ The representation checks are integer matrix identities.  The quartic
 (Fierz) checks contract four spinor indices exactly, as sparse (COO) int64
 tensors built from the nonzeros of the pairing matrices and summed by one
 sort of (key, value) words, under one int64 overflow guard per pairing
-table.  For symmetric pairings each entry is keyed once, by its sorted
-index tuple; otherwise it is keyed under all six slot pairings.
-d mu7 = c mu4^2 fixes c at the first quadruple of frame indices where
-mu4^2 is nonzero and decides it and every later one by a single residual
-tensor, which must vanish.  The checks share
-no code with the symbolic expansions and must agree with them
+table.  Each product entry is keyed once, by its sorted index tuple
+(`_sorted_key_sym`), which is the contraction against four commuting
+spinors for pairings of any symmetry.  d mu7 = c mu4^2 fixes c at the
+first quadruple of frame indices where mu4^2 is nonzero and decides it
+and every later one by a single residual tensor, which must vanish.  The
+checks share no code with the symbolic expansions and must agree with them
 verdict-for-verdict.
 """
 
@@ -289,7 +289,8 @@ def check_clifford(rep: CliffordRep, task_id: str = "clifford.check") -> Report:
 
 # The six pairings of four spinor slots, as axis orders p: the entry at
 # (i0, i1, i2, i3) is added at (i_p0, i_p1, i_p2, i_p3), as if the axes of
-# the dense tensor were permuted to the order p.
+# the dense tensor were permuted to the order p.  Used by `_pair_sym`, the
+# reference the one-key path is tested against, not by the checks.
 _SLOT_PERMS = ((0, 1, 2, 3),   # X_{ab} Y_{cd}
                (2, 3, 0, 1),   # X_{cd} Y_{ab}
                (0, 2, 1, 3),   # X_{ac} Y_{bd}
@@ -308,7 +309,12 @@ def _outer(x, y, scale: int = 1) -> np.ndarray:
     """scale * x (x) y in COO form, for x and y given as `_coo` triples:
     int64 rows (i, j, k, l, value), one for each pair of nonzeros x_ij,
     y_kl.  For the signed-permutation pairings of d=11 that is 32 * 32 rows
-    instead of 32^4 dense entries."""
+    instead of 32^4 dense entries.
+
+    With `_pair_sym` this is the six-pairing reference for symmetric
+    factors, which the tests hold the dense tensor and `_sorted_key_sym`
+    to; the checks do not call it.  The two stay here, beside the path they
+    check, and the benchmark's tracer wraps both by name."""
     (i, j, xv), (k, l, yv) = x, y
     out = np.empty((len(i), len(k), 5), dtype=np.int64)
     out[..., 0] = i[:, None]
@@ -369,9 +375,11 @@ def _pair_sym(t: np.ndarray, n: int) -> np.ndarray:
 
     For factors that are individually symmetric this equals 6x the full
     symmetrization, which is exactly the functional picking out coefficients
-    of commuting-generator monomials; `_sorted_key_sym` decides the same
-    from one key per row.  This is the general path, for factors of any
-    symmetry.
+    of commuting-generator monomials.  For other factors it is not: an
+    antisymmetric factor gives nonzero sums where the full symmetrization
+    vanishes.  So this is a reference for symmetric tables only, against
+    which the tests check `_sorted_key_sym`; the checks do not call it (see
+    `_outer`).
     """
     val = t[:, 4]
     dtype, lo, bits = _word_layout(val, n)
@@ -387,12 +395,13 @@ def _pair_sym(t: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class _SortedPairs:
-    """A pairing table of symmetric matrices, read as sorted index pairs.
+    """A pairing table, read as sorted index pairs.
 
     `index` maps each index tuple A of the table to its row r; row r of
     `lo`, `hi` (int32) and `val` (int64) holds min(i, j), max(i, j) and the
     value of each nonzero (i, j) of C Gamma^A, padded with zero values to a
-    common width.
+    common width.  Entries (i, j) and (j, i) keep a slot each, with their
+    own values.
     """
 
     index: dict[tuple[int, ...], int]
@@ -406,9 +415,8 @@ class _SortedPairs:
 _ORBIT_MAX = 24
 
 
-def _sorted_pairs(table, n: int) -> _SortedPairs | None:
-    """The table's matrices as `_SortedPairs`, or None unless every one of
-    them is symmetric."""
+def _sorted_pairs(table) -> _SortedPairs:
+    """The table's matrices (`_coo` triples) as `_SortedPairs`."""
     coos = list(table.values())
     sizes = np.array([len(v) for _, _, v in coos], dtype=np.int64)
     width = int(sizes.max(initial=0))
@@ -420,35 +428,28 @@ def _sorted_pairs(table, n: int) -> _SortedPairs | None:
     for out, of in ((pairs.lo, np.minimum), (pairs.hi, np.maximum)):
         out[filled] = np.concatenate([of(i, j) for i, j, _ in coos])
     pairs.val[filled] = np.concatenate([v for _, _, v in coos])
-    # symmetric: the off-diagonal entries pair up, (i, j) with (j, i), on
-    # one sorted pair of one matrix, with equal values
-    off = np.flatnonzero(pairs.lo != pairs.hi)
-    key = off // max(width, 1) * n + pairs.lo.flat[off]
-    key = key * n + pairs.hi.flat[off]
-    order = np.argsort(key)
-    key, off = key[order], off[order]
-    if not (np.array_equal(key[0::2], key[1::2])
-            and np.array_equal(pairs.val.flat[off[0::2]],
-                               pairs.val.flat[off[1::2]])):
-        return None
     return pairs
 
 
 def _sorted_key_sym(pairs: _SortedPairs, terms, n: int) -> np.ndarray:
-    """The one-key counterpart of `_pair_sym`, for symmetric factors.
+    """The symmetrised sum of outer products, one key per product entry.
 
     `terms` are (x, y, scale) with x and y rows of `pairs`.  Each pair of
     entries x_ij, y_kl adds scale x_ij y_kl at the C-order offset of the
     sorted tuple of (i, j, k, l): the two sorted pairs are merged by min and
-    max, and `_key_sums` sums the keyed values.  Returns the same (2, m)
-    layout as `_pair_sym`, over sorted keys only.
+    max, and `_key_sums` sums the keyed values.  Returns a (2, m) int64
+    array: the sorted keys whose sum is nonzero, then the sums.  The caller
+    bounds the values with `_guard_int64`.
 
-    At a sorted key m this sum is |orbit(m)| Sym(T)_m, where |orbit(m)| is
-    the number of distinct orderings of m, while `_pair_sym` of the same
-    terms reads 6 Sym(T)_m there (and the same at every reordering of m).
-    The two have the same sorted support, and the same ratio of any two
-    tensors at one key, so every zero test and c are decided the same; the
-    sort is 6 times shorter.  Padding adds zero values only.
+    At a sorted key m the sum gathers every ordered tuple that sorts to m,
+    so it is |orbit(m)| Sym(T)_m, where |orbit(m)| is the number of distinct
+    orderings of m and Sym the full 24-permutation symmetrisation of
+    T = sum scale x (x) y: the contraction against four commuting spinors,
+    for factors of any symmetry.  The factor |orbit(m)| is fixed per key, so
+    zero tests and the ratio of two tensors at one key, which fixes c, read
+    Sym(T) itself.  For symmetric factors `_pair_sym` reads 6 Sym(T)_m at m
+    and at each of its reorderings, from a sort 6 times longer.  Padding
+    adds zero values only.
     """
     x, y, scale = (np.array(column, dtype=np.int64) for column in zip(*terms))
     val = (scale[:, None] * pairs.val[x])[:, :, None] * pairs.val[y][:, None]
@@ -463,13 +464,13 @@ def _sorted_key_sym(pairs: _SortedPairs, terms, n: int) -> np.ndarray:
     return _key_sums(words, val, lo, bits)
 
 
-def _guard_int64(values, summands: int, factor: int, n: int) -> None:
+def _guard_int64(values: np.ndarray, summands: int, factor: int, n: int
+                 ) -> None:
     """Raise unless `_key_sums` is exact on keyed values that are `factor`
-    times a product of two of `values` (arrays of entries), with at most
-    `summands` of them on one key: each sum stays below 2^62, and each value,
-    shifted to be nonnegative, fits under the key of an n^4 tensor in one
-    int64 word."""
-    top = max((int(np.abs(v).max(initial=0)) for v in values), default=0)
+    times a product of two entries of `values`, with at most `summands` of
+    them on one key: each sum stays below 2^62, and each value, shifted to
+    be nonnegative, fits under the key of an n^4 tensor in one int64 word."""
+    top = int(np.abs(values).max(initial=0))
     bound = top * top * factor
     if (bound * summands >= 1 << 62
             or (n ** 4 - 1).bit_length() + (2 * bound).bit_length() > 63):
@@ -511,9 +512,14 @@ def _mu7_terms(rep: CliffordRep, table, quad, d_scale: int = 1,
     return _closure_terms(rep, table, quad, 120 * d_scale), q_terms
 
 
-def _rows(terms) -> np.ndarray:
-    """The COO rows of a sum of (x, y, scale) outer-product terms."""
-    return np.concatenate([_outer(x, y, s) for x, y, s in terms])
+def _antisymmetric(coo) -> bool:
+    """Whether a `_coo` triple, row-major as `np.nonzero` lists it, is an
+    antisymmetric matrix: its entries are those of minus its transpose,
+    listed row-major."""
+    i, j, v = coo
+    t = np.lexsort((i, j))
+    return (np.array_equal(i, j[t]) and np.array_equal(j, i[t])
+            and np.array_equal(v, -v[t]))
 
 
 def default_cocycle_p(d: int) -> int:
@@ -528,48 +534,36 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
     Each identity is a sum of outer products of pairing matrices contracted
     against four commuting spinors.  It is evaluated as integer COO tensors
     summed by one packed sort and decided on every nonzero entry, never as
-    a dense n^4 array.  When every matrix of the family's pairing table is
-    symmetric (ranks 1, 2 and 5 in d=11), `_sorted_key_sym` keys each
-    product entry once, by its sorted index tuple; otherwise (the p = 3
-    negative control, or a perturbed pairing) `_outer` rows are summed over
-    the six slot pairings by `_pair_sym`.  The two decide every identity,
-    witness and c alike.  Stats: `sym_keys`, the keys sorted.
+    a dense n^4 array: `_sorted_key_sym` keys each product entry once, by
+    its sorted index tuple, whatever the symmetry of the pairings, and so
+    decides every identity, witness and c.  Stats: `sym_keys`, the keys
+    sorted.
 
     family "mu4-closure": for every (p-1)-tuple A of frame indices,
     sum_b eta_bb sym4[(C Gamma^{A b}) (x) (C Gamma^b)] must vanish; this is
     the closure of the degree-(p+2) cocycle, with the count of `prefixes` A
-    decided.  family "mu7-relation" (d=11): at each quadruple
-    a1 < a2 < a3 < a4, the same contraction D for the 5-index pairing must
-    be c times the contraction Q of the two-index splittings of mu4^2.
+    decided.  A rank p whose every pairing is antisymmetric has no cocycle
+    (the symbolic side raises ZeroCocycle), and raises CliffordError rather
+    than pass on sums that vanish term by term.
+
+    family "mu7-relation" (d=11): at each quadruple a1 < a2 < a3 < a4, the
+    same contraction D for the 5-index pairing must be c times the
+    contraction Q of the two-index splittings of mu4^2.
     Where Q vanishes before c is known, D must vanish too.  c = num/den is
     read off the first quadruple where Q is nonzero, by comparing D and Q
     at their smallest key; that quadruple and every later one is decided by
     one residual den D - num Q, which must vanish.  c is reported exactly,
     with the count of `quadruples` decided.  Each family reads its pairings
-    from one `_pairing_table`, guarded once for the path it takes.
-    p_substitute swaps in another pairing rank as a negative control of the
-    machinery.  Raises CliffordError if p is not in 1..d or if the int64
-    arithmetic could overflow.
+    from one `_pairing_table`, guarded once.
+    p_substitute swaps in another pairing rank for "mu4-closure", as a
+    negative control of the machinery; "mu7-relation" has no rank to swap
+    and refuses it.  Raises CliffordError if p is not in 1..d or if the
+    int64 arithmetic could overflow.
     """
     n = rep.n_spin
     stats = {"d": rep.d, "sym_keys": 0}
-    pairs = None
-
-    def read(ranks):
-        """The pairing table for `ranks`, what the term builders index it
-        by, and the most keyed values one term can put on one key."""
-        nonlocal pairs
-        table = _pairing_table(rep, ranks)
-        pairs = _sorted_pairs(table, n)
-        if pairs is None:
-            return table, table, len(_SLOT_PERMS)
-        return table, pairs.index, _ORBIT_MAX
 
     def sym(terms) -> np.ndarray:
-        if pairs is None:
-            rows = _rows(terms)
-            stats["sym_keys"] += len(_SLOT_PERMS) * len(rows)
-            return _pair_sym(rows, n)
         stats["sym_keys"] += len(terms) * pairs.val.shape[1] ** 2
         return _sorted_key_sym(pairs, terms, n)
 
@@ -580,13 +574,17 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
             # without checking anything
             raise CliffordError(f"pairing rank p={p} outside 1..{rep.d}")
         stats.update(p=p, prefixes=0)
-        table, source, per_key = read({1, p})
+        table = _pairing_table(rep, {1, p})
+        if all(_antisymmetric(table[idx])
+               for idx in itertools.combinations(range(rep.d), p)):
+            raise CliffordError(f"every pairing C Gamma^({p}) in d={rep.d} "
+                                "is antisymmetric: no cocycle to close")
+        pairs = _sorted_pairs(table)
         # the d - (p - 1) terms of one prefix
-        _guard_int64([v for _, _, v in table.values()],
-                     per_key * (rep.d - p + 1), 1, n)
+        _guard_int64(pairs.val, _ORBIT_MAX * (rep.d - p + 1), 1, n)
         for prefix in itertools.combinations(range(rep.d), p - 1):
             stats["prefixes"] += 1
-            terms = _closure_terms(rep, source, prefix, 1)
+            terms = _closure_terms(rep, pairs.index, prefix, 1)
             if terms and sym(terms).size:
                 return Report(
                     "fierz." + family, "fail",
@@ -599,6 +597,8 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
                       stats=stats)
 
     if family == "mu7-relation":
+        if p_substitute is not None:
+            raise CliffordError("p_substitute applies to mu4-closure only")
         if rep.d == 3:
             # degenerate analogue: the target is zero, so this reduces to
             # the closure identity for mu3
@@ -608,17 +608,17 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
             return sub
         if rep.d != 11:
             raise Unsupported("mu7-relation needs the d=11 representation")
-        table, source, per_key = read((1, 2, 5))
-        values = [v for _, _, v in table.values()]
+        pairs = _sorted_pairs(_pairing_table(rep, (1, 2, 5)))
         # the residual has the d - 4 terms of D and the 3 of Q
-        summands = per_key * (rep.d - 1)
-        _guard_int64(values, summands, 120, n)
+        summands = _ORBIT_MAX * (rep.d - 1)
+        _guard_int64(pairs.val, summands, 120, n)
         stats["quadruples"] = 0
         c = None
         for quad in itertools.combinations(range(rep.d), 4):
             stats["quadruples"] += 1
             if c is None:
-                d_tensor, q_tensor = map(sym, _mu7_terms(rep, source, quad))
+                d_tensor, q_tensor = map(sym, _mu7_terms(rep, pairs.index,
+                                                         quad))
                 if not q_tensor.size:
                     if d_tensor.size:
                         return Report("fierz.mu7-relation", "fail",
@@ -631,10 +631,10 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
                 hit = at < d_tensor.shape[1] and d_tensor[0, at] == key
                 c = Fraction(int(d_tensor[1, at]) if hit else 0,
                              int(q_tensor[1, 0]))
-                _guard_int64(values, summands,
+                _guard_int64(pairs.val, summands,
                              120 * max(abs(c.numerator), c.denominator), n)
-            d_terms, q_terms = _mu7_terms(rep, source, quad, c.denominator,
-                                          -c.numerator)
+            d_terms, q_terms = _mu7_terms(rep, pairs.index, quad,
+                                          c.denominator, -c.numerator)
             if sym(d_terms + q_terms).size:
                 return Report("fierz.mu7-relation", "fail",
                               details=f"proportionality breaks at {quad}",

@@ -353,10 +353,6 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            if other is self:
-                packed = batched.square(self.sig, self.terms)
-                if packed is not None:
-                    return _PackedElement(self.sig, packed)
             return sum_of_products(self.sig, [(self, other)])
         return self._scaled(Fraction(other))
 

@@ -29,13 +29,14 @@ from cealg.clifford import (
     _outer,
     _pair_sym,
     _pairing_table,
-    _rows,
     _sorted_key_sym,
     _sorted_pairs,
     octonion_left_mults,
     pairing_walk,
     spin9_gammas,
 )
+from cealg.catalog import ZeroCocycle, _mink, brane_cocycle
+from cealg.dgca import apply_d
 from fresh import fresh_run
 
 
@@ -55,6 +56,12 @@ def _dense_nonzeros(t):
     """A dense tensor in `_pair_sym`'s layout: C-order keys, then values."""
     keys = np.flatnonzero(t)
     return np.stack([keys, t.ravel()[keys]])
+
+
+def _rows(terms) -> np.ndarray:
+    """The COO rows of a sum of (x, y, scale) outer-product terms, as
+    `_pair_sym` takes them."""
+    return np.concatenate([_outer(x, y, s) for x, y, s in terms])
 
 
 def _dense_mu7_tensors(rep, quad):
@@ -260,9 +267,52 @@ def test_quartic_closure_identities():
 
 
 def test_quartic_negative_controls():
+    """Every C Gamma^(3) in d=11 is antisymmetric, so p = 3 has no cocycle
+    and is refused; mu3 (p = 1) is not closed, from the first prefix on."""
     rep = build_clifford(11)
-    assert not quartic_fierz_check(rep, "mu4-closure", p_substitute=3).ok
-    assert not quartic_fierz_check(rep, "mu4-closure", p_substitute=1).ok
+    with pytest.raises(CliffordError, match="antisymmetric"):
+        quartic_fierz_check(rep, "mu4-closure", p_substitute=3)
+    bad = quartic_fierz_check(rep, "mu4-closure", p_substitute=1)
+    assert (bad.ok, bad.witness) == (False, "()")
+
+
+@pytest.mark.parametrize("d", [3, 11])
+def test_mu7_relation_refuses_p_substitute(d):
+    """mu7-relation has no pairing rank to swap: d=11 reads ranks 1, 2 and
+    5, and d=3 checks the default closure, so a p_substitute is refused
+    rather than ignored."""
+    with pytest.raises(CliffordError, match="mu4-closure only"):
+        quartic_fierz_check(build_clifford(d), "mu7-relation",
+                            p_substitute=2)
+
+
+def _closure_outcome(check):
+    """True or False as `check()` passes or fails, "zero" where it raises
+    that the cocycle vanishes."""
+    try:
+        return check()
+    except (ZeroCocycle, CliffordError) as e:
+        assert "antisymmetric" in str(e)
+        return "zero"
+
+
+def test_tensor_and_symbolic_closure_agree_rank_by_rank():
+    """mu_{p+2} for d=3, p = 1..3 and d=11, p = 1..5: the tensor path
+    refuses exactly the ranks whose cocycle `brane_cocycle` finds zero,
+    and elsewhere passes exactly where d of the cocycle is 0."""
+    got = {}
+    for d, ranks in ((3, range(1, 4)), (11, range(1, 6))):
+        cat = _mink(d)
+        for p in ranks:
+            symbolic = _closure_outcome(
+                lambda: apply_d(cat.algebra, brane_cocycle(cat, p)).is_zero())
+            tensor = _closure_outcome(lambda: quartic_fierz_check(
+                cat.rep, "mu4-closure", p_substitute=p).ok)
+            assert tensor == symbolic, (d, p)
+            got[d, p] = symbolic
+    assert got == {(3, 1): True, (3, 2): True, (3, 3): "zero",
+                   (11, 1): False, (11, 2): True, (11, 3): "zero",
+                   (11, 4): "zero", (11, 5): False}
 
 
 @pytest.mark.parametrize("d, p", [(11, 0), (11, -1), (11, 12), (3, 4)])
@@ -442,7 +492,7 @@ def test_mu7_relation_matches_two_tensor_reference(perturb, witness):
 def test_mu7_relation_sorts_one_residual_per_quadruple(monkeypatch):
     """Two sorts fix c at (0, 1, 2, 3), and each of the 330 quadruples, that
     one included, is decided by one residual: 332 sorts, all on the one-key
-    path, since ranks 1, 2 and 5 are symmetric.  A residual has the 7 terms
+    path.  A residual has the 7 terms
     of D and the 3 of Q, 10 x 32 x 32 = 10,240 keys, where the six slot
     pairings sorted 61,440."""
     keys = []
@@ -535,15 +585,21 @@ def _index_tuples(keys, n):
 
 
 @st.composite
-def symmetric_terms(draw):
-    """A table of random symmetric integer n x n matrices, some of them zero
-    and most with ragged nonzero counts, and (x, y, scale) terms over it."""
+def pairing_terms(draw, signs=(1, -1, None)):
+    """A table of random integer n x n matrices, each symmetric (sign 1),
+    antisymmetric (-1) or neither (None) as `signs` allows, some of them
+    zero and most with ragged nonzero counts, and (x, y, scale) terms over
+    it."""
     n = draw(st.integers(1, 5))
     entries = st.one_of(st.just(0), st.integers(-4, 4))
     mats = []
     for _ in range(draw(st.integers(1, 4))):
         m = draw(arrays(np.int64, (n, n), elements=entries))
-        mats.append(np.triu(m) + np.triu(m, 1).T)
+        sign = draw(st.sampled_from(signs))
+        if sign is not None:
+            upper = np.triu(m, 1)
+            m = upper + sign * upper.T + (sign > 0) * np.diag(np.diag(m))
+        mats.append(m)
     table = {(k,): _coo(m) for k, m in enumerate(mats)}
     terms = draw(st.lists(st.tuples(st.integers(0, len(mats) - 1),
                                     st.integers(0, len(mats) - 1),
@@ -552,7 +608,7 @@ def symmetric_terms(draw):
     return n, table, terms
 
 
-@given(symmetric_terms())
+@given(pairing_terms(signs=(1,)))
 @settings(max_examples=200, deadline=None)
 def test_one_key_path_matches_six_pairings(drawn):
     """For symmetric factors the one-key sum has the six-pairing sum's
@@ -560,8 +616,7 @@ def test_one_key_path_matches_six_pairings(drawn):
     since the six pairings read 6 Sym(T)_m and the one key
     |orbit(m)| Sym(T)_m."""
     n, table, terms = drawn
-    pairs = _sorted_pairs(table, n)
-    assert pairs is not None
+    pairs = _sorted_pairs(table)
     one = _sorted_key_sym(
         pairs, [(pairs.index[x,], pairs.index[y,], s) for x, y, s in terms], n)
     six = _pair_sym(_rows([(table[x,], table[y,], s) for x, y, s in terms]), n)
@@ -578,18 +633,72 @@ def test_one_key_path_matches_six_pairings(drawn):
         _index_tuples(one[0], n))
 
 
+def _dense_sym24(t):
+    """The sum of a dense n^4 tensor over the 24 orders of its axes."""
+    return sum(t.transpose(perm) for perm in itertools.permutations(range(4)))
+
+
+def _dense_of_coo(coo, n):
+    i, j, v = coo
+    m = np.zeros((n, n), dtype=np.int64)
+    m[i, j] = v
+    return m
+
+
+def _one_key_reference(table, terms, n):
+    """|orbit(m)| Sym(T)_m at each sorted index tuple m where it is
+    nonzero, for T = sum scale x (x) y over the dense matrices of `table`
+    and Sym the 24-permutation symmetrisation, in `_sorted_key_sym`'s
+    layout: C-order keys, then values."""
+    t = sum(s * _dense_outer(_dense_of_coo(table[x,], n),
+                             _dense_of_coo(table[y,], n))
+            for x, y, s in terms)
+    sym24 = _dense_sym24(t)
+    out = []
+    for m in itertools.combinations_with_replacement(range(n), 4):
+        v, rest = divmod(_orbit_size(m) * int(sym24[m]), 24)
+        assert rest == 0
+        if v:
+            out.append((np.ravel_multi_index(m, (n,) * 4), v))
+    return np.array(out, dtype=np.int64).reshape(-1, 2).T
+
+
+def _one_key(table, terms, n):
+    pairs = _sorted_pairs(table)
+    return _sorted_key_sym(
+        pairs, [(pairs.index[x,], pairs.index[y,], s) for x, y, s in terms], n)
+
+
+@given(pairing_terms())
+@settings(max_examples=200, deadline=None)
+def test_sorted_key_sym_matches_the_dense_symmetrisation(drawn):
+    """For factors of any symmetry, the one-key sum at each sorted key m is
+    |orbit(m)| times the dense 24-permutation symmetrisation, Sym(T)_m,
+    and it has no other keys."""
+    n, table, terms = drawn
+    one = _one_key(table, terms, n)
+    assert one.dtype == np.int64
+    assert np.array_equal(one, _one_key_reference(table, terms, n))
+
+
 @pytest.mark.parametrize("m", [
     [[0, 1], [-1, 0]],                   # antisymmetric
     [[0, 1], [0, 0]],                    # one entry without its mirror
     [[1, 2], [3, 0]],                    # both mirrors, unequal values
     [[0, 1, 0], [0, 0, 0], [0, 1, 0]],   # two equal entries, not mirrors
 ], ids=["antisymmetric", "unpaired", "unequal", "not-mirrored"])
-def test_sorted_pairs_refuses_a_non_symmetric_matrix(m):
+def test_sorted_key_sym_keys_a_non_symmetric_matrix(m):
+    """Non-symmetric matrices of each kind match the dense symmetrisation
+    when keyed, beside and against the identity; an antisymmetric factor
+    contributes nothing."""
     m = np.array(m, dtype=np.int64)
     n = len(m)
     table = {(0,): _coo(np.eye(n, dtype=np.int64)), (1,): _coo(m)}
-    assert _sorted_pairs(table, n) is None
-    assert _sorted_pairs({(0,): table[0,]}, n) is not None
+    terms = [(1, 1, 1), (0, 1, 2), (1, 0, -3), (0, 0, 1)]
+    one = _one_key(table, terms, n)
+    assert np.array_equal(one, _one_key_reference(table, terms, n))
+    if np.array_equal(m, -m.T):
+        assert np.array_equal(one, _one_key(table, terms[3:], n))
 
 
 def _path_calls(monkeypatch):
@@ -604,10 +713,12 @@ def _path_calls(monkeypatch):
     return calls
 
 
-def test_one_non_symmetric_pairing_routes_through_pair_sym(monkeypatch):
-    """The path is chosen once per pairing table: unperturbed mu4-closure
-    keys each entry once, with one asymmetric entry in C Gamma^{0 1} it
-    sums over the six slot pairings, and p = 3 (antisymmetric) does too."""
+def test_a_non_symmetric_pairing_takes_the_one_key_route(monkeypatch):
+    """There is one route, whatever the pairings' symmetry: unperturbed
+    mu4-closure keys each entry once, one asymmetric entry in
+    C Gamma^{0 1} fails the first prefix on the same route, and p = 3
+    (antisymmetric) is refused before any sum.  `_pair_sym` is never
+    called."""
     calls = _path_calls(monkeypatch)
     assert quartic_fierz_check(build_clifford(11), "mu4-closure").ok
     assert (len(calls["one"]), len(calls["six"])) == (11, 0)
@@ -625,13 +736,37 @@ def test_one_non_symmetric_pairing_routes_through_pair_sym(monkeypatch):
     rep.pairing = skewed
     bad = quartic_fierz_check(rep, "mu4-closure")
     assert (bad.ok, bad.witness) == (False, "(0,)")
-    assert (len(calls["one"]), len(calls["six"])) == (0, 1)
+    assert (len(calls["one"]), len(calls["six"])) == (1, 0)
 
-    calls["six"].clear()
-    bad = quartic_fierz_check(build_clifford(11), "mu4-closure",
-                              p_substitute=3)
-    assert (bad.ok, bad.witness) == (False, "(0, 1)")
-    assert (len(calls["one"]), len(calls["six"])) == (0, 1)
+    calls["one"].clear()
+    with pytest.raises(CliffordError, match="antisymmetric"):
+        quartic_fierz_check(build_clifford(11), "mu4-closure", p_substitute=3)
+    assert (len(calls["one"]), len(calls["six"])) == (0, 0)
+
+
+SIX_PAIRING_CALLS_SCRIPT = """
+from cealg import clifford
+from cealg.reporting import run_task
+
+calls = dict.fromkeys(["_outer", "_pair_sym", "_sorted_key_sym"], 0)
+for name in calls:
+    real = getattr(clifford, name)
+    setattr(clifford, name, lambda *a, real=real, name=name: (
+        calls.__setitem__(name, calls[name] + 1) or real(*a)))
+for task in ("mu3.closure", "mu4.closure", "m5.relation", "clifford.check"):
+    print(run_task(task).verdict)
+print(*calls.values())
+"""
+
+
+def test_tasks_never_call_the_six_pairing_reference():
+    """The tasks that run the tensor path (`mu3.closure`, `mu4.closure`,
+    `m5.relation`) and `clifford.check` make no call of `_outer` or
+    `_pair_sym`, which stay only as the tests' reference: the one-key path
+    takes 1 + 11 + 332 calls.  Run in a fresh interpreter, so that no
+    cached report hides a call."""
+    lines = fresh_run(SIX_PAIRING_CALLS_SCRIPT).split()
+    assert lines == ["pass"] * 4 + ["0", "0", "344"]
 
 
 @pytest.mark.parametrize("d", [3, 11])
