@@ -104,15 +104,6 @@ def spin9_gammas() -> list[np.ndarray]:
     return out
 
 
-@dataclass
-class PairingMatrix:
-    """C Gamma^{a1...ap} for strictly increasing indices, with its symmetry."""
-
-    indices: tuple[int, ...]
-    matrix: np.ndarray
-    symmetry: str  # "symmetric" | "antisymmetric" | "mixed"
-
-
 class CliffordRep:
     """A real Clifford representation with its invariant bilinear pairing."""
 
@@ -138,15 +129,6 @@ class CliffordRep:
         for gamma, gather in zip(gammas, _gathers(gammas)):
             out = _times(out, gamma, gather)
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "signature": list(self.signature),
-            "n_spin": self.n_spin,
-            "gammas": [g.tolist() for g in self.gammas],
-            "charge_conj": self.charge_conj.tolist(),
-        }
 
 
 def _gathers(gammas: list) -> list:
@@ -205,21 +187,6 @@ def _symmetry_of(m: np.ndarray) -> str:
     if np.array_equal(m, -m.T):
         return "antisymmetric"
     return "mixed"
-
-
-def antisym_gamma(rep: CliffordRep, indices) -> PairingMatrix:
-    """C Gamma^{a1...ap} for strictly increasing indices.
-
-    For distinct indices the normalized antisymmetrization equals the
-    ordered product, so that is what gets computed.
-    """
-    indices = tuple(indices)
-    if any(not 0 <= a < rep.d for a in indices):
-        raise BadIndices(f"indices {indices} out of range")
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise BadIndices(f"indices {indices} not strictly increasing")
-    m = rep.pairing(indices)
-    return PairingMatrix(indices, m, _symmetry_of(m))
 
 
 def pairing_walk(rep: CliffordRep, max_rank: int):

@@ -111,25 +111,6 @@ class SemifreeDGCA:
     def d_of(self, name: str) -> Element:
         return self.d_images[self.sig.gen_id(name)]
 
-    def to_json(self) -> dict:
-        return {
-            "generators": self.sig.to_json(),
-            "differential": {
-                self.sig.names[i]: img.to_json()
-                for i, img in enumerate(self.d_images)
-                if img
-            },
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "SemifreeDGCA":
-        sig = AlgebraSignature.from_json(data["generators"])
-        images = {
-            name: Element.from_json(sig, img)
-            for name, img in data["differential"].items()
-        }
-        return make_dgca(sig, images)
-
 
 def make_dgca(sig: AlgebraSignature, images: Mapping[str, Element]) -> SemifreeDGCA:
     """Assemble an algebra from generator differentials.
@@ -302,26 +283,6 @@ class DGCAMorphism:
         if const:
             pairs.append((Element.scalar(tsig, const), Element.one(tsig)))
         return sum_of_products(tsig, pairs)
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "images": {
-                self.source.sig.names[i]: img.to_json()
-                for i, img in enumerate(self.images)
-            },
-        }
-
-    @staticmethod
-    def from_json(data: dict, validate: bool = True) -> "DGCAMorphism":
-        source = SemifreeDGCA.from_json(data["source"])
-        target = SemifreeDGCA.from_json(data["target"])
-        images = {
-            name: Element.from_json(target.sig, img)
-            for name, img in data["images"].items()
-        }
-        return make_morphism(source, target, images, validate=validate)
 
 
 def make_morphism(source: SemifreeDGCA, target: SemifreeDGCA,

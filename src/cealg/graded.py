@@ -19,7 +19,6 @@ len, bool and is_zero read the row count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -144,31 +143,11 @@ class AlgebraSignature:
         except KeyError:
             raise UnknownGenerator(f"unknown generator {name!r}") from None
 
-    def decl(self, name: str) -> GeneratorDecl:
-        return self.decls[self.gen_id(name)]
-
     def monomial_bidegree(self, mono: Monomial) -> tuple[int, int]:
         deg = sum(self.degrees[g] * e for g, e in mono)
         par = sum(self.parities[g] * e for g, e in mono) & 1
         return (deg, par)
 
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "family": d.family,
-                "indices": list(d.indices),
-                "degree": d.degree,
-                "parity": d.parity,
-            }
-            for d in self.decls
-        ]
-
-    @staticmethod
-    def from_json(data: list[dict]) -> "AlgebraSignature":
-        return AlgebraSignature(
-            GeneratorDecl(d["family"], tuple(d["indices"]), d["degree"], d["parity"])
-            for d in data
-        )
 
 
 def make_signature(decls: Iterable[GeneratorDecl]) -> AlgebraSignature:
@@ -243,8 +222,10 @@ def monomial_mul(m1: Monomial, m2: Monomial, sig: AlgebraSignature):
 class Element:
     """An exact linear combination of canonical monomials in a fixed signature.
 
-    Immutable by convention: every operation returns a new Element, zero
-    coefficients are never stored, and equality is map equality.
+    Immutable by convention: every operation returns a new Element, and
+    equality is map equality.  The raw constructor trusts its caller to
+    pass a canonical dict with nonzero coefficients; `from_terms`,
+    `scalar` and every operation enforce that.
     """
 
     __slots__ = ("sig", "terms")
@@ -408,19 +389,6 @@ class Element:
             for mono, coeff in self.sorted_terms()
         ]
 
-    @staticmethod
-    def from_json(sig: AlgebraSignature, data: list[dict]) -> "Element":
-        return Element.from_terms(
-            sig,
-            [
-                (Fraction(t["coeff"]), [(n, e) for n, e in t["monomial"]])
-                for t in data
-            ],
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
 
 class _PackedElement(Element):
     """An Element whose terms are still a `batched.Packed` kernel result.
@@ -502,12 +470,6 @@ def sum_of_products(sig: AlgebraSignature, pairs: Sequence) -> Element:
     if packed is not None:
         return _PackedElement(sig, packed)
     return Element(sig, _accumulate({}, _products(terms, sig)))
-
-
-def normalize(sig: AlgebraSignature, raw, coeff=1) -> Element:
-    """Canonicalize one raw word: a list of (generator name, exponent) pairs
-    in arbitrary order, times a rational coefficient."""
-    return Element.from_terms(sig, [(coeff, list(raw))])
 
 
 def linear_combine(terms: Sequence[tuple[object, Element]]) -> Element:

@@ -197,22 +197,6 @@ class SparseRationalMatrix:
     def __post_init__(self):
         self.entries = {k: v for k, v in self.entries.items() if v}
 
-    def transpose(self) -> "SparseRationalMatrix":
-        return SparseRationalMatrix(
-            self.cols, self.rows,
-            {(c, r): v for (r, c), v in self.entries.items()},
-        )
-
-    def to_matrix_market(self) -> str:
-        lines = [
-            "%%MatrixMarket matrix coordinate rational general",
-            f"{self.rows} {self.cols} {len(self.entries)}",
-        ]
-        for (r, c) in sorted(self.entries):
-            v = self.entries[(r, c)]
-            lines.append(f"{r + 1} {c + 1} {v.numerator}/{v.denominator}")
-        return "\n".join(lines) + "\n"
-
 
 def differential_matrix(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
                         weights: tuple[int, ...] | None = None, weight: int = 0

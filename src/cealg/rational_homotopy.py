@@ -318,43 +318,3 @@ def _fiber_fail(details: str, residual: Element | None = None) -> Report:
     return Report("flatforms.fiber", "fail", details=details,
                   residual=residual)
 
-
-# -- JSON expression grammar for flat-form assignments ------------------------
-
-
-def parse_form_expr(target: PolyDeRham, expr) -> Element:
-    """Small expression grammar: integers or "p/q" strings are constants,
-    {"x": i} and {"dx": i} are coordinate generators, {"sum": [...]} and
-    {"prod": [...]} combine subexpressions."""
-    sig = target.algebra.sig
-    if isinstance(expr, int):
-        return Element.scalar(sig, expr)
-    if isinstance(expr, str):
-        return Element.scalar(sig, Fraction(expr))
-    if not isinstance(expr, dict) or len(expr) != 1:
-        raise GradedError(f"bad form expression {expr!r}")
-    (kind, val), = expr.items()
-    if kind == "x":
-        return Element.generator(sig, f"x^{val}")
-    if kind == "dx":
-        return Element.generator(sig, f"dx^{val}")
-    if kind == "sum":
-        acc = {}
-        for sub in val:
-            _accumulate(acc, parse_form_expr(target, sub).terms.items())
-        return Element(sig, acc)
-    if kind == "prod":
-        out = Element.one(sig)
-        for sub in val:
-            out = out * parse_form_expr(target, sub)
-        return out
-    if kind == "const":
-        return Element.scalar(sig, Fraction(val))
-    raise GradedError(f"bad form expression key {kind!r}")
-
-
-def flat_form_check_json(model: SemifreeDGCA, target: PolyDeRham,
-                         assignment: dict) -> FlatGForm:
-    images = {name: parse_form_expr(target, expr)
-              for name, expr in assignment.items()}
-    return flat_form_check(model, target, images)

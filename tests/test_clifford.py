@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from cealg import (
     BadIndices,
     Unsupported,
-    antisym_gamma,
     build_clifford,
     check_clifford,
     quartic_fierz_check,
@@ -172,20 +171,22 @@ def test_unsupported_dimension():
 
 def test_pairing_symmetry_flags_d11():
     rep = build_clifford(11)
-    assert antisym_gamma(rep, (3,)).symmetry == "symmetric"
-    assert antisym_gamma(rep, (0, 7)).symmetry == "symmetric"
-    assert antisym_gamma(rep, (1, 2, 3, 4, 5)).symmetry == "symmetric"
-    assert antisym_gamma(rep, (0, 1, 2)).symmetry == "antisymmetric"
-    assert antisym_gamma(rep, (2, 4, 6, 8)).symmetry == "antisymmetric"
-    assert antisym_gamma(rep, ()).symmetry == "antisymmetric"  # C itself
+
+    def symmetry(indices):
+        return clifford._symmetry_of(rep.pairing(indices))
+
+    assert symmetry((3,)) == "symmetric"
+    assert symmetry((0, 7)) == "symmetric"
+    assert symmetry((1, 2, 3, 4, 5)) == "symmetric"
+    assert symmetry((0, 1, 2)) == "antisymmetric"
+    assert symmetry((2, 4, 6, 8)) == "antisymmetric"
+    assert symmetry(()) == "antisymmetric"  # C itself
 
 
-def test_antisym_gamma_index_validation():
+def test_pairing_index_validation():
     rep = build_clifford(11)
     with pytest.raises(BadIndices):
-        antisym_gamma(rep, (3, 1))
-    with pytest.raises(BadIndices):
-        antisym_gamma(rep, (0, 11))
+        rep.pairing((0, 11))
 
 
 def test_check_clifford_negative_control():
@@ -333,13 +334,6 @@ def test_mu7_relation_d3_degenerate():
     rep = quartic_fierz_check(build_clifford(3), "mu7-relation")
     assert rep.ok
     assert rep.pinned["c"] is None
-
-
-def test_gamma_json_export():
-    rep = build_clifford(3)
-    data = rep.to_json()
-    assert data["gammas"][0] == [[0, 1], [-1, 0]]
-    assert data["n_spin"] == 2
 
 
 small_matrices = arrays(np.int64, (4, 4), elements=st.integers(-3, 3))

@@ -1071,20 +1071,3 @@ def test_set_generators_to_zero_hopf():
     assert list(fiber.sig.names) == ["g7"]
     assert fiber.d_of("g7").is_zero()
     assert set_generators_to_zero(s4, []) == s4
-
-
-def test_json_round_trip_algebra():
-    s4 = s4_algebra()
-    from cealg.dgca import SemifreeDGCA
-
-    back = SemifreeDGCA.from_json(s4.to_json())
-    assert back == s4
-
-
-def test_json_round_trip_morphism():
-    from cealg.dgca import DGCAMorphism
-
-    s4 = s4_algebra()
-    f = make_morphism(line(4), s4, {"g4": Element.generator(s4.sig, "g4")})
-    back = DGCAMorphism.from_json(f.to_json())
-    assert back == f

@@ -19,7 +19,6 @@ from cealg import (
     UnknownGenerator,
     linear_combine,
     make_signature,
-    normalize,
 )
 import cealg
 from cealg import batched
@@ -70,33 +69,34 @@ def test_duplicate_name_rejected():
 
 def test_unknown_generator_rejected():
     with pytest.raises(UnknownGenerator):
-        normalize(SIG, [("nope", 1)])
+        Element.from_terms(SIG, [(1, [("nope", 1)])])
 
 
 def test_two_even_degree_one_generators_anticommute():
     # (e^2)(e^1) -> -(e^1 e^2)
-    el = normalize(SIG, [("e^2", 1), ("e^1", 1)])
+    el = Element.from_terms(SIG, [(1, [("e^2", 1), ("e^1", 1)])])
     expected = Element.from_terms(SIG, [(-1, [("e^1", 1), ("e^2", 1)])])
     assert el == expected
 
 
 def test_odd_parity_degree_one_generator_squares():
-    el = normalize(SIG, [("psi^1", 1), ("psi^1", 1)])
+    el = Element.from_terms(SIG, [(1, [("psi^1", 1), ("psi^1", 1)])])
     assert el == Element.from_terms(SIG, [(1, [("psi^1", 2)])])
 
 
 def test_square_zero_generator_collapses():
-    assert normalize(SIG, [("h3", 1), ("h3", 1)]).is_zero()
+    assert Element.from_terms(SIG, [(1, [("h3", 1), ("h3", 1)])]).is_zero()
 
 
 def test_normalize_skips_zero_and_rejects_negative_exponents():
     # a zero exponent is no factor, even of a square-zero generator, and
     # a negative one raises wherever it stands in the word
-    assert normalize(SIG, [("h3", 0), ("e^1", 1), ("h3", 1), ("e^0", 0)]) \
+    word = [("h3", 0), ("e^1", 1), ("h3", 1), ("e^0", 0)]
+    assert Element.from_terms(SIG, [(1, word)]) \
         == Element.generator(SIG, "e^1") * Element.generator(SIG, "h3")
     for word in ([("e^1", -1)], [("h3", 1), ("h3", 1), ("g4", -2)]):
         with pytest.raises(cealg.GradedError, match="negative exponent"):
-            normalize(SIG, word)
+            Element.from_terms(SIG, [(1, word)])
 
 
 def test_g4_squares_nonzero():
@@ -114,7 +114,7 @@ def test_linear_combine_cancellation_and_scaling():
 
 def test_mul_zero_annihilates():
     zero = Element.zero(SIG)
-    el = normalize(SIG, [("e^0", 1), ("psi^1", 1)])
+    el = Element.from_terms(SIG, [(1, [("e^0", 1), ("psi^1", 1)])])
     assert (el * zero).is_zero()
 
 
@@ -124,13 +124,24 @@ def test_signature_mismatch_raises():
         Element.generator(SIG, "g4") + Element.generator(other, "g4")
 
 
+def parse_to_json(data) -> dict:
+    """The terms that an `Element.to_json` list spells, read back."""
+    return {tuple((SIG.gen_id(n), e) for n, e in t["monomial"]):
+            Fraction(t["coeff"]) for t in data}
+
+
 def test_json_round_trip_is_bit_exact():
     el = Element.from_terms(
         SIG,
         [(Fraction(-7, 3), [("e^0", 1), ("psi^2", 2)]),
          (Fraction(1, 15), [("g4", 1), ("h3", 1)])],
     )
-    assert Element.from_json(SIG, el.to_json()) == el
+    data = el.to_json()
+    assert data == [
+        {"monomial": [["e^0", 1], ["psi^2", 2]], "coeff": "-7/3"},
+        {"monomial": [["g4", 1], ["h3", 1]], "coeff": "1/15"},
+    ]
+    assert parse_to_json(data) == el.terms
 
 
 @given(st.lists(
@@ -139,10 +150,18 @@ def test_json_round_trip_is_bit_exact():
     max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_json_round_trip_random_elements(raw):
+    """`to_json` lists monomials in sorted order, each with a reduced "p/q"
+    coefficient that parses back to its own."""
     el = linear_combine([(1, Element.from_terms(
         SIG, [(c, [(SIG.names[g], 1) for g in w])])) for c, w in raw]
         or [(0, Element.zero(SIG))])
-    assert Element.from_json(SIG, el.to_json()) == el
+    data = el.to_json()
+    terms = parse_to_json(data)
+    assert list(terms) == sorted(el.terms)
+    assert terms == el.terms
+    for t in data:
+        c = Fraction(t["coeff"])
+        assert t["coeff"] == f"{c.numerator}/{c.denominator}"
 
 
 # -- the transposition-count sign oracle -------------------------------------
@@ -178,7 +197,7 @@ def random_word(draw):
 @given(random_word())
 @settings(max_examples=300, deadline=None)
 def test_normalize_matches_bubble_oracle(word):
-    el = normalize(SIG, [(SIG.names[g], 1) for g in word])
+    el = Element.from_terms(SIG, [(1, [(SIG.names[g], 1) for g in word])])
     sign, seq = bubble_sort_sign(word, SIG)
     # squares of square-zero generators must collapse to zero
     has_sq = any(
@@ -229,7 +248,8 @@ def test_normalize_sign_canonical_under_shuffle(word):
     for _ in range(4):
         shuffled = word[:]
         rng.shuffle(shuffled)
-        got = normalize(SIG, [(SIG.names[g], 1) for g in shuffled])
+        got = Element.from_terms(
+            SIG, [(1, [(SIG.names[g], 1) for g in shuffled])])
         sign, seq = bubble_sort_sign(shuffled, SIG)
         has_sq = any(SIG.sqz[g] and seq.count(g) >= 2 for g in set(seq))
         if has_sq:
@@ -270,7 +290,7 @@ def test_linear_combine_matches_scaled_sum(x, a, y, b):
 
 
 def test_coefficients_stay_rational():
-    el = normalize(SIG, [("g4", 2)], Fraction(22, 7))
+    el = Element.from_terms(SIG, [(Fraction(22, 7), [("g4", 2)])])
     for _, c in el.terms.items():
         assert isinstance(c, Fraction)
 
@@ -722,6 +742,28 @@ def test_no_assert_statement_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_unused_import_in_the_package():
+    """Every name a module imports is referenced in it; `__init__.py`, whose
+    imports are the package's exports, and `from __future__` are exempt."""
+    found = []
+    for path in sorted(Path(cealg.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
     assert found == []
 
 

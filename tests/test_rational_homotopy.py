@@ -11,10 +11,8 @@ from cealg import (
     apply_d,
     check_d_squared,
     flat_form_check,
-    flat_form_check_json,
     forms_fiber_check,
     hopf_sequence_check,
-    parse_form_expr,
     poincare_lemma_check,
     poly_de_rham,
     radial_contraction,
@@ -315,30 +313,12 @@ def test_fiber_check_memory_and_kernel_calls():
     assert peak <= 1.23 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
-def test_form_expression_grammar():
-    pdr = poly_de_rham(3)
-    el = parse_form_expr(pdr, {"sum": [
-        {"prod": [{"x": 1}, {"dx": 2}]},
-        {"prod": ["-1/2", {"dx": 1}, {"dx": 3}]},
-    ]})
-    want = pdr.x(1) * pdr.dx(2) - Fraction(1, 2) * pdr.dx(1) * pdr.dx(3)
-    assert el == want
-    s4 = sphere_model(4).algebra
-    pdr8 = poly_de_rham(8)
-    flat = flat_form_check_json(s4, pdr8, {
-        "g4": {"prod": [{"dx": 1}, {"dx": 2}, {"dx": 3}, {"dx": 4}]},
-        "g7": 0,
-    })
-    assert flat.assignment.image_of("g7").is_zero()
-    with pytest.raises(GradedError):
-        parse_form_expr(pdr, {"nope": 1})
-
-
-def test_flat_form_check_json_rejects_an_unknown_generator():
+def test_flat_form_check_rejects_an_unknown_generator():
     """A name the model does not have is an error, not a dropped image:
     with "g8" on the 4-sphere model, g7 would silently map to 0."""
+    pdr = poly_de_rham(8)
     with pytest.raises(UnknownGenerator, match="g8"):
-        flat_form_check_json(sphere_model(4).algebra, poly_de_rham(8), {
-            "g4": {"prod": [{"dx": 1}, {"dx": 2}, {"dx": 3}, {"dx": 4}]},
-            "g8": {"x": 1},
+        flat_form_check(sphere_model(4).algebra, pdr, {
+            "g4": pdr.dx(1) * pdr.dx(2) * pdr.dx(3) * pdr.dx(4),
+            "g8": pdr.x(1),
         })
