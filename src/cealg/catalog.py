@@ -60,7 +60,7 @@ from .graded import (
     sum_of_products,
     transport,
 )
-from .linalg import CoboundaryDecision, is_coboundary
+from .linalg import DEFAULT_CAP, CoboundaryDecision, is_coboundary
 from .rational_homotopy import sphere_model
 
 
@@ -332,6 +332,17 @@ def _close_m5(k: Fraction) -> tuple[Element, Element]:
 # -- the resolved algebra and its homotopy equivalence -----------------------
 
 
+def _resolve(base: SemifreeDGCA) -> SemifreeDGCA:
+    """Adjoin g4 (closed) and h3 with d h3 = g4 - mu4 to `base`, an
+    extension of superMink(11)."""
+    with_g4 = adjoin_generator(base, GeneratorDecl("g4", (), 4, EVEN),
+                               Element.zero(base.sig))
+    sig = with_g4.sig
+    return adjoin_generator(
+        with_g4, GeneratorDecl("h3", (), 3, EVEN),
+        Element.generator(sig, "g4") - transport(_mu(11, 2), sig))
+
+
 @lru_cache(maxsize=None)
 def resolved_minkowski() -> tuple[CatalogAlgebra, DGCAMorphism, DGCAMorphism,
                                   ChainHomotopy]:
@@ -342,12 +353,7 @@ def resolved_minkowski() -> tuple[CatalogAlgebra, DGCAMorphism, DGCAMorphism,
     homotopy witnessing iota after p ~ id.
     """
     mink = _mink(11)
-    with_g4 = adjoin_generator(mink.algebra, GeneratorDecl("g4", (), 4, EVEN),
-                               Element.zero(mink.algebra.sig))
-    res_alg = adjoin_generator(
-        with_g4, GeneratorDecl("h3", (), 3, EVEN),
-        Element.generator(with_g4.sig, "g4") - transport(_mu(11, 2), with_g4.sig),
-    )
+    res_alg = _resolve(mink.algebra)
     cat = CatalogAlgebra(res_alg, mink.rep)
     sig = res_alg.sig
     mink_alg = mink.algebra
@@ -454,6 +460,7 @@ def super_poincare() -> CatalogAlgebra:
     d omega^a_b = omega^a_c omega^c_b,
     d psi = (1/4) omega_{ab} Gamma^{ab} psi,
     d e^a = omega^a_b e^b + psibar Gamma^a psi.
+    d e^a and d omega_{ab} are read off `_omega_matrix`.
     """
     mink = _mink(11)
     rep = mink.rep
@@ -461,31 +468,13 @@ def super_poincare() -> CatalogAlgebra:
     decls = list(mink.algebra.sig.decls)
     decls += [GeneratorDecl("omega", (a, b), 1, EVEN) for a, b in _omega_pairs(d)]
     sig = make_signature(decls)
-    e_ids, psi_ids = _frame(sig, d, rep.n_spin)
-    om_id = {(a, b): sig.gen_id(f"omega^{a},{b}") for a, b in _omega_pairs(d)}
-
-    def w(a, b):  # omega_{ab} resolved to the stored a<b generator
-        if a == b:
-            return None, 0
-        if a < b:
-            return om_id[(a, b)], 1
-        return om_id[(b, a)], -1
-
-    images: dict[str, Element] = {}
-    eta = rep.eta
-
-    for a in range(d):
-        terms = []
-        for b in range(d):
-            gid, sgn = w(a, b)
-            if gid is None:
-                continue
-            # omega^a_b e^b = eta^aa omega_{ab} e^b
-            terms.append((Fraction(eta[a] * sgn),
-                          [(sig.names[gid], 1), (f"e^{b}", 1)]))
-        el = Element.from_terms(sig, terms)
-        el = el + _pairing_element(sig, psi_ids, rep.pairing((a,)), 1)
-        images[f"e^{a}"] = el
+    psi_ids = _frame(sig, d, rep.n_spin)[1]
+    mat = _omega_matrix(sig)
+    e = [Element.generator(sig, f"e^{b}") for b in range(d)]
+    images: dict[str, Element] = {
+        f"e^{a}": sum_of_products(sig, list(zip(mat[a], e)))
+        + _pairing_element(sig, psi_ids, rep.pairing((a,)), 1)
+        for a in range(d)}
 
     half = Fraction(1, 2)
     gamma2 = {(a, b): rep.gammas[a] @ rep.gammas[b] for a, b in _omega_pairs(d)}
@@ -499,29 +488,23 @@ def super_poincare() -> CatalogAlgebra:
                                   [(f"omega^{a},{b}", 1), (f"psi^{j + 1}", 1)]))
         images[f"psi^{alpha}"] = Element.from_terms(sig, terms)
 
+    # omega_{ab} = eta_aa omega^a_b; M^2 uncached, so that it is freed here
+    sq = _matmul(mat, mat)
     for a, b in _omega_pairs(d):
-        terms = []
-        for cc in range(d):
-            g1, s1 = w(a, cc)
-            g2, s2 = w(cc, b)
-            if g1 is None or g2 is None:
-                continue
-            terms.append((Fraction(eta[cc] * s1 * s2),
-                          [(sig.names[g1], 1), (sig.names[g2], 1)]))
-        images[f"omega^{a},{b}"] = Element.from_terms(sig, terms)
+        images[f"omega^{a},{b}"] = rep.eta[a] * sq[a][b]
 
     alg = make_dgca(sig, images)
     return CatalogAlgebra(alg, rep)
 
 
 @lru_cache(maxsize=None)
-def _omega_matrix(cat_tag: str) -> list[list[Element]]:
-    """The matrix-valued one-form omega^a_b over the tagged algebra."""
-    cat = {"superPoincare": super_poincare,
-           "resolvedPoincare": resolved_poincare}[cat_tag]()
-    sig = cat.algebra.sig
-    rep = cat.rep
-    d = rep.d
+def _omega_matrix(sig: AlgebraSignature) -> list[list[Element]]:
+    """The matrix-valued one-form omega^a_b = eta_aa omega_{ab} over any
+    signature holding the d=11 generators omega_{ab}, a < b, with
+    omega_{ba} = -omega_{ab}: the one place that maps the matrix onto the
+    stored generators."""
+    eta = _mink(11).rep.eta
+    d = len(eta)
     mat: list[list[Element]] = []
     for a in range(d):
         row = []
@@ -529,11 +512,9 @@ def _omega_matrix(cat_tag: str) -> list[list[Element]]:
             if a == b:
                 row.append(Element.zero(sig))
             elif a < b:
-                row.append(Fraction(rep.eta[a])
-                           * Element.generator(sig, f"omega^{a},{b}"))
+                row.append(eta[a] * Element.generator(sig, f"omega^{a},{b}"))
             else:
-                row.append(Fraction(-rep.eta[a])
-                           * Element.generator(sig, f"omega^{b},{a}"))
+                row.append(-eta[a] * Element.generator(sig, f"omega^{b},{a}"))
         mat.append(row)
     return mat
 
@@ -546,24 +527,25 @@ def _matmul(p, q):
 
 
 @lru_cache(maxsize=None)
-def _omega_power(cat_tag: str, n: int) -> list[list[Element]]:
+def _omega_power(sig: AlgebraSignature, n: int) -> list[list[Element]]:
     if n == 1:
-        return _omega_matrix(cat_tag)
+        return _omega_matrix(sig)
     half = n // 2
-    return _matmul(_omega_power(cat_tag, half), _omega_power(cat_tag, n - half))
+    return _matmul(_omega_power(sig, half), _omega_power(sig, n - half))
 
 
 @lru_cache(maxsize=None)
-def trace_power(cat_tag: str, k: int) -> Element:
-    """trace(omega^k), computed as sum_{a,c} (M^j)[a][c] (M^{k-j})[c][a]
-    so only half-size matrix powers are ever materialized."""
-    mat = _omega_matrix(cat_tag)
+def trace_power(sig: AlgebraSignature, k: int) -> Element:
+    """trace(omega^k) over `sig`, computed as
+    sum_{a,c} (M^j)[a][c] (M^{k-j})[c][a] so only half-size matrix powers
+    are ever materialized."""
+    mat = _omega_matrix(sig)
     d = len(mat)
     if k == 1:
         return linear_combine([(1, mat[a][a]) for a in range(d)])
-    pj = _omega_power(cat_tag, k // 2)
-    pk = _omega_power(cat_tag, k - k // 2)
-    return sum_of_products(mat[0][0].sig, [
+    pj = _omega_power(sig, k // 2)
+    pk = _omega_power(sig, k - k // 2)
+    return sum_of_products(sig, [
         (pj[a][c], pk[c][a]) for a, c in itertools.product(range(d), repeat=2)])
 
 
@@ -573,13 +555,13 @@ def lorentz_trace(k: int) -> tuple[Element, Report]:
     the even traces tr(omega^{2m}) for 2m <= k+1 verified to vanish."""
     if k not in (3, 7):
         raise Unsupported("trace cocycles are k = 3 and k = 7")
-    iso = super_poincare()
-    tr = trace_power("superPoincare", k)
-    d_tr = apply_d(iso.algebra, tr)
+    iso = super_poincare().algebra
+    tr = trace_power(iso.sig, k)
+    d_tr = apply_d(iso, tr)
     even_ok = True
     even_terms = {}
     for m2 in range(2, k + 2, 2):
-        ev = trace_power("superPoincare", m2)
+        ev = trace_power(iso.sig, m2)
         even_terms[str(m2)] = len(ev)
         if ev:
             even_ok = False
@@ -603,12 +585,7 @@ def resolved_poincare() -> CatalogAlgebra:
     (and checks) that mu4 stays closed in the presence of the rotational
     generators."""
     iso = super_poincare()
-    with_g4 = adjoin_generator(iso.algebra, GeneratorDecl("g4", (), 4, EVEN),
-                               Element.zero(iso.algebra.sig))
-    mu4 = transport(_mu(11, 2), with_g4.sig)
-    alg = adjoin_generator(with_g4, GeneratorDecl("h3", (), 3, EVEN),
-                           Element.generator(with_g4.sig, "g4") - mu4)
-    return CatalogAlgebra(alg, iso.rep)
+    return CatalogAlgebra(_resolve(iso.algebra), iso.rep)
 
 
 def family_seven_cocycle(alpha, beta) -> tuple[DGCAMorphism, Report]:
@@ -628,10 +605,9 @@ def _family(alpha: Fraction, beta: Fraction) -> tuple[DGCAMorphism, Report]:
     h3 = Element.generator(sig, "h3")
     mu4 = transport(_mu(11, 2), sig)
     mu7 = transport(_mu(11, 5), sig)
-    image = (h3 + alpha * trace_power("resolvedPoincare", 3)) * (g4 + mu4) \
-        + (1 / c) * mu7
+    image = (h3 + alpha * trace_power(sig, 3)) * (g4 + mu4) + (1 / c) * mu7
     if beta:
-        image = image + beta * trace_power("resolvedPoincare", 7)
+        image = image + beta * trace_power(sig, 7)
     phi = make_morphism(s4, rp.algebra, {"g4": g4, "g7": image})
 
     # restriction omega -> 0 onto the resolved Minkowski algebra
@@ -666,7 +642,7 @@ def _family(alpha: Fraction, beta: Fraction) -> tuple[DGCAMorphism, Report]:
 
 
 def verify_brane_scan_entry(d: int, n_label: int, p: int,
-                            cap: int | None = None) -> BraneScanEntry:
+                            cap: int = DEFAULT_CAP) -> BraneScanEntry:
     """Closure and nontriviality both decided by `is_coboundary`: its
     closure check raises NotClosed, else it solves d v = mu exactly."""
     cat = _mink(d)
@@ -675,9 +651,8 @@ def verify_brane_scan_entry(d: int, n_label: int, p: int,
             f"(d={d}, N={n_label}) not supported; built-in rep has "
             f"N={cat.rep.n_spin}")
     mu = brane_cocycle(cat, p)
-    kwargs = {} if cap is None else {"cap": cap}
     try:
-        decision: CoboundaryDecision = is_coboundary(cat.algebra, mu, **kwargs)
+        decision: CoboundaryDecision = is_coboundary(cat.algebra, mu, cap)
     except NotClosed:
         return BraneScanEntry(d, n_label, p, False, None)
     nontrivial = {"yes": "no", "no": "yes", "capped": "capped"}[decision.status]

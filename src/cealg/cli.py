@@ -20,7 +20,6 @@ from .graded import GradedError
 from .linalg import Capped
 from .reporting import (
     TASKS,
-    TaskConfig,
     UnknownTask,
     compare_golden,
     load_golden,
@@ -91,8 +90,7 @@ def main(argv=None) -> int:
         params["samples"] = args.samples
 
     try:
-        config = TaskConfig(args.task, params)
-        report = run_task(config)
+        report = run_task(args.task, **params)
     except UnknownTask as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPPED

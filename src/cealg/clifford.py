@@ -155,8 +155,7 @@ def _times(m: np.ndarray, gamma: np.ndarray, gather) -> np.ndarray:
     return m[:, rows] * values
 
 
-def build_clifford(d: int, signature: tuple[int, int] | None = None
-                   ) -> CliffordRep:
+def build_clifford(d: int) -> CliffordRep:
     """Fixed-basis real representations for the supported dimensions.
 
     d=3: the explicit 2x2 set Gamma^0 = eps, Gamma^1 = sigma1,
@@ -165,13 +164,9 @@ def build_clifford(d: int, signature: tuple[int, int] | None = None
     sigma3 (x) 1, with C = Gamma^0.  Metric is mostly plus.
     """
     if d == 3:
-        if signature not in (None, (1, 2)):
-            raise Unsupported(f"signature {signature} unsupported for d=3")
         gammas = [EPS, SIGMA1, SIGMA3]
         return CliffordRep(3, (1, 2), gammas, EPS)
     if d == 11:
-        if signature not in (None, (1, 10)):
-            raise Unsupported(f"signature {signature} unsupported for d=11")
         one16 = np.eye(16, dtype=np.int64)
         gammas = [np.kron(EPS, one16)]
         for g9 in spin9_gammas():
@@ -566,13 +561,6 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
     if family == "mu7-relation":
         if p_substitute is not None:
             raise CliffordError("p_substitute applies to mu4-closure only")
-        if rep.d == 3:
-            # degenerate analogue: the target is zero, so this reduces to
-            # the closure identity for mu3
-            sub = quartic_fierz_check(rep, "mu4-closure")
-            sub.task_id = "fierz.mu7-relation"
-            sub.pinned["c"] = None
-            return sub
         if rep.d != 11:
             raise Unsupported("mu7-relation needs the d=11 representation")
         pairs = _sorted_pairs(_pairing_table(rep, (1, 2, 5)))

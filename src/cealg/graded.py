@@ -96,10 +96,6 @@ class GeneratorDecl:
         return self.family + "^" + ",".join(str(i) for i in self.indices)
 
     @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.degree, self.parity)
-
-    @property
     def squares_to_zero(self) -> bool:
         return (self.degree + self.parity) % 2 == 1
 

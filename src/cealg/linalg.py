@@ -300,11 +300,10 @@ def rank(M: SparseRationalMatrix) -> int:
     return len(_echelon(_int_rows(M)))
 
 
-def solve(M: SparseRationalMatrix, b: dict[int, Fraction] | list[Fraction]
+def solve(M: SparseRationalMatrix, b: dict[int, Fraction]
           ) -> list[Fraction] | None:
-    """One exact solution v of M v = b, or None when none exists."""
-    if isinstance(b, list):
-        b = dict(enumerate(b))
+    """One exact solution v of M v = b, b given by its nonzero rows, or None
+    when none exists."""
     rhs_col = M.cols
     rows = _int_rows(M, b)
     rows.sort(key=len)

@@ -177,19 +177,11 @@ def poincare_lemma_check(pdr: PolyDeRham, forms: list[Element],
                   stats={"samples": len(forms)})
 
 
-@dataclass
-class FlatGForm:
-    model: SemifreeDGCA
-    target: PolyDeRham
-    assignment: DGCAMorphism
-
-
 def flat_form_check(model: SemifreeDGCA, target: PolyDeRham,
-                    images: dict[str, Element]) -> FlatGForm:
+                    images: dict[str, Element]) -> DGCAMorphism:
     """A flat model-valued form is exactly a DGCA morphism into the de Rham
     algebra; for the 4-sphere model this enforces d(omega7) = omega4^2."""
-    assignment = make_morphism(model, target.algebra, images)
-    return FlatGForm(model, target, assignment)
+    return make_morphism(model, target.algebra, images)
 
 
 #: The coefficients -4..4 of `_random_form`, shared.

@@ -108,9 +108,8 @@ def _task_s4_cohomology(cfg: TaskConfig) -> Report:
 
 def _task_scan(d: int, n: int, p: int, expect_entry: bool):
     def run(cfg: TaskConfig) -> Report:
-        cap = cfg.param("cap")
         entry = catalog.verify_brane_scan_entry(
-            d, n, p, cap=int(cap) if cap is not None else None)
+            d, n, p, cap=int(cfg.param("cap", DEFAULT_CAP)))
         is_entry = entry.closed and entry.nontrivial == "yes"
         ok = is_entry == expect_entry and entry.nontrivial != "capped"
         basis = count_monomials(catalog._mink(d).algebra, p + 1)
@@ -191,9 +190,7 @@ def _task_flatforms(cfg: TaskConfig) -> Report:
 
 
 def _task_derham_d2(cfg: TaskConfig) -> Report:
-    n_max = int(cfg.param("max_dim", 8))
-    if n_max < 1:
-        raise GradedError("max_dim must be at least 1")
+    n_max = 8
     for n in range(1, n_max + 1):
         rep = check_d_squared(poly_de_rham(n).algebra, task_id="derham.d2")
         if not rep.ok:
@@ -242,21 +239,20 @@ TASKS = {
 }
 
 
-def run_task(config: TaskConfig | str, **params) -> Report:
-    """Execute one named verification and return its report.
+def run_task(task_id: str, **params) -> Report:
+    """Execute one named verification with its parameters and return its
+    report.
 
     `duration_s` is stamped here, once, as the wall time of the whole task,
     on a copy: tasks may hand back a report cached by `lru_cache`, which
     must not change.
     """
-    if isinstance(config, str):
-        config = TaskConfig(config, params)
-    fn = TASKS.get(config.task_id)
+    fn = TASKS.get(task_id)
     if fn is None:
-        raise UnknownTask(f"unknown task {config.task_id!r}; known: "
+        raise UnknownTask(f"unknown task {task_id!r}; known: "
                           + ", ".join(sorted(TASKS)))
     t0 = time.monotonic()
-    report = fn(config)
+    report = fn(TaskConfig(task_id, params))
     return replace(report, duration_s=time.monotonic() - t0)
 
 
@@ -291,15 +287,6 @@ class GoldenReport:
     pinned: dict
     ledger_hash: str = LEDGER_HASH
     engine_version: str = ENGINE_VERSION
-
-    def to_json(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "verdict": self.verdict,
-            "pinned": self.pinned,
-            "ledger_hash": self.ledger_hash,
-            "engine_version": self.engine_version,
-        }
 
     @staticmethod
     def from_json(data: dict) -> "GoldenReport":

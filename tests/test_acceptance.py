@@ -149,9 +149,10 @@ def test_criterion_10_poincare_suite():
     and (0, 1) decide the whole family.  (1, 1) would add ~28 s and
     1.2 GiB to this test; `cealg --task family --alpha 1 --beta 1` runs
     it."""
-    iso_ok = check_d_squared(super_poincare().algebra).ok
-    tr2 = trace_power("superPoincare", 2).is_zero()
-    tr4 = trace_power("superPoincare", 4).is_zero()
+    iso = super_poincare().algebra
+    iso_ok = check_d_squared(iso).ok
+    tr2 = trace_power(iso.sig, 2).is_zero()
+    tr4 = trace_power(iso.sig, 4).is_zero()
     tr3, rep3 = lorentz_trace(3)
     rep7 = lorentz_trace(7)[1]
     fam00 = family_seven_cocycle(0, 0)[1].ok

@@ -9,7 +9,6 @@ import pytest
 
 from cealg.cli import main
 from cealg.dgca import Report
-from cealg.graded import GradedError
 from cealg.reporting import (
     GOLDEN_DIR,
     GoldenReport,
@@ -35,7 +34,7 @@ def test_run_cheap_tasks():
     assert run_task("s4.d2").ok
     assert run_task("mink3.d2").ok
     assert run_task("mu3.closure").ok
-    assert run_task("derham.d2", max_dim=4).ok
+    assert run_task("derham.d2").pinned == {"dims": 8}
     assert run_task("s4.cohomology", max_degree=12).pinned["dims"] == \
         [1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
 
@@ -139,16 +138,6 @@ def test_cli_rejects_a_vacuous_parameter(args, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"fail: GradedError: {message}\n"
-
-
-@pytest.mark.parametrize("max_dim", [0, -3])
-def test_derham_d2_rejects_an_empty_dimension_range(max_dim):
-    """derham.d2 with no dimension to check fails instead of passing with
-    `dims` pinned at 0 or below; max_dim has no CLI option, so the task is
-    run directly."""
-    with pytest.raises(GradedError, match="max_dim must be at least 1"):
-        run_task("derham.d2", max_dim=max_dim)
-    assert run_task("derham.d2", max_dim=1).pinned == {"dims": 1}
 
 
 def test_cli_subprocess_smoke(tmp_path):

@@ -165,8 +165,8 @@ def test_d11_rep_anticommutators():
 def test_unsupported_dimension():
     with pytest.raises(Unsupported):
         build_clifford(12)
-    with pytest.raises(Unsupported):
-        build_clifford(11, (11, 0))
+    with pytest.raises(Unsupported, match="d=11"):
+        quartic_fierz_check(build_clifford(3), "mu7-relation")
 
 
 def test_pairing_symmetry_flags_d11():
@@ -277,13 +277,11 @@ def test_quartic_negative_controls():
     assert (bad.ok, bad.witness) == (False, "()")
 
 
-@pytest.mark.parametrize("d", [3, 11])
-def test_mu7_relation_refuses_p_substitute(d):
-    """mu7-relation has no pairing rank to swap: d=11 reads ranks 1, 2 and
-    5, and d=3 checks the default closure, so a p_substitute is refused
-    rather than ignored."""
+def test_mu7_relation_refuses_p_substitute():
+    """mu7-relation has no pairing rank to swap: it reads ranks 1, 2 and 5,
+    so a p_substitute is refused rather than ignored."""
     with pytest.raises(CliffordError, match="mu4-closure only"):
-        quartic_fierz_check(build_clifford(d), "mu7-relation",
+        quartic_fierz_check(build_clifford(11), "mu7-relation",
                             p_substitute=2)
 
 
@@ -328,12 +326,6 @@ def test_mu7_relation_constant():
     rep = quartic_fierz_check(build_clifford(11), "mu7-relation")
     assert rep.ok
     assert rep.pinned["c"] == "15/1"
-
-
-def test_mu7_relation_d3_degenerate():
-    rep = quartic_fierz_check(build_clifford(3), "mu7-relation")
-    assert rep.ok
-    assert rep.pinned["c"] is None
 
 
 small_matrices = arrays(np.int64, (4, 4), elements=st.integers(-3, 3))

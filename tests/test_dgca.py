@@ -772,7 +772,7 @@ from cealg import catalog
 from cealg.dgca import apply_d
 
 iso = catalog.super_poincare().algebra
-tr = catalog.trace_power("superPoincare", 7)
+tr = catalog.trace_power(iso.sig, 7)
 """
 
 

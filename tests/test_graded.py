@@ -767,6 +767,30 @@ def test_no_unused_import_in_the_package():
     assert found == []
 
 
+def test_every_package_method_is_referenced():
+    """Every method or property defined on a `cealg` class, dunders aside,
+    is referenced by attribute name somewhere in `src/`, `tests/` or
+    `perfbench/`: one that nothing reads is surface to delete."""
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "cealg"
+    used = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (root / top).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            used |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)}
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                found += [f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+                          for node in cls.body
+                          if isinstance(node, ast.FunctionDef)
+                          and not node.name.startswith("__")
+                          and node.name not in used]
+    assert found == []
+
+
 # -- the square front-end -----------------------------------------------------
 
 

@@ -239,11 +239,11 @@ def test_solve_exact_and_unsolvable():
     # 2x2: [[1,2],[3,4]] v = (5, 6) -> v = (-4, 9/2)
     m = SparseRationalMatrix(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2),
                                     (1, 0): Fraction(3), (1, 1): Fraction(4)})
-    v = solve(m, [Fraction(5), Fraction(6)])
+    v = solve(m, {0: Fraction(5), 1: Fraction(6)})
     assert v == [Fraction(-4), Fraction(9, 2)]
     # inconsistent: rows identical, different rhs
     m2 = SparseRationalMatrix(2, 2, {(0, 0): Fraction(1), (1, 0): Fraction(1)})
-    assert solve(m2, [Fraction(1), Fraction(2)]) is None
+    assert solve(m2, {0: Fraction(1), 1: Fraction(2)}) is None
 
 
 def test_cohomology_dims_lines():

@@ -105,7 +105,7 @@ def test_flat_form_examples():
     w4 = Element.from_terms(
         sig, [(1, [("dx^1", 1), ("dx^2", 1), ("dx^3", 1), ("dx^4", 1)])])
     flat = flat_form_check(s4, pdr, {"g4": w4, "g7": Element.zero(sig)})
-    assert flat.assignment.image_of("g4") == w4
+    assert flat.image_of("g4") == w4
 
     w4b = w4 + Element.from_terms(
         sig, [(1, [("dx^5", 1), ("dx^6", 1), ("dx^7", 1), ("dx^8", 1)])])
