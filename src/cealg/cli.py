@@ -5,8 +5,8 @@
     cealg --task s4.cohomology --max-degree 12 --json
     cealg --list-tasks
 
-Exit codes: 0 = pass, 1 = fail, 2 = capped by --cap, unsupported, or an
-unknown task.
+Exit codes: 0 = pass, 1 = fail, 2 = capped by --cap, unsupported, an
+unknown task, or an option the task does not read.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .graded import GradedError
 from .linalg import Capped
 from .reporting import (
     TASKS,
+    UnknownParameter,
     UnknownTask,
     compare_golden,
     load_golden,
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
 
     try:
         report = run_task(args.task, **params)
-    except UnknownTask as exc:
+    except (UnknownTask, UnknownParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPPED
     except Capped as exc:

@@ -4,8 +4,8 @@ Gamma matrices are built from signed-permutation seeds, so every matrix in
 sight has integer entries and products stay exact.  The D=11 Majorana
 representation is assembled from the nine symmetric 16x16 anticommuting
 matrices of the octonionic construction: left multiplications L_i on the
-octonions (via Cayley-Dickson doubling) packed into off-diagonal blocks,
-plus a diagonal involution.
+octonions (from the Cayley-Dickson rule for basis units) packed into
+off-diagonal blocks, plus a diagonal involution.
 
 The representation checks are integer matrix identities.  The quartic
 (Fierz) checks contract four spinor indices exactly, as sparse (COO) int64
@@ -49,43 +49,39 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=np.int64)
 EPS = np.array([[0, 1], [-1, 0]], dtype=np.int64)  # real antisymmetric root of -1
 
 
-def _cayley_dickson(a, b):
-    """One product in the 2^k-dimensional Cayley-Dickson algebra over Z.
+def _unit_sign(i: int, j: int, n: int) -> int:
+    """s(i, j) in e_i e_j = s(i, j) e_(i xor j), for the basis units of the
+    n = 2^k dimensional Cayley-Dickson algebra over Z.
 
-    Vectors split as (x, y) pairs; (x1,y1)(x2,y2) = (x1x2 - y2*conj(y1),
-    y2 x1 + y1 conj(x2)).
+    Units split as (x, y) pairs, multiplied by (x1,y1)(x2,y2) = (x1x2 -
+    conj(y2) y1, y2 x1 + y1 conj(x2)); with i' = i - n/2 for a unit in the
+    upper half, and conj(e_j) = e_j for j = 0, else -e_j, that is: both
+    lower, s(i, j); i lower, s(j', i); j lower, conj(j) s(i', j); both
+    upper, -conj(j') s(j', i').
     """
-    n = len(a)
     if n == 1:
-        return [a[0] * b[0]]
+        return 1
     h = n // 2
-    x1, y1 = a[:h], a[h:]
-    x2, y2 = b[:h], b[h:]
-    left = [p - q for p, q in zip(_cayley_dickson(x1, x2),
-                                  _cayley_dickson(_conj(y2), y1))]
-    right = [p + q for p, q in zip(_cayley_dickson(y2, x1),
-                                   _cayley_dickson(y1, _conj(x2)))]
-    return left + right
-
-
-def _conj(a):
-    return [a[0]] + [-v for v in a[1:]]
+    if i < h and j < h:
+        return _unit_sign(i, j, h)
+    if i < h:
+        return _unit_sign(j - h, i, h)
+    if j < h:
+        return (1 if j == 0 else -1) * _unit_sign(i - h, j, h)
+    return (-1 if j == h else 1) * _unit_sign(j - h, i - h, h)
 
 
 def octonion_left_mults() -> list[np.ndarray]:
     """The eight 8x8 integer matrices of left multiplication by the octonion
     basis units: L_0 = Id, L_1..L_7 antisymmetric, L_i L_j^T + L_j L_i^T =
-    2 delta_ij."""
+    2 delta_ij.  Column j of L_i is e_i e_j = s(i, j) e_(i xor j)
+    (`_unit_sign`)."""
     mats = []
     for i in range(8):
-        ei = [0] * 8
-        ei[i] = 1
-        cols = []
+        mat = np.zeros((8, 8), dtype=np.int64)
         for j in range(8):
-            ej = [0] * 8
-            ej[j] = 1
-            cols.append(_cayley_dickson(ei, ej))
-        mats.append(np.array(cols, dtype=np.int64).T)
+            mat[i ^ j, j] = _unit_sign(i, j, 8)
+        mats.append(mat)
     return mats
 
 
@@ -443,9 +439,29 @@ def _guard_int64(values: np.ndarray, summands: int, factor: int, n: int
 
 def _pairing_table(rep: CliffordRep, ranks) -> dict[tuple[int, ...], tuple]:
     """C Gamma^A as a `_coo` triple for every strictly increasing A of the
-    given lengths."""
-    return {idx: _coo(rep.pairing(idx)) for p in ranks
+    given lengths, each length in `itertools.combinations` order.
+
+    The products come from `_prefix_products`, the tensor path's own walk,
+    apart from `pairing_walk`, which the symbolic side reads."""
+    coos = {idx: _coo(m) for idx, m in _prefix_products(
+        rep, _gathers(rep.gammas), max(ranks), (), rep.charge_conj)
+        if len(idx) in ranks}
+    return {idx: coos[idx] for p in ranks
             for idx in itertools.combinations(range(rep.d), p)}
+
+
+def _prefix_products(rep: CliffordRep, gathers: list, top: int,
+                     indices: tuple, m: np.ndarray):
+    """Yield (A, C Gamma^A) for `indices` and every strictly increasing
+    extension A of it of length at most top, depth first, given m =
+    C Gamma^indices.  Each product is one `_times` from its parent prefix's
+    (with `gathers` from `_gathers`), so at most top + 1 are alive."""
+    yield indices, m
+    if len(indices) < top:
+        for a in range(indices[-1] + 1 if indices else 0, rep.d):
+            yield from _prefix_products(
+                rep, gathers, top, indices + (a,),
+                _times(m, rep.gammas[a], gathers[a]))
 
 
 def _closure_terms(rep: CliffordRep, table, prefix, scale: int) -> list:

@@ -35,6 +35,10 @@ class UnknownTask(GradedError):
     pass
 
 
+class UnknownParameter(GradedError):
+    pass
+
+
 class LedgerMismatch(GradedError):
     pass
 
@@ -45,6 +49,9 @@ class TaskConfig:
     parameters: dict = field(default_factory=dict)
 
     def param(self, name, default=None):
+        if name not in TASK_PARAMETERS.get(self.task_id, ()):
+            raise UnknownParameter(f"task {self.task_id!r} reads {name!r}, "
+                                   "which TASK_PARAMETERS does not list")
         return self.parameters.get(name, default)
 
 
@@ -239,9 +246,21 @@ TASKS = {
 }
 
 
+#: The parameters each task reads; a task not listed reads none.
+TASK_PARAMETERS = {
+    "s4.cohomology": ("max_degree", "cap"),
+    "scan.3.2.1": ("cap",),
+    "scan.3.2.2": ("cap",),
+    "scan.11.32.2": ("cap",),
+    "family": ("alpha", "beta"),
+    "flatforms.suite": ("samples",),
+}
+
+
 def run_task(task_id: str, **params) -> Report:
     """Execute one named verification with its parameters and return its
-    report.
+    report.  A parameter the task does not read raises `UnknownParameter`
+    before the task runs.
 
     `duration_s` is stamped here, once, as the wall time of the whole task,
     on a copy: tasks may hand back a report cached by `lru_cache`, which
@@ -251,6 +270,12 @@ def run_task(task_id: str, **params) -> Report:
     if fn is None:
         raise UnknownTask(f"unknown task {task_id!r}; known: "
                           + ", ".join(sorted(TASKS)))
+    reads = TASK_PARAMETERS.get(task_id, ())
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise UnknownParameter(
+            f"task {task_id!r} does not read {', '.join(map(repr, unread))}; "
+            f"it reads {', '.join(map(repr, reads)) or 'no parameter'}")
     t0 = time.monotonic()
     report = fn(TaskConfig(task_id, params))
     return replace(report, duration_s=time.monotonic() - t0)

@@ -14,6 +14,8 @@ from cealg.reporting import (
     GoldenReport,
     LedgerMismatch,
     TASKS,
+    TASK_PARAMETERS,
+    UnknownParameter,
     UnknownTask,
     compare_golden,
     load_golden,
@@ -27,6 +29,37 @@ from fresh import fresh_run, package_env
 def test_unknown_task():
     with pytest.raises(UnknownTask):
         run_task("not.a.task")
+
+
+def test_run_task_refuses_a_parameter_the_task_does_not_read(monkeypatch):
+    """A parameter the task never reads is an error naming it, raised
+    before the task runs, not silently dropped."""
+    ran = []
+    monkeypatch.setitem(TASKS, "derham.d2", lambda cfg: ran.append(cfg))
+    with pytest.raises(UnknownParameter, match="'max_dim'"):
+        run_task("derham.d2", max_dim=4)
+    with pytest.raises(UnknownParameter, match="'samples'.*'max_degree'"):
+        run_task("s4.cohomology", max_degree=4, samples=3)
+    assert ran == []
+
+
+def test_task_parameters_name_registered_tasks():
+    assert set(TASK_PARAMETERS) <= set(TASKS)
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--task", "derham.d2", "--samples", "5"], "samples"),
+    (["--task", "hopf.pushout", "--cap", "3"], "cap"),
+    (["--task", "family", "--max-degree", "4"], "max_degree"),
+    (["--task", "flatforms.suite", "--alpha", "1"], "alpha"),
+])
+def test_cli_exits_2_on_an_option_the_task_does_not_read(args, name,
+                                                         capsys):
+    assert main(args + ["--no-write"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: task {args[1]!r} does not read "
+                                   f"{name!r}")
 
 
 def test_run_cheap_tasks():

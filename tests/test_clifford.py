@@ -57,6 +57,19 @@ def _dense_nonzeros(t):
     return np.stack([keys, t.ravel()[keys]])
 
 
+def _per_tuple_table(rep, ranks):
+    """The reference of `_pairing_table`: each C Gamma^A from `rep.pairing`,
+    as its own product chain from C."""
+    return {idx: _coo(rep.pairing(idx)) for p in ranks
+            for idx in itertools.combinations(range(rep.d), p)}
+
+
+def read_pairings_per_tuple(monkeypatch):
+    """Make `quartic_fierz_check` read its table through `rep.pairing`, so
+    that a test can inject a fault into C Gamma^A by replacing it."""
+    monkeypatch.setattr(clifford, "_pairing_table", _per_tuple_table)
+
+
 def _rows(terms) -> np.ndarray:
     """The COO rows of a sum of (x, y, scale) outer-product terms, as
     `_pair_sym` takes them."""
@@ -96,7 +109,7 @@ def _two_tensor_mu7(rep):
     """The reference decision of d mu7 = c mu4^2: both tensors at every
     quadruple, c from the first nonzero of the first nonzero Q, and each
     quadruple compared entry by entry.  Returns (ok, witness, c)."""
-    table = _pairing_table(rep, (1, 2, 5))
+    table = _per_tuple_table(rep, (1, 2, 5))
     c = None
     for quad in itertools.combinations(range(rep.d), 4):
         d, q = _mu7_tensors(rep, table, quad)
@@ -115,6 +128,44 @@ def _two_tensor_mu7(rep):
         if not same:
             return False, str(quad), None
     return c is not None, None, c
+
+
+def _cayley_dickson(a, b):
+    """One product in the 2^k-dimensional Cayley-Dickson algebra over Z.
+
+    Vectors split as (x, y) pairs; (x1,y1)(x2,y2) = (x1x2 - y2*conj(y1),
+    y2 x1 + y1 conj(x2)).
+    """
+    n = len(a)
+    if n == 1:
+        return [a[0] * b[0]]
+    h = n // 2
+    x1, y1 = a[:h], a[h:]
+    x2, y2 = b[:h], b[h:]
+    left = [p - q for p, q in zip(_cayley_dickson(x1, x2),
+                                  _cayley_dickson(_conj(y2), y1))]
+    right = [p + q for p, q in zip(_cayley_dickson(y2, x1),
+                                   _cayley_dickson(y1, _conj(x2)))]
+    return left + right
+
+
+def _conj(a):
+    return [a[0]] + [-v for v in a[1:]]
+
+
+def test_octonion_left_mults_match_cayley_dickson_products():
+    """Column j of L_i is the full Cayley-Dickson product e_i e_j; the unit
+    rule also gives every product of basis units in dimensions 1..16."""
+    units = np.eye(8, dtype=np.int64).tolist()
+    for i, mat in enumerate(octonion_left_mults()):
+        want = np.array([_cayley_dickson(units[i], e) for e in units]).T
+        assert np.array_equal(mat, want)
+    for n in (1, 2, 4, 8, 16):
+        units = np.eye(n, dtype=np.int64).tolist()
+        for i, j in itertools.product(range(n), repeat=2):
+            want = [0] * n
+            want[i ^ j] = clifford._unit_sign(i, j, n)
+            assert _cayley_dickson(units[i], units[j]) == want
 
 
 def test_octonion_left_mults_composition_property():
@@ -240,17 +291,34 @@ def test_pairing_returns_a_fresh_array(indices):
     assert all(np.array_equal(g, h) for g, h in zip(rep.gammas, gammas))
 
 
-def test_mu4_closure_reads_one_pairing_table():
-    """The 11 pairings of rank 1 and 55 of rank 2, once each: 66 calls."""
+def test_mu4_closure_reads_one_pairing_table(monkeypatch):
+    """The 11 pairings of rank 1 and 55 of rank 2, once each: 66 products,
+    each one from its parent's, and no product chain from C."""
     rep = build_clifford(11)
     calls = []
     pairing = rep.pairing
     rep.pairing = lambda indices: calls.append(tuple(indices)) or pairing(indices)
+    products = []
+    real = clifford._times
+    monkeypatch.setattr(clifford, "_times",
+                        lambda *a: products.append(1) or real(*a))
     report = quartic_fierz_check(rep, "mu4-closure")
     assert report.ok
-    assert len(calls) == len(set(calls)) == 66
+    assert (len(calls), len(products)) == (0, 66)
     # one key per product entry: 11 prefixes of 10 terms of 32 x 32 entries
     assert (report.stats["sym_keys"], report.stats["prefixes"]) == (112_640, 11)
+
+
+@pytest.mark.parametrize("ranks", [(1, 2, 5)] + [{1, p} for p in range(1, 6)])
+def test_pairing_table_matches_per_tuple_pairings(ranks):
+    """The walked table holds the COO triples of `rep.pairing`, entry for
+    entry and in the same order, for the tables the Fierz checks read."""
+    rep = build_clifford(11)
+    got, want = _pairing_table(rep, ranks), _per_tuple_table(rep, ranks)
+    assert list(got) == list(want)
+    for idx, coo in want.items():
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(got[idx], coo))
 
 
 def test_mu4_closure_refuses_int64_overflow():
@@ -411,7 +479,8 @@ def test_mu7_tensors_match_dense(quad):
 # (1, 2, 3, 4, 5) first enters after c = 15 is fixed by (0, 1, 2, 3).
 @pytest.mark.parametrize("five, witness", [((0, 1, 2, 3, 4), "(0, 1, 2, 3)"),
                                            ((1, 2, 3, 4, 5), "(1, 2, 3, 4)")])
-def test_mu7_relation_negative_control(five, witness):
+def test_mu7_relation_negative_control(monkeypatch, five, witness):
+    read_pairings_per_tuple(monkeypatch)
     rep = build_clifford(11)
     pairing = rep.pairing
 
@@ -462,7 +531,9 @@ def _pairs_with_10_scaled(factor):
     # Q vanishes at a later quadruple while D does not
     (_pairs_with_10_scaled(0), "(0, 1, 2, 10)"),
 ])
-def test_mu7_relation_matches_two_tensor_reference(perturb, witness):
+def test_mu7_relation_matches_two_tensor_reference(monkeypatch, perturb,
+                                                  witness):
+    read_pairings_per_tuple(monkeypatch)
     rep = build_clifford(11)
     if perturb is not None:
         pairing = rep.pairing
@@ -518,7 +589,8 @@ def test_mu7_relation_refuses_packed_word_overflow():
         quartic_fierz_check(rep, "mu7-relation")
 
 
-def test_mu7_relation_vanishing_mu4_squared_fails():
+def test_mu7_relation_vanishing_mu4_squared_fails(monkeypatch):
+    read_pairings_per_tuple(monkeypatch)
     rep = build_clifford(11)
     pairing = rep.pairing
 
@@ -720,6 +792,7 @@ def test_a_non_symmetric_pairing_takes_the_one_key_route(monkeypatch):
         return m
 
     rep.pairing = skewed
+    read_pairings_per_tuple(monkeypatch)
     bad = quartic_fierz_check(rep, "mu4-closure")
     assert (bad.ok, bad.witness) == (False, "(0,)")
     assert (len(calls["one"]), len(calls["six"])) == (1, 0)

@@ -1,5 +1,6 @@
 """Sphere models, polynomial de Rham complexes, flat forms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from cealg import (
     radial_contraction,
     sphere_model,
 )
-from cealg import batched
+from cealg import batched, dgca
 from cealg import rational_homotopy as rh
 from cealg.dgca import Report, make_dgca
 from cealg.graded import GradedError, UnknownGenerator
@@ -169,16 +170,19 @@ def test_forms_fiber_sequence():
 def name_based_random_form(rng, pdr, form_degree, n_terms=3,
                            max_poly_degree=2):
     """The reference builder of `_random_form`: the same draws, as named
-    factors in drawn order, canonicalised by `Element.from_terms`."""
+    factors in drawn order, canonicalised by `Element.from_terms`.  One
+    `randrange` per term picks the coefficient and the dx-subset, by its
+    index in `itertools.combinations` order."""
     sig = pdr.algebra.sig
     n = pdr.n
+    subsets = list(itertools.combinations(range(1, n + 1), form_degree))
     terms = []
     for _ in range(n_terms):
-        coeff = Fraction(rng.randint(-4, 4))
+        coeff, subset = divmod(rng.randrange(9 * len(subsets)), len(subsets))
+        coeff = Fraction(coeff - 4)
         if not coeff:
             continue
-        dxs = rng.sample(range(1, n + 1), form_degree)
-        pairs = [(f"dx^{i}", 1) for i in dxs]
+        pairs = [(f"dx^{i}", 1) for i in subsets[subset]]
         for _ in range(rng.randint(0, max_poly_degree)):
             pairs.append((f"x^{rng.randint(1, n)}", 1))
         terms.append((coeff, pairs))
@@ -202,13 +206,33 @@ def test_random_form_matches_the_name_based_builder(k, shape):
         assert got.is_homogeneous((k, 0))
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_random_form_draws_every_subset_and_coefficient(k):
+    """One-term forms of degree k, at a fixed seed, show every k-subset of
+    1..8 as their dx-prefix and every nonzero coefficient in -4..4."""
+    pdr = poly_de_rham(8)
+    dx1 = pdr.algebra.sig.gen_id("dx^1")
+    rng = random.Random(5)
+    subsets, coeffs = set(), set()
+    for _ in range(2000):
+        form = _random_form(rng, pdr, k, n_terms=1)
+        for mono, coeff in form.terms.items():
+            subsets.add(tuple(g - dx1 + 1 for g, _ in mono[:k]))
+            coeffs.add(coeff)
+    assert subsets == set(itertools.combinations(range(1, 9), k))
+    assert coeffs == {Fraction(c) for c in range(-4, 5) if c}
+
+
 def per_sample_fiber_check(target, n_samples, seed):
     """The reference loop of `forms_fiber_check`: one sample at a time, each
-    identity decided by `flat_form_check`, on `name_based_random_form`."""
+    identity decided by `flat_form_check`, on `name_based_random_form`;
+    the rejected non-closed 7-forms are counted as `flat_form_check`
+    rejects them."""
     rng = random.Random(seed)
     alg = target.algebra
     s4 = sphere_model(4).algebra
     zero = Element.zero(alg.sig)
+    rejected = 0
     for idx in range(n_samples):
         eta = name_based_random_form(rng, target, 3)
         omega4 = apply_d(alg, eta)
@@ -231,12 +255,13 @@ def per_sample_fiber_check(target, n_samples, seed):
             try:
                 rh.flat_form_check(s4, target, {"g4": zero, "g7": bad7})
             except ChainMapViolation:
+                rejected += 1
                 continue
             return Report("flatforms.fiber", "fail",
                           details=f"non-closed 7-form accepted at {idx}")
     return Report("flatforms.fiber", "pass",
                   details=f"fiber sequence verified on {n_samples} samples",
-                  stats={"samples": n_samples},
+                  stats={"samples": n_samples, "rejected_7forms": rejected},
                   pinned={"samples": n_samples})
 
 
@@ -251,21 +276,13 @@ def broken_de_rham() -> PolyDeRham:
     return PolyDeRham(8, make_dgca(sig, images))
 
 
-def lenient_flat_form_check(model, target, images):
-    """`flat_form_check` that accepts, unchecked, a g7 image with an x
-    factor of exponent 2 or more."""
-    if any(e > 1 for mono in images["g7"].terms for _, e in mono):
-        return None
-    return flat_form_check(model, target, images)
-
-
-#: (algebra, seed, lenient): the broken algebra fails at sample 0 on both
+#: (seed, block size): the broken algebra fails at sample 0 on both
 #: d omega4 = 0 and d omega7 = omega4^2, so only the first is reported
-#: (seed 26), and at sample 2 on d omega7 = omega4^2 alone (seed 8); with
-#: the lenient check, seed 43 accepts a non-closed 7-form at sample 210,
-#: past the first block.
-FAIL_CASES = [("broken", 26, False), ("broken", 8, False),
-              ("valid", 43, True)]
+#: (seed 58), and at sample 4 on d omega7 = omega4^2 alone (seed 4).  It
+#: fails within the first 40 samples at every seed in 0..299, so the case
+#: whose first failure lies past the first block (sample 35, seed 92)
+#: takes blocks of 16.
+FAIL_CASES = [(58, FIBER_BLOCK), (4, FIBER_BLOCK), (92, 16)]
 
 
 @pytest.mark.parametrize("case", FAIL_CASES)
@@ -273,12 +290,11 @@ FAIL_CASES = [("broken", 26, False), ("broken", 8, False),
 def test_fiber_check_fail_path_matches_the_per_sample_loop(monkeypatch,
                                                            case, n_samples):
     """The block sampler reports the verdict, details and residual of the
-    per-sample loop.  300 samples are one block of FIBER_BLOCK on the
-    kernel and one on the dict path."""
-    kind, seed, lenient = case
-    target = broken_de_rham() if kind == "broken" else poly_de_rham(8)
-    if lenient:
-        monkeypatch.setattr(rh, "flat_form_check", lenient_flat_form_check)
+    per-sample loop, which builds a morphism for every check.  At 300
+    samples the first block of FIBER_BLOCK is on the kernel."""
+    seed, block = case
+    target = broken_de_rham()
+    monkeypatch.setattr(rh, "FIBER_BLOCK", block)
     want = per_sample_fiber_check(target, n_samples, seed)
     calls = []
     real = batched._sum_of_products
@@ -287,10 +303,33 @@ def test_fiber_check_fail_path_matches_the_per_sample_loop(monkeypatch,
     got = forms_fiber_check(target, n_samples, seed)
     assert (got.verdict, got.details, got.residual, got.pinned) == (
         want.verdict, want.details, want.residual, want.pinned)
-    if kind == "valid" and n_samples == 300:
-        assert FIBER_BLOCK < 210 < n_samples
-        assert got.details == "non-closed 7-form accepted at 210"
-        assert calls == [1]
+    assert calls == ([1] if n_samples == 300 and block == FIBER_BLOCK
+                     else [])
+    if n_samples:
+        first = {58: 0, 4: 4, 92: 35}[seed]
+        assert got.details == f"sample {first} unexpectedly not flat"
+        assert (first >= block) == (seed == 92)
+
+
+def test_fiber_check_builds_no_morphism(monkeypatch):
+    """Every identity of the sampler is decided on its own d's: 2,000
+    samples call `make_morphism` not once, and the non-closed 7-forms it
+    counts as rejected are those `flat_form_check` rejects."""
+    calls = []
+    for module in (rh, dgca):
+        real = module.make_morphism
+        monkeypatch.setattr(module, "make_morphism",
+                            lambda *a, real=real, **k:
+                            calls.append(1) or real(*a, **k))
+    rep = forms_fiber_check(poly_de_rham(8), 2000, seed=1)
+    assert rep.ok
+    assert calls == []
+    assert rep.stats["rejected_7forms"] == 590
+    monkeypatch.undo()
+    pdr = poly_de_rham(8)
+    want = per_sample_fiber_check(pdr, 300, seed=1)
+    assert want.stats["rejected_7forms"] > 0
+    assert forms_fiber_check(pdr, 300, seed=1).stats == want.stats
 
 
 FIBER_MEMORY_SETUP = """
@@ -302,9 +341,9 @@ pdr = poly_de_rham(8)
 
 def test_fiber_check_memory_and_kernel_calls():
     """2,000 samples in blocks of FIBER_BLOCK: a tracemalloc peak of at
-    most 1.23 MiB (1.12 MiB measured, plus 10 %, with the factors shared
-    through `graded.FACTORS`; 1.52 MiB when `_random_form` built its
-    (g, 1) factors afresh, 9.25 MiB with all samples in one block) and
+    most 1.23 MiB (1.13 MiB measured, with the factors shared through
+    `graded.FACTORS`; 1.52 MiB when `_random_form` built its (g, 1)
+    factors afresh, 7.76 MiB with all samples in one block) and
     exactly 10 kernel core calls, one per full block's first shared call."""
     samples, calls, peak = kernel_memory(
         FIBER_MEMORY_SETUP, "forms_fiber_check(pdr, 2000, seed=1)",
