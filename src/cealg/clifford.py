@@ -439,29 +439,12 @@ def _guard_int64(values: np.ndarray, summands: int, factor: int, n: int
 
 def _pairing_table(rep: CliffordRep, ranks) -> dict[tuple[int, ...], tuple]:
     """C Gamma^A as a `_coo` triple for every strictly increasing A of the
-    given lengths, each length in `itertools.combinations` order.
-
-    The products come from `_prefix_products`, the tensor path's own walk,
-    apart from `pairing_walk`, which the symbolic side reads."""
-    coos = {idx: _coo(m) for idx, m in _prefix_products(
-        rep, _gathers(rep.gammas), max(ranks), (), rep.charge_conj)
-        if len(idx) in ranks}
+    given lengths, each length in `itertools.combinations` order, read off
+    one `pairing_walk`."""
+    coos = {idx: _coo(m) for idx, m in pairing_walk(rep, max(ranks))
+            if len(idx) in ranks}
     return {idx: coos[idx] for p in ranks
             for idx in itertools.combinations(range(rep.d), p)}
-
-
-def _prefix_products(rep: CliffordRep, gathers: list, top: int,
-                     indices: tuple, m: np.ndarray):
-    """Yield (A, C Gamma^A) for `indices` and every strictly increasing
-    extension A of it of length at most top, depth first, given m =
-    C Gamma^indices.  Each product is one `_times` from its parent prefix's
-    (with `gathers` from `_gathers`), so at most top + 1 are alive."""
-    yield indices, m
-    if len(indices) < top:
-        for a in range(indices[-1] + 1 if indices else 0, rep.d):
-            yield from _prefix_products(
-                rep, gathers, top, indices + (a,),
-                _times(m, rep.gammas[a], gathers[a]))
 
 
 def _closure_terms(rep: CliffordRep, table, prefix, scale: int) -> list:

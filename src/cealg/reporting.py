@@ -9,9 +9,10 @@ convention-ledger hash.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,23 +44,11 @@ class LedgerMismatch(GradedError):
     pass
 
 
-@dataclass
-class TaskConfig:
-    task_id: str
-    parameters: dict = field(default_factory=dict)
-
-    def param(self, name, default=None):
-        if name not in TASK_PARAMETERS.get(self.task_id, ()):
-            raise UnknownParameter(f"task {self.task_id!r} reads {name!r}, "
-                                   "which TASK_PARAMETERS does not list")
-        return self.parameters.get(name, default)
-
-
 # -- individual tasks ---------------------------------------------------------
 
 
 def _task_d2(task_id: str, algebra_fn):
-    def run(cfg: TaskConfig) -> Report:
+    def run() -> Report:
         rep = check_d_squared(algebra_fn(), task_id=task_id)
         return rep
 
@@ -67,7 +56,7 @@ def _task_d2(task_id: str, algebra_fn):
 
 
 def _task_mu_closure(d: int, p: int, task_id: str):
-    def run(cfg: TaskConfig) -> Report:
+    def run() -> Report:
         cat = catalog._mink(d)
         mu = catalog._mu(d, p)
         res = apply_d(cat.algebra, mu)
@@ -86,7 +75,7 @@ def _task_mu_closure(d: int, p: int, task_id: str):
     return run
 
 
-def _task_clifford(cfg: TaskConfig) -> Report:
+def _task_clifford() -> Report:
     r3 = check_clifford(build_clifford(3))
     r11 = check_clifford(build_clifford(11))
     ok = r3.ok and r11.ok
@@ -99,10 +88,9 @@ def _task_clifford(cfg: TaskConfig) -> Report:
     )
 
 
-def _task_s4_cohomology(cfg: TaskConfig) -> Report:
-    max_degree = int(cfg.param("max_degree", 12))
-    dims = cohomology_dims(sphere_model(4).algebra, max_degree,
-                           int(cfg.param("cap", DEFAULT_CAP)))
+def _task_s4_cohomology(max_degree=12, cap=DEFAULT_CAP) -> Report:
+    max_degree = int(max_degree)
+    dims = cohomology_dims(sphere_model(4).algebra, max_degree, int(cap))
     expected = [1 if k in (0, 4) else 0 for k in range(max_degree + 1)]
     ok = dims == expected
     return Report(
@@ -114,9 +102,8 @@ def _task_s4_cohomology(cfg: TaskConfig) -> Report:
 
 
 def _task_scan(d: int, n: int, p: int, expect_entry: bool):
-    def run(cfg: TaskConfig) -> Report:
-        entry = catalog.verify_brane_scan_entry(
-            d, n, p, cap=int(cfg.param("cap", DEFAULT_CAP)))
+    def run(cap=DEFAULT_CAP) -> Report:
+        entry = catalog.verify_brane_scan_entry(d, n, p, cap=int(cap))
         is_entry = entry.closed and entry.nontrivial == "yes"
         ok = is_entry == expect_entry and entry.nontrivial != "capped"
         basis = count_monomials(catalog._mink(d).algebra, p + 1)
@@ -133,7 +120,7 @@ def _task_scan(d: int, n: int, p: int, expect_entry: bool):
     return run
 
 
-def _task_iso_traces(cfg: TaskConfig) -> Report:
+def _task_iso_traces() -> Report:
     tr3, rep3 = catalog.lorentz_trace(3)
     return Report(
         "iso.traces",
@@ -144,17 +131,16 @@ def _task_iso_traces(cfg: TaskConfig) -> Report:
     )
 
 
-def _task_family(cfg: TaskConfig) -> Report:
+def _task_family(alpha=0, beta=0) -> Report:
     try:
-        alpha = Fraction(str(cfg.param("alpha", 0)))
-        beta = Fraction(str(cfg.param("beta", 0)))
+        alpha, beta = Fraction(str(alpha)), Fraction(str(beta))
     except (ValueError, ZeroDivisionError) as exc:
         raise GradedError(f"family parameters must be rationals: {exc}")
     return catalog.family_seven_cocycle(alpha, beta)[1]
 
 
-def _task_flatforms(cfg: TaskConfig) -> Report:
-    samples = int(cfg.param("samples", 50))
+def _task_flatforms(samples=50) -> Report:
+    samples = int(samples)
     if samples < 1:
         raise GradedError("the fiber check needs at least one sample")
     pdr = poly_de_rham(8)
@@ -196,7 +182,7 @@ def _task_flatforms(cfg: TaskConfig) -> Report:
     )
 
 
-def _task_derham_d2(cfg: TaskConfig) -> Report:
+def _task_derham_d2() -> Report:
     n_max = 8
     for n in range(1, n_max + 1):
         rep = check_d_squared(poly_de_rham(n).algebra, task_id="derham.d2")
@@ -207,7 +193,7 @@ def _task_derham_d2(cfg: TaskConfig) -> Report:
                   pinned={"dims": n_max})
 
 
-def _task_m5_relation(cfg: TaskConfig) -> Report:
+def _task_m5_relation() -> Report:
     rep = catalog.verify_m5_relation()
     if rep.ok and Fraction(rep.pinned["c"]) != MEASURED_C:
         return Report("m5.relation", "fail",
@@ -231,29 +217,18 @@ TASKS = {
     "mu3.closure": _task_mu_closure(3, 1, "mu3.closure"),
     "mu4.closure": _task_mu_closure(11, 2, "mu4.closure"),
     "m5.relation": _task_m5_relation,
-    "m5.cocycle": lambda cfg: catalog.m5_cocycle()[1],
-    "resolution.homotopy": lambda cfg: catalog.resolution_homotopy_report(),
-    "lift.equivariant": lambda cfg: catalog.equivariant_lift()[1],
-    "hopf.pushout": lambda cfg: hopf_sequence_check(),
+    "m5.cocycle": lambda: catalog.m5_cocycle()[1],
+    "resolution.homotopy": lambda: catalog.resolution_homotopy_report(),
+    "lift.equivariant": lambda: catalog.equivariant_lift()[1],
+    "hopf.pushout": lambda: hopf_sequence_check(),
     "s4.cohomology": _task_s4_cohomology,
     "scan.3.2.1": _task_scan(3, 2, 1, expect_entry=True),
     "scan.3.2.2": _task_scan(3, 2, 2, expect_entry=False),
     "scan.11.32.2": _task_scan(11, 32, 2, expect_entry=True),
     "iso.traces": _task_iso_traces,
-    "iso.trace7": lambda cfg: catalog.lorentz_trace(7)[1],
+    "iso.trace7": lambda: catalog.lorentz_trace(7)[1],
     "family": _task_family,
     "flatforms.suite": _task_flatforms,
-}
-
-
-#: The parameters each task reads; a task not listed reads none.
-TASK_PARAMETERS = {
-    "s4.cohomology": ("max_degree", "cap"),
-    "scan.3.2.1": ("cap",),
-    "scan.3.2.2": ("cap",),
-    "scan.11.32.2": ("cap",),
-    "family": ("alpha", "beta"),
-    "flatforms.suite": ("samples",),
 }
 
 
@@ -270,14 +245,14 @@ def run_task(task_id: str, **params) -> Report:
     if fn is None:
         raise UnknownTask(f"unknown task {task_id!r}; known: "
                           + ", ".join(sorted(TASKS)))
-    reads = TASK_PARAMETERS.get(task_id, ())
+    reads = inspect.signature(fn).parameters
     unread = sorted(set(params) - set(reads))
     if unread:
         raise UnknownParameter(
             f"task {task_id!r} does not read {', '.join(map(repr, unread))}; "
             f"it reads {', '.join(map(repr, reads)) or 'no parameter'}")
     t0 = time.monotonic()
-    report = fn(TaskConfig(task_id, params))
+    report = fn(**params)
     return replace(report, duration_s=time.monotonic() - t0)
 
 

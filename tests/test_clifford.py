@@ -494,6 +494,23 @@ def test_mu7_relation_negative_control(monkeypatch, five, witness):
     assert bad.witness == witness
 
 
+@pytest.mark.parametrize("which", [0, 5, 10, "C"])
+def test_fierz_checks_catch_a_flipped_gamma_entry(which):
+    """One entry of a gamma (or of C) flipped in place after the build, and
+    no table replaced: both checks, as shipped, read the fault through
+    `pairing_walk` and fail where the per-tuple `rep.pairing` reference
+    fails.  Every C Gamma^b enters D, so the first quadruple already does."""
+    rep = build_clifford(11)
+    m = rep.charge_conj if which == "C" else rep.gammas[which]
+    i, j = np.argwhere(m)[-1]
+    m[i, j] = -m[i, j]
+    bad = quartic_fierz_check(rep, "mu7-relation")
+    assert (bad.ok, bad.witness) == (False, "(0, 1, 2, 3)")
+    assert _two_tensor_mu7(rep)[:2] == (False, bad.witness)
+    bad = quartic_fierz_check(rep, "mu4-closure")
+    assert (bad.ok, bad.witness) == (False, "(0,)")
+
+
 WRONG_C = [Fraction(14), Fraction(16), Fraction(15, 2), Fraction(0), Fraction(-15)]
 
 
