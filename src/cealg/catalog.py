@@ -39,6 +39,7 @@ from .dgca import (
     SemifreeDGCA,
     adjoin_generator,
     apply_d,
+    by_name,
     check_homotopy,
     compose,
     identity_morphism,
@@ -60,7 +61,7 @@ from .graded import (
     sum_of_products,
     transport,
 )
-from .linalg import DEFAULT_CAP, CoboundaryDecision, is_coboundary
+from .linalg import DEFAULT_CAP, is_coboundary
 from .rational_homotopy import sphere_model
 
 
@@ -86,20 +87,6 @@ class NotProportional(CatalogError):
 class CatalogAlgebra:
     algebra: SemifreeDGCA
     rep: CliffordRep | None = None
-
-
-@dataclass
-class BraneScanEntry:
-    d: int
-    n_label: int
-    p: int
-    closed: bool
-    nontrivial: str | None  # "yes" | "no" | "capped"; None when not closed
-
-    def __post_init__(self):
-        if not self.closed and self.nontrivial is not None:
-            raise CatalogError("a cocycle that is not closed has no "
-                               "nontriviality verdict")
 
 
 # -- super-Minkowski ---------------------------------------------------------
@@ -353,29 +340,19 @@ def resolved_minkowski() -> tuple[CatalogAlgebra, DGCAMorphism, DGCAMorphism,
     homotopy witnessing iota after p ~ id.
     """
     mink = _mink(11)
-    res_alg = _resolve(mink.algebra)
-    cat = CatalogAlgebra(res_alg, mink.rep)
-    sig = res_alg.sig
     mink_alg = mink.algebra
-    mu4 = _mu(11, 2)
-    proj_images = {n: Element.generator(mink_alg.sig, n)
-                   for n in mink_alg.sig.names}
-    proj_images["h3"] = Element.zero(mink_alg.sig)
-    proj_images["g4"] = mu4
-    p = make_morphism(res_alg, mink_alg, proj_images)
-    iota = make_morphism(mink_alg, res_alg,
-                         {n: Element.generator(sig, n)
-                          for n in mink_alg.sig.names})
+    res_alg = _resolve(mink_alg)
+    p = by_name(res_alg, mink_alg, {"g4": _mu(11, 2)})
+    iota = by_name(mink_alg, res_alg)
     if compose(iota, p) != identity_morphism(mink_alg):
         raise CatalogError("p after iota is not the identity")
     s = ChainHomotopy(identity_morphism(res_alg), compose(p, iota),
-                      {"g4": Element.generator(sig, "h3")})
-    return cat, p, iota, s
+                      {"g4": Element.generator(res_alg.sig, "h3")})
+    return CatalogAlgebra(res_alg, mink.rep), p, iota, s
 
 
 def resolution_homotopy_report() -> Report:
-    cat, p, iota, s = resolved_minkowski()
-    rep = check_homotopy(identity_morphism(cat.algebra), compose(p, iota), s,
+    rep = check_homotopy(resolved_minkowski()[3],
                          task_id="resolution.homotopy")
     rep.details = ("p after iota = id and id - iota p = d s + s d on all "
                    "generators" if rep.ok else rep.details)
@@ -392,34 +369,21 @@ def equivariant_lift() -> tuple[DGCAMorphism, Report]:
     as a lift over the degree-4 coefficient line, and against the membrane
     restriction."""
     c = measured_c()
-    cat, p, iota, s = resolved_minkowski()
+    cat, p, _, _ = resolved_minkowski()
     res_alg = cat.algebra
-    sig = res_alg.sig
-    s4 = sphere_model(4).algebra
-    g4 = Element.generator(sig, "g4")
-    h3 = Element.generator(sig, "h3")
-    mu4 = transport(_mu(11, 2), sig)
-    mu7 = transport(_mu(11, 5), sig)
-    phi = make_morphism(s4, res_alg,
-                        {"g4": g4, "g7": h3 * (g4 + mu4) + (1 / c) * mu7})
+    phi = _sphere_map(res_alg)
 
     line = coefficient_line(2).algebra  # R[g4], zero differential
-    base_to_s4 = make_morphism(line, s4,
-                               {"g4": Element.generator(s4.sig, "g4")})
-    base_to_res = make_morphism(line, res_alg, {"g4": g4})
-    over_base = compose(base_to_s4, phi) == base_to_res
+    base_to_s4 = by_name(line, phi.source)
+    over_base = compose(base_to_s4, phi) == by_name(line, res_alg)
 
-    mink_alg = _mink(11).algebra
-    cocycle_morphism = make_morphism(line, mink_alg, {"g4": _mu(11, 2)})
+    cocycle_morphism = make_morphism(line, _mink(11).algebra,
+                                     {"g4": _mu(11, 2)})
     projected = compose(base_to_s4, compose(phi, p))
     reproduces_mu4 = projected == cocycle_morphism
 
-    m2 = m2brane()
-    q_images = {n: Element.generator(m2.algebra.sig, n)
-                for n in mink_alg.sig.names}
-    q_images["h3"] = Element.generator(m2.algebra.sig, "h3")
-    q_images["g4"] = Element.zero(m2.algebra.sig)
-    q = make_morphism(res_alg, m2.algebra, q_images)
+    # g4 -> 0 onto the membrane extension
+    q = by_name(res_alg, m2brane().algebra)
     chi, _ = m5_cocycle()
     restricts_to_m5 = compose(phi, q).image_of("g7") == chi
 
@@ -435,6 +399,22 @@ def equivariant_lift() -> tuple[DGCAMorphism, Report]:
         stats={"g7_image_terms": len(phi.image_of("g7"))},
         pinned={"c": f"{c.numerator}/{c.denominator}"},
     )
+
+
+def _sphere_map(alg: SemifreeDGCA, alpha=0, beta=0) -> DGCAMorphism:
+    """The chain map g4 -> g4, g7 -> (h3 + alpha tr omega^3)(g4 + mu4) +
+    (1/c) mu7 + beta tr omega^7 from the 4-sphere model into `alg`, resolved
+    Minkowski or resolved Poincare; a trace is formed only under a nonzero
+    parameter, so alpha = beta = 0 needs no omega generators."""
+    sig = alg.sig
+    h3 = Element.generator(sig, "h3")
+    if alpha:
+        h3 = h3 + alpha * trace_power(sig, 3)
+    image = (h3 * (Element.generator(sig, "g4") + transport(_mu(11, 2), sig))
+             + (1 / measured_c()) * transport(_mu(11, 5), sig))
+    if beta:
+        image = image + beta * trace_power(sig, 7)
+    return by_name(sphere_model(4).algebra, alg, {"g7": image})
 
 
 @lru_cache(maxsize=None)
@@ -598,28 +578,10 @@ def family_seven_cocycle(alpha, beta) -> tuple[DGCAMorphism, Report]:
 @lru_cache(maxsize=None)
 def _family(alpha: Fraction, beta: Fraction) -> tuple[DGCAMorphism, Report]:
     c = measured_c()
-    rp = resolved_poincare()
-    sig = rp.algebra.sig
-    s4 = sphere_model(4).algebra
-    g4 = Element.generator(sig, "g4")
-    h3 = Element.generator(sig, "h3")
-    mu4 = transport(_mu(11, 2), sig)
-    mu7 = transport(_mu(11, 5), sig)
-    image = (h3 + alpha * trace_power(sig, 3)) * (g4 + mu4) + (1 / c) * mu7
-    if beta:
-        image = image + beta * trace_power(sig, 7)
-    phi = make_morphism(s4, rp.algebra, {"g4": g4, "g7": image})
-
-    # restriction omega -> 0 onto the resolved Minkowski algebra
-    res_cat, _, _, _ = resolved_minkowski()
-    res_alg = res_cat.algebra
-    omega_names = {d.name for d in sig.decls if d.family == "omega"}
-    kappa_images = {
-        n: (Element.zero(res_alg.sig) if n in omega_names
-            else Element.generator(res_alg.sig, n))
-        for n in sig.names
-    }
-    kappa = make_morphism(rp.algebra, res_alg, kappa_images)
+    rp = resolved_poincare().algebra
+    phi = _sphere_map(rp, alpha, beta)
+    # the restriction omega -> 0 onto the resolved Minkowski algebra
+    kappa = by_name(rp, resolved_minkowski()[0].algebra)
     lift, _ = equivariant_lift()
     restricts = compose(phi, kappa) == lift
 
@@ -631,7 +593,7 @@ def _family(alpha: Fraction, beta: Fraction) -> tuple[DGCAMorphism, Report]:
                  "equivariant lift" if restricts else
                  "omega->0 restriction does not match the equivariant lift"),
         stats={"alpha": str(alpha), "beta": str(beta),
-               "g7_image_terms": len(image)},
+               "g7_image_terms": len(phi.image_of("g7"))},
         pinned={"alpha": str(alpha), "beta": str(beta),
                 "c": f"{c.numerator}/{c.denominator}"},
     )
@@ -642,9 +604,11 @@ def _family(alpha: Fraction, beta: Fraction) -> tuple[DGCAMorphism, Report]:
 
 
 def verify_brane_scan_entry(d: int, n_label: int, p: int,
-                            cap: int = DEFAULT_CAP) -> BraneScanEntry:
-    """Closure and nontriviality both decided by `is_coboundary`: its
-    closure check raises NotClosed, else it solves d v = mu exactly."""
+                            cap: int = DEFAULT_CAP) -> str | None:
+    """Whether mu_{p+2} on superMink(d|N) is nontrivial: "yes", "no" or
+    "capped" if it is closed, None if not.  Both are decided by
+    `is_coboundary`: its closure check raises NotClosed, else it solves
+    d v = mu exactly."""
     cat = _mink(d)
     if cat.rep.n_spin != n_label:
         raise Unsupported(
@@ -652,8 +616,7 @@ def verify_brane_scan_entry(d: int, n_label: int, p: int,
             f"N={cat.rep.n_spin}")
     mu = brane_cocycle(cat, p)
     try:
-        decision: CoboundaryDecision = is_coboundary(cat.algebra, mu, cap)
+        status = is_coboundary(cat.algebra, mu, cap).status
     except NotClosed:
-        return BraneScanEntry(d, n_label, p, False, None)
-    nontrivial = {"yes": "no", "no": "yes", "capped": "capped"}[decision.status]
-    return BraneScanEntry(d, n_label, p, True, nontrivial)
+        return None
+    return {"yes": "no", "no": "yes", "capped": "capped"}[status]

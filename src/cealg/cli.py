@@ -6,12 +6,14 @@
     cealg --list-tasks
 
 Exit codes: 0 = pass, 1 = fail, 2 = capped by --cap, unsupported, an
-unknown task, or an option the task does not read.
+unknown task, an option the task does not read, a malformed option value,
+or --check-golden with a parameter away from the task's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -33,6 +35,11 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CAPPED = 2
 
+#: Each task parameter's default, read off the signatures of `TASKS`: one
+#: `--<name>` option each, typed by the type of its default.
+DEFAULTS = {name: param.default for fn in TASKS.values()
+            for name, param in inspect.signature(fn).parameters.items()}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -41,21 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", help="task id to run (see --list-tasks)")
     p.add_argument("--list-tasks", action="store_true",
                    help="print the known task ids and exit")
-    p.add_argument("--cap", type=int, default=None,
-                   help="monomial cap per basis built; a coboundary "
-                        "decision builds only its element's weight component")
     p.add_argument("--out", default="reports",
                    help="directory for timestamped JSON reports")
     p.add_argument("--json", action="store_true", dest="json_out",
                    help="print the machine-readable report to stdout")
-    p.add_argument("--alpha", default=None,
-                   help="family parameter alpha (rational)")
-    p.add_argument("--beta", default=None,
-                   help="family parameter beta (rational)")
-    p.add_argument("--max-degree", type=int, default=None,
-                   help="degree bound for cohomology tasks")
-    p.add_argument("--samples", type=int, default=None,
-                   help="sample count for the flat-forms suite")
+    for name, default in DEFAULTS.items():
+        kind = type(default)
+        p.add_argument("--" + name.replace("_", "-"), type=kind,
+                       metavar=kind.__name__.upper(),
+                       help=f"task parameter {name} (default {default})")
     p.add_argument("--check-golden", action="store_true",
                    help="compare the fresh report against the shipped golden")
     p.add_argument("--no-write", action="store_true",
@@ -69,7 +70,11 @@ def _exit_code(report: Report) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except ZeroDivisionError as exc:  # Fraction("1/0"), not a ValueError
+        parser.error(f"zero denominator: {exc}")
     if args.list_tasks:
         for tid in sorted(TASKS):
             print(tid)
@@ -78,17 +83,16 @@ def main(argv=None) -> int:
         print("error: --task is required (or --list-tasks)", file=sys.stderr)
         return EXIT_CAPPED
 
-    params = {}
-    if args.cap is not None:
-        params["cap"] = args.cap
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.beta is not None:
-        params["beta"] = args.beta
-    if args.max_degree is not None:
-        params["max_degree"] = args.max_degree
-    if args.samples is not None:
-        params["samples"] = args.samples
+    params = {name: getattr(args, name) for name in DEFAULTS
+              if getattr(args, name) is not None}
+    if args.check_golden and args.task in TASKS:
+        reads = inspect.signature(TASKS[args.task]).parameters
+        moved = [name for name, value in params.items()
+                 if name in reads and value != reads[name].default]
+        if moved:
+            print(f"error: the golden of {args.task!r} pins the default of "
+                  f"{', '.join(map(repr, moved))}", file=sys.stderr)
+            return EXIT_CAPPED
 
     try:
         report = run_task(args.task, **params)

@@ -483,13 +483,8 @@ def _antisymmetric(coo) -> bool:
             and np.array_equal(v, -v[t]))
 
 
-def default_cocycle_p(d: int) -> int:
-    """Bosonic index count of the dimension's fundamental brane cocycle."""
-    return {3: 1, 11: 2}[d]
-
-
 def quartic_fierz_check(rep: CliffordRep, family: str,
-                        p_substitute: int | None = None) -> Report:
+                        p: int | None = None) -> Report:
     """Exact sparse-tensor evaluation of the quartic spinor identities.
 
     Each identity is a sum of outer products of pairing matrices contracted
@@ -500,8 +495,9 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
     decides every identity, witness and c.  Stats: `sym_keys`, the keys
     sorted.
 
-    family "mu4-closure": for every (p-1)-tuple A of frame indices,
-    sum_b eta_bb sym4[(C Gamma^{A b}) (x) (C Gamma^b)] must vanish; this is
+    family "mu4-closure", at the pairing rank p it requires: for every
+    (p-1)-tuple A of frame indices, sum_b eta_bb sym4[(C Gamma^{A b}) (x)
+    (C Gamma^b)] must vanish; this is
     the closure of the degree-(p+2) cocycle, with the count of `prefixes` A
     decided.  A rank p whose every pairing is antisymmetric has no cocycle
     (the symbolic side raises ZeroCocycle), and raises CliffordError rather
@@ -516,9 +512,8 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
     one residual den D - num Q, which must vanish.  c is reported exactly,
     with the count of `quadruples` decided.  Each family reads its pairings
     from one `_pairing_table`, guarded once.
-    p_substitute swaps in another pairing rank for "mu4-closure", as a
-    negative control of the machinery; "mu7-relation" has no rank to swap
-    and refuses it.  Raises CliffordError if p is not in 1..d or if the
+    "mu7-relation" has no rank to choose and refuses p.  Raises
+    CliffordError if "mu4-closure" gets no p or a p outside 1..d, or if the
     int64 arithmetic could overflow.
     """
     n = rep.n_spin
@@ -529,7 +524,8 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
         return _sorted_key_sym(pairs, terms, n)
 
     if family == "mu4-closure":
-        p = p_substitute if p_substitute is not None else default_cocycle_p(rep.d)
+        if p is None:
+            raise CliffordError("mu4-closure needs the pairing rank p")
         if not 1 <= p <= rep.d:
             # p > d has no prefix with a free index b, so it would pass
             # without checking anything
@@ -558,8 +554,9 @@ def quartic_fierz_check(rep: CliffordRep, family: str,
                       stats=stats)
 
     if family == "mu7-relation":
-        if p_substitute is not None:
-            raise CliffordError("p_substitute applies to mu4-closure only")
+        if p is not None:
+            raise CliffordError("the pairing rank p applies to mu4-closure "
+                                "only")
         if rep.d != 11:
             raise Unsupported("mu7-relation needs the d=11 representation")
         pairs = _sorted_pairs(_pairing_table(rep, (1, 2, 5)))

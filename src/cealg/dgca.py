@@ -286,20 +286,26 @@ class DGCAMorphism:
 
 
 def make_morphism(source: SemifreeDGCA, target: SemifreeDGCA,
-                  images: Mapping[str, Element], validate: bool = True
-                  ) -> DGCAMorphism:
-    """Build a morphism; by default verify the chain-map property on generators.
-
-    Pass validate=False to construct deliberately broken morphisms for
-    negative tests, then call check_chain_map on them.
-    """
+                  images: Mapping[str, Element]) -> DGCAMorphism:
+    """Build a morphism from name-keyed generator images (zero where a name
+    is absent), verified as a chain map on generators: a failure raises
+    ChainMapViolation.  Build a deliberately broken map as a DGCAMorphism."""
     f = DGCAMorphism(source, target, _generator_images(
         source.sig, target.sig, images, 0, "f"))
-    if validate:
-        rep = check_chain_map(f)
-        if not rep.ok:
-            raise ChainMapViolation(rep.details, residual=rep.residual)
+    rep = check_chain_map(f)
+    if not rep.ok:
+        raise ChainMapViolation(rep.details, residual=rep.residual)
     return f
+
+
+def by_name(source: SemifreeDGCA, target: SemifreeDGCA,
+            images: Mapping[str, Element] = {}) -> DGCAMorphism:
+    """The chain map sending each generator of `source` to the generator of
+    `target` with the same name, or to 0 where `target` has none, with
+    `images` overriding per name; built and verified by `make_morphism`."""
+    shared = set(target.sig.names).intersection(source.sig.names)
+    return make_morphism(source, target, {
+        **{n: Element.generator(target.sig, n) for n in shared}, **images})
 
 
 def check_chain_map(f: DGCAMorphism, task_id: str = "chain_map") -> Report:
@@ -400,11 +406,11 @@ def _power(x: Element, e: int) -> Element:
     return out
 
 
-def check_homotopy(f: DGCAMorphism, g: DGCAMorphism, s: ChainHomotopy,
-                   task_id: str = "homotopy") -> Report:
-    """Verify f - g = d s + s d on every generator of the common source; the
-    s(g) go to `apply_d_all` together, and s(d(g)) is taken only up to the
-    first failing generator."""
+def check_homotopy(s: ChainHomotopy, task_id: str = "homotopy") -> Report:
+    """Verify f - g = d s + s d on every generator, for the morphisms f and g
+    of s; the s(g) go to `apply_d_all` together, and s(d(g)) is taken only
+    up to the first failing generator."""
+    f, g = s.f, s.g
     src = f.source
     dss = apply_d_all(f.target, list(s.images))
     residuals = ((gid, (f.images[gid] - g.images[gid]) - (ds + s(dg)))

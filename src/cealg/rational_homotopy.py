@@ -22,6 +22,7 @@ from .dgca import (
     SemifreeDGCA,
     apply_d,
     apply_d_all,
+    by_name,
     check_d_squared,
     compose,
     make_dgca,
@@ -82,12 +83,7 @@ def hopf_sequence_check() -> Report:
 
     line_sig = make_signature([GeneratorDecl("g4", (), 4, EVEN)])
     line = make_dgca(line_sig, {})
-    base_map = make_morphism(line, s4, {"g4": Element.generator(s4.sig, "g4")})
-    to_fiber = make_morphism(
-        s4, fiber,
-        {"g4": Element.zero(fiber.sig),
-         "g7": Element.generator(fiber.sig, "g7")})
-    composite = compose(base_map, to_fiber)
+    composite = compose(by_name(line, s4), by_name(s4, fiber))
     kills_base = composite.image_of("g4").is_zero()
 
     ok = pushout_ok and kills_base

@@ -133,12 +133,10 @@ def test_criterion_09_brane_scan_table():
     e1 = verify_brane_scan_entry(3, 2, 1)
     e2 = verify_brane_scan_entry(11, 32, 2)
     e3 = verify_brane_scan_entry(3, 2, 2)
-    ok = (e1.closed and e1.nontrivial == "yes"
-          and e2.closed and e2.nontrivial == "yes"
-          and not (e3.closed and e3.nontrivial == "yes"))
+    ok = e1 == "yes" and e2 == "yes" and e3 != "yes"
     # (3,2,2) is rejected because its class is exact: the coboundary
     # witness is computed and verified, not assumed
-    verdict(9, ok and e3.closed and e3.nontrivial == "no",
+    verdict(9, ok and e3 == "no",
             "(3,2,1) and (11,32,2) closed+nontrivial by exact coboundary "
             "solve; (3,2,2) rejected: closed but exact")
 

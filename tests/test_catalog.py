@@ -20,6 +20,7 @@ from cealg import (
     adjoin_generator,
     apply_d,
     brane_cocycle,
+    by_name,
     build_clifford,
     check_d_squared,
     check_homotopy,
@@ -32,6 +33,7 @@ from cealg import (
     make_signature,
     measured_c,
     resolved_minkowski,
+    resolved_poincare,
     set_generators_to_zero,
     sphere_model,
     super_minkowski,
@@ -575,14 +577,14 @@ def test_wrong_homotopy_scale_fails():
     around = compose(p, iota)
     bad = ChainHomotopy(ident, around,
                         {"g4": 2 * Element.generator(sig, "h3")})
-    rep = check_homotopy(ident, around, bad)
+    rep = check_homotopy(bad)
     assert not rep.ok and rep.witness == "g4"
 
 
 def test_homotopy_f_f_zero_on_projection():
     cat, p, iota, s = resolved_minkowski()
     zero = ChainHomotopy(p, p, {})
-    assert check_homotopy(p, p, zero).ok
+    assert check_homotopy(zero).ok
 
 
 def test_equivariant_lift_identity():
@@ -596,6 +598,48 @@ def test_equivariant_lift_identity():
     assert (g4 - mu4) * (g4 + mu4) + mu4 * mu4 == g4 * g4
     # chain check on g4: 0 = 0
     assert apply_d(cat.algebra, phi.image_of("g4")).is_zero()
+
+
+def test_name_matching_maps_equal_their_hand_written_images():
+    """The projection p, the inclusion iota, the membrane restriction q
+    (g4 -> 0) and the omega -> 0 restriction kappa, as `by_name` builds
+    them, against their images written out name by name."""
+    cat, p, iota, _ = resolved_minkowski()
+    res = cat.algebra
+    mink = _mink(11).algebra
+    m2 = m2brane().algebra
+    rp = resolved_poincare().algebra
+
+    proj = {n: Element.generator(mink.sig, n) for n in mink.sig.names}
+    proj["h3"] = Element.zero(mink.sig)
+    proj["g4"] = _mu(11, 2)
+    incl = {n: Element.generator(res.sig, n) for n in mink.sig.names}
+    q_images = {n: Element.generator(m2.sig, n) for n in mink.sig.names}
+    q_images["h3"] = Element.generator(m2.sig, "h3")
+    q_images["g4"] = Element.zero(m2.sig)
+    omega = {d.name for d in rp.sig.decls if d.family == "omega"}
+    kappa_images = {n: (Element.zero(res.sig) if n in omega
+                        else Element.generator(res.sig, n))
+                    for n in rp.sig.names}
+    for f, want in [(p, proj), (iota, incl), (by_name(res, m2), q_images),
+                    (by_name(rp, res), kappa_images)]:
+        assert sorted(want) == sorted(f.source.sig.names)
+        for name, image in want.items():
+            assert f.image_of(name) == image, name
+
+
+def test_sphere_map_g7_image_written_out():
+    """g7 -> h3 (g4 + mu4) + mu7 / 15 on resolved Minkowski, and g4 -> g4;
+    the equivariant lift is this map."""
+    res = resolved_minkowski()[0].algebra
+    sig = res.sig
+    g4, h3 = (Element.generator(sig, n) for n in ("g4", "h3"))
+    mu4, mu7 = (transport(_mu(11, p), sig) for p in (2, 5))
+    phi = catalog._sphere_map(res)
+    assert phi.image_of("g4") == g4
+    assert phi.image_of("g7") == (h3 * g4 + h3 * mu4
+                                  + Fraction(1, 15) * mu7)
+    assert phi == equivariant_lift()[0]
 
 
 def test_kill_translations_in_m2brane_leaves_free_h3():
@@ -712,17 +756,13 @@ def test_lorentz_trace_validation():
 
 
 def test_brane_scan_entries():
-    e1 = verify_brane_scan_entry(3, 2, 1)
-    assert e1.closed and e1.nontrivial == "yes"
-    e2 = verify_brane_scan_entry(3, 2, 2)
+    assert verify_brane_scan_entry(3, 2, 1) == "yes"
     # closed by the d=3 duality Gamma^{ab} ~ eps^{abc} Gamma_c, but exact:
     # not a brane-scan entry
-    assert e2.closed and e2.nontrivial == "no"
-    e3 = verify_brane_scan_entry(11, 32, 2)
-    assert e3.closed and e3.nontrivial == "yes"
+    assert verify_brane_scan_entry(3, 2, 2) == "no"
+    assert verify_brane_scan_entry(11, 32, 2) == "yes"
     # mu3 in d=11 is not closed: no nontriviality verdict
-    e4 = verify_brane_scan_entry(11, 32, 1)
-    assert not e4.closed and e4.nontrivial is None
+    assert verify_brane_scan_entry(11, 32, 1) is None
     from cealg import Unsupported
 
     with pytest.raises(Unsupported):
@@ -748,7 +788,6 @@ def test_chain_map_extends_on_catalog_morphism():
 
 CATALOG_PRECONDITIONS_SCRIPT = """
 import numpy as np
-from cealg import BraneScanEntry
 from cealg.catalog import CatalogError, _frame, _mink, _pairing_element
 
 if __debug__:
@@ -760,7 +799,6 @@ bad = [
                              ((e_ids[1], 1), (e_ids[0], 1))),
     lambda: _pairing_element(sig, psi_ids, np.eye(2, dtype=int), 1,
                              ((psi_ids[1], 1),)),
-    lambda: BraneScanEntry(3, 2, 1, False, "yes"),
 ]
 for i, call in enumerate(bad):
     try:
@@ -772,9 +810,8 @@ for i, call in enumerate(bad):
 
 
 def test_catalog_preconditions_raise_under_python_O():
-    """A non-canonical e-prefix would build non-canonical monomials and an
-    unclosed scan entry with a verdict is inconsistent; both checks must
-    survive `python -O`."""
+    """A non-canonical e-prefix would build non-canonical monomials; the
+    check must survive `python -O`."""
     fresh_run(CATALOG_PRECONDITIONS_SCRIPT, "-O")
 
 

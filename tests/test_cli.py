@@ -1,13 +1,16 @@
 """Task runner, report persistence, golden comparisons, exit codes."""
 
+import functools
 import hashlib
 import inspect
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from cealg import reporting
 from cealg.cli import main
 from cealg.dgca import Report
 from cealg.reporting import (
@@ -65,6 +68,78 @@ def test_cli_exits_2_on_an_option_the_task_does_not_read(args, name,
     assert captured.out == ""
     assert captured.err.startswith(f"error: task {args[1]!r} does not read "
                                    f"{name!r}")
+
+
+def spy_task(monkeypatch, task_id) -> list:
+    """Record the parameters of each run of a task, which keeps its
+    signature (`functools.wraps`), so its defaults read the same."""
+    runs = []
+    real = TASKS[task_id]
+
+    @functools.wraps(real)
+    def spy(**params):
+        runs.append(params)
+        return real(**params)
+
+    monkeypatch.setitem(TASKS, task_id, spy)
+    return runs
+
+
+def test_check_golden_refuses_parameters_away_from_the_defaults(
+        monkeypatch, capsys):
+    """A golden pins its task at the default parameters: --check-golden
+    with any other value exits 2, naming each such parameter, before the
+    task runs.  A parameter given at its default still compares."""
+    runs = spy_task(monkeypatch, "family")
+    assert main(["--task", "family", "--alpha", "1", "--beta", "1",
+                 "--check-golden", "--no-write"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the golden of 'family' pins the "
+                            "default of 'alpha', 'beta'\n")
+    assert runs == []
+
+    runs = spy_task(monkeypatch, "s4.cohomology")
+    assert main(["--task", "s4.cohomology", "--max-degree", "11",
+                 "--check-golden", "--no-write"]) == 2
+    assert capsys.readouterr().err.endswith("the default of 'max_degree'\n")
+    assert runs == []
+    assert main(["--task", "s4.cohomology", "--max-degree", "12",
+                 "--check-golden", "--no-write"]) == 0
+    assert "golden: pass" in capsys.readouterr().out
+    assert runs == [{"max_degree": 12}]
+
+
+def test_cli_types_each_option_by_its_default(monkeypatch, capsys):
+    """Options are read off the task signatures: --alpha parses as a
+    Fraction, as its default is one, and a zero denominator is a usage
+    error (exit 2), not a traceback."""
+    runs = spy_task(monkeypatch, "family")
+    monkeypatch.setattr(reporting.catalog, "family_seven_cocycle",
+                        lambda alpha, beta: (None, Report("family", "pass")))
+    assert main(["--task", "family", "--alpha", "1/2", "--no-write"]) == 0
+    assert runs == [{"alpha": Fraction(1, 2)}]
+    with pytest.raises(SystemExit) as exc:
+        main(["--task", "family", "--beta", "1/0", "--no-write"])
+    assert exc.value.code == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_closure_tasks_give_the_tensor_path_their_own_rank(monkeypatch):
+    """A closure task checks mu_{p+2} on the tensor path at its own p:
+    mu3.closure at p = 1, mu4.closure at p = 2, and a (d, p) = (3, 2)
+    task at 2."""
+    ranks = []
+    real = reporting.quartic_fierz_check
+
+    def spy(rep, family, p=None):
+        ranks.append((rep.d, p))
+        return real(rep, family, p)
+
+    monkeypatch.setattr(reporting, "quartic_fierz_check", spy)
+    assert run_task("mu3.closure").ok and run_task("mu4.closure").ok
+    assert reporting._task_mu_closure(3, 2, "mu4.closure.d3")().ok
+    assert ranks == [(3, 1), (11, 2), (3, 2)]
 
 
 def test_run_cheap_tasks():

@@ -302,7 +302,7 @@ def test_mu4_closure_reads_one_pairing_table(monkeypatch):
     real = clifford._times
     monkeypatch.setattr(clifford, "_times",
                         lambda *a: products.append(1) or real(*a))
-    report = quartic_fierz_check(rep, "mu4-closure")
+    report = quartic_fierz_check(rep, "mu4-closure", 2)
     assert report.ok
     assert (len(calls), len(products)) == (0, 66)
     # one key per product entry: 11 prefixes of 10 terms of 32 x 32 entries
@@ -324,15 +324,15 @@ def test_pairing_table_matches_per_tuple_pairings(ranks):
 def test_mu4_closure_refuses_int64_overflow():
     rep = build_clifford(11)
     rep.charge_conj *= 2 ** 15
-    assert quartic_fierz_check(rep, "mu4-closure").ok
+    assert quartic_fierz_check(rep, "mu4-closure", 2).ok
     rep.charge_conj *= 2 ** 16
     with pytest.raises(CliffordError):
-        quartic_fierz_check(rep, "mu4-closure")
+        quartic_fierz_check(rep, "mu4-closure", 2)
 
 
 def test_quartic_closure_identities():
-    assert quartic_fierz_check(build_clifford(3), "mu4-closure").ok
-    assert quartic_fierz_check(build_clifford(11), "mu4-closure").ok
+    assert quartic_fierz_check(build_clifford(3), "mu4-closure", 1).ok
+    assert quartic_fierz_check(build_clifford(11), "mu4-closure", 2).ok
 
 
 def test_quartic_negative_controls():
@@ -340,17 +340,19 @@ def test_quartic_negative_controls():
     and is refused; mu3 (p = 1) is not closed, from the first prefix on."""
     rep = build_clifford(11)
     with pytest.raises(CliffordError, match="antisymmetric"):
-        quartic_fierz_check(rep, "mu4-closure", p_substitute=3)
-    bad = quartic_fierz_check(rep, "mu4-closure", p_substitute=1)
+        quartic_fierz_check(rep, "mu4-closure", p=3)
+    bad = quartic_fierz_check(rep, "mu4-closure", p=1)
     assert (bad.ok, bad.witness) == (False, "()")
 
 
-def test_mu7_relation_refuses_p_substitute():
-    """mu7-relation has no pairing rank to swap: it reads ranks 1, 2 and 5,
-    so a p_substitute is refused rather than ignored."""
+def test_pairing_rank_is_required_by_mu4_closure_only():
+    """mu4-closure checks the rank it is given, with no default to fall
+    back on; mu7-relation has no pairing rank to choose: it reads ranks 1,
+    2 and 5, so a rank is refused rather than ignored."""
+    with pytest.raises(CliffordError, match="needs the pairing rank"):
+        quartic_fierz_check(build_clifford(11), "mu4-closure")
     with pytest.raises(CliffordError, match="mu4-closure only"):
-        quartic_fierz_check(build_clifford(11), "mu7-relation",
-                            p_substitute=2)
+        quartic_fierz_check(build_clifford(11), "mu7-relation", p=2)
 
 
 def _closure_outcome(check):
@@ -374,7 +376,7 @@ def test_tensor_and_symbolic_closure_agree_rank_by_rank():
             symbolic = _closure_outcome(
                 lambda: apply_d(cat.algebra, brane_cocycle(cat, p)).is_zero())
             tensor = _closure_outcome(lambda: quartic_fierz_check(
-                cat.rep, "mu4-closure", p_substitute=p).ok)
+                cat.rep, "mu4-closure", p).ok)
             assert tensor == symbolic, (d, p)
             got[d, p] = symbolic
     assert got == {(3, 1): True, (3, 2): True, (3, 3): "zero",
@@ -387,7 +389,7 @@ def test_mu4_closure_refuses_rank_outside_1_to_d(d, p):
     """p <= 0 has no (p-1)-tuples, and p > d has no free index b, so that
     it would pass without checking an identity."""
     with pytest.raises(CliffordError, match="outside"):
-        quartic_fierz_check(build_clifford(d), "mu4-closure", p_substitute=p)
+        quartic_fierz_check(build_clifford(d), "mu4-closure", p)
 
 
 def test_mu7_relation_constant():
@@ -507,7 +509,7 @@ def test_fierz_checks_catch_a_flipped_gamma_entry(which):
     bad = quartic_fierz_check(rep, "mu7-relation")
     assert (bad.ok, bad.witness) == (False, "(0, 1, 2, 3)")
     assert _two_tensor_mu7(rep)[:2] == (False, bad.witness)
-    bad = quartic_fierz_check(rep, "mu4-closure")
+    bad = quartic_fierz_check(rep, "mu4-closure", 2)
     assert (bad.ok, bad.witness) == (False, "(0,)")
 
 
@@ -795,7 +797,7 @@ def test_a_non_symmetric_pairing_takes_the_one_key_route(monkeypatch):
     (antisymmetric) is refused before any sum.  `_pair_sym` is never
     called."""
     calls = _path_calls(monkeypatch)
-    assert quartic_fierz_check(build_clifford(11), "mu4-closure").ok
+    assert quartic_fierz_check(build_clifford(11), "mu4-closure", 2).ok
     assert (len(calls["one"]), len(calls["six"])) == (11, 0)
 
     calls["one"].clear()
@@ -810,13 +812,13 @@ def test_a_non_symmetric_pairing_takes_the_one_key_route(monkeypatch):
 
     rep.pairing = skewed
     read_pairings_per_tuple(monkeypatch)
-    bad = quartic_fierz_check(rep, "mu4-closure")
+    bad = quartic_fierz_check(rep, "mu4-closure", 2)
     assert (bad.ok, bad.witness) == (False, "(0,)")
     assert (len(calls["one"]), len(calls["six"])) == (1, 0)
 
     calls["one"].clear()
     with pytest.raises(CliffordError, match="antisymmetric"):
-        quartic_fierz_check(build_clifford(11), "mu4-closure", p_substitute=3)
+        quartic_fierz_check(build_clifford(11), "mu4-closure", p=3)
     assert (len(calls["one"]), len(calls["six"])) == (0, 0)
 
 

@@ -19,6 +19,7 @@ from cealg import (
     NotClosed,
     adjoin_generator,
     apply_d,
+    by_name,
     check_chain_map,
     check_d_squared,
     check_homotopy,
@@ -319,13 +320,11 @@ def test_each_generator_check_takes_one_leibniz_call(monkeypatch):
     one input per generator (per nonzero d-image for d**2)."""
     cat, p, iota, s = resolved_minkowski()
     alg = cat.algebra
-    ident = identity_morphism(alg)
-    around = compose(p, iota)
     calls = spy_leibniz(monkeypatch)
     assert check_d_squared(alg).ok
     assert check_chain_map(p).ok
     assert check_chain_map(iota).ok
-    assert check_homotopy(ident, around, s).ok
+    assert check_homotopy(s).ok
     assert calls == [sum(map(bool, alg.d_images)), len(alg.sig),
                      len(iota.source.sig), len(alg.sig)]
 
@@ -358,7 +357,8 @@ def test_chain_map_failure_report_matches_the_per_generator_loop(
     images = {n: p.image_of(n) for n in cat.algebra.sig.names}
     mono, coeff = next(iter(images["g4"].terms.items()))
     images["g4"] = images["g4"] + Element(p.target.sig, {mono: coeff})
-    broken = make_morphism(cat.algebra, p.target, images, validate=False)
+    broken = DGCAMorphism(cat.algebra, p.target,
+                          tuple(images[n] for n in cat.algebra.sig.names))
     want = None
     for gid, decl in enumerate(broken.source.sig.decls):
         res = (dict_d(broken.target, broken.images[gid])
@@ -402,7 +402,7 @@ def test_homotopy_failure_report_matches_the_per_generator_loop(
     assert want[0] == "g4" and len(want[1]) > 1
     applied = spy_calls(monkeypatch, ChainHomotopy)
     calls = spy_leibniz(monkeypatch)
-    rep = check_homotopy(ident, around, bad)
+    rep = check_homotopy(bad)
     assert calls == [len(alg.sig)]
     assert not rep.ok
     assert (rep.witness, rep.residual) == want
@@ -822,8 +822,7 @@ def test_morphism_validation_and_violation():
     r7 = line(7)
     with pytest.raises(ChainMapViolation):
         make_morphism(r7, s4, {"g7": Element.generator(s4.sig, "g7")})
-    lazy = make_morphism(r7, s4, {"g7": Element.generator(s4.sig, "g7")},
-                         validate=False)
+    lazy = DGCAMorphism(r7, s4, (Element.generator(s4.sig, "g7"),))
     rep = check_chain_map(lazy)
     assert not rep.ok and rep.residual is not None
 
@@ -872,6 +871,26 @@ def test_make_morphism_rejects_an_unknown_generator():
     g4, g7 = (Element.generator(s4.sig, n) for n in ("g4", "g7"))
     with pytest.raises(UnknownGenerator, match="h9"):
         make_morphism(s4, s4, {"g4": g4, "g7": g7, "h9": g4})
+
+
+def test_by_name_matches_names_and_takes_overrides():
+    """`by_name` sends each generator to its namesake, and one the target
+    lacks to 0; an override wins over the name; an override naming no
+    source generator, or breaking the chain-map property, raises."""
+    s4 = s4_algebra()
+    fiber = set_generators_to_zero(s4, ["g4"])  # R[g7], no g4
+    g4, g7 = (Element.generator(s4.sig, n) for n in ("g4", "g7"))
+    kill = by_name(s4, fiber)
+    assert kill.image_of("g4").is_zero()
+    assert kill.image_of("g7") == Element.generator(fiber.sig, "g7")
+    assert by_name(s4, s4) == identity_morphism(s4)
+    # g4 -> 2 g4 forces g7 -> 4 g7, since d g7 = g4^2
+    scaled = by_name(s4, s4, {"g4": 2 * g4, "g7": 4 * g7})
+    assert (scaled.image_of("g4"), scaled.image_of("g7")) == (2 * g4, 4 * g7)
+    with pytest.raises(UnknownGenerator, match="h9"):
+        by_name(s4, s4, {"h9": g4})
+    with pytest.raises(ChainMapViolation):
+        by_name(s4, s4, {"g4": 2 * g4})
 
 
 def test_chain_homotopy_rejects_an_unknown_generator():
@@ -1012,7 +1031,7 @@ def test_homotopy_f_f_zero_passes():
     s4 = s4_algebra()
     ident = identity_morphism(s4)
     s = ChainHomotopy(ident, ident, {})
-    assert check_homotopy(ident, ident, s).ok
+    assert check_homotopy(s).ok
 
 
 def test_homotopy_small_resolution_example():
@@ -1027,11 +1046,11 @@ def test_homotopy_small_resolution_example():
     back = make_morphism(ground, alg, {})
     ident = identity_morphism(alg)
     s = ChainHomotopy(ident, compose(to_ground, back), {"g4": Element.generator(sig, "h3")})
-    assert check_homotopy(ident, compose(to_ground, back), s).ok
+    assert check_homotopy(s).ok
     # wrong scale fails with residual
     s_bad = ChainHomotopy(ident, compose(to_ground, back),
                           {"g4": 2 * Element.generator(sig, "h3")})
-    rep = check_homotopy(ident, compose(to_ground, back), s_bad)
+    rep = check_homotopy(s_bad)
     assert not rep.ok and rep.residual is not None
 
 
