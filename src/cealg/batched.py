@@ -31,7 +31,7 @@ Two constants route the calls.  `BATCH_PAIRS` = 1,000 is the measured
 crossover: per call, in ms (kernel vs dict path, decoding included, median
 of 25, 2-vCPU Xeon),
 
-    pairs    superMink(11) product  super-Poincare product  PolyDeRham(8) d
+    pairs    superMink(11) product  super-Poincare product  poly_de_rham(8) d
     ~250     1.59 vs 0.84           2.16 vs 1.39            1.54 vs 1.82
     ~500     1.34 vs 1.73           2.76 vs 3.38            2.16 vs 4.62
     ~1,000   2.33 vs 3.48           3.35 vs 6.98            3.27 vs 9.11

@@ -17,7 +17,6 @@ which is all the five-brane cocycle reads of them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,10 +68,6 @@ class CatalogError(GradedError):
     pass
 
 
-class RepMismatch(CatalogError):
-    pass
-
-
 class ZeroCocycle(CatalogError):
     pass
 
@@ -81,12 +76,6 @@ class NotProportional(CatalogError):
     def __init__(self, msg, residual: Element | None = None):
         super().__init__(msg)
         self.residual = residual
-
-
-@dataclass
-class CatalogAlgebra:
-    algebra: SemifreeDGCA
-    rep: CliffordRep | None = None
 
 
 # -- super-Minkowski ---------------------------------------------------------
@@ -128,8 +117,14 @@ def _frame(sig: AlgebraSignature, d: int, n_spin: int):
 
 
 @lru_cache(maxsize=None)
-def _mink(d: int) -> CatalogAlgebra:
-    rep = build_clifford(d)
+def _rep(d: int) -> CliffordRep:
+    """The built-in Clifford representation in dimension d, built once."""
+    return build_clifford(d)
+
+
+@lru_cache(maxsize=None)
+def _mink(d: int) -> SemifreeDGCA:
+    rep = _rep(d)
     decls = [GeneratorDecl("e", (a,), 1, EVEN) for a in range(d)]
     decls += [GeneratorDecl("psi", (i,), 1, ODD) for i in range(1, rep.n_spin + 1)]
     sig = make_signature(decls)
@@ -137,33 +132,29 @@ def _mink(d: int) -> CatalogAlgebra:
     images = {}
     for a in range(d):
         images[f"e^{a}"] = _pairing_element(sig, psi_ids, rep.pairing((a,)), 1)
-    alg = make_dgca(sig, images)
-    return CatalogAlgebra(alg, rep)
+    return make_dgca(sig, images)
 
 
-def super_minkowski(d: int, rep: CliffordRep) -> CatalogAlgebra:
+def super_minkowski(d: int) -> SemifreeDGCA:
     """CE algebra of the supertranslation algebra: d psi = 0,
     d e^a = psibar Gamma^a psi."""
-    if rep.d != d:
-        raise RepMismatch(f"representation is for d={rep.d}, not d={d}")
     return _mink(d)
 
 
-def brane_cocycle(cat: CatalogAlgebra, p: int) -> Element:
-    """mu_{p+2} = sum over ordered p-tuples of
+def brane_cocycle(d: int, p: int) -> Element:
+    """mu_{p+2} on superMink(d) = sum over ordered p-tuples of
     (C Gamma^{a1..ap}) psi psi e_{a1}...e_{ap}, e-indices lowered with eta.
 
     Implemented as p! times the sum over strictly increasing tuples, whose
-    pairings come from one `pairing_walk`.  Raises
-    ZeroCocycle when the symmetric part of the pairing vanishes.
+    pairings come from one `pairing_walk`.  Raises CatalogError for p
+    outside 0..d, and ZeroCocycle when the symmetric part of the pairing
+    vanishes.
     """
-    if cat.rep is None:
-        raise CatalogError("catalog algebra carries no spinor representation")
-    if p < 0:
-        raise CatalogError("p must be nonnegative")
-    rep = cat.rep
-    sig = cat.algebra.sig
-    e_ids, psi_ids = _frame(sig, rep.d, rep.n_spin)
+    if not 0 <= p <= d:
+        raise CatalogError(f"p must lie in 0..{d}, got {p}")
+    rep = _rep(d)
+    sig = _mink(d).sig
+    e_ids, psi_ids = _frame(sig, d, rep.n_spin)
     acc = {}
     weight = 1
     for k in range(2, p + 1):
@@ -180,13 +171,13 @@ def brane_cocycle(cat: CatalogAlgebra, p: int) -> Element:
     out = Element(sig, acc)
     if not out:
         raise ZeroCocycle(
-            f"pairing C Gamma^({p}) in d={rep.d} is fully antisymmetric")
+            f"pairing C Gamma^({p}) in d={d} is fully antisymmetric")
     return out
 
 
 @lru_cache(maxsize=None)
 def _mu(d: int, p: int) -> Element:
-    return brane_cocycle(_mink(d), p)
+    return brane_cocycle(d, p)
 
 
 # -- the five-brane relation -------------------------------------------------
@@ -226,12 +217,11 @@ def verify_m5_relation() -> Report:
     d mu7 and mu4^2 stay packed kernel results, decided on their arrays,
     and are freed once c is known: the report, cached, keeps only c, which
     `m5_cocycle` reads (`measured_c`)."""
-    cat = _mink(11)
     # the tensor path first, so that its short-lived arrays are freed
     # before d mu7 and mu4^2 are built rather than placed among them
-    fast = quartic_fierz_check(cat.rep, "mu7-relation")
+    fast = quartic_fierz_check(_rep(11), "mu7-relation")
     mu4 = _mu(11, 2)
-    d_mu7 = apply_d(cat.algebra, _mu(11, 5))
+    d_mu7 = apply_d(_mink(11), _mu(11, 5))
     mu4_sq = mu4 * mu4
     c = proportionality_constant(d_mu7, mu4_sq)
     c_fast = Fraction(fast.pinned["c"]) if fast.pinned.get("c") else None
@@ -264,15 +254,13 @@ def measured_c() -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def m2brane() -> CatalogAlgebra:
+def m2brane() -> SemifreeDGCA:
     """Adjoin h3 with d h3 = -mu4: the homotopy fiber of the membrane
     cocycle.  `adjoin_generator` checks d mu4 = 0 and transports every
     d-image of superMink(11), so the inclusion of superMink(11) is a chain
     map, which `m5_cocycle` relies on (`_close_m5`)."""
-    cat = _mink(11)
-    alg = adjoin_generator(cat.algebra, GeneratorDecl("h3", (), 3, EVEN),
-                           _mu(11, 2), lam=-1)
-    return CatalogAlgebra(alg, cat.rep)
+    return adjoin_generator(_mink(11), GeneratorDecl("h3", (), 3, EVEN),
+                            _mu(11, 2), lam=-1)
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +296,7 @@ def _close_m5(k: Fraction) -> tuple[Element, Element]:
               = (lam + k c) iota(mu4^2),
 
     which is formed only when the scalar is not 0."""
-    alg = m2brane().algebra
+    alg = m2brane()
     sig = alg.sig
     mu4 = transport(_mu(11, 2), sig)
     chi = Element.generator(sig, "h3") * mu4 + k * transport(_mu(11, 5), sig)
@@ -331,7 +319,7 @@ def _resolve(base: SemifreeDGCA) -> SemifreeDGCA:
 
 
 @lru_cache(maxsize=None)
-def resolved_minkowski() -> tuple[CatalogAlgebra, DGCAMorphism, DGCAMorphism,
+def resolved_minkowski() -> tuple[SemifreeDGCA, DGCAMorphism, DGCAMorphism,
                                   ChainHomotopy]:
     """Adjoin g4 (closed) and h3 with d h3 = g4 - mu4.
 
@@ -339,8 +327,7 @@ def resolved_minkowski() -> tuple[CatalogAlgebra, DGCAMorphism, DGCAMorphism,
     inclusion iota satisfy p after iota = id, and s (g4 -> h3) is the chain
     homotopy witnessing iota after p ~ id.
     """
-    mink = _mink(11)
-    mink_alg = mink.algebra
+    mink_alg = _mink(11)
     res_alg = _resolve(mink_alg)
     p = by_name(res_alg, mink_alg, {"g4": _mu(11, 2)})
     iota = by_name(mink_alg, res_alg)
@@ -348,7 +335,7 @@ def resolved_minkowski() -> tuple[CatalogAlgebra, DGCAMorphism, DGCAMorphism,
         raise CatalogError("p after iota is not the identity")
     s = ChainHomotopy(identity_morphism(res_alg), compose(p, iota),
                       {"g4": Element.generator(res_alg.sig, "h3")})
-    return CatalogAlgebra(res_alg, mink.rep), p, iota, s
+    return res_alg, p, iota, s
 
 
 def resolution_homotopy_report() -> Report:
@@ -369,21 +356,19 @@ def equivariant_lift() -> tuple[DGCAMorphism, Report]:
     as a lift over the degree-4 coefficient line, and against the membrane
     restriction."""
     c = measured_c()
-    cat, p, _, _ = resolved_minkowski()
-    res_alg = cat.algebra
+    res_alg, p, _, _ = resolved_minkowski()
     phi = _sphere_map(res_alg)
 
-    line = coefficient_line(2).algebra  # R[g4], zero differential
+    line = coefficient_line(2)  # R[g4], zero differential
     base_to_s4 = by_name(line, phi.source)
     over_base = compose(base_to_s4, phi) == by_name(line, res_alg)
 
-    cocycle_morphism = make_morphism(line, _mink(11).algebra,
-                                     {"g4": _mu(11, 2)})
+    cocycle_morphism = make_morphism(line, _mink(11), {"g4": _mu(11, 2)})
     projected = compose(base_to_s4, compose(phi, p))
     reproduces_mu4 = projected == cocycle_morphism
 
     # g4 -> 0 onto the membrane extension
-    q = by_name(res_alg, m2brane().algebra)
+    q = by_name(res_alg, m2brane())
     chi, _ = m5_cocycle()
     restricts_to_m5 = compose(phi, q).image_of("g7") == chi
 
@@ -414,16 +399,16 @@ def _sphere_map(alg: SemifreeDGCA, alpha=0, beta=0) -> DGCAMorphism:
              + (1 / measured_c()) * transport(_mu(11, 5), sig))
     if beta:
         image = image + beta * trace_power(sig, 7)
-    return by_name(sphere_model(4).algebra, alg, {"g7": image})
+    return by_name(sphere_model(4), alg, {"g7": image})
 
 
 @lru_cache(maxsize=None)
-def coefficient_line(p: int) -> CatalogAlgebra:
+def coefficient_line(p: int) -> SemifreeDGCA:
     """R[g_{p+2}] with zero differential: the coefficient object of a
     degree-(p+2) cocycle."""
     deg = p + 2
     sig = make_signature([GeneratorDecl(f"g{deg}", (), deg, EVEN)])
-    return CatalogAlgebra(make_dgca(sig, {}))
+    return make_dgca(sig, {})
 
 
 # -- super-Poincare ----------------------------------------------------------
@@ -434,7 +419,7 @@ def _omega_pairs(d: int):
 
 
 @lru_cache(maxsize=None)
-def super_poincare() -> CatalogAlgebra:
+def super_poincare() -> SemifreeDGCA:
     """The d=11 super-Poincare CE algebra: rotational generators omega_{ab}
     on top of the supertranslations, with
     d omega^a_b = omega^a_c omega^c_b,
@@ -442,10 +427,9 @@ def super_poincare() -> CatalogAlgebra:
     d e^a = omega^a_b e^b + psibar Gamma^a psi.
     d e^a and d omega_{ab} are read off `_omega_matrix`.
     """
-    mink = _mink(11)
-    rep = mink.rep
+    rep = _rep(11)
     d = rep.d
-    decls = list(mink.algebra.sig.decls)
+    decls = list(_mink(11).sig.decls)
     decls += [GeneratorDecl("omega", (a, b), 1, EVEN) for a, b in _omega_pairs(d)]
     sig = make_signature(decls)
     psi_ids = _frame(sig, d, rep.n_spin)[1]
@@ -473,8 +457,7 @@ def super_poincare() -> CatalogAlgebra:
     for a, b in _omega_pairs(d):
         images[f"omega^{a},{b}"] = rep.eta[a] * sq[a][b]
 
-    alg = make_dgca(sig, images)
-    return CatalogAlgebra(alg, rep)
+    return make_dgca(sig, images)
 
 
 @lru_cache(maxsize=None)
@@ -483,7 +466,7 @@ def _omega_matrix(sig: AlgebraSignature) -> list[list[Element]]:
     signature holding the d=11 generators omega_{ab}, a < b, with
     omega_{ba} = -omega_{ab}: the one place that maps the matrix onto the
     stored generators."""
-    eta = _mink(11).rep.eta
+    eta = _rep(11).eta
     d = len(eta)
     mat: list[list[Element]] = []
     for a in range(d):
@@ -535,7 +518,7 @@ def lorentz_trace(k: int) -> tuple[Element, Report]:
     the even traces tr(omega^{2m}) for 2m <= k+1 verified to vanish."""
     if k not in (3, 7):
         raise Unsupported("trace cocycles are k = 3 and k = 7")
-    iso = super_poincare().algebra
+    iso = super_poincare()
     tr = trace_power(iso.sig, k)
     d_tr = apply_d(iso, tr)
     even_ok = True
@@ -560,12 +543,11 @@ def lorentz_trace(k: int) -> tuple[Element, Report]:
 
 
 @lru_cache(maxsize=None)
-def resolved_poincare() -> CatalogAlgebra:
+def resolved_poincare() -> SemifreeDGCA:
     """super-Poincare extended by g4 and h3 with d h3 = g4 - mu4; requires
     (and checks) that mu4 stays closed in the presence of the rotational
     generators."""
-    iso = super_poincare()
-    return CatalogAlgebra(_resolve(iso.algebra), iso.rep)
+    return _resolve(super_poincare())
 
 
 def family_seven_cocycle(alpha, beta) -> tuple[DGCAMorphism, Report]:
@@ -578,10 +560,10 @@ def family_seven_cocycle(alpha, beta) -> tuple[DGCAMorphism, Report]:
 @lru_cache(maxsize=None)
 def _family(alpha: Fraction, beta: Fraction) -> tuple[DGCAMorphism, Report]:
     c = measured_c()
-    rp = resolved_poincare().algebra
+    rp = resolved_poincare()
     phi = _sphere_map(rp, alpha, beta)
     # the restriction omega -> 0 onto the resolved Minkowski algebra
-    kappa = by_name(rp, resolved_minkowski()[0].algebra)
+    kappa = by_name(rp, resolved_minkowski()[0])
     lift, _ = equivariant_lift()
     restricts = compose(phi, kappa) == lift
 
@@ -609,14 +591,14 @@ def verify_brane_scan_entry(d: int, n_label: int, p: int,
     "capped" if it is closed, None if not.  Both are decided by
     `is_coboundary`: its closure check raises NotClosed, else it solves
     d v = mu exactly."""
-    cat = _mink(d)
-    if cat.rep.n_spin != n_label:
+    n_spin = _rep(d).n_spin
+    if n_spin != n_label:
         raise Unsupported(
             f"(d={d}, N={n_label}) not supported; built-in rep has "
-            f"N={cat.rep.n_spin}")
-    mu = brane_cocycle(cat, p)
+            f"N={n_spin}")
+    mu = brane_cocycle(d, p)
     try:
-        status = is_coboundary(cat.algebra, mu, cap).status
+        status = is_coboundary(_mink(d), mu, cap).status
     except NotClosed:
         return None
     return {"yes": "no", "no": "yes", "capped": "capped"}[status]

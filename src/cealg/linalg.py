@@ -43,7 +43,6 @@ class Capped(GradedError):
 
 @dataclass
 class GradedBasis:
-    algebra: SemifreeDGCA
     degree: int
     monomials: tuple[Monomial, ...]
 
@@ -135,7 +134,7 @@ def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
     if weights is None:
         weights = (0,) * len(A.sig)
     if degree < 0 or weight < 0:
-        return GradedBasis(A, degree, ())
+        return GradedBasis(degree, ())
     tables = _suffix_counts(A, weights, degree, weight)
     if tables is None:
         raise Capped(
@@ -178,7 +177,7 @@ def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
     if len(out) != count:
         raise DgcaError(f"degree-{degree} basis enumerated {len(out)} "
                         f"monomials, the count predicts {count}")
-    return GradedBasis(A, degree, tuple(out))
+    return GradedBasis(degree, tuple(out))
 
 
 @dataclass
@@ -208,7 +207,7 @@ def differential_matrix(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
     dom = monomial_basis(A, degree, cap, weights, weight)
     images = apply_d_all(A, [Element(A.sig, {mono: Fraction(1)})
                              for mono in dom.monomials])
-    cod = GradedBasis(A, degree + 1, tuple(sorted(
+    cod = GradedBasis(degree + 1, tuple(sorted(
         {m2 for img in images for m2 in img.terms})))
     entries: dict[tuple[int, int], Fraction] = {}
     for c, img in enumerate(images):

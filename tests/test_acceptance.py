@@ -33,7 +33,7 @@ from cealg import (
     verify_brane_scan_entry,
     verify_m5_relation,
 )
-from cealg.catalog import _mink, _mu, resolution_homotopy_report
+from cealg.catalog import _mink, _mu, _rep, resolution_homotopy_report
 from cealg.reporting import run_task
 
 
@@ -44,14 +44,14 @@ def verdict(n, ok, text):
 
 def test_criterion_01_d_squared_everywhere():
     algebras = [
-        ("CE(R^{2,1|2})", _mink(3).algebra),
-        ("CE(R^{10,1|32})", _mink(11).algebra),
-        ("m2brane", m2brane().algebra),
-        ("resolved", resolved_minkowski()[0].algebra),
-        ("iso", super_poincare().algebra),
-        ("resolvedPoincare", resolved_poincare().algebra),
-        ("s4", sphere_model(4).algebra),
-    ] + [(f"deRham(R^{n})", poly_de_rham(n).algebra) for n in range(1, 9)]
+        ("CE(R^{2,1|2})", _mink(3)),
+        ("CE(R^{10,1|32})", _mink(11)),
+        ("m2brane", m2brane()),
+        ("resolved", resolved_minkowski()[0]),
+        ("iso", super_poincare()),
+        ("resolvedPoincare", resolved_poincare()),
+        ("s4", sphere_model(4)),
+    ] + [(f"deRham(R^{n})", poly_de_rham(n)) for n in range(1, 9)]
     failures = [name for name, alg in algebras if not check_d_squared(alg).ok]
     verdict(1, not failures,
             f"d^2 = 0 exactly on {len(algebras)} catalog algebras"
@@ -59,15 +59,15 @@ def test_criterion_01_d_squared_everywhere():
 
 
 def test_criterion_02_cocycle_closure():
-    ok4 = apply_d(_mink(11).algebra, _mu(11, 2)).is_zero()
-    ok3 = apply_d(_mink(3).algebra, _mu(3, 1)).is_zero()
+    ok4 = apply_d(_mink(11), _mu(11, 2)).is_zero()
+    ok3 = apply_d(_mink(3), _mu(3, 1)).is_zero()
     # a genuine closure failure as negative control: p = 1 in d = 11
-    control = not apply_d(_mink(11).algebra, _mu(11, 1)).is_zero()
+    control = not apply_d(_mink(11), _mu(11, 1)).is_zero()
     # in d = 3 the p = 2 element is closed as well: Gamma^{ab} =
     # eps^{abc} Gamma_c turns the quartic obstruction into a commutator,
     # which the four-index symmetrization kills; its class is exact, so
     # the brane scan still rejects it (criterion 9)
-    d3_p2_closed = apply_d(_mink(3).algebra, brane_cocycle(_mink(3), 2)).is_zero()
+    d3_p2_closed = apply_d(_mink(3), brane_cocycle(3, 2)).is_zero()
     verdict(2, ok4 and ok3 and control and d3_p2_closed,
             "d mu4 = 0 (d=11) and d mu3 = 0 (d=3), exactly; d mu3 != 0 in "
             "d=11 as the closure negative control; (d=3, p=2) is closed "
@@ -79,7 +79,7 @@ def test_criterion_03_five_brane_relation():
 
     rep = verify_m5_relation()
     c = Fraction(rep.pinned["c"]) if rep.ok else None
-    fast = quartic_fierz_check(_mink(11).rep, "mu7-relation")
+    fast = quartic_fierz_check(_rep(11), "mu7-relation")
     agree = rep.ok and fast.ok and fast.pinned["c"] == rep.pinned["c"]
     golden = compare_golden(run_task("m5.relation"), load_golden("m5.relation"))
     verdict(3, agree and golden.ok and c == 15,
@@ -105,8 +105,7 @@ def test_criterion_06_equivariant_lift():
     from cealg.catalog import equivariant_lift
 
     phi, rep = equivariant_lift()  # construction validates d(g7 image) = g4^2
-    cat, _, _, _ = resolved_minkowski()
-    sig = cat.algebra.sig
+    sig = resolved_minkowski()[0].sig
     g4 = Element.generator(sig, "g4")
     mu4 = transport(_mu(11, 2), sig)
     identity_holds = (g4 - mu4) * (g4 + mu4) + mu4 * mu4 == g4 * g4
@@ -117,14 +116,14 @@ def test_criterion_06_equivariant_lift():
 
 def test_criterion_07_hopf_pushout():
     rep = hopf_sequence_check()
-    fiber = set_generators_to_zero(sphere_model(4).algebra, ["g4"])
-    verdict(7, rep.ok and fiber == sphere_model(7).algebra,
+    fiber = set_generators_to_zero(sphere_model(4), ["g4"])
+    verdict(7, rep.ok and fiber == sphere_model(7),
             "killing g4 in the 4-sphere model gives R[g7] with zero "
             "differential")
 
 
 def test_criterion_08_s4_cohomology():
-    dims = cohomology_dims(sphere_model(4).algebra, 12)
+    dims = cohomology_dims(sphere_model(4), 12)
     want = [1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
     verdict(8, dims == want, f"H(s4 model) dims 0..12 = {dims}")
 
@@ -147,7 +146,7 @@ def test_criterion_10_poincare_suite():
     and (0, 1) decide the whole family.  (1, 1) would add ~28 s and
     1.2 GiB to this test; `cealg --task family --alpha 1 --beta 1` runs
     it."""
-    iso = super_poincare().algebra
+    iso = super_poincare()
     iso_ok = check_d_squared(iso).ok
     tr2 = trace_power(iso.sig, 2).is_zero()
     tr4 = trace_power(iso.sig, 4).is_zero()
@@ -172,8 +171,7 @@ def test_criterion_11_flat_forms_suite():
 
 def test_criterion_12_determinism():
     # fresh rebuilds of the heavy elements must be bit-identical
-    cat = _mink(11)
-    mu4_again = brane_cocycle(cat, 2)
+    mu4_again = brane_cocycle(11, 2)
     same_mu4 = json.dumps(mu4_again.to_json()) == json.dumps(_mu(11, 2).to_json())
     r1 = run_task("s4.cohomology").pinned
     r2 = run_task("s4.cohomology").pinned

@@ -15,7 +15,7 @@ from cealg import (
     GeneratorDecl,
     NotClosed,
     NotProportional,
-    RepMismatch,
+    SemifreeDGCA,
     ZeroCocycle,
     adjoin_generator,
     apply_d,
@@ -32,6 +32,7 @@ from cealg import (
     make_morphism,
     make_signature,
     measured_c,
+    poly_de_rham,
     resolved_minkowski,
     resolved_poincare,
     set_generators_to_zero,
@@ -44,6 +45,7 @@ from cealg import (
     verify_m5_relation,
 )
 from cealg.catalog import (
+    CatalogError,
     _mink,
     _mu,
     coefficient_line,
@@ -56,17 +58,36 @@ from fresh import fresh_run
 from test_graded import kernel_gate_at_zero, random_signature, random_terms
 
 
-def test_super_minkowski_shapes_and_rep_mismatch():
-    cat11 = super_minkowski(11, build_clifford(11))
-    assert len(cat11.algebra.sig) == 43
-    cat3 = super_minkowski(3, build_clifford(3))
-    assert len(cat3.algebra.sig) == 5
-    with pytest.raises(RepMismatch):
-        super_minkowski(11, build_clifford(3))
+def test_super_minkowski_shapes():
+    """superMink(d) has d e-generators and one psi per spinor component of
+    the built-in representation, which is read from the cached `_rep`."""
+    mink11 = super_minkowski(11)
+    assert len(mink11.sig) == 43
+    assert len(super_minkowski(3).sig) == 5
+    assert mink11 is _mink(11)
+    assert catalog._rep(11) is catalog._rep(11)
+    assert catalog._rep(11).n_spin == build_clifford(11).n_spin == 32
+
+
+@pytest.mark.parametrize("build", [
+    lambda: super_minkowski(3),
+    lambda: super_minkowski(11),
+    m2brane,
+    lambda: resolved_minkowski()[0],
+    super_poincare,
+    resolved_poincare,
+    lambda: coefficient_line(2),
+    lambda: sphere_model(4),
+    lambda: sphere_model(7),
+    lambda: poly_de_rham(3),
+], ids=["mink3", "mink11", "m2brane", "resolved", "iso", "resolvedpoincare",
+        "line", "s4", "s7", "derham3"])
+def test_constructors_return_the_algebra(build):
+    assert type(build()) is SemifreeDGCA
 
 
 def test_psi_closed_and_e_differential_quadratic():
-    alg = _mink(11).algebra
+    alg = _mink(11)
     assert alg.d_of("psi^7").is_zero()
     de0 = alg.d_of("e^0")
     assert de0.is_homogeneous((2, 0))
@@ -76,21 +97,36 @@ def test_psi_closed_and_e_differential_quadratic():
 
 
 def test_zero_cocycles():
-    cat = _mink(11)
     with pytest.raises(ZeroCocycle):
-        brane_cocycle(cat, 0)
+        brane_cocycle(11, 0)
     with pytest.raises(ZeroCocycle):
-        brane_cocycle(cat, 3)
+        brane_cocycle(11, 3)
     with pytest.raises(ZeroCocycle):
-        brane_cocycle(cat, 4)
+        brane_cocycle(11, 4)
+
+
+@pytest.mark.parametrize("d", [3, 11])
+def test_brane_cocycle_rank_outside_the_dimension(d):
+    """No rank-p pairing exists for p > d: that is a bad argument, as
+    p < 0 is, not a cocycle found to vanish."""
+    for p in (d + 1, -1):
+        with pytest.raises(CatalogError, match="p must lie in") as exc:
+            brane_cocycle(d, p)
+        assert not isinstance(exc.value, ZeroCocycle)
+
+
+@pytest.mark.parametrize("d, p", [(3, 1), (3, 2), (11, 2)])
+def test_brane_cocycle_equals_the_cached_mu(d, p):
+    assert brane_cocycle(d, p) == _mu(d, p)
+    assert brane_cocycle(d, p).sig == _mink(d).sig
 
 
 def test_mu_closures():
-    assert apply_d(_mink(3).algebra, _mu(3, 1)).is_zero()
-    assert apply_d(_mink(11).algebra, _mu(11, 2)).is_zero()
+    assert apply_d(_mink(3), _mu(3, 1)).is_zero()
+    assert apply_d(_mink(11), _mu(11, 2)).is_zero()
     # p = 1 in d = 11 is not closed (no superstring in d = 11)
     mu3_11 = _mu(11, 1)
-    assert not apply_d(_mink(11).algebra, mu3_11).is_zero()
+    assert not apply_d(_mink(11), mu3_11).is_zero()
 
 
 def test_m5_relation_pins_c_15():
@@ -116,7 +152,7 @@ def test_run_task_times_a_copy_of_the_cached_report():
 
 
 def test_proportionality_negative_control():
-    alg = _mink(11).algebra
+    alg = _mink(11)
     mu4 = _mu(11, 2)
     mu7 = _mu(11, 5)
     m0 = min(mu7.terms)
@@ -358,7 +394,7 @@ import tracemalloc
 from cealg import catalog
 from cealg.dgca import apply_d
 
-mink = catalog._mink(11).algebra
+mink = catalog._mink(11)
 mu4 = catalog._mu(11, 2)
 mu7 = catalog._mu(11, 5)
 tracemalloc.start()
@@ -465,22 +501,22 @@ def test_m5_cocycle_memory_after_the_relation():
 
 def test_m2brane_extension():
     m2 = m2brane()
-    assert "h3" in m2.algebra.sig.names
-    assert m2.algebra.d_of("h3") == -transport(_mu(11, 2), m2.algebra.sig)
-    assert check_d_squared(m2.algebra).ok
+    assert "h3" in m2.sig.names
+    assert m2.d_of("h3") == -transport(_mu(11, 2), m2.sig)
+    assert check_d_squared(m2).ok
 
 
 def test_adjoin_non_closed_mu7_rejected():
     mink = _mink(11)
     with pytest.raises(NotClosed):
-        adjoin_generator(mink.algebra, GeneratorDecl("b6", (), 6, EVEN),
+        adjoin_generator(mink, GeneratorDecl("b6", (), 6, EVEN),
                          _mu(11, 5))
 
 
 def test_adjoin_with_alternative_normalization():
     # the scale parameter reproduces the d h3 = -15 mu4 convention
     mink = _mink(11)
-    ext = adjoin_generator(mink.algebra, GeneratorDecl("h3", (), 3, EVEN),
+    ext = adjoin_generator(mink, GeneratorDecl("h3", (), 3, EVEN),
                            _mu(11, 2), lam=-15)
     assert ext.d_of("h3") == -15 * transport(_mu(11, 2), ext.sig)
 
@@ -491,14 +527,14 @@ def test_m5_cocycle_closed_and_wrong_normalization_fails():
     chi, rep = m5_cocycle()
     assert rep.ok
     m2 = m2brane()
-    assert apply_d(m2.algebra, chi).is_zero()
-    sig = m2.algebra.sig
+    assert apply_d(m2, chi).is_zero()
+    sig = m2.sig
     h3 = Element.generator(sig, "h3")
     mu4 = transport(_mu(11, 2), sig)
     mu7 = transport(_mu(11, 5), sig)
     c = measured_c()
     bad = h3 * mu4 + (2 / c) * mu7
-    res = apply_d(m2.algebra, bad)
+    res = apply_d(m2, bad)
     assert not res.is_zero()
     # the leftover is exactly mu4^2
     assert res == mu4 * mu4
@@ -506,7 +542,7 @@ def test_m5_cocycle_closed_and_wrong_normalization_fails():
     same, leibniz = catalog._close_m5(2 / c)
     assert same == bad and leibniz == res
     # and d(h3 mu4) alone is -mu4^2
-    assert apply_d(m2.algebra, h3 * mu4) == -(mu4 * mu4)
+    assert apply_d(m2, h3 * mu4) == -(mu4 * mu4)
 
 
 M5_TERMS_SCRIPT = """
@@ -558,22 +594,22 @@ def test_m5_run_takes_d_mu4_once():
 
 
 def test_resolution_round_trip_and_homotopy():
-    cat, p, iota, s = resolved_minkowski()
-    mink_alg = _mink(11).algebra
+    res, p, iota, s = resolved_minkowski()
+    mink_alg = _mink(11)
     assert compose(iota, p) == identity_morphism(mink_alg)
     rep = resolution_homotopy_report()
     assert rep.ok
     # d h3 = g4 - mu4 realizes the homotopy identity on g4
-    sig = cat.algebra.sig
+    sig = res.sig
     g4 = Element.generator(sig, "g4")
     mu4 = transport(_mu(11, 2), sig)
-    assert apply_d(cat.algebra, Element.generator(sig, "h3")) == g4 - mu4
+    assert apply_d(res, Element.generator(sig, "h3")) == g4 - mu4
 
 
 def test_wrong_homotopy_scale_fails():
-    cat, p, iota, s = resolved_minkowski()
-    sig = cat.algebra.sig
-    ident = identity_morphism(cat.algebra)
+    res, p, iota, s = resolved_minkowski()
+    sig = res.sig
+    ident = identity_morphism(res)
     around = compose(p, iota)
     bad = ChainHomotopy(ident, around,
                         {"g4": 2 * Element.generator(sig, "h3")})
@@ -582,7 +618,7 @@ def test_wrong_homotopy_scale_fails():
 
 
 def test_homotopy_f_f_zero_on_projection():
-    cat, p, iota, s = resolved_minkowski()
+    _, p, _, _ = resolved_minkowski()
     zero = ChainHomotopy(p, p, {})
     assert check_homotopy(zero).ok
 
@@ -591,24 +627,23 @@ def test_equivariant_lift_identity():
     phi, rep = equivariant_lift()
     assert rep.ok  # includes the residual-zero chain check on g7
     # the displayed identity: (g4 - mu4)(g4 + mu4) + mu4^2 = g4^2
-    cat, _, _, _ = resolved_minkowski()
-    sig = cat.algebra.sig
+    res = resolved_minkowski()[0]
+    sig = res.sig
     g4 = Element.generator(sig, "g4")
     mu4 = transport(_mu(11, 2), sig)
     assert (g4 - mu4) * (g4 + mu4) + mu4 * mu4 == g4 * g4
     # chain check on g4: 0 = 0
-    assert apply_d(cat.algebra, phi.image_of("g4")).is_zero()
+    assert apply_d(res, phi.image_of("g4")).is_zero()
 
 
 def test_name_matching_maps_equal_their_hand_written_images():
     """The projection p, the inclusion iota, the membrane restriction q
     (g4 -> 0) and the omega -> 0 restriction kappa, as `by_name` builds
     them, against their images written out name by name."""
-    cat, p, iota, _ = resolved_minkowski()
-    res = cat.algebra
-    mink = _mink(11).algebra
-    m2 = m2brane().algebra
-    rp = resolved_poincare().algebra
+    res, p, iota, _ = resolved_minkowski()
+    mink = _mink(11)
+    m2 = m2brane()
+    rp = resolved_poincare()
 
     proj = {n: Element.generator(mink.sig, n) for n in mink.sig.names}
     proj["h3"] = Element.zero(mink.sig)
@@ -631,7 +666,7 @@ def test_name_matching_maps_equal_their_hand_written_images():
 def test_sphere_map_g7_image_written_out():
     """g7 -> h3 (g4 + mu4) + mu7 / 15 on resolved Minkowski, and g4 -> g4;
     the equivariant lift is this map."""
-    res = resolved_minkowski()[0].algebra
+    res = resolved_minkowski()[0]
     sig = res.sig
     g4, h3 = (Element.generator(sig, n) for n in ("g4", "h3"))
     mu4, mu7 = (transport(_mu(11, p), sig) for p in (2, 5))
@@ -644,25 +679,25 @@ def test_sphere_map_g7_image_written_out():
 
 def test_kill_translations_in_m2brane_leaves_free_h3():
     m2 = m2brane()
-    names = [d.name for d in m2.algebra.sig.decls if d.family in ("e", "psi")]
-    quotient = set_generators_to_zero(m2.algebra, names)
+    names = [d.name for d in m2.sig.decls if d.family in ("e", "psi")]
+    quotient = set_generators_to_zero(m2, names)
     assert list(quotient.sig.names) == ["h3"]
     assert quotient.d_of("h3").is_zero()
 
 
 def test_coefficient_line():
     line = coefficient_line(2)
-    assert list(line.algebra.sig.names) == ["g4"]
-    assert line.algebra.d_of("g4").is_zero()
+    assert list(line.sig.names) == ["g4"]
+    assert line.d_of("g4").is_zero()
     # mu4 as a validated morphism from the line
-    f = make_morphism(line.algebra, _mink(11).algebra, {"g4": _mu(11, 2)})
+    f = make_morphism(line, _mink(11), {"g4": _mu(11, 2)})
     assert f.image_of("g4") == _mu(11, 2)
 
 
 def test_super_poincare_d_squared():
     iso = super_poincare()
-    assert len(iso.algebra.sig) == 43 + 55
-    assert check_d_squared(iso.algebra).ok
+    assert len(iso.sig) == 43 + 55
+    assert check_d_squared(iso).ok
 
 
 def reference_super_poincare():
@@ -671,10 +706,10 @@ def reference_super_poincare():
     psibar Gamma^a psi of d e^a taken from superMink(11): the
     construction that `_omega_matrix` replaced, kept as a reference."""
     mink = _mink(11)
-    rep = mink.rep
+    rep = catalog._rep(11)
     d, eta = rep.d, rep.eta
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    sig = make_signature(list(mink.algebra.sig.decls)
+    sig = make_signature(list(mink.sig.decls)
                          + [GeneratorDecl("omega", ab, 1, EVEN)
                             for ab in pairs])
 
@@ -687,7 +722,7 @@ def reference_super_poincare():
         terms = [(eta[a] * w(a, b)[1], [(w(a, b)[0], 1), (f"e^{b}", 1)])
                  for b in range(d) if b != a]
         images[f"e^{a}"] = (Element.from_terms(sig, terms)
-                            + transport(mink.algebra.d_of(f"e^{a}"), sig))
+                            + transport(mink.d_of(f"e^{a}"), sig))
     for i in range(rep.n_spin):
         terms = []
         for a, b in pairs:
@@ -705,17 +740,17 @@ def reference_super_poincare():
 
 
 def test_super_poincare_matches_the_index_loop_reference():
-    assert super_poincare().algebra == reference_super_poincare()
+    assert super_poincare() == reference_super_poincare()
 
 
 def test_mu4_still_closed_on_iso():
     iso = super_poincare()
-    mu4 = transport(_mu(11, 2), iso.algebra.sig)
-    assert apply_d(iso.algebra, mu4).is_zero()
+    mu4 = transport(_mu(11, 2), iso.sig)
+    assert apply_d(iso, mu4).is_zero()
 
 
 def test_traces_small():
-    iso = super_poincare().algebra
+    iso = super_poincare()
     assert trace_power(iso.sig, 2).is_zero()
     assert trace_power(iso.sig, 4).is_zero()
     tr3 = trace_power(iso.sig, 3)
@@ -727,7 +762,7 @@ def test_trace_sums_route_by_summed_pairs(monkeypatch):
     """A trace is one sum of products, gated on its summed pairs:
     tr(omega^4) sums 8,910 pairs, past the gate of 1,000, and makes exactly
     one kernel call, as does tr(omega^6); each returns no rows."""
-    sig = super_poincare().algebra.sig
+    sig = super_poincare().sig
     calls = []
     real = batched._sum_of_products
 
@@ -774,16 +809,16 @@ def test_chain_map_extends_on_catalog_morphism():
     # word keeps p(m) away from mu4^2-sized elements
     import random
 
-    cat, p, iota, s = resolved_minkowski()
+    res, p, _, _ = resolved_minkowski()
     rng = random.Random(5)
-    sig = cat.algebra.sig
+    sig = res.sig
     names = ["e^0", "e^5", "psi^1", "psi^31", "h3"]
     for _ in range(25):
         word = [(rng.choice(names), 1) for _ in range(rng.randint(0, 3))]
         if rng.random() < 0.5:
             word.append(("g4", 1))
         m = Element.from_terms(sig, [(1, word)])
-        assert apply_d(_mink(11).algebra, p(m)) == p(apply_d(cat.algebra, m))
+        assert apply_d(_mink(11), p(m)) == p(apply_d(res, m))
 
 
 CATALOG_PRECONDITIONS_SCRIPT = """
@@ -792,7 +827,7 @@ from cealg.catalog import CatalogError, _frame, _mink, _pairing_element
 
 if __debug__:
     raise SystemExit("asserts are on: run this under python -O")
-sig = _mink(3).algebra.sig
+sig = _mink(3).sig
 e_ids, psi_ids = _frame(sig, 3, 2)
 bad = [
     lambda: _pairing_element(sig, psi_ids, np.eye(2, dtype=int), 1,
@@ -840,7 +875,7 @@ def test_pairing_element_matches_double_loop():
     from cealg.catalog import _frame, _pairing_element
 
     rng = random.Random(17)
-    sig = _mink(11).algebra.sig
+    sig = _mink(11).sig
     e_ids, psi_ids = _frame(sig, 11, 32)
     for trial in range(12):
         m = np.array([[rng.choice([0, 0, 0, rng.randint(-5, 5)])

@@ -34,7 +34,7 @@ from cealg.clifford import (
     pairing_walk,
     spin9_gammas,
 )
-from cealg.catalog import ZeroCocycle, _mink, brane_cocycle
+from cealg.catalog import ZeroCocycle, _mink, _rep, brane_cocycle
 from cealg.dgca import apply_d
 from fresh import fresh_run
 
@@ -371,12 +371,11 @@ def test_tensor_and_symbolic_closure_agree_rank_by_rank():
     and elsewhere passes exactly where d of the cocycle is 0."""
     got = {}
     for d, ranks in ((3, range(1, 4)), (11, range(1, 6))):
-        cat = _mink(d)
         for p in ranks:
             symbolic = _closure_outcome(
-                lambda: apply_d(cat.algebra, brane_cocycle(cat, p)).is_zero())
+                lambda: apply_d(_mink(d), brane_cocycle(d, p)).is_zero())
             tensor = _closure_outcome(lambda: quartic_fierz_check(
-                cat.rep, "mu4-closure", p).ok)
+                _rep(d), "mu4-closure", p).ok)
             assert tensor == symbolic, (d, p)
             got[d, p] = symbolic
     assert got == {(3, 1): True, (3, 2): True, (3, 3): "zero",

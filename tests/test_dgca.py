@@ -106,7 +106,7 @@ def test_apply_d_on_powers():
     assert apply_d(alg, x * x * x) == 3 * (x * x) * dx
 
 
-MINK3 = _mink(3).algebra
+MINK3 = _mink(3)
 
 
 @st.composite
@@ -238,8 +238,8 @@ def test_check_d_squared_routes_d_images(monkeypatch):
     the gate alone) share one tagged core call; resolved Poincare's d h3 =
     g4 - mu4 reaches the gate by itself and runs alone next to it; the
     small algebras stay on the dict path."""
-    iso = super_poincare().algebra
-    resolved = resolved_poincare().algebra
+    iso = super_poincare()
+    resolved = resolved_poincare()
     calls = spy_core(monkeypatch)
     assert check_d_squared(iso).ok
     assert calls == [98]
@@ -258,7 +258,7 @@ def test_leibniz_split_gives_empty_inputs_two_dimensional_keys():
     each comes back as a dict, `{}` for the d-images.  The sum of the
     d-images (about 145k pairs) runs alone and comes back as a `Packed`
     whose d is 0: (0, words) uint64 keys and no numerators."""
-    iso = super_poincare().algebra
+    iso = super_poincare()
     g = next(i for i, img in enumerate(iso.d_images) if img)
     total = sum(iso.d_images, Element.zero(iso.sig))
     inputs = ([{((g, 1),): Fraction(1)}]
@@ -280,7 +280,7 @@ def test_check_d_squared_failure_report_above_the_gate(monkeypatch):
     the report names the first failing generator in generator order (one
     whose d-image meets a corrupted one), with the residual of the
     generator-by-generator loop."""
-    iso = super_poincare().algebra
+    iso = super_poincare()
     images = {decl.name: img for decl, img in zip(iso.sig.decls,
                                                   iso.d_images)}
     for name in ("e^7", "e^3"):
@@ -318,8 +318,7 @@ def test_each_generator_check_takes_one_leibniz_call(monkeypatch):
     """check_d_squared, check_chain_map and check_homotopy each pass all
     their d's to one `apply_d_all` call: one `batched.leibniz` call, with
     one input per generator (per nonzero d-image for d**2)."""
-    cat, p, iota, s = resolved_minkowski()
-    alg = cat.algebra
+    alg, p, iota, s = resolved_minkowski()
     calls = spy_leibniz(monkeypatch)
     assert check_d_squared(alg).ok
     assert check_chain_map(p).ok
@@ -353,12 +352,12 @@ def test_chain_map_failure_report_matches_the_per_generator_loop(
     (one of mu4's terms, doubled).  The one-call check names the generator,
     and gives the residual, of the per-generator loop with d on the dict
     path, and it takes f(d g) only up to that generator."""
-    cat, p, _, _ = resolved_minkowski()
-    images = {n: p.image_of(n) for n in cat.algebra.sig.names}
+    alg, p, _, _ = resolved_minkowski()
+    images = {n: p.image_of(n) for n in alg.sig.names}
     mono, coeff = next(iter(images["g4"].terms.items()))
     images["g4"] = images["g4"] + Element(p.target.sig, {mono: coeff})
-    broken = DGCAMorphism(cat.algebra, p.target,
-                          tuple(images[n] for n in cat.algebra.sig.names))
+    broken = DGCAMorphism(alg, p.target,
+                          tuple(images[n] for n in alg.sig.names))
     want = None
     for gid, decl in enumerate(broken.source.sig.decls):
         res = (dict_d(broken.target, broken.images[gid])
@@ -370,11 +369,11 @@ def test_chain_map_failure_report_matches_the_per_generator_loop(
     applied = spy_calls(monkeypatch, DGCAMorphism)
     calls = spy_leibniz(monkeypatch)
     rep = check_chain_map(broken)
-    assert calls == [len(cat.algebra.sig)]
+    assert calls == [len(alg.sig)]
     assert not rep.ok
     assert (rep.witness, rep.residual) == want
     assert rep.stats == {"residual_terms": len(want[1])}
-    assert len(applied) == cat.algebra.sig.gen_id("g4") + 1
+    assert len(applied) == alg.sig.gen_id("g4") + 1
 
 
 def test_homotopy_failure_report_matches_the_per_generator_loop(
@@ -383,8 +382,7 @@ def test_homotopy_failure_report_matches_the_per_generator_loop(
     of h3: the one-call check names the generator, and gives the residual,
     of the per-generator loop with d on the dict path, and it takes s(d g)
     only up to that generator."""
-    cat, p, iota, _ = resolved_minkowski()
-    alg = cat.algebra
+    alg, p, iota, _ = resolved_minkowski()
     ident = identity_morphism(alg)
     around = compose(p, iota)
     gen = partial(Element.generator, alg.sig)
@@ -611,7 +609,7 @@ def test_apply_d_routes_by_leibniz_pairs(monkeypatch):
     # d mu4 on superMink(11), the membrane's closure check, has 34,816
     # pairs: past ALONE_PAIRS, so it runs alone; the gate is the measured
     # crossover of 1,000 pairs
-    mink = _mink(11).algebra
+    mink = _mink(11)
     mu4 = _mu(11, 2)
     with monkeypatch.context() as mp:
         mp.setattr(batched, "ALONE_PAIRS", 10 ** 6)
@@ -705,7 +703,7 @@ from cealg import catalog
 from cealg.dgca import adjoin_generator, apply_d
 from cealg.graded import EVEN, Element, GeneratorDecl, transport
 
-iso = catalog.super_poincare().algebra
+iso = catalog.super_poincare()
 alg = adjoin_generator(iso, GeneratorDecl("g4", (), 4, EVEN),
                        Element.zero(iso.sig))
 x = Element.generator(alg.sig, "g4") - transport(catalog._mu(11, 2), alg.sig)
@@ -728,7 +726,7 @@ D_MU7_SETUP = """
 from cealg import catalog
 from cealg.dgca import apply_d
 
-mink = catalog._mink(11).algebra
+mink = catalog._mink(11)
 mu7 = catalog._mu(11, 5)
 """
 
@@ -750,7 +748,7 @@ CHECK_D_SQUARED_SETUP = """
 from cealg import catalog
 from cealg.dgca import check_d_squared
 
-alg = catalog.resolved_poincare().algebra
+alg = catalog.resolved_poincare()
 """
 
 
@@ -771,7 +769,7 @@ TRACE7_SETUP = """
 from cealg import catalog
 from cealg.dgca import apply_d
 
-iso = catalog.super_poincare().algebra
+iso = catalog.super_poincare()
 tr = catalog.trace_power(iso.sig, 7)
 """
 

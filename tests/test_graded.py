@@ -767,27 +767,59 @@ def test_no_unused_import_in_the_package():
     assert found == []
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def attribute_nodes():
+    """Every attribute access in `src/`, `tests/` and `perfbench/`."""
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            yield from (node for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Attribute))
+
+
+def package_classes():
+    """(file name, class node) of every class defined in `cealg`."""
+    for path in sorted((ROOT / "src" / "cealg").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                yield path.name, cls
+
+
 def test_every_package_method_is_referenced():
     """Every method or property defined on a `cealg` class, dunders aside,
     is referenced by attribute name somewhere in `src/`, `tests/` or
     `perfbench/`: one that nothing reads is surface to delete."""
-    root = Path(__file__).resolve().parent.parent
-    package = root / "src" / "cealg"
-    used = set()
-    for top in ("src", "tests", "perfbench"):
-        for path in (root / top).rglob("*.py"):
-            tree = ast.parse(path.read_text())
-            used |= {node.attr for node in ast.walk(tree)
-                     if isinstance(node, ast.Attribute)}
+    used = {node.attr for node in attribute_nodes()}
     found = []
-    for path in sorted(package.rglob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
-            if isinstance(cls, ast.ClassDef):
-                found += [f"{path.name}:{node.lineno} {cls.name}.{node.name}"
-                          for node in cls.body
-                          if isinstance(node, ast.FunctionDef)
-                          and not node.name.startswith("__")
-                          and node.name not in used]
+    for name, cls in package_classes():
+        found += [f"{name}:{node.lineno} {cls.name}.{node.name}"
+                  for node in cls.body
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("__")
+                  and node.name not in used]
+    assert found == []
+
+
+def test_every_package_field_is_read():
+    """Every annotated field or `__slots__` entry of a `cealg` class is
+    read by attribute name somewhere in `src/`, `tests/` or `perfbench/`:
+    a field that is only ever stored is surface to delete."""
+    read = {node.attr for node in attribute_nodes()
+            if isinstance(node.ctx, ast.Load)}
+    found = []
+    for name, cls in package_classes():
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign):
+                fields = [node.target.id]
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["__slots__"]):
+                fields = [e.value for e in node.value.elts]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {cls.name}.{field}"
+                      for field in fields if field not in read]
     assert found == []
 
 

@@ -103,9 +103,9 @@ def compose_cases():
 
     return [(s4(), range(0, 12)),
             (free_line(4), range(0, 9)),
-            (coefficient_line(1).algebra, range(0, 7)),
-            (_mink(3).algebra, range(0, 5)),
-            (m2brane().algebra, range(0, 2))]
+            (coefficient_line(1), range(0, 7)),
+            (_mink(3), range(0, 5)),
+            (m2brane(), range(0, 2))]
 
 
 def test_consecutive_differential_matrices_compose_to_zero():
@@ -131,7 +131,7 @@ def test_rows_are_the_reached_part_of_the_full_codomain():
     """The rows of d's matrix are the sorted monomials its columns reach: a
     subsequence of the degree+1 basis, so re-indexing the entries into that
     basis gives the matrix built over the full codomain."""
-    mink11 = _mink(11).algebra
+    mink11 = _mink(11)
     cases = [(alg, degree, None)
              for alg, degrees in compose_cases() for degree in degrees]
     cases += [(mink11, 3, 6), (mink11, 3, None)]
@@ -156,12 +156,12 @@ def test_coboundary_witnesses_are_pinned():
     alg = s4()
     g4 = Element.generator(alg.sig, "g4")
     mink3 = _mink(3)
-    mink11 = _mink(11).algebra
+    mink11 = _mink(11)
     x = Element.from_terms(mink11.sig, [
         (1, [("e^0", 1), ("e^1", 1), ("psi^1", 1)]),
         (3, [("e^2", 1), ("e^5", 1), ("psi^7", 1)])])
     cases = [(alg, g4 * g4, "cd9014bc682b"),
-             (mink3.algebra, brane_cocycle(mink3, 2), "02d8784357ad"),
+             (mink3, brane_cocycle(3, 2), "02d8784357ad"),
              (mink11, apply_d(mink11, x), "fd91a4576ce5")]
     for A, y, want in cases:
         dec = is_coboundary(A, y)
@@ -219,7 +219,7 @@ def test_differential_matrix_takes_one_leibniz_call(monkeypatch, d, degree,
     """The columns come from one `apply_d_all` call over the domain basis
     (on the kernel for superMink(11)'s 6,656 entries) and equal d of each
     monomial taken alone by `apply_d`."""
-    alg = _mink(d).algebra
+    alg = _mink(d)
     weights = la.generator_weights(alg) if weight is not None else None
     calls = []
     real = la.apply_d_all
@@ -455,10 +455,9 @@ def test_weight_restricted_decision_matches_full_basis(case):
 
 
 def test_brane_cocycles_of_mink3_match_full_basis():
-    cat = _mink(3)
-    alg = cat.algebra
+    alg = _mink(3)
     assert la.generator_weights(alg) == (2, 2, 2, 1, 1)
-    statuses = [check_against_full_basis(alg, brane_cocycle(cat, p))
+    statuses = [check_against_full_basis(alg, brane_cocycle(3, p))
                 for p in (1, 2)]
     assert statuses == ["no", "yes"]
 
@@ -466,9 +465,8 @@ def test_brane_cocycles_of_mink3_match_full_basis():
 @given(st.integers(min_value=1, max_value=2), st.data())
 @settings(max_examples=40, deadline=None)
 def test_mink3_cocycle_plus_coboundary_matches_full_basis(p, data):
-    cat = _mink(3)
-    alg = cat.algebra
-    mu = brane_cocycle(cat, p)
+    alg = _mink(3)
+    mu = brane_cocycle(3, p)
     ((_, parity),) = mu.bidegrees()
     below = [m for m in monomial_basis(alg, p + 1).monomials
              if alg.sig.monomial_bidegree(m)[1] == parity]
@@ -559,7 +557,7 @@ def test_cap_bounds_the_bases_built():
     degree-4 weight-6 component has 29,040 monomials and the full bases
     13,717 and 152,834; only the 165-monomial domain is enumerated, so
     it alone meets the cap."""
-    alg = _mink(11).algebra
+    alg = _mink(11)
     weights = la.generator_weights(alg)
     assert [len(monomial_basis(alg, d, weights=weights, weight=6))
             for d in (3, 4)] == [165, 29040]
@@ -618,7 +616,7 @@ def test_is_coboundary_capped():
     # and no column reaches el: a correct no within any cap
     assert is_coboundary(alg, el, cap=2).status == "no"
     # mu4's component one degree down has 165 monomials
-    assert is_coboundary(_mink(11).algebra, _mu(11, 2), cap=100).status \
+    assert is_coboundary(_mink(11), _mu(11, 2), cap=100).status \
         == "capped"
 
 
@@ -628,7 +626,7 @@ import tracemalloc
 from cealg.catalog import _mink, _mu
 from cealg.linalg import is_coboundary
 
-alg = _mink(11).algebra
+alg = _mink(11)
 mu4 = _mu(11, 2)
 tracemalloc.start()
 dec = is_coboundary(alg, mu4)

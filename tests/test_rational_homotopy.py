@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ from cealg import (
     Element,
     apply_d,
     check_d_squared,
+    cohomology_dims,
     flat_form_check,
     forms_fiber_check,
     hopf_sequence_check,
@@ -23,23 +25,22 @@ from cealg import batched, dgca
 from cealg import rational_homotopy as rh
 from cealg.dgca import Report, make_dgca
 from cealg.graded import GradedError, UnknownGenerator
-from cealg.rational_homotopy import FIBER_BLOCK, PolyDeRham, _random_form
+from cealg.rational_homotopy import FIBER_BLOCK, _random_form
 from fresh import kernel_memory
 
 
 def test_sphere_models():
     for n in (2, 3, 4, 7):
-        m = sphere_model(n)
         want = [1 if k in (0, n) else 0 for k in range(3 * n + 1)]
-        assert m.cohomology == want
-    assert list(sphere_model(7).algebra.sig.names) == ["g7"]
-    assert list(sphere_model(4).algebra.sig.names) == ["g4", "g7"]
+        assert cohomology_dims(sphere_model(n), 3 * n) == want
+    assert list(sphere_model(7).sig.names) == ["g7"]
+    assert list(sphere_model(4).sig.names) == ["g4", "g7"]
     with pytest.raises(GradedError):
         sphere_model(0)
 
 
 def test_s4_differential():
-    alg = sphere_model(4).algebra
+    alg = sphere_model(4)
     g4 = Element.generator(alg.sig, "g4")
     assert apply_d(alg, Element.generator(alg.sig, "g7")) == g4 * g4
 
@@ -49,60 +50,70 @@ def test_hopf_pushout():
     assert rep.ok
 
 
+def test_hopf_pushout_fails_on_a_wrong_fiber(monkeypatch):
+    """A quotient other than R[g7] with zero differential fails the
+    report: here killing g4 is made to keep the 4-sphere model whole."""
+    monkeypatch.setattr(rh, "set_generators_to_zero", lambda alg, names: alg)
+    rep = hopf_sequence_check()
+    assert not rep.ok
+    assert rep.pinned == {"fiber_generators": 2}
+
+
 def test_poly_de_rham_basics():
     p1 = poly_de_rham(1)
-    x = p1.x(1)
-    dx = p1.dx(1)
-    assert apply_d(p1.algebra, x) == dx
-    assert apply_d(p1.algebra, dx).is_zero()
+    x = Element.generator(p1.sig, "x^1")
+    dx = Element.generator(p1.sig, "dx^1")
+    assert apply_d(p1, x) == dx
+    assert apply_d(p1, dx).is_zero()
     assert (dx * dx).is_zero()
     p2 = poly_de_rham(2)
+    x1, dx1, dx2 = (Element.generator(p2.sig, n)
+                    for n in ("x^1", "dx^1", "dx^2"))
     # x1 dx2 is not closed; d = dx1 dx2
-    form = p2.x(1) * p2.dx(2)
-    assert apply_d(p2.algebra, form) == p2.dx(1) * p2.dx(2)
+    form = x1 * dx2
+    assert apply_d(p2, form) == dx1 * dx2
     for n in range(1, 9):
-        assert check_d_squared(poly_de_rham(n).algebra).ok
+        assert check_d_squared(poly_de_rham(n)).ok
 
 
 def test_radial_contraction_homotopy_identity():
-    pdr = poly_de_rham(4)
-    alg = pdr.algebra
+    alg = poly_de_rham(4)
     rng = random.Random(11)
-    forms = [_random_form(rng, pdr, k, n_terms=4, max_poly_degree=3)
+    forms = [_random_form(rng, alg, k, n_terms=4, max_poly_degree=3)
              for k in (1, 2, 3) for _ in range(10)]
     for w in forms:
         if not w:
             continue
-        lhs = apply_d(alg, radial_contraction(pdr, w)) \
-            + radial_contraction(pdr, apply_d(alg, w))
+        lhs = apply_d(alg, radial_contraction(w)) \
+            + radial_contraction(apply_d(alg, w))
         assert lhs == w
 
 
 def test_closed_forms_made_exact():
     pdr = poly_de_rham(8)
-    sig = pdr.algebra.sig
+    sig = pdr.sig
     # the standard example: omega = dx1 dx2 dx3 dx4 with witness x1 dx2 dx3 dx4
     w = Element.from_terms(
         sig, [(1, [("dx^1", 1), ("dx^2", 1), ("dx^3", 1), ("dx^4", 1)])])
-    h = radial_contraction(pdr, w)
+    h = radial_contraction(w)
     want = Fraction(1, 4) * (
         Element.from_terms(sig, [(1, [("x^1", 1), ("dx^2", 1), ("dx^3", 1), ("dx^4", 1)])])
         - Element.from_terms(sig, [(1, [("x^2", 1), ("dx^1", 1), ("dx^3", 1), ("dx^4", 1)])])
         + Element.from_terms(sig, [(1, [("x^3", 1), ("dx^1", 1), ("dx^2", 1), ("dx^4", 1)])])
         - Element.from_terms(sig, [(1, [("x^4", 1), ("dx^1", 1), ("dx^2", 1), ("dx^3", 1)])]))
     assert h == want
-    assert apply_d(pdr.algebra, h) == w
+    assert apply_d(pdr, h) == w
     # explicit exactness witness of the stated shape also works
     witness = Element.from_terms(
         sig, [(1, [("x^1", 1), ("dx^2", 1), ("dx^3", 1), ("dx^4", 1)])])
-    assert apply_d(pdr.algebra, witness) == w
+    assert apply_d(pdr, witness) == w
     assert poincare_lemma_check(pdr, [w]).ok
 
 
 def test_flat_form_examples():
     pdr = poly_de_rham(8)
-    sig = pdr.algebra.sig
-    s4 = sphere_model(4).algebra
+    sig = pdr.sig
+    s4 = sphere_model(4)
     w4 = Element.from_terms(
         sig, [(1, [("dx^1", 1), ("dx^2", 1), ("dx^3", 1), ("dx^4", 1)])])
     flat = flat_form_check(s4, pdr, {"g4": w4, "g7": Element.zero(sig)})
@@ -125,14 +136,14 @@ def test_flat_form_check_rejects_non_closed_omega4():
     omega4, with d omega4 as the residual, so `forms_fiber_check` need not
     check a flat pair's projection again."""
     pdr = poly_de_rham(8)
-    sig = pdr.algebra.sig
-    s4 = sphere_model(4).algebra
+    sig = pdr.sig
+    s4 = sphere_model(4)
     w4 = Element.from_terms(
         sig, [(1, [("x^1", 1)] + [(f"dx^{i}", 1) for i in range(2, 6)])])
     assert (w4 * w4).is_zero()
     with pytest.raises(ChainMapViolation) as exc:
         flat_form_check(s4, pdr, {"g4": w4, "g7": Element.zero(sig)})
-    assert exc.value.residual == apply_d(pdr.algebra, w4)
+    assert exc.value.residual == apply_d(pdr, w4)
     assert exc.value.residual
 
 
@@ -140,7 +151,7 @@ def test_flat_forms_agree_with_raw_morphism_validation():
     from cealg import make_morphism
 
     pdr = poly_de_rham(8)
-    s4 = sphere_model(4).algebra
+    s4 = sphere_model(4)
     rng = random.Random(77)
     agree = 0
     for _ in range(100):
@@ -152,7 +163,7 @@ def test_flat_forms_agree_with_raw_morphism_validation():
         except ChainMapViolation:
             verdict_flat = False
         try:
-            make_morphism(s4, pdr.algebra, {"g4": w4, "g7": w7})
+            make_morphism(s4, pdr, {"g4": w4, "g7": w7})
             verdict_raw = True
         except ChainMapViolation:
             verdict_raw = False
@@ -173,8 +184,8 @@ def name_based_random_form(rng, pdr, form_degree, n_terms=3,
     factors in drawn order, canonicalised by `Element.from_terms`.  One
     `randrange` per term picks the coefficient and the dx-subset, by its
     index in `itertools.combinations` order."""
-    sig = pdr.algebra.sig
-    n = pdr.n
+    sig = pdr.sig
+    n = len(sig) // 2
     subsets = list(itertools.combinations(range(1, n + 1), form_degree))
     terms = []
     for _ in range(n_terms):
@@ -211,7 +222,7 @@ def test_random_form_draws_every_subset_and_coefficient(k):
     """One-term forms of degree k, at a fixed seed, show every k-subset of
     1..8 as their dx-prefix and every nonzero coefficient in -4..4."""
     pdr = poly_de_rham(8)
-    dx1 = pdr.algebra.sig.gen_id("dx^1")
+    dx1 = pdr.sig.gen_id("dx^1")
     rng = random.Random(5)
     subsets, coeffs = set(), set()
     for _ in range(2000):
@@ -223,37 +234,36 @@ def test_random_form_draws_every_subset_and_coefficient(k):
     assert coeffs == {Fraction(c) for c in range(-4, 5) if c}
 
 
-def per_sample_fiber_check(target, n_samples, seed):
+def per_sample_fiber_check(alg, n_samples, seed):
     """The reference loop of `forms_fiber_check`: one sample at a time, each
     identity decided by `flat_form_check`, on `name_based_random_form`;
     the rejected non-closed 7-forms are counted as `flat_form_check`
     rejects them."""
     rng = random.Random(seed)
-    alg = target.algebra
-    s4 = sphere_model(4).algebra
+    s4 = sphere_model(4)
     zero = Element.zero(alg.sig)
     rejected = 0
     for idx in range(n_samples):
-        eta = name_based_random_form(rng, target, 3)
+        eta = name_based_random_form(rng, alg, 3)
         omega4 = apply_d(alg, eta)
-        closed7 = apply_d(alg, name_based_random_form(rng, target, 6))
+        closed7 = apply_d(alg, name_based_random_form(rng, alg, 6))
         omega7 = eta * omega4 + closed7
         try:
-            rh.flat_form_check(s4, target, {"g4": omega4, "g7": omega7})
+            rh.flat_form_check(s4, alg, {"g4": omega4, "g7": omega7})
         except ChainMapViolation as exc:
             return Report("flatforms.fiber", "fail",
                           details=f"sample {idx} unexpectedly not flat",
                           residual=exc.residual)
         try:
-            rh.flat_form_check(s4, target, {"g4": zero, "g7": closed7})
+            rh.flat_form_check(s4, alg, {"g4": zero, "g7": closed7})
         except ChainMapViolation as exc:
             return Report("flatforms.fiber", "fail",
                           details=f"closed 7-form sample {idx} rejected",
                           residual=exc.residual)
-        bad7 = name_based_random_form(rng, target, 7)
+        bad7 = name_based_random_form(rng, alg, 7)
         if apply_d(alg, bad7):
             try:
-                rh.flat_form_check(s4, target, {"g4": zero, "g7": bad7})
+                rh.flat_form_check(s4, alg, {"g4": zero, "g7": bad7})
             except ChainMapViolation:
                 rejected += 1
                 continue
@@ -265,15 +275,15 @@ def per_sample_fiber_check(target, n_samples, seed):
                   pinned={"samples": n_samples})
 
 
-def broken_de_rham() -> PolyDeRham:
-    """PolyDeRham(8) with d dx^1 = dx^2 dx^3, so d**2 x^1 != 0; built
-    without `poly_de_rham`'s d**2 check."""
-    sig = poly_de_rham(8).algebra.sig
+def broken_de_rham():
+    """poly_de_rham(8)'s signature with d dx^1 = dx^2 dx^3, so
+    d**2 x^1 != 0; built without `poly_de_rham`'s d**2 check."""
+    sig = poly_de_rham(8).sig
     images = {f"x^{i}": Element.generator(sig, f"dx^{i}")
               for i in range(1, 9)}
     images["dx^1"] = (Element.generator(sig, "dx^2")
                       * Element.generator(sig, "dx^3"))
-    return PolyDeRham(8, make_dgca(sig, images))
+    return make_dgca(sig, images)
 
 
 #: (seed, block size): the broken algebra fails at sample 0 on both
@@ -294,6 +304,11 @@ def test_fiber_check_fail_path_matches_the_per_sample_loop(monkeypatch,
     samples the first block of FIBER_BLOCK is on the kernel."""
     seed, block = case
     target = broken_de_rham()
+    if not n_samples:
+        # no sample is no evidence, so the check refuses it
+        with pytest.raises(GradedError, match="at least one sample"):
+            forms_fiber_check(target, n_samples, seed)
+        return
     monkeypatch.setattr(rh, "FIBER_BLOCK", block)
     want = per_sample_fiber_check(target, n_samples, seed)
     calls = []
@@ -305,10 +320,17 @@ def test_fiber_check_fail_path_matches_the_per_sample_loop(monkeypatch,
         want.verdict, want.details, want.residual, want.pinned)
     assert calls == ([1] if n_samples == 300 and block == FIBER_BLOCK
                      else [])
-    if n_samples:
-        first = {58: 0, 4: 4, 92: 35}[seed]
-        assert got.details == f"sample {first} unexpectedly not flat"
-        assert (first >= block) == (seed == 92)
+    first = {58: 0, 4: 4, 92: 35}[seed]
+    assert got.details == f"sample {first} unexpectedly not flat"
+    assert (first >= block) == (seed == 92)
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_fiber_check_needs_a_sample(n_samples):
+    """With no sample the fiber sequence is not checked at all, so the
+    check raises rather than pass with `samples` pinned at 0 or below."""
+    with pytest.raises(GradedError, match="at least one sample"):
+        forms_fiber_check(poly_de_rham(8), n_samples=n_samples)
 
 
 def test_fiber_check_builds_no_morphism(monkeypatch):
@@ -356,8 +378,9 @@ def test_flat_form_check_rejects_an_unknown_generator():
     """A name the model does not have is an error, not a dropped image:
     with "g8" on the 4-sphere model, g7 would silently map to 0."""
     pdr = poly_de_rham(8)
+    gen = partial(Element.generator, pdr.sig)
     with pytest.raises(UnknownGenerator, match="g8"):
-        flat_form_check(sphere_model(4).algebra, pdr, {
-            "g4": pdr.dx(1) * pdr.dx(2) * pdr.dx(3) * pdr.dx(4),
-            "g8": pdr.x(1),
+        flat_form_check(sphere_model(4), pdr, {
+            "g4": gen("dx^1") * gen("dx^2") * gen("dx^3") * gen("dx^4"),
+            "g8": gen("x^1"),
         })
