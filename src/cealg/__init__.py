@@ -1,5 +1,8 @@
 """cealg: exact verification of semifree differential bigraded algebras."""
 
+# before the imports: `reporting` reads it while the package loads
+__version__ = "0.1.0"
+
 from .graded import (
     EVEN,
     ODD,
@@ -84,5 +87,3 @@ from .rational_homotopy import (
     radial_contraction,
     sphere_model,
 )
-
-__version__ = "0.1.0"

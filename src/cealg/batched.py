@@ -1,7 +1,8 @@
 """Exact batched sums of products for large elements.
 
-The vectorised twin of the dict kernel in `graded` (`_products`) and
-`dgca` (`_leibniz_terms`).  One core, `_sum_of_products`, computes
+The vectorised twin of `graded._products`, the dict path's one pair loop
+for products and for the holes of `dgca._leibniz_terms`.  One core,
+`_sum_of_products`, computes
 sum_k A_k * B_k for one or more inputs at once: each left row comes from
 one input and is tagged with the right block B_k it meets.  It has two
 front-ends, and each leaves to the dict path what has fewer than
@@ -307,10 +308,10 @@ def _hole_rows(slots: list, ctx, e: np.ndarray, x: "_Flat",
     its numerator times k and the sign `_leibniz_terms` gives it, meeting
     the slot's block.  The hole comes from the words of its term and of g
     (`ctx.operand` of g's exponent row).  Its sign is the parity of its
-    odd-degree bits and of its suffix parities at g's bits: deg_prefix +
-    cross in `_leibniz_terms` but for the hole's own bits at g, which add
-    (odd(g) + par(g)) * (k - 1), even: k = 1 where g squares to zero, and
-    odd(g) = par(g) where it does not."""
+    odd-degree bits and of its suffix parities at g's bits: that of
+    `_leibniz_terms`, P's degree plus d g crossing the rest g^(k-1) R, but
+    for the hole's own bits at g, which add (odd(g) + par(g)) * (k - 1),
+    even: k = 1 where g squares to zero, and odd(g) = par(g) where not."""
     cs = np.searchsorted(ctx.cols, slots)
     at = e[:, cs]
     # contiguous copies: `np.nonzero` gives strided views of one buffer,

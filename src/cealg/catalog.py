@@ -501,7 +501,9 @@ def _omega_power(sig: AlgebraSignature, n: int) -> list[list[Element]]:
 def trace_power(sig: AlgebraSignature, k: int) -> Element:
     """trace(omega^k) over `sig`, computed as
     sum_{a,c} (M^j)[a][c] (M^{k-j})[c][a] so only half-size matrix powers
-    are ever materialized."""
+    are ever materialized.  k below 1 raises CatalogError."""
+    if k < 1:
+        raise CatalogError(f"trace_power needs k >= 1, got {k}")
     mat = _omega_matrix(sig)
     d = len(mat)
     if k == 1:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-ENGINE_VERSION = "0.1.0"
-
 CONVENTIONS = """\
 convention ledger v1
 

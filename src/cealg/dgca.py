@@ -22,8 +22,8 @@ from .graded import (
     GradedError,
     SignatureMismatch,
     _accumulate,
+    _products,
     make_signature,
-    monomial_mul,
     sum_of_products,
     transport,
 )
@@ -154,10 +154,10 @@ def apply_d(A: SemifreeDGCA, x: Element) -> Element:
     d crosses a factor of degree n at the cost of (-1)^n; parity does not
     enter because d itself has even parity.  Per slot the e equal-factor
     terms collapse to a single term with multiplicity e (their relative
-    signs cancel whenever e can exceed 1), and each d-image monomial is
-    multiplied into the once-built "hole" monomial, with the Koszul cost of
-    moving it left past the suffix restored as a scalar sign.  This is the
-    one-element case of `apply_d_all`.
+    signs cancel whenever e can exceed 1): the "hole" of g, the term with
+    g^e lowered to g^(e-1) and signed for moving d g to its end, is
+    multiplied by d g in `graded._products`, the dict path's one pair loop
+    (`_leibniz_terms`).  This is the one-element case of `apply_d_all`.
     """
     (dx,) = apply_d_all(A, [x])
     return dx
@@ -169,53 +169,40 @@ def apply_d_all(A: SemifreeDGCA, xs: list) -> list:
     gates, alone or together in one tagged call, and the dict path takes
     the rest.  The d of an input that had a kernel call to itself stays
     packed until its terms are read (`Element.from_packed`); every other d
-    is a dict."""
+    is a dict.  It evaluates any derivation of odd degree and even parity
+    given on generators as `A.d_images`, as `radial_contraction` does."""
     sig = A.sig
     if any(x.sig is not sig and x.sig != sig for x in xs):
         raise SignatureMismatch("element not in this algebra")
     batch = batched.leibniz(sig, A.d_images, [x.terms for x in xs])
     return [Element.from_packed(sig, d) if isinstance(d, batched.Packed)
-            else Element(sig, _accumulate({}, _leibniz_terms(A.d_images, x))
-                         if d is None else d)
+            else Element(sig, d if d is not None else _accumulate(
+                {}, _products(_leibniz_terms(A.d_images, x), sig)))
             for x, d in zip(xs, batch)]
 
 
 def _leibniz_terms(d_images: tuple[Element, ...], x: Element):
-    """The signed (monomial, coefficient) pairs of d(x), before summing."""
+    """The Leibniz holes of d(x), as (terms, terms) pairs for
+    `graded._products`: per term c P g^e R of x and slot g with d g != 0,
+    ({P g^(e-1) R: (-1)^s e c}, d g), where s is the degree of P plus that
+    of d g crossing the rest g^(e-1) R, the whole term less P and one g."""
     sig = x.sig
     degs = sig.degrees
     pars = sig.parities
     for mono, coeff in x.terms.items():
-        n = len(mono)
-        deg_suf = [0] * (n + 1)
-        par_suf = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            g, e = mono[i]
-            deg_suf[i] = (deg_suf[i + 1] + degs[g] * e) & 1
-            par_suf[i] = (par_suf[i + 1] + pars[g] * e) & 1
-        deg_prefix = 0
+        tot_deg, tot_par = sig.monomial_bidegree(mono)
+        pre_deg = pre_par = 0
         for idx, (g, e) in enumerate(mono):
             dg = d_images[g]
             if dg:
-                if e > 1:
-                    hole = mono[:idx] + ((g, e - 1),) + mono[idx + 1 :]
-                    rest_deg = (deg_suf[idx + 1] + degs[g] * (e - 1)) & 1
-                    rest_par = (par_suf[idx + 1] + pars[g] * (e - 1)) & 1
-                else:
-                    hole = mono[:idx] + mono[idx + 1 :]
-                    rest_deg = deg_suf[idx + 1]
-                    rest_par = par_suf[idx + 1]
-                dm_deg = (degs[g] + 1) & 1
-                dm_par = pars[g]
-                cross = (dm_deg & rest_deg) ^ (dm_par & rest_par)
-                sign = -1 if (deg_prefix ^ cross) & 1 else 1
-                ecoeff = (sign * e) * coeff
-                for dm, dc in dg.terms.items():
-                    r = monomial_mul(hole, dm, sig)
-                    if r is not None:
-                        s, m2 = r
-                        yield m2, (ecoeff * dc if s > 0 else -(ecoeff * dc))
-            deg_prefix = (deg_prefix + degs[g] * e) & 1
+                rest_deg = tot_deg - pre_deg - degs[g]
+                rest_par = tot_par - pre_par - pars[g]
+                s = pre_deg + (degs[g] + 1) * rest_deg + pars[g] * rest_par
+                hole = (mono[:idx] + (((g, e - 1),) if e > 1 else ())
+                        + mono[idx + 1:])
+                yield {hole: -e * coeff if s & 1 else e * coeff}, dg.terms
+            pre_deg += degs[g] * e
+            pre_par += pars[g] * e
 
 
 def _first_failure(task_id: str, sig: AlgebraSignature, residuals,

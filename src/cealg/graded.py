@@ -445,7 +445,8 @@ def _accumulate(acc: dict, pairs) -> dict:
 
 def _products(pairs, sig: AlgebraSignature):
     """The signed (monomial, coefficient) pairs of the products of the
-    (terms, terms) `pairs`, before summing."""
+    (terms, terms) `pairs`, before summing: the dict path's one pair loop,
+    for d too (`dgca._leibniz_terms`)."""
     mm = monomial_mul
     for terms1, terms2 in pairs:
         for m1, c1 in terms1.items():

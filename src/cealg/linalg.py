@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .dgca import DgcaError, NotClosed, SemifreeDGCA, apply_d, apply_d_all
-from .graded import Element, GradedError, Monomial
+from .graded import Element, GradedError, Monomial, SignatureMismatch
 
 DEFAULT_CAP = 2_000_000
 
@@ -354,7 +354,7 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
     a witness w satisfying d(w) = x exactly.
     """
     if x.sig != A.sig:
-        raise GradedError("element not in this algebra")
+        raise SignatureMismatch("element not in this algebra")
     if not x:
         return CoboundaryDecision("yes", Element.zero(A.sig))
     if not x.is_homogeneous():

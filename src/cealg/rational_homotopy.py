@@ -19,6 +19,7 @@ from .dgca import (
     NotClosed,
     Report,
     SemifreeDGCA,
+    _generator_images,
     apply_d,
     apply_d_all,
     check_d_squared,
@@ -95,29 +96,29 @@ def poly_de_rham(n: int) -> SemifreeDGCA:
     return alg
 
 
+@lru_cache(maxsize=None)
+def _euler_contraction(n: int) -> SemifreeDGCA:
+    """poly_de_rham(n) with the Euler contraction dx^i -> x^i, of bidegree
+    (-1, even), in place of d."""
+    sig = poly_de_rham(n).sig
+    return SemifreeDGCA(sig, _generator_images(sig, sig, {
+        f"dx^{i}": Element.generator(sig, f"x^{i}") for i in range(1, n + 1)
+    }, -1, "H"))
+
+
 def radial_contraction(el: Element) -> Element:
     """The homotopy operator of the Poincare lemma.
 
     On a monomial of polynomial degree m and form degree k it contracts with
-    the Euler vector field and divides by the weight m + k; then
-    d H + H d = id on every monomial of positive weight.
+    the Euler vector field (`apply_d` of `_euler_contraction`) and divides
+    by the weight m + k, the sum of its exponents; then d H + H d = id on
+    every monomial of positive weight.  An element of no de Rham algebra
+    raises a GradedError.
     """
-    sig = el.sig
-    terms = []
-    for mono, coeff in el.terms.items():
-        xs = [(g, e) for g, e in mono if sig.degrees[g] == 0]
-        dxs = [(g, e) for g, e in mono if sig.degrees[g] == 1]
-        weight = sum(e for _, e in xs) + len(dxs)
-        if weight == 0:
-            continue
-        for j, (g, _) in enumerate(dxs):
-            # dx^i -> x^i, crossing the j preceding dx factors
-            i = sig.decls[g].indices[0]
-            sign = -1 if j & 1 else 1
-            pairs = [(sig.names[gg], ee) for gg, ee in mono if gg != g]
-            pairs.append((f"x^{i}", 1))
-            terms.append((coeff * Fraction(sign, weight), pairs))
-    return Element.from_terms(sig, terms)
+    weighted = {m: c / w for m, c in el.terms.items()
+                if (w := sum(e for _, e in m))}
+    return apply_d(_euler_contraction(len(el.sig) // 2),
+                   Element(el.sig, weighted))
 
 
 def poincare_lemma_check(alg: SemifreeDGCA, forms: list[Element],

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from . import catalog
+from . import __version__, catalog
 from .clifford import build_clifford, check_clifford, quartic_fierz_check
-from .conventions import ENGINE_VERSION, LEDGER_HASH, MEASURED_C
+from .conventions import LEDGER_HASH, MEASURED_C
 from .dgca import ChainMapViolation, Report, apply_d, check_d_squared
 from .graded import Element, GradedError
 from .linalg import DEFAULT_CAP, cohomology_dims, count_monomials
@@ -256,7 +256,7 @@ def report_to_json(report: Report) -> dict:
     out = report.to_json()
     out["schema_version"] = REPORT_SCHEMA_VERSION
     out["ledger_hash"] = LEDGER_HASH
-    out["engine_version"] = ENGINE_VERSION
+    out["engine_version"] = __version__
     out["written_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return out
 

@@ -758,6 +758,14 @@ def test_traces_small():
     assert apply_d(iso, tr3).is_zero()
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_trace_power_needs_a_positive_k(k):
+    """tr(omega^k) for k < 1 raises CatalogError naming k; it recursed
+    until RecursionError before."""
+    with pytest.raises(CatalogError, match=f"got {k}$"):
+        trace_power(super_poincare().sig, k)
+
+
 def test_trace_sums_route_by_summed_pairs(monkeypatch):
     """A trace is one sum of products, gated on its summed pairs:
     tr(omega^4) sums 8,910 pairs, past the gate of 1,000, and makes exactly

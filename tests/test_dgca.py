@@ -34,7 +34,8 @@ from cealg import batched
 from cealg.catalog import (_mink, _mu, resolved_minkowski, resolved_poincare,
                            super_poincare)
 from cealg.dgca import DGCAMorphism, SemifreeDGCA, _leibniz_terms
-from cealg.graded import EVEN, UnknownGenerator, _accumulate
+from cealg.graded import (EVEN, UnknownGenerator, _accumulate, _products,
+                          monomial_mul)
 from cealg.linalg import is_coboundary
 from cealg.reporting import run_task
 from fresh import kernel_memory
@@ -146,7 +147,64 @@ def test_d_squared_zero_on_random_elements(a):
 
 
 def dict_leibniz(d_images, x):
-    return _accumulate({}, _leibniz_terms(d_images, x))
+    return _accumulate({}, _products(_leibniz_terms(d_images, x), x.sig))
+
+
+def suffix_leibniz_terms(d_images, x):
+    """A reference hole rule: the signed (monomial, coefficient) pairs of
+    d(x), with the rest's parities read from per-monomial suffix arrays
+    and each hole multiplied by each d-image monomial here."""
+    sig = x.sig
+    degs = sig.degrees
+    pars = sig.parities
+    for mono, coeff in x.terms.items():
+        n = len(mono)
+        deg_suf = [0] * (n + 1)
+        par_suf = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            g, e = mono[i]
+            deg_suf[i] = (deg_suf[i + 1] + degs[g] * e) & 1
+            par_suf[i] = (par_suf[i + 1] + pars[g] * e) & 1
+        deg_prefix = 0
+        for idx, (g, e) in enumerate(mono):
+            dg = d_images[g]
+            if dg:
+                if e > 1:
+                    hole = mono[:idx] + ((g, e - 1),) + mono[idx + 1:]
+                    rest_deg = (deg_suf[idx + 1] + degs[g] * (e - 1)) & 1
+                    rest_par = (par_suf[idx + 1] + pars[g] * (e - 1)) & 1
+                else:
+                    hole = mono[:idx] + mono[idx + 1:]
+                    rest_deg = deg_suf[idx + 1]
+                    rest_par = par_suf[idx + 1]
+                dm_deg = (degs[g] + 1) & 1
+                dm_par = pars[g]
+                cross = (dm_deg & rest_deg) ^ (dm_par & rest_par)
+                sign = -1 if (deg_prefix ^ cross) & 1 else 1
+                ecoeff = (sign * e) * coeff
+                for dm, dc in dg.terms.items():
+                    r = monomial_mul(hole, dm, sig)
+                    if r is not None:
+                        s, m2 = r
+                        yield m2, (ecoeff * dc if s > 0 else -(ecoeff * dc))
+            deg_prefix = (deg_prefix + degs[g] * e) & 1
+
+
+@pytest.mark.parametrize("alg", [MINK3, super_poincare()],
+                         ids=["superMink3", "superPoincare"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_hole_rule_matches_the_suffix_array_rule(alg, data):
+    """The holes of `_leibniz_terms`, multiplied out by `_products`, give
+    the reference rule's (monomial, coefficient) pairs in its order, on
+    random elements whose odd-parity generators (psi) may carry exponents
+    above 1."""
+    sig = alg.sig
+    odd = [g for g in range(len(sig)) if sig.parities[g]]
+    among = data.draw(st.sampled_from([None, odd]))
+    x = Element(sig, data.draw(random_terms(sig, among=among)))
+    assert (list(_products(_leibniz_terms(alg.d_images, x), sig))
+            == list(suffix_leibniz_terms(alg.d_images, x)))
 
 
 @given(st.data())
@@ -497,8 +555,9 @@ def test_batched_leibniz_across_word_boundaries(monkeypatch, width):
         monos, nums, tags, gens = [], [], [], []
         for tag, terms in enumerate(inputs):
             for mono, coeff in terms.items():
-                for hole_mono, c in _leibniz_terms(
+                for one_hole, _ in _leibniz_terms(
                         unit, Element(sig, {mono: coeff})):
+                    ((hole_mono, c),) = one_hole.items()
                     monos.append(hole_mono)
                     nums.append(int(c * x.den))
                     tags.append(tag)

@@ -770,12 +770,13 @@ def test_no_unused_import_in_the_package():
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def attribute_nodes():
-    """Every attribute access in `src/`, `tests/` and `perfbench/`."""
+def reference_nodes(kind=ast.Attribute):
+    """Every node of `kind` (attribute accesses by default) in `src/`,
+    `tests/` and `perfbench/`."""
     for top in ("src", "tests", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
             yield from (node for node in ast.walk(ast.parse(path.read_text()))
-                        if isinstance(node, ast.Attribute))
+                        if isinstance(node, kind))
 
 
 def package_classes():
@@ -790,7 +791,7 @@ def test_every_package_method_is_referenced():
     """Every method or property defined on a `cealg` class, dunders aside,
     is referenced by attribute name somewhere in `src/`, `tests/` or
     `perfbench/`: one that nothing reads is surface to delete."""
-    used = {node.attr for node in attribute_nodes()}
+    used = {node.attr for node in reference_nodes()}
     found = []
     for name, cls in package_classes():
         found += [f"{name}:{node.lineno} {cls.name}.{node.name}"
@@ -801,11 +802,26 @@ def test_every_package_method_is_referenced():
     assert found == []
 
 
+def test_every_package_function_is_referenced():
+    """Every module-level function or class of `cealg` is referenced by
+    name, as a name or an attribute, somewhere in `src/`, `tests/` or
+    `perfbench/`: a helper that nothing calls is surface to delete."""
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for node in reference_nodes((ast.Name, ast.Attribute))}
+    found = []
+    for path in sorted((ROOT / "src" / "cealg").rglob("*.py")):
+        found += [f"{path.name}:{node.lineno} {node.name}"
+                  for node in ast.parse(path.read_text()).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in used]
+    assert found == []
+
+
 def test_every_package_field_is_read():
     """Every annotated field or `__slots__` entry of a `cealg` class is
     read by attribute name somewhere in `src/`, `tests/` or `perfbench/`:
     a field that is only ever stored is surface to delete."""
-    read = {node.attr for node in attribute_nodes()
+    read = {node.attr for node in reference_nodes()
             if isinstance(node.ctx, ast.Load)}
     found = []
     for name, cls in package_classes():

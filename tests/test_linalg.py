@@ -31,7 +31,7 @@ from cealg import (
 )
 from cealg import reporting
 from cealg.catalog import _mink, _mu, brane_cocycle
-from cealg.graded import EVEN, ODD
+from cealg.graded import EVEN, ODD, GradedError, SignatureMismatch
 from fresh import fresh_run
 
 
@@ -294,6 +294,16 @@ def test_is_coboundary_yes_with_witness():
     assert apply_d(alg, dec.witness) == g4 * g4
     # the class of g4 itself is nontrivial
     assert is_coboundary(alg, g4).status == "no"
+
+
+def test_is_coboundary_of_another_algebra_is_a_signature_mismatch():
+    """An element of another signature raises SignatureMismatch, as
+    `apply_d` does; it is a GradedError, so old handlers still catch it."""
+    g4 = Element.generator(s4().sig, "g4")
+    for alg in (_mink(3), make_dgca(make_signature(g4.sig.decls[:1]), {})):
+        with pytest.raises(SignatureMismatch, match="not in this algebra"):
+            is_coboundary(alg, g4 * g4)
+    assert issubclass(SignatureMismatch, GradedError)
 
 
 @st.composite

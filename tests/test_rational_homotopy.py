@@ -6,6 +6,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cealg import (
     ChainMapViolation,
@@ -24,9 +26,12 @@ from cealg import (
 from cealg import batched, dgca
 from cealg import rational_homotopy as rh
 from cealg.dgca import Report, make_dgca
-from cealg.graded import GradedError, UnknownGenerator
+from cealg.catalog import _mink
+from cealg.graded import (EVEN, GeneratorDecl, GradedError, SignatureMismatch,
+                          UnknownGenerator, make_signature)
 from cealg.rational_homotopy import FIBER_BLOCK, _random_form
 from fresh import kernel_memory
+from test_graded import kernel_gate_at_zero, random_terms
 
 
 def test_sphere_models():
@@ -87,6 +92,57 @@ def test_radial_contraction_homotopy_identity():
         lhs = apply_d(alg, radial_contraction(w)) \
             + radial_contraction(apply_d(alg, w))
         assert lhs == w
+
+
+def name_based_radial_contraction(el):
+    """A reference radial homotopy: per dx factor, the word with dx^i
+    replaced by x^i at its end, signed by the dx factors before it, divided
+    by the weight and sorted by `Element.from_terms`."""
+    sig = el.sig
+    terms = []
+    for mono, coeff in el.terms.items():
+        xs = [(g, e) for g, e in mono if sig.degrees[g] == 0]
+        dxs = [(g, e) for g, e in mono if sig.degrees[g] == 1]
+        weight = sum(e for _, e in xs) + len(dxs)
+        if weight == 0:
+            continue
+        for j, (g, _) in enumerate(dxs):
+            i = sig.decls[g].indices[0]
+            sign = -1 if j & 1 else 1
+            pairs = [(sig.names[gg], ee) for gg, ee in mono if gg != g]
+            pairs.append((f"x^{i}", 1))
+            terms.append((coeff * Fraction(sign, weight), pairs))
+    return Element.from_terms(sig, terms)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_radial_contraction_matches_the_name_based_rule(data):
+    """On random forms of any degree, with x exponents up to 3 and mixed
+    denominators, the contraction through `apply_d` equals the reference
+    on the dict path and on the kernel (its pair gate at 0), and
+    dH + Hd = id off the constant term."""
+    alg = poly_de_rham(data.draw(st.integers(min_value=1, max_value=5)))
+    w = Element(alg.sig, data.draw(random_terms(alg.sig)))
+    want = name_based_radial_contraction(w)
+    assert radial_contraction(w) == want
+    with kernel_gate_at_zero():
+        assert radial_contraction(w) == want
+    lhs = (apply_d(alg, radial_contraction(w))
+           + radial_contraction(apply_d(alg, w)))
+    assert lhs == w - Element.scalar(alg.sig, w.coefficient(()))
+
+
+def test_radial_contraction_needs_a_de_rham_algebra():
+    """An element of no de Rham algebra raises, whether its generators
+    have the degrees of coordinates and their differentials or not."""
+    renamed = make_signature([GeneratorDecl("y", (1,), 0, EVEN),
+                              GeneratorDecl("dy", (1,), 1, EVEN)])
+    for sig in (sphere_model(4).sig, _mink(3).sig, renamed):
+        with pytest.raises(SignatureMismatch):
+            radial_contraction(Element.generator(sig, sig.names[0]))
+    with pytest.raises(GradedError):
+        radial_contraction(Element.generator(sphere_model(7).sig, "g7"))
 
 
 def test_closed_forms_made_exact():
