@@ -26,7 +26,11 @@ front-ends, and each leaves to the dict path what has fewer than
   terms and their factors g of the terms of d g.  An input of at least
   `ALONE_PAIRS` pairs runs alone; the others share one call if together
   they reach `BATCH_PAIRS`, and stay on the dict path if not
-  (`dgca.apply_d_all`).
+  (`dgca.apply_d_all`).  Its one call, alone or shared, is
+  `_leibniz_call`; `leibniz_tagged(sig, d_images, inputs)` makes that
+  call for all of `inputs` at once, whatever their pairs, and returns it
+  tagged and undecoded, or None below the gate
+  (`linalg.differential_matrix` keeps it as d's matrix).
 
 Two constants route the calls.  `BATCH_PAIRS` = 1,000 is the measured
 crossover: per call, in ms (kernel vs dict path, decoding included, median
@@ -126,11 +130,14 @@ entries (`_Context.decode`), with one shared tuple per
 when an `Element`'s terms are first read; a zero test reads the row
 count, and `proportional` decides lhs = c * rhs on the arrays of two
 results of one layout and equal key arrays, so that d mu7 = 15 mu4^2
-decodes neither 194,992-term side.  A shared call is decoded as it
-returns, in one pass, into one dict per input (`Packed.split`): every
-shared call that has rows is read in full by its callers, so deferring
-its decoding saved nothing.  Key order is paid for only where it is
-read: `Packed.decode` and `Packed.split` sort the rows by key (one lexsort
+decodes neither 194,992-term side.  A shared call of `leibniz` is decoded
+as it returns, in one pass, into one dict per input (`Packed.split`): every
+such call that has rows is read in full by its callers, so deferring its
+decoding saved nothing.  A call of `leibniz_tagged` is split only when
+its entries are read: `_Context.find` looks monomials up among its keys
+as they are, so that a monomial none of them reaches is found with
+nothing decoded.  Key order is paid for only where it is read:
+`Packed.decode` and `Packed.split` sort the rows by key (one lexsort
 each), so every decoded dict lists its terms in key order.  Equal key
 sets in one layout come out as equal key arrays, whatever steps, buckets
 and cancellations their calls took: `proportional` compares d mu7 and
@@ -233,16 +240,36 @@ def leibniz(sig, d_images, inputs: list) -> list:
         calls.append(shared)
     out = [None] * len(inputs)
     for call in calls:
-        x = _flat([inputs[i] for i in call])
-        slots = [] if x is None else [g for g in _unique(x.gens).tolist()
-                                      if d_images[g]]
-        res = _sum_of_products(sig, x, [_flat([d_images[g].terms])
-                                        for g in slots],
-                               partial(_hole_rows, slots))
-        if res is not None:
+        res = _leibniz_call(sig, d_images, [inputs[i] for i in call])
+        if res is None:
+            continue
+        if len(call) == 1:
+            out[call[0]] = res
+        else:
             for i, d in zip(call, res.split()):
                 out[i] = d
     return out
+
+
+def leibniz_tagged(sig, d_images, inputs: list) -> Packed | None:
+    """d of every terms dict in `inputs` in one call, left packed and
+    tagged with each input's index (untagged for one input), or None below
+    the gate, the pairs summed over the inputs, or if a guard trips.
+    `ALONE_PAIRS` plays no part: every input shares the call, which is
+    what `linalg.differential_matrix` keeps as its columns."""
+    if sum(_leibniz_pairs(d_images, terms) for terms in inputs) < BATCH_PAIRS:
+        return None
+    return _leibniz_call(sig, d_images, inputs)
+
+
+def _leibniz_call(sig, d_images, inputs: list) -> Packed | None:
+    """The one kernel call of a Leibniz front-end, ungated."""
+    x = _flat(inputs)
+    slots = [] if x is None else [g for g in _unique(x.gens).tolist()
+                                  if d_images[g]]
+    return _sum_of_products(sig, x, [_flat([d_images[g].terms])
+                                     for g in slots],
+                            partial(_hole_rows, slots))
 
 
 def _leibniz_pairs(d_images, terms: dict) -> int:
@@ -583,6 +610,42 @@ class _Context:
         op.occ = _bitmask(e & self.sqz)
         return op
 
+    def find(self, keys: np.ndarray, monos: list) -> np.ndarray:
+        """Whether each canonical monomial of `monos`, packed in this
+        layout, is the monomial of a row of `keys`, whatever its tag.  A
+        monomial that does not fit the layout, with a generator outside
+        its columns or an exponent above its field, is none, and is not
+        packed."""
+        if not len(keys):
+            return np.zeros(len(monos), dtype=bool)
+        n = len(self.gen_ids)
+        if self.inputs > 1:
+            keys = keys.copy()
+            keys[:, self.word[n]] &= ~np.uint64(self.mask[n] << self.shift[n])
+        lens = np.fromiter(map(len, monos), np.int64, len(monos))
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(monos)),
+                           np.int64, 2 * int(lens.sum()))
+        gens, exps = flat[0::2], flat[1::2]
+        term = np.repeat(np.arange(len(monos)), lens)
+        cs = np.searchsorted(self.cols, gens)
+        np.minimum(cs, len(self.cols) - 1, out=cs)
+        fits = ((self.cols[cs] == gens)
+                & (exps <= np.array(self.mask, np.int64)[cs]))
+        ok = np.ones(len(monos), dtype=bool)
+        ok[term[~fits]] = False
+        e = np.zeros((len(monos), len(self.cols)), dtype=np.int8)
+        e[term[fits], cs[fits]] = exps[fits]
+        both = np.concatenate([keys, self.pack(e, None)])
+        # equal keys sort rows of `keys` (flag 0) first: a run of equal keys
+        # holds a row, one or more, exactly when its first member has flag 0
+        flag = np.repeat(np.array([0, 1], np.int8), [len(keys), len(monos)])
+        order = np.lexsort((flag, *both.T[::-1]))
+        new = _run_starts(np.take(both, order, axis=0))
+        has_row = flag[order][new] == 0
+        hit = np.empty(len(both), dtype=bool)
+        hit[order] = has_row[np.cumsum(new) - 1]
+        return hit[len(keys):] & ok
+
     def decode(self, keys: np.ndarray, nums: np.ndarray, den: int,
                sizes: list) -> list:
         """The canonical dict entries of packed keys and numerators over
@@ -657,16 +720,16 @@ class Packed:
                                self.nums[order], self.den, [len(self)])[0]
 
     def split(self) -> list:
-        """Per input of the call, its result: this `Packed` itself for a
-        call of one input, else one canonical dict per input (`{}` where
-        its result is 0), each in key order.  A shared call is decoded at
-        once, in one pass over its rows sorted by tag, then by key (one
-        lexsort): decoding the inputs one by one paid the decoder's set-up
-        once per input, about 77 us, 0.38-0.46 s for a 6,000-input call
-        whose core took 0.045 s."""
+        """Per input of the call, its result: one canonical dict per input
+        (`{}` where its result is 0), each in key order.  A shared call is
+        decoded at once, in one pass over its rows sorted by tag, then by
+        key (one lexsort): decoding the inputs one by one paid the
+        decoder's set-up once per input, about 77 us, 0.38-0.46 s for a
+        6,000-input call whose core took 0.045 s."""
         ctx = self.ctx
-        if ctx.inputs == 1:
-            return [self]
+        if ctx.inputs < 2:
+            # no tag field: a call of one input, or of none
+            return [self.decode()][:ctx.inputs]
         tags = ctx.field(self.keys, len(ctx.gen_ids)).astype(np.int64)
         order = np.lexsort((*self.keys.T[::-1], tags))
         return ctx.decode(np.take(self.keys, order, axis=0), self.nums[order],

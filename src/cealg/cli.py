@@ -6,8 +6,9 @@
     cealg --list-tasks
 
 Exit codes: 0 = pass, 1 = fail, 2 = capped by --cap, unsupported, an
-unknown task, an option the task does not read, a malformed option value,
-or --check-golden with a parameter away from the task's default.
+unknown task, an option the task does not read, a malformed option value
+(`1/0`) or one out of range (`--cap 0`, `--samples 0`), or --check-golden
+with a parameter away from the task's default.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 
 from .dgca import Report
-from .graded import GradedError
+from .graded import GradedError, OutOfRange
 from .linalg import Capped
 from .reporting import (
     TASKS,
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
 
     try:
         report = run_task(args.task, **params)
-    except (UnknownTask, UnknownParameter) as exc:
+    except (UnknownTask, UnknownParameter, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPPED
     except Capped as exc:

@@ -67,6 +67,12 @@ class SignatureMismatch(GradedError):
     pass
 
 
+class OutOfRange(GradedError):
+    """A parameter value outside the range its function accepts, such as
+    a monomial cap below 1: a malformed request, refused before any
+    verification runs."""
+
+
 @dataclass(frozen=True, order=True)
 class GeneratorDecl:
     """A named generator with a bidegree and optional integer index tags.

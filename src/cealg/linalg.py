@@ -7,6 +7,20 @@ enumerate no basis of their own.
 Rank and linear solving convert the matrix's entries to integer rows once
 and run integer (division-free) row elimination with gcd normalization.
 
+d's matrix stays as kernel arrays until its entries are read.  Its columns
+come from one tagged kernel call (`batched.leibniz_tagged`), which it
+keeps: packed keys, each row's column in their tag field, and int64
+numerators over the call's denominator.  `rows`, `entries` and `cod` are
+built on their first read, as `graded._PackedElement` defers `terms`:
+the call is split into one dict per column, and the rows are sorted as on
+the dict path, so `cod`, `entries`, the integer rows and every witness are
+those the dict path gives.  `is_coboundary` packs x's monomials in the
+call's layout and looks them up among its keys, tag ignored, so deciding
+that mu4 is no coboundary on superMink(11) builds no tuple, dict or
+Fraction per entry of its 165 columns.  Where the kernel declines (below
+its gate, or a guard trips), the matrix is built from the dicts of one
+`apply_d_all` call.
+
 Weight grading.  `generator_weights` derives from the d-images a
 nonnegative integer weight per generator that d preserves: a closed
 generator weighs 1, any other weighs what its d-image weighs (on
@@ -25,10 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
+from . import batched
 from .dgca import DgcaError, NotClosed, SemifreeDGCA, apply_d, apply_d_all
-from .graded import Element, GradedError, Monomial, SignatureMismatch
+from .graded import (Element, GradedError, Monomial, OutOfRange,
+                     SignatureMismatch)
 
 DEFAULT_CAP = 2_000_000
 
@@ -130,7 +147,7 @@ def monomial_basis(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
     `weights` (one per generator), only those of weight `weight`.  No
     `weights` is the trivial grading, whose weight-0 part is everything."""
     if cap <= 0:
-        raise GradedError("cap must be positive")
+        raise OutOfRange("cap must be positive")
     if weights is None:
         weights = (0,) * len(A.sig)
     if degree < 0 or weight < 0:
@@ -196,24 +213,68 @@ class SparseRationalMatrix:
     def __post_init__(self):
         self.entries = {k: v for k, v in self.entries.items() if v}
 
+    def reached(self, monos: list) -> list[bool]:
+        """Whether each monomial is a row, one of `cod`."""
+        index = self.cod.index
+        return [m in index for m in monos]
+
+
+class _PackedMatrix(SparseRationalMatrix):
+    """d's matrix kept as the tagged kernel call of its columns
+    (`batched.leibniz_tagged`).  `rows`, `entries` and `cod` are built on
+    their first read, from the call split into one dict per column, as the
+    dict path builds them (`_matrix_of`); `reached` looks monomials up
+    among the call's keys, so a no that one unreached monomial decides
+    decodes nothing."""
+
+    def __init__(self, dom: GradedBasis, packed):
+        self.packed, self.cols, self.dom = packed, len(dom), dom
+
+    @cached_property
+    def _decoded(self) -> SparseRationalMatrix:
+        return _matrix_of(self.dom, self.packed.split())
+
+    rows = property(lambda self: self._decoded.rows)
+    entries = property(lambda self: self._decoded.entries)
+    cod = property(lambda self: self._decoded.cod)
+
+    def reached(self, monos: list) -> list[bool]:
+        return self.packed.ctx.find(self.packed.keys, monos).tolist()
+
+
+def _matrix_of(dom: GradedBasis, images: list[dict]) -> SparseRationalMatrix:
+    """The matrix whose column c is the terms dict images[c]; its rows
+    (`cod`) are the monomials the images reach, sorted."""
+    cod = GradedBasis(dom.degree + 1, tuple(sorted(
+        {m for terms in images for m in terms})))
+    entries: dict[tuple[int, int], Fraction] = {}
+    for c, terms in enumerate(images):
+        for m, coeff in terms.items():
+            entries[(cod.index[m], c)] = coeff
+    return SparseRationalMatrix(len(cod), len(dom), entries, dom, cod)
+
 
 def differential_matrix(A: SemifreeDGCA, degree: int, cap: int = DEFAULT_CAP,
                         weights: tuple[int, ...] | None = None, weight: int = 0
                         ) -> SparseRationalMatrix:
     """Matrix of d on the degree basis (`dom`); with `weights`, which d must
-    preserve, on its weight-`weight` component.  The columns are d of the
-    `dom` monomials, all taken in one `apply_d_all` call; the rows (`cod`)
-    are the monomials they reach, sorted, as in the degree+1 basis."""
+    preserve, on its weight-`weight` component.  The rows (`cod`) are the
+    monomials d of the `dom` monomials reaches, sorted, as in the degree+1
+    basis.
+
+    The columns are taken in one tagged kernel call
+    (`batched.leibniz_tagged`), kept as its arrays until `rows`, `entries`
+    or `cod` is read; then the call is split into one dict per column and
+    the rows are sorted as on the dict path, so both give the same matrix.
+    Where the kernel declines (below its gate, or a guard trips), the
+    columns are the d of the `dom` monomials from one `apply_d_all` call."""
     dom = monomial_basis(A, degree, cap, weights, weight)
-    images = apply_d_all(A, [Element(A.sig, {mono: Fraction(1)})
-                             for mono in dom.monomials])
-    cod = GradedBasis(degree + 1, tuple(sorted(
-        {m2 for img in images for m2 in img.terms})))
-    entries: dict[tuple[int, int], Fraction] = {}
-    for c, img in enumerate(images):
-        for m2, coeff in img.terms.items():
-            entries[(cod.index[m2], c)] = coeff
-    return SparseRationalMatrix(len(cod), len(dom), entries, dom, cod)
+    inputs = [{mono: Fraction(1)} for mono in dom.monomials]
+    packed = batched.leibniz_tagged(A.sig, A.d_images, inputs)
+    if packed is not None:
+        return _PackedMatrix(dom, packed)
+    images = apply_d_all(A, [Element(A.sig, t) for t in inputs])
+    return _matrix_of(dom, [img.terms for img in images])
 
 
 # -- integer row elimination -------------------------------------------------
@@ -327,7 +388,7 @@ def cohomology_dims(A: SemifreeDGCA, max_degree: int, cap: int = DEFAULT_CAP
                     ) -> list[int]:
     """dim H^k for k = 0..max_degree: dim(ker d_k) - rank d_(k-1), exactly."""
     if max_degree < 0:
-        raise GradedError("max_degree must be nonnegative")
+        raise OutOfRange("max_degree must be nonnegative")
     mats = [differential_matrix(A, k, cap) for k in range(max_degree + 1)]
     ranks = [rank(m) for m in mats]
     out = []
@@ -339,8 +400,14 @@ def cohomology_dims(A: SemifreeDGCA, max_degree: int, cap: int = DEFAULT_CAP
 
 @dataclass
 class CoboundaryDecision:
+    """A decision of `is_coboundary`: a yes carries its witness w, with
+    d(w) = x; a no that a monomial of x decides, which d of no domain
+    monomial reaches, carries the first such monomial in x's canonical
+    order (`unreached`), its certificate."""
+
     status: str  # "yes" | "no" | "capped"
     witness: Element | None = None
+    unreached: Monomial | None = None
 
 
 def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
@@ -350,21 +417,25 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
     Solves d v = x over x's weight component one degree down (the complete
     basis when x is not weight-homogeneous or the grading is trivial); `cap`
     bounds the one basis built, that domain.  A monomial of x that d of no
-    domain monomial reaches makes the answer no at once.  A yes comes with
-    a witness w satisfying d(w) = x exactly.
+    domain monomial reaches makes the answer no at once, looked up among
+    the rows of d's matrix while they are still kernel arrays
+    (`differential_matrix`); the decision carries the first such monomial,
+    in x's canonical order, as `unreached`.  A yes comes with a witness w
+    satisfying d(w) = x exactly.
     """
     if x.sig != A.sig:
         raise SignatureMismatch("element not in this algebra")
     if not x:
         return CoboundaryDecision("yes", Element.zero(A.sig))
-    if not x.is_homogeneous():
+    bidegrees = x.bidegrees()
+    if len(bidegrees) != 1:
         raise GradedError("is_coboundary needs a homogeneous element")
     res = apply_d(A, x)
     if res:
         raise NotClosed("is_coboundary needs a closed element", residual=res)
-    ((deg, _),) = x.bidegrees()
+    ((deg, _),) = bidegrees
     if deg == 0:
-        return CoboundaryDecision("no")
+        return CoboundaryDecision("no", unreached=min(x.terms))
     weights = generator_weights(A)
     x_weights = {_weight(m, weights) for m in x.terms}
     if len(x_weights) == 1:
@@ -375,9 +446,11 @@ def is_coboundary(A: SemifreeDGCA, x: Element, cap: int = DEFAULT_CAP
         mat = differential_matrix(A, deg - 1, cap, weights, weight)
     except Capped:
         return CoboundaryDecision("capped")
+    monos = list(x.terms)
+    missed = [m for m, hit in zip(monos, mat.reached(monos)) if not hit]
+    if missed:
+        return CoboundaryDecision("no", unreached=min(missed))
     index = mat.cod.index
-    if any(m not in index for m in x.terms):
-        return CoboundaryDecision("no")
     v = solve(mat, {index[m]: c for m, c in x.terms.items()})
     if v is None:
         return CoboundaryDecision("no")

@@ -33,6 +33,7 @@ from .graded import (
     FACTORS,
     GeneratorDecl,
     GradedError,
+    OutOfRange,
     _accumulate,
     make_signature,
 )
@@ -45,7 +46,7 @@ def sphere_model(n: int) -> SemifreeDGCA:
     pair (g_n, g_{2n-1}) with d g_{2n-1} = g_n^2 for even n.  Cohomology is
     validated up to degree 3n at construction."""
     if n < 1:
-        raise GradedError("sphere dimension must be >= 1")
+        raise OutOfRange("sphere dimension must be >= 1")
     if n % 2 == 1:
         sig = make_signature([GeneratorDecl(f"g{n}", (), n, EVEN)])
         alg = make_dgca(sig, {})
@@ -83,7 +84,7 @@ def poly_de_rham(n: int) -> SemifreeDGCA:
     """Polynomial differential forms on R^n: x_i in bidegree (0, even),
     dx_i in (1, even), d x_i = dx_i."""
     if n < 1:
-        raise GradedError("dimension must be >= 1")
+        raise OutOfRange("dimension must be >= 1")
     decls = [GeneratorDecl("x", (i,), 0, EVEN) for i in range(1, n + 1)]
     decls += [GeneratorDecl("dx", (i,), 1, EVEN) for i in range(1, n + 1)]
     sig = make_signature(decls)
@@ -241,7 +242,7 @@ def forms_fiber_check(target: SemifreeDGCA, n_samples: int = 50,
     if len(target.sig) // 2 < 8:
         raise GradedError("fiber check needs at least 8 coordinates")
     if n_samples < 1:
-        raise GradedError("the fiber check needs at least one sample")
+        raise OutOfRange("the fiber check needs at least one sample")
     rng = random.Random(seed)
     rejected = 0
     for b0 in range(0, n_samples, FIBER_BLOCK):

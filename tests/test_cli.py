@@ -10,9 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from cealg import reporting
+from cealg import (OutOfRange, cohomology_dims, forms_fiber_check,
+                   monomial_basis, poly_de_rham, reporting, sphere_model)
+from cealg.catalog import _mink
 from cealg.cli import main
 from cealg.dgca import Report
+from cealg.graded import GradedError
 from cealg.reporting import (
     GOLDEN_DIR,
     GoldenReport,
@@ -243,14 +246,34 @@ def test_cli_main_inprocess(tmp_path, capsys):
     (["--task", "s4.cohomology", "--max-degree", "-3"],
      "max_degree must be nonnegative"),
     (["--task", "s4.cohomology", "--cap", "0"], "cap must be positive"),
+    (["--task", "scan.3.2.1", "--cap", "0"], "cap must be positive"),
+    (["--task", "s4.cohomology", "--max-degree", "-1"],
+     "max_degree must be nonnegative"),
 ])
 def test_cli_rejects_a_vacuous_parameter(args, message, capsys):
-    """A parameter that would leave nothing to check fails with GradedError
-    (exit 1) instead of passing on an empty sample or degree range."""
-    assert main(args + ["--no-write"]) == 1
+    """A parameter that would leave nothing to check is refused as out of
+    range (exit 2, the code of a malformed option value) instead of
+    passing on an empty sample or degree range, or counting as a failed
+    verification (exit 1)."""
+    assert main(args + ["--no-write"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"fail: GradedError: {message}\n"
+    assert captured.err == f"error: {message}\n"
+
+
+def test_out_of_range_values_raise_one_graded_error_subclass():
+    """The refusals of out-of-range values share `OutOfRange`, which the
+    command line maps to exit 2; it is a GradedError, so old handlers
+    still catch it."""
+    assert issubclass(OutOfRange, GradedError)
+    refusals = [lambda: monomial_basis(_mink(3), 2, cap=0),
+                lambda: cohomology_dims(sphere_model(4), -1),
+                lambda: forms_fiber_check(poly_de_rham(8), n_samples=0),
+                lambda: sphere_model(0),
+                lambda: poly_de_rham(0)]
+    for refuse in refusals:
+        with pytest.raises(OutOfRange):
+            refuse()
 
 
 def test_cli_subprocess_smoke(tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cealg.linalg as la
+from cealg import batched
 
 from cealg import (
     Capped,
@@ -216,17 +218,26 @@ def test_each_basis_enumerated_once_per_matrix(monkeypatch):
 @pytest.mark.parametrize("d, degree, weight", [(3, 3, None), (11, 2, 3)])
 def test_differential_matrix_takes_one_leibniz_call(monkeypatch, d, degree,
                                                     weight):
-    """The columns come from one `apply_d_all` call over the domain basis
-    (on the kernel for superMink(11)'s 6,656 entries) and equal d of each
-    monomial taken alone by `apply_d`."""
+    """The columns come from one `batched.leibniz_tagged` call over the
+    domain basis, kept as its arrays for superMink(11)'s 6,656 entries and
+    declined below the gate for superMink(3), whose columns then come from
+    one `apply_d_all` call, and equal d of each monomial taken alone by
+    `apply_d`."""
     alg = _mink(d)
     weights = la.generator_weights(alg) if weight is not None else None
-    calls = []
-    real = la.apply_d_all
-    monkeypatch.setattr(la, "apply_d_all",
-                        lambda A, xs: calls.append(len(xs)) or real(A, xs))
+    calls, fallback = [], []
+    real = batched.leibniz_tagged
+    monkeypatch.setattr(batched, "leibniz_tagged",
+                        lambda sig, images, xs: calls.append(len(xs))
+                        or real(sig, images, xs))
+    real_all = la.apply_d_all
+    monkeypatch.setattr(la, "apply_d_all", lambda A, xs: fallback.append(
+        len(xs)) or real_all(A, xs))
     m = differential_matrix(alg, degree, weights=weights, weight=weight or 0)
     assert calls == [len(m.dom.monomials)] and m.entries
+    # the dict path, where the kernel declines, takes one call over dom too
+    assert fallback == ([] if d == 11 else [len(m.dom.monomials)])
+    assert isinstance(m, la._PackedMatrix) == (d == 11)
     want = {}
     for c, mono in enumerate(m.dom.monomials):
         img = apply_d(alg, Element(alg.sig, {mono: Fraction(1)}))
@@ -655,3 +666,163 @@ def test_mu4_decision_memory():
     assert no == 1
     assert peak <= 6 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
+
+# -- d's matrix kept as kernel arrays against the dict path --------------------
+
+
+@contextmanager
+def kernel_gate(gate):
+    """Every `batched` front-end call of at least `gate` pairs reaches the
+    kernel: 0 sends every matrix there, 1 << 62 none."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batched, "BATCH_PAIRS", gate)
+        yield mp
+
+
+def both_paths(alg, degree, **kwargs):
+    """d's matrix at `degree` with every column call on the kernel, and on
+    the dict path."""
+    out = []
+    for gate in (0, 1 << 62):
+        with kernel_gate(gate):
+            out.append(differential_matrix(alg, degree, **kwargs))
+    return out
+
+
+def assert_same_matrix(packed, plain):
+    assert type(plain) is SparseRationalMatrix
+    assert (packed.rows, packed.cols) == (plain.rows, plain.cols)
+    assert packed.dom.monomials == plain.dom.monomials
+    assert packed.cod.monomials == plain.cod.monomials
+    assert packed.entries == plain.entries
+    # the integer rows, and the order of their entries, are bit-identical
+    assert [list(r.items()) for r in la._int_rows(packed)] == [
+        list(r.items()) for r in la._int_rows(plain)]
+
+
+def assert_same_decision(alg, x):
+    decisions = []
+    for gate in (0, 1 << 62):
+        with kernel_gate(gate):
+            decisions.append(is_coboundary(alg, x))
+    kernel, plain = decisions
+    assert (kernel.status, kernel.unreached) == (plain.status, plain.unreached)
+    if plain.witness is None:
+        assert kernel.witness is None
+    else:
+        assert kernel.witness.to_json() == plain.witness.to_json()
+    return plain
+
+
+@given(closed_elements())
+@settings(max_examples=80, deadline=None)
+def test_packed_matrix_matches_the_dict_path(case):
+    """With the gate at 0, d's matrix is the kernel's arrays; with it out
+    of reach, it is built from `apply_d_all`'s dicts.  Rows, columns,
+    bases, entries and integer rows agree, on every degree and weight
+    component of random semifree algebras, and so do the decisions."""
+    alg, x = case
+    weights = la.generator_weights(alg)
+    for degree in range(5):
+        for w in sorted({sum(weights[g] * e for g, e in m) for m in
+                         monomial_basis(alg, degree).monomials} | {0}):
+            packed, plain = both_paths(alg, degree, weights=weights,
+                                       weight=w)
+            assert isinstance(packed, la._PackedMatrix)
+            assert_same_matrix(packed, plain)
+    if x:
+        assert_same_decision(alg, x)
+
+
+def prefix_rows():
+    """d y = a with z of degree 0 and odd parity, so square-zero, sorted
+    after a and y by family name: d(y z) = a z, and the row a is a proper
+    prefix of the row a z, which only a degree-0 generator allows."""
+    sig = make_signature([GeneratorDecl("a", (), 2, EVEN),
+                          GeneratorDecl("y", (), 1, EVEN),
+                          GeneratorDecl("z", (), 0, ODD)])
+    return make_dgca(sig, {"y": Element.generator(sig, "a")})
+
+
+def test_packed_matrix_matches_the_dict_path_on_the_compose_cases():
+    for alg, degrees in compose_cases() + [(prefix_rows(), range(0, 3))]:
+        for degree in degrees:
+            assert_same_matrix(*both_paths(alg, degree))
+    assert differential_matrix(prefix_rows(), 1).cod.monomials == (
+        ((0, 1),), ((0, 1), (2, 1)))
+    mink3 = _mink(3)
+    for p in (1, 2):
+        assert_same_decision(mink3, brane_cocycle(3, p))
+
+
+def test_matrix_falls_back_to_the_dict_path_when_a_guard_trips(monkeypatch):
+    """d(g4^128 g7) = g4^130 on the 4-sphere model: an exponent above the
+    kernel's int8 fields, so `leibniz_tagged` declines at gate 0 and the
+    matrix comes from the dict path; g4^130 is d(g4^128 g7) either way."""
+    alg = s4()
+    calls = []
+    real = batched.leibniz_tagged
+    monkeypatch.setattr(batched, "leibniz_tagged", lambda *a: calls.append(
+        real(*a)) or calls[-1])
+    packed, plain = both_paths(alg, 519)
+    assert calls == [None, None]
+    assert type(packed) is SparseRationalMatrix
+    assert (packed.rows, packed.cols, packed.entries) == (
+        plain.rows, plain.cols, plain.entries)
+    assert packed.cod.monomials == (((0, 130),),)
+    x = Element(alg.sig, {((0, 130),): Fraction(1)})
+    dec = assert_same_decision(alg, x)
+    assert dec.status == "yes" and dec.unreached is None
+    assert dec.witness.terms == {((0, 128), (1, 1)): Fraction(1)}
+
+
+def test_mu4_decision_decodes_nothing(monkeypatch):
+    """Deciding that mu4 is no coboundary on superMink(11) looks its
+    monomials up among the packed rows of d's matrix: no shared call is
+    split, and no kernel result is decoded."""
+    seen = []
+    monkeypatch.setattr(batched.Packed, "split",
+                        lambda self: seen.append("split"))
+    monkeypatch.setattr(batched._Context, "decode",
+                        lambda self, *a: seen.append("decode"))
+    dec = is_coboundary(_mink(11), _mu(11, 2))
+    assert dec.status == "no" and dec.unreached is not None
+    assert seen == []
+
+
+@pytest.mark.parametrize("task", ["scan.11.32.2", "scan.3.2.1"])
+def test_no_decisions_carry_their_first_unreached_monomial(task):
+    """The certificate of a no, checked on the dict path: d of no domain
+    monomial reaches it, and every monomial of x before it, in x's
+    canonical order, is reached."""
+    d, p = {"scan.11.32.2": (11, 2), "scan.3.2.1": (3, 1)}[task]
+    alg, x = _mink(d), _mu(d, p)
+    dec = is_coboundary(alg, x)
+    assert dec.status == "no" and dec.witness is None
+    weights = la.generator_weights(alg)
+    ((deg, _),) = x.bidegrees()
+    (weight,) = {sum(weights[g] * e for g, e in m) for m in x.terms}
+    dom = monomial_basis(alg, deg - 1, weights=weights, weight=weight)
+    with kernel_gate(1 << 62):
+        reached = {m for mono in dom.monomials for m in apply_d(
+            alg, Element(alg.sig, {mono: Fraction(1)})).terms}
+    assert dec.unreached in x.terms and dec.unreached not in reached
+    assert all(m in reached for m in sorted(x.terms) if m < dec.unreached)
+    yes = is_coboundary(alg, apply_d(alg, Element(alg.sig, {dom.monomials[0]:
+                                                            Fraction(1)})))
+    assert yes.status == "yes" and yes.unreached is None
+
+
+def test_reached_refuses_monomials_outside_the_layout():
+    """d z = x y, kept packed: x, y and z take one bit each, so x^3 would
+    pack to the key of x y, and w has no field.  Only x y is a row."""
+    sig = make_signature([GeneratorDecl(n, (), 3 if n == "z" else 2, EVEN)
+                          for n in "wxyz"])
+    x, y = (Element.generator(sig, n) for n in "xy")
+    alg = make_dgca(sig, {"z": x * y})
+    with kernel_gate(0):
+        m = differential_matrix(alg, 3)
+    assert isinstance(m, la._PackedMatrix) and m.rows == 1
+    w, x, y = (sig.gen_id(n) for n in "wxy")
+    assert m.reached([((x, 1), (y, 1)), ((x, 3),), ((w, 1), (x, 1)),
+                      ((y, 2),)]) == [True, False, False, False]
